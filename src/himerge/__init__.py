@@ -46,7 +46,6 @@ from .evaluation import (
 from .analysis import (
     AnalysisContext,
     ConflictProfile,
-    LayerContribution,
     addition_impact,
     conflict_profile,
     deletion_impact,

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, LayerPartition, checkpoint_from_f32
-from .delta import DeltaVector, layer_arrays
+from .checkpoint import Checkpoint, LayerPartition
+from .delta import DeltaVector, combine, layer_arrays
 from .errors import ConfigError, EvaluatorError
 from .evaluation import EvalTask, EvaluationBridge
 
@@ -78,59 +78,38 @@ def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
                 touched.add(name)
     if not touched:
         return ref
-    out = {}
-    for name in sorted(touched):
-        acc = ref.as_f32(name).astype(np.float64)
-        for arrays in arrays_list:
-            if name in arrays:
-                acc += sign * arrays[name].astype(np.float64)
-        out[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(out, like=ref, metadata={})
+    terms = [arrays.get for arrays in arrays_list]
+    return combine(ref, terms, [sign] * len(terms), names=sorted(touched))
+
+
+def _impact(
+    kind: str, capability: str, source: str, layer, ctx: AnalysisContext,
+    ref: Checkpoint, sign: float,
+) -> float:
+    """P(ref shifted by sign * the source's layer delta) - P(ref)."""
+    arrays = ctx.source_layer_arrays(source, layer)
+    task = ctx.task(capability)
+    try:
+        candidate = shifted_checkpoint(ref, arrays, sign)
+        shifted = ctx.bridge.evaluate(candidate, task).value
+        reference = ctx.bridge.evaluate(ref, task).value
+    except EvaluatorError as exc:
+        raise EvaluatorError(
+            f"{kind} impact (capability={capability}, source={source}, "
+            f"layer={layer}): {exc}"
+        ) from exc
+    return shifted - reference
 
 
 def deletion_impact(capability: str, source: str, layer, ctx: AnalysisContext) -> float:
     """P(source model minus its layer delta) - P(source model)."""
     ref = ctx.source_checkpoint(source)
-    arrays = ctx.source_layer_arrays(source, layer)
-    task = ctx.task(capability)
-    try:
-        candidate = shifted_checkpoint(ref, arrays, -1.0)
-        with_removed = ctx.bridge.evaluate(candidate, task).value
-        reference = ctx.bridge.evaluate(ref, task).value
-    except EvaluatorError as exc:
-        raise EvaluatorError(
-            f"deletion impact (capability={capability}, source={source}, "
-            f"layer={layer}): {exc}"
-        ) from exc
-    return with_removed - reference
+    return _impact("deletion", capability, source, layer, ctx, ref, -1.0)
 
 
 def addition_impact(capability: str, source: str, layer, ctx: AnalysisContext) -> float:
     """P(base plus the source's layer delta) - P(base)."""
-    arrays = ctx.source_layer_arrays(source, layer)
-    task = ctx.task(capability)
-    try:
-        candidate = shifted_checkpoint(ctx.base, arrays, +1.0)
-        with_added = ctx.bridge.evaluate(candidate, task).value
-        reference = ctx.bridge.evaluate(ctx.base, task).value
-    except EvaluatorError as exc:
-        raise EvaluatorError(
-            f"addition impact (capability={capability}, source={source}, "
-            f"layer={layer}): {exc}"
-        ) from exc
-    return with_added - reference
-
-
-@dataclass(frozen=True)
-class LayerContribution:
-    """Contribution of one (capability, source, layer) triple."""
-
-    layer: object
-    capability: str
-    source: str
-    alpha: float
-    beta: float
-    c: float
+    return _impact("addition", capability, source, layer, ctx, ctx.base, +1.0)
 
 
 @dataclass
@@ -157,31 +136,10 @@ class ConflictProfile:
                 return row
         raise KeyError(f"no analyzed layer {layer!r}")
 
-    def gammas(self, layer) -> tuple[float, float]:
-        row = self.row_for(layer)
-        return row.gamma_a, row.gamma_b
-
     def argmax_gamma(self):
         if not self.rows:
             return None
         return max(self.rows, key=lambda r: r.Gamma).layer
-
-    def contributions(self) -> list[LayerContribution]:
-        """Flatten the rows into (capability, source, layer) triples."""
-        out = []
-        for row in self.rows:
-            for key in row.c:
-                out.append(
-                    LayerContribution(
-                        layer=row.layer,
-                        capability=key[0],
-                        source=key[1],
-                        alpha=row.alpha[key],
-                        beta=row.beta[key],
-                        c=row.c[key],
-                    )
-                )
-        return out
 
     def to_json_dict(self) -> dict:
         return {

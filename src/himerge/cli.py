@@ -17,13 +17,8 @@ import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-from .analysis import AnalysisContext, conflict_profile
-from .checkpoint import (
-    DEFAULT_LAYER_RULE,
-    load_checkpoint,
-    partition_layers,
-    save_checkpoint,
-)
+from .analysis import conflict_profile
+from .checkpoint import DEFAULT_LAYER_RULE, load_checkpoint, save_checkpoint
 from .delta import (
     PruneScaleParams,
     compute_delta,
@@ -41,13 +36,8 @@ from .evaluation import (
     SyntheticLinearTask,
     DEFAULT_TIMEOUT,
 )
-from .merge import (
-    MergeWeights,
-    assemble_final,
-    delta_weighted_merge,
-    weighted_average_merge,
-)
-from .resolver import HiMergeConfig, IterationPolicy, hi_merge
+from .merge import MergeWeights, delta_weighted_merge, weighted_average_merge
+from .resolver import HiMergeConfig, IterationPolicy, hi_merge, prepare
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 LOCK_NAME = ".himerge.lock"
@@ -82,13 +72,19 @@ class RunConfig:
     s_values: list[float] = field(default_factory=lambda: list(DEFAULT_GRID))
 
     def policy(self) -> IterationPolicy:
-        return IterationPolicy(
-            gamma_threshold=self.gamma_threshold,
-            recompute=self.recompute,
-            max_passes=self.max_passes,
-            max_halvings=self.max_halvings,
-            single_halving=self.single_halving,
-            include_pre_post=self.include_pre_post,
+        names = [f.name for f in fields(IterationPolicy)]
+        return IterationPolicy(**{name: getattr(self, name) for name in names})
+
+    def hi_config(self, out: Path) -> HiMergeConfig:
+        return HiMergeConfig(
+            params_a=PruneScaleParams(self.p_a, self.s_a),
+            params_b=PruneScaleParams(self.p_b, self.s_b),
+            task_a=self.task("a"),
+            task_b=self.task("b"),
+            layer_rule=self.layer_rule,
+            policy=self.policy(),
+            full_matrix=self.full_matrix,
+            out_dir=out,
         )
 
     def require(self, *names: str) -> None:
@@ -178,46 +174,56 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+# Config-file groups: key -> RunConfig field, or a nested group.  Every
+# RunConfig field name is also a top-level key.
+_GROUPS = {
+    "prune_scale": {m: {"p": f"p_{m}", "s": f"s_{m}"} for m in ("a", "b")},
+    "weights": {m: f"omega_{m}" for m in ("a", "b")},
+    "eval": {m: f"eval_{m}" for m in ("a", "b")},
+    "policy": {f.name: f.name for f in fields(IterationPolicy)},
+    "sweep": {"p_values": "p_values", "s_values": "s_values"},
+}
+
+
 def _apply_config_doc(cfg: RunConfig, doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ConfigError("config file must contain a JSON object")
-    doc = dict(doc)
-    prune_scale = doc.pop("prune_scale", {})
-    for model_id in ("a", "b"):
-        entry = prune_scale.get(model_id, {})
-        if "p" in entry:
-            setattr(cfg, f"p_{model_id}", float(entry["p"]))
-        if "s" in entry:
-            setattr(cfg, f"s_{model_id}", float(entry["s"]))
-    weights = doc.pop("weights", {})
-    for model_id in ("a", "b"):
-        if model_id in weights:
-            setattr(cfg, f"omega_{model_id}", float(weights[model_id]))
-    evals = doc.pop("eval", {})
-    for model_id in ("a", "b"):
-        if model_id in evals:
-            setattr(cfg, f"eval_{model_id}", evals[model_id])
-    policy = doc.pop("policy", {})
-    for key in (
-        "gamma_threshold",
-        "recompute",
-        "max_passes",
-        "max_halvings",
-        "single_halving",
-        "include_pre_post",
-    ):
-        if key in policy:
-            setattr(cfg, key, policy[key])
-    sweep = doc.pop("sweep", {})
-    if "p_values" in sweep:
-        cfg.p_values = [float(v) for v in sweep["p_values"]]
-    if "s_values" in sweep:
-        cfg.s_values = [float(v) for v in sweep["s_values"]]
-    known = {f.name for f in fields(RunConfig)}
+    types = {f.name: f.type for f in fields(RunConfig)}
+    leaves = list(_flatten(doc, {**{name: name for name in types}, **_GROUPS}, ""))
+    # Grouped values first, so that a top-level key overrides its grouped form.
+    leaves.sort(key=lambda leaf: "." not in leaf[1])
+    for name, path, value in leaves:
+        setattr(cfg, name, _typed(value, types[name], path))
+
+
+def _flatten(doc: dict, table: dict, prefix: str):
+    """(field, dotted path, value) for each leaf of a config-file object."""
     for key, value in doc.items():
-        if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, value)
+        path = prefix + key
+        target = table.get(key)
+        if target is None:
+            raise ConfigError(f"unknown config key {path!r}")
+        if not isinstance(target, dict):
+            yield target, path, value
+        elif isinstance(value, dict):
+            yield from _flatten(value, target, path + ".")
+        else:
+            raise ConfigError(f"config key {path!r} must be an object")
+
+
+def _typed(value, kind: str, path: str):
+    """A config-file value checked against its RunConfig field's type;
+    a JSON integer is accepted where a float is expected."""
+    if kind == "object" or (value is None and kind.endswith(" | None")):
+        return value
+    kind = kind.removesuffix(" | None")
+    if kind == "list[float]" and isinstance(value, list):
+        return [_typed(v, "float", f"{path}[{i}]") for i, v in enumerate(value)]
+    if kind == "float" and type(value) in (int, float):
+        return float(value)
+    if kind in ("int", "bool", "str") and type(value).__name__ == kind:
+        return value
+    raise ConfigError(f"config key {path!r} must be {kind}, got {value!r}")
 
 
 @contextlib.contextmanager
@@ -320,17 +326,7 @@ def cmd_merge(cfg: RunConfig, method: str) -> int:
         b = cfg.checkpoint("model_b")
         with output_dir(cfg) as out:
             bridge = make_bridge(cfg, out)
-            config = HiMergeConfig(
-                params_a=PruneScaleParams(cfg.p_a, cfg.s_a),
-                params_b=PruneScaleParams(cfg.p_b, cfg.s_b),
-                task_a=cfg.task("a"),
-                task_b=cfg.task("b"),
-                layer_rule=cfg.layer_rule,
-                policy=cfg.policy(),
-                full_matrix=cfg.full_matrix,
-                out_dir=out,
-            )
-            hi_merge(base, a, b, config, bridge=bridge)
+            hi_merge(base, a, b, cfg.hi_config(out), bridge=bridge)
             _report_stats(bridge)
             print(out / "merged.safetensors")
         return 0
@@ -345,29 +341,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     b = cfg.checkpoint("model_b")
     with output_dir(cfg) as out:
         bridge = make_bridge(cfg, out)
-        delta_a = model_wise_process(
-            compute_delta(a, base, provenance="A"), PruneScaleParams(cfg.p_a, cfg.s_a)
-        )
-        delta_b = model_wise_process(
-            compute_delta(b, base, provenance="B"), PruneScaleParams(cfg.p_b, cfg.s_b)
-        )
-        partition = partition_layers(base, cfg.layer_rule)
-        ctx = AnalysisContext(
-            base=base,
-            model_a=a,
-            model_b=b,
-            delta_a=delta_a,
-            delta_b=delta_b,
-            theta_g=assemble_final(base, delta_a, delta_b),
-            partition=partition,
-            task_a=cfg.task("a"),
-            task_b=cfg.task("b"),
-            bridge=bridge,
-        )
-        layers = (
-            partition.all_layers() if cfg.include_pre_post else partition.transformer_layers()
-        )
-        profile = conflict_profile(ctx, layers=layers, full_matrix=cfg.full_matrix)
+        config = cfg.hi_config(out)
+        ctx, layers = prepare(base, a, b, config, bridge)
+        profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
         profile.write_json(out / "profile.json")
         profile.write_csv(out / "profile.csv")
         _report_stats(bridge)
@@ -394,13 +370,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             except EvaluatorError as exc:
                 return (p, s, "", str(exc))
 
-        if cfg.parallel > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=cfg.parallel) as pool:
-                rows = list(pool.map(run_cell, cells))
-        else:
-            rows = [run_cell(cell) for cell in cells]
+        rows = bridge.map(run_cell, cells)
         sweep_path = out / "sweep.csv"
         with open(sweep_path, "w", newline="") as fh:
             writer = csv.writer(fh)

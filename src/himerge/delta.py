@@ -151,28 +151,57 @@ def model_wise_process(delta: DeltaVector, params: PruneScaleParams) -> DeltaVec
     return scale(prune_topp(delta, params.p), params.s)
 
 
-def _check_delta_compat(base: Checkpoint, delta: DeltaVector) -> None:
+def _check_delta_compat(base: Checkpoint, deltas: list[DeltaVector]) -> None:
     base_fp = fingerprint(base)
-    if delta.base_fingerprint != base_fp:
-        raise CompatError(
-            f"delta {delta.provenance or '<unnamed>'} was computed against "
-            f"{delta.base_fingerprint[:12]}..., not this base ({base_fp[:12]}...)"
-        )
-    if delta.names != base.names:
-        raise CompatError("delta tensor names do not match the base checkpoint")
+    for delta in deltas:
+        if delta.base_fingerprint != base_fp:
+            raise CompatError(
+                f"delta {delta.provenance or '<unnamed>'} was computed against "
+                f"{delta.base_fingerprint[:12]}..., not this base ({base_fp[:12]}...)"
+            )
+        if delta.names != base.names:
+            raise CompatError("delta tensor names do not match the base checkpoint")
+
+
+def combine(
+    ref: Checkpoint | None,
+    terms,
+    weights=None,
+    *,
+    like: Checkpoint | None = None,
+    names=None,
+) -> Checkpoint:
+    """ref + sum of w_i * term_i, tensor by tensor, in ``like``'s dtypes.
+
+    Each term is a function from tensor name to a float32 array, or to None
+    where the term does not touch that tensor.  Sums are accumulated in
+    float64 starting from ``ref`` itself (so a -0.0 in ``ref`` survives
+    zero terms), or from +0.0 when ``ref`` is None, and rounded once to
+    float32.  Only ``names`` (default: all of ``like``'s) are recomputed;
+    the other tensors are shared with ``like``, which defaults to ``ref``.
+    """
+    like = ref if like is None else like
+    weights = [1.0] * len(terms) if weights is None else [float(w) for w in weights]
+    arrays = {}
+    for name in like.names if names is None else names:
+        if ref is None:
+            acc = np.zeros(like.record(name).shape, dtype=np.float64)
+        else:
+            acc = ref.as_f32(name).astype(np.float64)
+        for term, weight in zip(terms, weights):
+            arr = term(name)
+            if arr is None:
+                continue
+            arr = arr.astype(np.float64)
+            acc += arr if weight == 1.0 else weight * arr
+        arrays[name] = acc.astype(np.float32)
+    return checkpoint_from_f32(arrays, like=like, metadata={})
 
 
 def apply_delta(base: Checkpoint, deltas: list[DeltaVector]) -> Checkpoint:
     """base + sum of deltas; float64 accumulation, rounded once to float32."""
-    for dv in deltas:
-        _check_delta_compat(base, dv)
-    arrays = {}
-    for name in base.names:
-        acc = base.as_f32(name).astype(np.float64)
-        for dv in deltas:
-            acc += dv.deltas[name].astype(np.float64)
-        arrays[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(arrays, like=base, metadata={})
+    _check_delta_compat(base, deltas)
+    return combine(base, [dv.deltas.get for dv in deltas])
 
 
 def layer_arrays(

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, checkpoint_to_bytes
-from .errors import ConfigError, EvaluatorError
+from .errors import ConfigError, EvaluatorError, FormatError
 
 DEFAULT_TIMEOUT = 600.0
 
@@ -148,7 +148,6 @@ class EvalTask:
 
     task_id: str
     evaluator: object  # str command template, or a builtin task dataclass
-    higher_is_better: bool = True
     timeout: float = DEFAULT_TIMEOUT
 
     def __post_init__(self):
@@ -183,14 +182,33 @@ class EvalCache:
         self._scores: dict[tuple[str, str], float] = {}
         self._lock = threading.Lock()
         if self.path and self.path.exists():
-            for line in self.path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                self._scores[(entry["fingerprint"], entry["task_id"])] = float(
-                    entry["score"]
-                )
+            self._load()
+
+    def _load(self) -> None:
+        """Read the entries; a torn final line (a write cut short by a
+        crash) is truncated away, corruption anywhere else is an error."""
+        data = self.path.read_bytes()
+        lines = data.split(b"\n")
+        offset = 0
+        for number, line in enumerate(lines, start=1):
+            try:
+                if line.strip():
+                    entry = json.loads(line)
+                    key = (entry["fingerprint"], entry["task_id"])
+                    self._scores[key] = float(entry["score"])
+            except (ValueError, KeyError, TypeError) as exc:
+                if number < len(lines):
+                    raise FormatError(
+                        f"{self.path}: corrupt cache entry on line {number}: {exc}"
+                    ) from exc
+                with open(self.path, "r+b") as fh:
+                    fh.truncate(offset)
+                return
+            offset += len(line) + 1
+        if lines[-1]:
+            # A complete entry that lost only its newline.
+            with open(self.path, "ab") as fh:
+                fh.write(b"\n")
 
     def get(self, fp: str, task_id: str):
         with self._lock:
@@ -259,14 +277,19 @@ class EvaluationBridge:
         self.cache.put(fp, task.task_id, float(score))
         return EvalResult(float(score), fp, task.task_id, elapsed)
 
-    def evaluate_many(self, jobs: list[tuple[Checkpoint, EvalTask]]) -> list[EvalResult]:
-        """Evaluate several (checkpoint, task) pairs, preserving order."""
-        if self.parallel == 1 or len(jobs) <= 1:
-            return [self.evaluate(cp, task) for cp, task in jobs]
+    def map(self, fn, items) -> list:
+        """[fn(item) for item in items] on up to ``parallel`` threads, in order."""
+        items = list(items)
+        if self.parallel == 1 or len(items) <= 1:
+            return [fn(item) for item in items]
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=self.parallel) as pool:
-            return list(pool.map(lambda job: self.evaluate(*job), jobs))
+            return list(pool.map(fn, items))
+
+    def evaluate_many(self, jobs: list[tuple[Checkpoint, EvalTask]]) -> list[EvalResult]:
+        """Evaluate several (checkpoint, task) pairs, preserving order."""
+        return self.map(lambda job: self.evaluate(*job), jobs)
 
     # -- external protocol ---------------------------------------------------
 

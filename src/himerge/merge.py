@@ -8,10 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .checkpoint import Checkpoint, checkpoint_from_f32, validate_compat
-from .delta import DeltaVector, _check_delta_compat
+from .checkpoint import Checkpoint, validate_compat
+from .delta import DeltaVector, _check_delta_compat, combine
 from .errors import ConfigError
 
 _WEIGHT_SUM_TOL = 1e-9
@@ -52,13 +50,7 @@ def weighted_average_merge(
     first = models[ids[0]]
     for other_id in ids[1:]:
         validate_compat(first, models[other_id])
-    arrays = {}
-    for name in first.names:
-        acc = np.zeros(first.record(name).shape, dtype=np.float64)
-        for model_id, weight in zip(ids, weights):
-            acc += float(weight) * models[model_id].as_f32(name).astype(np.float64)
-        arrays[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(arrays, like=first, metadata={})
+    return combine(None, [models[m].as_f32 for m in ids], weights, like=first)
 
 
 def delta_weighted_merge(
@@ -66,22 +58,13 @@ def delta_weighted_merge(
 ) -> Checkpoint:
     """theta_F + sum of w_m * delta_m."""
     weights = w.ordered([dv.provenance or str(i) for i, dv in enumerate(deltas)])
-    for dv in deltas:
-        _check_delta_compat(base, dv)
-    arrays = {}
-    for name in base.names:
-        acc = base.as_f32(name).astype(np.float64)
-        for dv, weight in zip(deltas, weights):
-            acc += float(weight) * dv.deltas[name].astype(np.float64)
-        arrays[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(arrays, like=base, metadata={})
+    _check_delta_compat(base, deltas)
+    return combine(base, [dv.deltas.get for dv in deltas], weights)
 
 
 def assemble_final(
     base: Checkpoint, delta_a: DeltaVector, delta_b: DeltaVector
 ) -> Checkpoint:
     """theta_F + delta_A + delta_B with implicit unit weights."""
-    weights = MergeWeights(
-        {delta_a.provenance or "0": 1.0, delta_b.provenance or "1": 1.0}
-    )
-    return delta_weighted_merge(base, [delta_a, delta_b], weights)
+    _check_delta_compat(base, [delta_a, delta_b])
+    return combine(base, [delta_a.deltas.get, delta_b.deltas.get])

@@ -85,8 +85,6 @@ class ResolutionAction:
 @dataclass
 class ResolutionLog:
     actions: list[ResolutionAction] = field(default_factory=list)
-    iterations: int = 0
-    final_profile: ConflictProfile | None = None
 
     def write_jsonl(self, path) -> None:
         with open(path, "w") as fh:
@@ -103,7 +101,7 @@ class ResolutionLog:
                 f"{str(a.layer):>6}  {a.case:<8} {a.kind:<8} {a.model or '-':<5} "
                 f"{a.gamma_a:>10.6f} {a.gamma_b:>10.6f} {a.Gamma:>10.6f}  {a.note}"
             )
-        lines.append(f"total actions: {self.iterations}")
+        lines.append(f"total actions: {len(self.actions)}")
         return "\n".join(lines)
 
 
@@ -254,7 +252,6 @@ def iterate(
                                 f"for model {aggressor}",
                             )
                         )
-                        log.iterations += 1
                         continue
                 state["A"], state["B"], action = resolve_layer(
                     layer, row, state["A"], state["B"], ctx.partition, layer_params
@@ -263,7 +260,6 @@ def iterate(
                     key = (layer, action.model)
                     halvings[key] = halvings.get(key, 0) + 1
                 log.actions.append(action)
-                log.iterations += 1
                 if policy.recompute and pending and action.kind != "KEEP":
                     remaining = [r.layer for r in pending]
                     refreshed = conflict_profile(current_ctx(), layers=remaining)
@@ -271,8 +267,6 @@ def iterate(
                         r for r in refreshed.rows if r.Gamma > policy.gamma_threshold
                     ]
                     pending.sort(key=lambda r: -r.Gamma)
-        if policy.recompute:
-            log.final_profile = conflict_profile(current_ctx(), layers=analyzed_layers)
     except EvaluatorError as exc:
         # Completed evaluations are already in the cache; expose the
         # decisions made so far for persistence by the caller.
@@ -319,18 +313,16 @@ def _stage(name: str):
         raise wrapped from exc
 
 
-def hi_merge(
+def prepare(
     base: Checkpoint,
     model_a: Checkpoint,
     model_b: Checkpoint,
     config: HiMergeConfig,
-    bridge: EvaluationBridge | None = None,
-) -> HiMergeResult:
-    """Full pipeline: deltas, model-wise processing, pre-merge, conflict
-    analysis, iterative resolution, and final assembly."""
-    if bridge is None:
-        bridge = EvaluationBridge()
-
+    bridge: EvaluationBridge,
+) -> tuple[AnalysisContext, list]:
+    """The pipeline up to the conflict analysis: compat check, deltas,
+    model-wise processing, layer partition and pre-merge.  Returns the
+    analysis context and the layers to analyze."""
     with _stage("compat"):
         validate_compat(base, model_a)
         validate_compat(base, model_b)
@@ -344,11 +336,6 @@ def hi_merge(
         partition = partition_layers(base, config.layer_rule)
     with _stage("pre-merge"):
         theta_g = assemble_final(base, delta_a, delta_b)
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        save_delta(delta_a, out / "delta_a_processed.safetensors")
-        save_delta(delta_b, out / "delta_b_processed.safetensors")
     ctx = AnalysisContext(
         base=base,
         model_a=model_a,
@@ -366,6 +353,26 @@ def hi_merge(
         if config.policy.include_pre_post
         else partition.transformer_layers()
     )
+    return ctx, layers
+
+
+def hi_merge(
+    base: Checkpoint,
+    model_a: Checkpoint,
+    model_b: Checkpoint,
+    config: HiMergeConfig,
+    bridge: EvaluationBridge | None = None,
+) -> HiMergeResult:
+    """Full pipeline: deltas, model-wise processing, pre-merge, conflict
+    analysis, iterative resolution, and final assembly."""
+    if bridge is None:
+        bridge = EvaluationBridge()
+    ctx, layers = prepare(base, model_a, model_b, config, bridge)
+    if config.out_dir is not None:
+        out = Path(config.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        save_delta(ctx.delta_a, out / "delta_a_processed.safetensors")
+        save_delta(ctx.delta_b, out / "delta_b_processed.safetensors")
     with _stage("analysis"):
         profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
     with _stage("resolution"):
@@ -386,7 +393,7 @@ def hi_merge(
         merged=merged,
         log=log,
         profile=profile,
-        theta_g=theta_g,
+        theta_g=ctx.theta_g,
         delta_a=final_a,
         delta_b=final_b,
     )

@@ -10,16 +10,13 @@ import numpy as np
 from himerge import (
     EvalTask,
     EvaluationBridge,
+    HiMergeConfig,
     PruneScaleParams,
     SyntheticCompositeTask,
     SyntheticLinearTask,
-    compute_delta,
     hidden_optimum,
-    model_wise_process,
-    partition_layers,
 )
-from himerge.analysis import AnalysisContext
-from himerge.merge import assemble_final
+from himerge.resolver import prepare
 
 from conftest import checkpoint_from_arrays
 
@@ -45,21 +42,10 @@ def make_context(
     bridge=None,
 ):
     """Assemble an AnalysisContext the way the pipeline does."""
-    delta_a = model_wise_process(compute_delta(model_a, base, "A"), params_a)
-    delta_b = model_wise_process(compute_delta(model_b, base, "B"), params_b)
-    partition = partition_layers(base)
-    return AnalysisContext(
-        base=base,
-        model_a=model_a,
-        model_b=model_b,
-        delta_a=delta_a,
-        delta_b=delta_b,
-        theta_g=assemble_final(base, delta_a, delta_b),
-        partition=partition,
-        task_a=task_a,
-        task_b=task_b,
-        bridge=bridge if bridge is not None else EvaluationBridge(),
-    )
+    config = HiMergeConfig(params_a, params_b, task_a, task_b)
+    bridge = bridge if bridge is not None else EvaluationBridge()
+    ctx, _ = prepare(base, model_a, model_b, config, bridge)
+    return ctx
 
 
 def single_signal_instance(seed=0, dim=128, amp=3.0, n_eval=2000):

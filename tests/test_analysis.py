@@ -163,12 +163,12 @@ class TestConflictProfile:
         base, ma, mb, ta, tb = single_signal_instance(n_eval=300)
         ctx = make_context(base, ma, mb, ta, tb)
         profile = conflict_profile(ctx, layers=[0, 1])
-        triples = profile.contributions()
+        triples = [(row, key) for row in profile.rows for key in row.c]
         assert len(triples) == 2 * 4  # two layers, four core pairs
-        for contrib in triples:
-            assert contrib.c == contrib.alpha + contrib.beta
-            assert contrib.capability in ("A", "B")
-            assert contrib.source in ("A", "B", "G")
+        for row, key in triples:
+            assert row.c[key] == row.alpha[key] + row.beta[key]
+            assert key[0] in ("A", "B")
+            assert key[1] in ("A", "B", "G")
 
     def test_pre_post_pseudo_layers_analyzable(self):
         arrays = {

@@ -573,3 +573,87 @@ class TestConfigHandling:
         assert main(["analyze", "--config", str(cfg_path)]) == 0
         assert (cache_dir / "eval_cache.jsonl").exists()
         assert not (workdir / "out" / "cache").exists()
+
+
+BAD_CONFIG_DOCS = [
+    {"policy": {"gamma_threshold": "0.1"}},
+    {"p_a": "x"},
+    {"parallel": "two"},
+    {"sweep": {"p_values": 0.5}},
+    {"sweep": {"p_values": [0.5, "x"]}},
+    {"policy": {"max_halving": 1}},
+    {"policy": {"recompute": "yes"}},
+    {"max_passes": 1.5},
+    {"prune_scale": {"a": {"q": 0.5}}},
+    {"prune_scale": {"c": {"p": 0.5}}},
+    {"prune_scale": "0.5"},
+    {"weights": {"a": True}},
+    {"out": 5},
+]
+
+
+@pytest.mark.parametrize("doc", BAD_CONFIG_DOCS, ids=json.dumps)
+def test_ill_typed_or_unknown_config_value_is_usage_error(workdir, capsys, doc):
+    cp = random_checkpoint(np.random.default_rng(11))
+    config = {
+        "base": write_cp(workdir / "base.safetensors", cp),
+        "model_a": write_cp(workdir / "a.safetensors", cp),
+        "model_b": write_cp(workdir / "b.safetensors", cp),
+        "out": str(workdir / "out"),
+        "eval": {"a": {"builtin": "constant"}, "b": {"builtin": "constant"}},
+    }
+    config.update(doc)
+    cfg_path = workdir / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    assert main(["merge", "--method", "hi", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+
+
+class TestTornCache:
+    """A crash while appending to eval_cache.jsonl leaves a torn last line."""
+
+    def _run(self, workdir, out, capsys):
+        base_cp, ma, mb, ta, tb, _ = conflict_instance(seed=8, dim=64, n_eval=300)
+        argv = [
+            "merge", "--method", "hi",
+            "--base", write_cp(workdir / "base.safetensors", base_cp),
+            "--model-a", write_cp(workdir / "a.safetensors", ma),
+            "--model-b", write_cp(workdir / "b.safetensors", mb),
+            "--p-a", "0.5", "--s-a", "0.5", "--p-b", "0.5", "--s-b", "0.5",
+            "--eval-a", json.dumps(linear_spec(ta)),
+            "--eval-b", json.dumps(composite_spec(tb)),
+            "--out", str(workdir / out),
+        ]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        calls = int(err.split("evaluator invocations: ")[1].split()[0]) if rc == 0 else None
+        return rc, calls, err
+
+    def test_rerun_truncates_torn_line_and_resumes(self, workdir, capsys):
+        rc, fresh_calls, _ = self._run(workdir, "fresh", capsys)
+        assert rc == 0
+        lines = (workdir / "fresh" / "cache" / "eval_cache.jsonl").read_bytes().splitlines(True)
+        kept = len(lines) // 2
+        torn = workdir / "torn" / "cache" / "eval_cache.jsonl"
+        torn.parent.mkdir(parents=True)
+        torn.write_bytes(b"".join(lines[:kept]) + lines[kept][: len(lines[kept]) // 2])
+
+        rc, calls, _ = self._run(workdir, "torn", capsys)
+        assert rc == 0
+        merged = "merged.safetensors"
+        assert (workdir / "torn" / merged).read_bytes() == (workdir / "fresh" / merged).read_bytes()
+        # Every completed evaluation is reused; only the rest runs again.
+        assert calls == fresh_calls - kept
+        entries = [json.loads(line) for line in torn.read_text().splitlines()]
+        keys = [(e["fingerprint"], e["task_id"]) for e in entries]
+        assert len(keys) == len(set(keys)) == fresh_calls
+
+    def test_corruption_before_the_last_line_is_a_data_error(self, workdir, capsys):
+        assert self._run(workdir, "fresh", capsys)[0] == 0
+        lines = (workdir / "fresh" / "cache" / "eval_cache.jsonl").read_bytes().splitlines(True)
+        bad = workdir / "bad" / "cache" / "eval_cache.jsonl"
+        bad.parent.mkdir(parents=True)
+        bad.write_bytes(lines[0][:10] + b"\n" + b"".join(lines[1:]))
+        rc, _, err = self._run(workdir, "bad", capsys)
+        assert rc == 2
+        assert err.startswith("data error:") and "line 1" in err

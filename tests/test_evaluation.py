@@ -10,6 +10,7 @@ from himerge import (
     EvalTask,
     EvaluationBridge,
     EvaluatorError,
+    FormatError,
     SyntheticCompositeTask,
     SyntheticLinearTask,
     hidden_optimum,
@@ -253,3 +254,34 @@ class TestExternalProtocol:
         # scores must come back in submission order.
         values = [r.value for r in results]
         assert values == sorted(values) and len(set(values)) == len(values)
+
+
+class TestCacheFile:
+    def _write(self, tmp_path, text):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(text)
+        return path
+
+    def test_torn_last_line_truncated(self, tmp_path):
+        good = '{"fingerprint": "f1", "task_id": "A", "score": 0.5}\n'
+        path = self._write(tmp_path, good + '{"fingerprint": "f2", "ta')
+        cache = EvalCache(path)
+        assert cache.get("f1", "A") == 0.5 and len(cache) == 1
+        assert path.read_text() == good
+        cache.put("f2", "A", 0.25)
+        assert len(EvalCache(path)) == 2
+
+    def test_entry_missing_only_its_newline_kept(self, tmp_path):
+        line = '{"fingerprint": "f1", "task_id": "A", "score": 0.5}'
+        path = self._write(tmp_path, line)
+        assert EvalCache(path).get("f1", "A") == 0.5
+        assert path.read_text() == line + "\n"
+
+    @pytest.mark.parametrize(
+        "text", ['{"fingerprint": "f1"\n{}\n', '[1, 2]\n\n', '{"fingerprint": "f1", "task_id": "A"}\n']
+    )
+    def test_corruption_elsewhere_raises(self, tmp_path, text):
+        path = self._write(tmp_path, text)
+        with pytest.raises(FormatError, match="line 1"):
+            EvalCache(path)
+        assert path.read_text() == text

@@ -27,7 +27,7 @@ from himerge import (
     partition_layers,
     resolve_layer,
 )
-from himerge.analysis import LayerConflictRow
+from himerge.analysis import LayerConflictRow, conflict_profile
 from himerge.checkpoint import checkpoint_to_bytes
 
 from conftest import checkpoint_from_arrays
@@ -181,7 +181,7 @@ class TestIterate:
         da, db, log = iterate(
             ctx, profile, IterationPolicy(), PruneScaleParams(1, 1), PruneScaleParams(1, 1)
         )
-        assert log.actions == [] and log.iterations == 0
+        assert log.actions == []
         for name in da.names:
             assert np.array_equal(da.deltas[name], ctx.delta_a.deltas[name])
 
@@ -358,7 +358,7 @@ class TestHiMerge:
         assert checkpoint_to_bytes(r1.merged) == checkpoint_to_bytes(r2.merged)
         assert [a.to_dict() for a in r1.log.actions] == [a.to_dict() for a in r2.log.actions]
 
-    def test_recompute_mode_produces_final_profile(self):
+    def test_recompute_mode_reprofiles_only_pending_layers(self, monkeypatch):
         base, ma, mb, ta, tb, _ = conflict_instance(seed=6, dim=48, n_eval=300)
         config = HiMergeConfig(
             params_a=PruneScaleParams(1.0, 0.5),
@@ -367,9 +367,21 @@ class TestHiMerge:
             task_b=tb,
             policy=IterationPolicy(recompute=True),
         )
+        profiled = []
+
+        def recording_profile(ctx, layers=None, full_matrix=False):
+            profiled.append(list(layers))
+            return conflict_profile(ctx, layers=layers, full_matrix=full_matrix)
+
+        monkeypatch.setattr(resolver_mod, "conflict_profile", recording_profile)
         result = hi_merge(base, ma, mb, config)
-        assert result.log.final_profile is not None
-        assert len(result.log.final_profile.rows) == len(result.profile.rows)
+        analyzed = [row.layer for row in result.profile.rows]
+        assert profiled[0] == analyzed
+        assert len(profiled) >= 2
+        # A single pass re-profiles only the layers still pending, and
+        # nothing after the last action.
+        for layers in profiled[1:]:
+            assert set(layers) < set(analyzed)
 
     def test_persistence(self, tmp_path):
         base, ma, mb, ta, tb, _ = conflict_instance(seed=7, dim=48, n_eval=200)
