@@ -7,6 +7,9 @@ to the base model.  Their sum is the layer's contribution c; the conflict
 gamma_m = c[m,m] - c[m,G] measures how much of model m's own contribution
 the merged model loses at that layer, and Gamma = gamma_A + gamma_B ranks
 layers for the resolver.
+
+Each reference (model A, model B, the pre-merge G, the base F) is scored
+once per capability per context; those scores are the profile's baselines.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class AnalysisContext:
     task_a: EvalTask
     task_b: EvalTask
     bridge: EvaluationBridge
+    # (capability, source) -> baseline score; a replaced context starts empty.
+    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def task(self, capability: str) -> EvalTask:
         if capability == "A":
@@ -53,20 +58,23 @@ class AnalysisContext:
             return self.task_b
         raise ConfigError(f"unknown capability {capability!r}")
 
-    def source_checkpoint(self, source: str) -> Checkpoint:
-        return {"A": self.model_a, "B": self.model_b, "G": self.theta_g}[source]
+    def reference(self, source: str) -> Checkpoint:
+        """The checkpoint of model A, model B, the pre-merge G or the base F."""
+        return {"A": self.model_a, "B": self.model_b, "G": self.theta_g, "F": self.base}[source]
+
+    def baseline(self, capability: str, source: str) -> float:
+        """P_capability(reference(source)), scored at most once per context."""
+        key = (capability, source)
+        if key not in self._scores:
+            ref = self.reference(source)
+            self._scores[key] = self.bridge.evaluate(ref, self.task(capability)).value
+        return self._scores[key]
 
     def source_layer_arrays(self, source: str, layer) -> list[dict[str, np.ndarray]]:
-        if source == "A":
-            return [layer_arrays(self.delta_a, self.partition, layer)]
-        if source == "B":
-            return [layer_arrays(self.delta_b, self.partition, layer)]
-        if source == "G":
-            return [
-                layer_arrays(self.delta_a, self.partition, layer),
-                layer_arrays(self.delta_b, self.partition, layer),
-            ]
-        raise ConfigError(f"unknown source {source!r}")
+        deltas = {"A": [self.delta_a], "B": [self.delta_b], "G": [self.delta_a, self.delta_b]}
+        if source not in deltas:
+            raise ConfigError(f"unknown source {source!r}")
+        return [layer_arrays(delta, self.partition, layer) for delta in deltas[source]]
 
 
 def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
@@ -84,32 +92,30 @@ def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
 
 def _impact(
     kind: str, capability: str, source: str, layer, ctx: AnalysisContext,
-    ref: Checkpoint, sign: float,
+    ref_source: str, sign: float,
 ) -> float:
-    """P(ref shifted by sign * the source's layer delta) - P(ref)."""
+    """P(reference shifted by sign * the source's layer delta) - its baseline."""
     arrays = ctx.source_layer_arrays(source, layer)
     task = ctx.task(capability)
     try:
-        candidate = shifted_checkpoint(ref, arrays, sign)
+        candidate = shifted_checkpoint(ctx.reference(ref_source), arrays, sign)
         shifted = ctx.bridge.evaluate(candidate, task).value
-        reference = ctx.bridge.evaluate(ref, task).value
+        return shifted - ctx.baseline(capability, ref_source)
     except EvaluatorError as exc:
         raise EvaluatorError(
             f"{kind} impact (capability={capability}, source={source}, "
             f"layer={layer}): {exc}"
         ) from exc
-    return shifted - reference
 
 
 def deletion_impact(capability: str, source: str, layer, ctx: AnalysisContext) -> float:
     """P(source model minus its layer delta) - P(source model)."""
-    ref = ctx.source_checkpoint(source)
-    return _impact("deletion", capability, source, layer, ctx, ref, -1.0)
+    return _impact("deletion", capability, source, layer, ctx, source, -1.0)
 
 
 def addition_impact(capability: str, source: str, layer, ctx: AnalysisContext) -> float:
     """P(base plus the source's layer delta) - P(base)."""
-    return _impact("addition", capability, source, layer, ctx, ctx.base, +1.0)
+    return _impact("addition", capability, source, layer, ctx, "F", +1.0)
 
 
 @dataclass
@@ -180,18 +186,12 @@ class ConflictProfile:
                 writer.writerow(cells)
 
 
-def _baselines(ctx: AnalysisContext, full_matrix: bool) -> dict[str, float]:
-    jobs = [
-        ("A:A", ctx.model_a, ctx.task_a),
-        ("B:B", ctx.model_b, ctx.task_b),
-        ("A:G", ctx.theta_g, ctx.task_a),
-        ("B:G", ctx.theta_g, ctx.task_b),
-        ("A:F", ctx.base, ctx.task_a),
-        ("B:F", ctx.base, ctx.task_b),
-    ]
-    if full_matrix:
-        jobs += [("A:B", ctx.model_b, ctx.task_a), ("B:A", ctx.model_a, ctx.task_b)]
-    return {key: ctx.bridge.evaluate(cp, task).value for key, cp, task in jobs}
+def _baselines(ctx: AnalysisContext, pairs) -> dict[str, float]:
+    """Every reference score the pairs' impacts read, in evaluation order:
+    the core pairs, the base per capability, then any cross pairs."""
+    keys = [*CORE_PAIRS, *((m, "F") for m in CAPABILITIES)]
+    keys += [pair for pair in pairs if pair not in CORE_PAIRS]
+    return {f"{m}:{source}": ctx.baseline(m, source) for m, source in keys}
 
 
 def conflict_profile(
@@ -210,11 +210,10 @@ def conflict_profile(
     """
     if layers is None:
         layers = ctx.partition.transformer_layers()
-    baselines = _baselines(ctx, full_matrix)
     pairs = (
         [(m1, m2) for m1 in CAPABILITIES for m2 in SOURCES] if full_matrix else list(CORE_PAIRS)
     )
-    profile = ConflictProfile(baselines=baselines)
+    profile = ConflictProfile(baselines=_baselines(ctx, pairs))
     for layer in layers:
         alpha: dict[str, float] = {}
         beta: dict[str, float] = {}

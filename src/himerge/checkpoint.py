@@ -197,6 +197,16 @@ def checkpoint_to_bytes(cp: Checkpoint) -> bytes:
     return struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(chunks)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object hook: a header that names a key twice is malformed."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise FormatError(f"duplicate header key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
     if len(blob) < 8:
         raise FormatError(f"file too short for header length field ({len(blob)} bytes)")
@@ -206,7 +216,9 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
             f"malformed header length {header_len} exceeds file size {len(blob)}"
         )
     try:
-        header = json.loads(blob[8 : 8 + header_len].decode("utf-8"))
+        header = json.loads(
+            blob[8 : 8 + header_len].decode("utf-8"), object_pairs_hook=_unique_keys
+        )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"invalid header JSON: {exc}") from exc
     if not isinstance(header, dict):
@@ -250,12 +262,20 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         if end > begin:
             regions.append((begin, end, name))
 
+    # The non-empty regions must tile the data block exactly.
     regions.sort()
-    for (b1, e1, n1), (b2, e2, n2) in zip(regions, regions[1:]):
+    prev = (0, 0, None)
+    for b2, e2, n2 in regions:
+        b1, e1, n1 = prev
         if b2 < e1:
             raise FormatError(
                 f"overlapping data regions: {n1!r} [{b1}, {e1}) and {n2!r} [{b2}, {e2})"
             )
+        if b2 > e1:
+            raise FormatError(f"gap in data block: bytes [{e1}, {b2}) belong to no tensor")
+        prev = (b2, e2, n2)
+    if prev[1] != len(data):
+        raise FormatError(f"{len(data) - prev[1]} trailing bytes after the last data region")
     return Checkpoint(records, metadata)
 
 

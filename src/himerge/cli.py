@@ -3,7 +3,7 @@ the (p, s) hyperparameter sweep.
 
 Configuration comes from an optional JSON file (``--config``) with flag
 overrides; every flag has a config-file equivalent.  Exit codes: 0 success,
-1 usage/config error, 2 data/compat error, 3 evaluator error.
+1 usage/config error, 2 data/compat/I/O error, 3 evaluator error.
 """
 
 from __future__ import annotations
@@ -472,7 +472,7 @@ def main(argv=None) -> int:
     except EvaluatorError as exc:
         print(f"evaluator error: {exc}", file=sys.stderr)
         return 3
-    except HiMergeError as exc:
+    except (HiMergeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,12 +9,19 @@ from himerge import (
     EvalCache,
     EvalTask,
     EvaluationBridge,
+    HiMergeConfig,
+    IterationPolicy,
     PruneScaleParams,
     addition_impact,
     conflict_profile,
     deletion_impact,
+    hi_merge,
 )
+from himerge import resolver as resolver_mod
 from himerge.analysis import PAIR_KEYS
+from himerge.checkpoint import checkpoint_to_bytes
+
+import reference_analysis as ref
 
 from conftest import checkpoint_from_arrays
 from instances import (
@@ -185,6 +192,55 @@ class TestConflictProfile:
         profile = conflict_profile(ctx, layers=layers)
         assert [row.layer for row in profile.rows] == layers
         assert all(row.Gamma == 0.0 for row in profile.rows)
+
+
+class TestAgainstReference:
+    """The profile equals the reference analysis, which scores each
+    reference again in every impact, while every evaluation it makes is
+    one baseline or one candidate."""
+
+    @pytest.mark.parametrize("full_matrix", [False, True])
+    def test_profile_matches_reference(self, full_matrix):
+        base, ma, mb, ta, tb, _ = conflict_instance(seed=2, dim=48, n_eval=300)
+        expected = ref.conflict_profile(
+            make_context(base, ma, mb, ta, tb), full_matrix=full_matrix
+        )
+        bridge = EvaluationBridge()
+        ctx = make_context(base, ma, mb, ta, tb, bridge=bridge)
+        profile = conflict_profile(ctx, full_matrix=full_matrix)
+        assert profile.to_json_dict() == expected.to_json_dict()
+        pairs = len(profile.rows[0].c)
+        evaluations = len(profile.baselines) + 2 * pairs * len(profile.rows)
+        assert bridge.invocations + bridge.cache_hits == evaluations
+
+    def test_recompute_hi_merge_matches_reference(self, monkeypatch):
+        base, ma, mb, ta, tb, _ = conflict_instance(seed=6, dim=48, n_eval=300)
+        config = HiMergeConfig(
+            params_a=PruneScaleParams(1.0, 0.5),
+            params_b=PruneScaleParams(1.0, 0.5),
+            task_a=ta,
+            task_b=tb,
+            policy=IterationPolicy(recompute=True, max_passes=2),
+        )
+
+        def run(profile_fn):
+            # Every profile, including those the resolver recomputes on a
+            # context whose theta_G has changed.
+            profiles = []
+
+            def recording(ctx, layers=None, full_matrix=False):
+                profile = profile_fn(ctx, layers=layers, full_matrix=full_matrix)
+                profiles.append(profile.to_json_dict())
+                return profile
+
+            monkeypatch.setattr(resolver_mod, "conflict_profile", recording)
+            result = hi_merge(base, ma, mb, config, bridge=EvaluationBridge())
+            actions = [a.to_dict() for a in result.log.actions]
+            return profiles, actions, checkpoint_to_bytes(result.merged)
+
+        expected = run(ref.conflict_profile)
+        assert len(expected[0]) > 2
+        assert run(conflict_profile) == expected
 
 
 class TestReports:

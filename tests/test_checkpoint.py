@@ -55,6 +55,28 @@ class TestContainerFormat:
         with pytest.raises(FormatError, match="overlapping"):
             checkpoint_from_bytes(make_file_bytes(header, b"\x00" * 12))
 
+    def test_duplicate_header_key(self):
+        entry = '{"dtype":"F32","shape":[1],"data_offsets":[0,4]}'
+        blob = ('{"w":%s,"w":%s}' % (entry, entry)).encode()
+        with pytest.raises(FormatError, match="duplicate header key 'w'"):
+            checkpoint_from_bytes(struct.pack("<Q", len(blob)) + blob + b"\x00" * 4)
+
+    @pytest.mark.parametrize(
+        "offsets, size, problem",
+        [
+            ([[0, 4], [8, 12]], 12, "gap"),
+            ([[4, 8], [8, 12]], 12, "gap"),
+            ([[0, 4], [4, 8]], 9, "trailing"),
+        ],
+    )
+    def test_data_regions_must_tile_the_data_block(self, offsets, size, problem):
+        header = {
+            name: {"dtype": "F32", "shape": [1], "data_offsets": region}
+            for name, region in zip("ab", offsets)
+        }
+        with pytest.raises(FormatError, match=problem):
+            checkpoint_from_bytes(make_file_bytes(header, b"\x00" * size))
+
     def test_header_length_beyond_file(self):
         blob = struct.pack("<Q", 1000) + b"{}"
         with pytest.raises(FormatError, match="header length"):

@@ -76,6 +76,18 @@ class TestDeltaCommand:
         for name in base_cp.names:
             assert np.array_equal(rebuilt.as_f32(name), model_cp.as_f32(name))
 
+    def test_out_under_regular_file_is_io_error(self, workdir, capsys):
+        cp = checkpoint_from_arrays({"w": [1.0]})
+        base = write_cp(workdir / "base.safetensors", cp)
+        model = write_cp(workdir / "model.safetensors", cp)
+        blocker = workdir / "blocker"
+        blocker.write_text("")
+        out = str(blocker / "sub")
+        assert main(["delta", "--base", base, "--model-a", model, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
     def test_missing_base_is_usage_error(self, workdir, capsys):
         model = write_cp(workdir / "m.safetensors", checkpoint_from_arrays({"w": [1.0]}))
         rc = main(
@@ -475,6 +487,11 @@ class TestSweepCommand:
         serial_rows = (serial_out / "sweep.csv").read_text()
         parallel_rows = (parallel_out / "sweep.csv").read_text()
         assert serial_rows == parallel_rows
+        # Cache lines follow completion order; the entries are the same.
+        cache = "cache/eval_cache.jsonl"
+        serial_cache = (serial_out / cache).read_text().splitlines()
+        parallel_cache = (parallel_out / cache).read_text().splitlines()
+        assert sorted(serial_cache) == sorted(parallel_cache)
 
     def test_duplicate_grid_rejected(self, workdir):
         _, _, base, model, _, eval_spec = self._setup(workdir)

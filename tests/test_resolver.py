@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -203,7 +204,7 @@ class TestIterate:
 
     def test_halving_schedule_across_passes(self, monkeypatch):
         ctx, fx = self._ctx()
-        ctx = ctx.__class__(**{**ctx.__dict__, "delta_a": fx.delta_a, "delta_b": fx.delta_b})
+        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
         rows = [make_row(0, -0.2, 0.4)]
         monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
         profile = fixed_profile_factory(rows)(ctx)
@@ -218,7 +219,7 @@ class TestIterate:
 
     def test_halving_cap_keeps_layer(self, monkeypatch):
         ctx, fx = self._ctx()
-        ctx = ctx.__class__(**{**ctx.__dict__, "delta_a": fx.delta_a, "delta_b": fx.delta_b})
+        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
         rows = [make_row(0, -0.2, 0.4)]
         monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
         profile = fixed_profile_factory(rows)(ctx)
@@ -230,7 +231,7 @@ class TestIterate:
 
     def test_partial_log_attached_on_failure(self, monkeypatch):
         ctx, fx = self._ctx()
-        ctx = ctx.__class__(**{**ctx.__dict__, "delta_a": fx.delta_a, "delta_b": fx.delta_b})
+        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
         rows = [make_row(0, -0.2, 0.4)]
 
         def failing_profile(*args, **kwargs):
@@ -246,7 +247,7 @@ class TestIterate:
 
     def test_single_halving_mode(self, monkeypatch):
         ctx, fx = self._ctx()
-        ctx = ctx.__class__(**{**ctx.__dict__, "delta_a": fx.delta_a, "delta_b": fx.delta_b})
+        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
         rows = [make_row(0, -0.2, 0.4)]
         monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
         profile = fixed_profile_factory(rows)(ctx)
