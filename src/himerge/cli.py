@@ -1,9 +1,11 @@
 """Command-line surface: delta extraction, merging, conflict analysis, and
 the (p, s) hyperparameter sweep.
 
-Configuration comes from an optional JSON file (``--config``) with flag
-overrides; every flag has a config-file equivalent.  Exit codes: 0 success,
-1 usage/config error, 2 data/compat/I/O error, 3 evaluator error.
+``RunConfig`` is the option table: each field is a flag on every verb and a
+key of the optional JSON config file (``--config``, which flags override);
+its type parses the flag and checks config and builtin evaluator spec values.
+Exit codes: 0 success, 1 usage/config error, 2 data/compat/I/O error,
+3 evaluator error.
 """
 
 from __future__ import annotations
@@ -14,8 +16,10 @@ import csv
 import json
 import os
 import sys
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .analysis import conflict_profile
 from .checkpoint import DEFAULT_LAYER_RULE, load_checkpoint, save_checkpoint
@@ -27,49 +31,51 @@ from .delta import (
     save_delta,
 )
 from .errors import CompatError, ConfigError, EvaluatorError, FormatError, HiMergeError
-from .evaluation import (
-    ConstantTask,
-    EvalCache,
-    EvalTask,
-    EvaluationBridge,
-    SyntheticCompositeTask,
-    SyntheticLinearTask,
-    DEFAULT_TIMEOUT,
-)
+from .evaluation import BUILTIN_TASKS, DEFAULT_TIMEOUT, EvalCache, EvalTask, EvaluationBridge
 from .merge import MergeWeights, delta_weighted_merge, weighted_average_merge
 from .resolver import HiMergeConfig, IterationPolicy, hi_merge, prepare
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 LOCK_NAME = ".himerge.lock"
+_POLICY = IterationPolicy()  # the resolution-policy defaults
+
+
+def _opt(default, help: str):
+    """A RunConfig field: its default and its ``--help`` text."""
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata={"help": help})
+    return field(default=default, metadata={"help": help})
 
 
 @dataclass
 class RunConfig:
-    base: str | None = None
-    model_a: str | None = None
-    model_b: str | None = None
-    out: str | None = None
-    p_a: float = 1.0
-    s_a: float = 1.0
-    p_b: float = 1.0
-    s_b: float = 1.0
-    omega_a: float | None = None
-    omega_b: float | None = None
-    layer_rule: str = DEFAULT_LAYER_RULE
-    eval_a: object = None
-    eval_b: object = None
-    gamma_threshold: float = 0.0
-    recompute: bool = False
-    max_passes: int = 1
-    max_halvings: int = 3
-    single_halving: bool = False
-    include_pre_post: bool = False
-    full_matrix: bool = False
-    keep_candidates: bool = False
-    parallel: int = 1
-    timeout: float = DEFAULT_TIMEOUT
-    p_values: list[float] = field(default_factory=lambda: list(DEFAULT_GRID))
-    s_values: list[float] = field(default_factory=lambda: list(DEFAULT_GRID))
+    base: str | None = _opt(None, "base (foundation) checkpoint path")
+    model_a: str | None = _opt(None, "fine-tuned model A path")
+    model_b: str | None = _opt(None, "fine-tuned model B path")
+    out: str | None = _opt(None, "output directory")
+    p_a: float = _opt(1.0, "pruning threshold (kept fraction) for model A, in [0, 1]")
+    s_a: float = _opt(1.0, "scaling factor for model A, in [0, 1]")
+    p_b: float = _opt(1.0, "pruning threshold (kept fraction) for model B, in [0, 1]")
+    s_b: float = _opt(1.0, "scaling factor for model B, in [0, 1]")
+    omega_a: float | None = _opt(None, "merge weight for model A, > 0 (default set by --method)")
+    omega_b: float | None = _opt(None, "merge weight for model B, > 0 (default set by --method)")
+    layer_rule: str = _opt(DEFAULT_LAYER_RULE, "layer-index regex with one integer capture group")
+    eval_a: object = _opt(None, "task A evaluator: command template or JSON spec")
+    eval_b: object = _opt(None, "task B evaluator: command template or JSON spec")
+    gamma_threshold: float = _opt(
+        _POLICY.gamma_threshold, "resolve only layers whose Gamma is above this finite value"
+    )
+    recompute: bool = _opt(_POLICY.recompute, "re-profile the pending layers after each action")
+    max_passes: int = _opt(_POLICY.max_passes, "passes over the profile, >= 1")
+    max_halvings: int = _opt(_POLICY.max_halvings, "re-prunes allowed per layer and model, >= 0")
+    single_halving: bool = _opt(_POLICY.single_halving, "re-prune every revisit at half (p, s)")
+    include_pre_post: bool = _opt(_POLICY.include_pre_post, "also resolve the PRE/POST layers")
+    full_matrix: bool = _opt(False, "also score the cross (capability, source) pairs")
+    keep_candidates: bool = _opt(False, "keep serialized candidates under <out>/candidates")
+    parallel: int = _opt(1, "max concurrent evaluations, >= 1")
+    timeout: float = _opt(DEFAULT_TIMEOUT, "evaluator timeout in seconds, finite and > 0")
+    p_values: list[float] = _opt(DEFAULT_GRID, "sweep grid for p: distinct values in [0, 1]")
+    s_values: list[float] = _opt(DEFAULT_GRID, "sweep grid for s: distinct values in [0, 1]")
 
     def policy(self) -> IterationPolicy:
         names = [f.name for f in fields(IterationPolicy)]
@@ -113,7 +119,8 @@ class RunConfig:
 
 
 def parse_eval_spec(spec, task_id: str, timeout: float) -> EvalTask:
-    """A command template string, or a JSON/dict builtin evaluator spec."""
+    """A command template string, or a JSON/dict evaluator spec whose values
+    are typed like config-file values."""
     if isinstance(spec, str):
         text = spec.strip()
         if not text.startswith("{"):
@@ -125,27 +132,19 @@ def parse_eval_spec(spec, task_id: str, timeout: float) -> EvalTask:
     if not isinstance(spec, dict):
         raise ConfigError(f"evaluator spec for {task_id} must be a command or object")
     if "command" in spec:
-        return EvalTask(task_id, str(spec["command"]), timeout=float(spec.get("timeout", timeout)))
-    kind = spec.get("builtin")
-    try:
-        if kind == "synthetic_linear":
-            builtin = SyntheticLinearTask(
-                seed=int(spec["seed"]),
-                dim=int(spec["dim"]),
-                n_eval=int(spec["n_eval"]),
-                target=str(spec["target"]),
-            )
-        elif kind == "synthetic_composite":
-            builtin = SyntheticCompositeTask(
-                probe_seed=int(spec["probe_seed"]),
-                n_eval=int(spec["n_eval"]),
-                targets=tuple((str(n), int(s)) for n, s in spec["targets"]),
-            )
-        elif kind == "constant":
-            builtin = ConstantTask(value=float(spec.get("value", 0.5)))
-        else:
+        hints = {"command": str, "timeout": float}
+    else:
+        kind = spec.get("builtin")
+        if not isinstance(kind, str) or kind not in BUILTIN_TASKS:
             raise ConfigError(f"unknown builtin evaluator {kind!r} for task {task_id}")
-    except (KeyError, TypeError, ValueError) as exc:
+        hints = {"builtin": str, **get_type_hints(BUILTIN_TASKS[kind])}
+    leaves = _flatten(spec, {name: name for name in hints}, f"eval_{task_id.lower()}.")
+    values = {name: _typed(value, hints[name], path) for name, path, value in leaves}
+    if "command" in values:
+        return EvalTask(task_id, values["command"], timeout=values.get("timeout", timeout))
+    try:
+        builtin = BUILTIN_TASKS[values.pop("builtin")](**values)
+    except TypeError as exc:  # a required key is missing
         raise ConfigError(f"bad builtin evaluator spec for {task_id}: {exc}") from exc
     return EvalTask(task_id, builtin, timeout=timeout)
 
@@ -167,6 +166,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
             setattr(cfg, f.name, value)
     for grid_name in ("p_values", "s_values"):
         values = getattr(cfg, grid_name)
+        if not values:
+            raise ConfigError(f"{grid_name} is empty")
         if len(set(values)) != len(values):
             raise ConfigError(f"{grid_name} contains duplicates: {values}")
         if any(not (0.0 <= v <= 1.0) for v in values):
@@ -188,12 +189,12 @@ _GROUPS = {
 def _apply_config_doc(cfg: RunConfig, doc: dict) -> None:
     if not isinstance(doc, dict):
         raise ConfigError("config file must contain a JSON object")
-    types = {f.name: f.type for f in fields(RunConfig)}
-    leaves = list(_flatten(doc, {**{name: name for name in types}, **_GROUPS}, ""))
+    hints = get_type_hints(RunConfig)
+    leaves = list(_flatten(doc, {**{name: name for name in hints}, **_GROUPS}, ""))
     # Grouped values first, so that a top-level key overrides its grouped form.
     leaves.sort(key=lambda leaf: "." not in leaf[1])
     for name, path, value in leaves:
-        setattr(cfg, name, _typed(value, types[name], path))
+        setattr(cfg, name, _typed(value, hints[name], path))
 
 
 def _flatten(doc: dict, table: dict, prefix: str):
@@ -211,19 +212,26 @@ def _flatten(doc: dict, table: dict, prefix: str):
             raise ConfigError(f"config key {path!r} must be an object")
 
 
-def _typed(value, kind: str, path: str):
-    """A config-file value checked against its RunConfig field's type;
-    a JSON integer is accepted where a float is expected."""
-    if kind == "object" or (value is None and kind.endswith(" | None")):
+def _typed(value, kind, path: str):
+    """A JSON value checked against an annotated type: a JSON integer is
+    accepted where a float is expected, a JSON array where a list or tuple
+    is, and anything where ``object`` is."""
+    if kind is object or (value is None and type(None) in get_args(kind)):
         return value
-    kind = kind.removesuffix(" | None")
-    if kind == "list[float]" and isinstance(value, list):
-        return [_typed(v, "float", f"{path}[{i}]") for i, v in enumerate(value)]
-    if kind == "float" and type(value) in (int, float):
+    if isinstance(kind, types.UnionType):  # X | None
+        (kind,) = set(get_args(kind)) - {type(None)}
+    origin, args = get_origin(kind), get_args(kind)
+    if origin in (list, tuple) and isinstance(value, (list, tuple)):
+        if origin is list or args[-1] is Ellipsis:
+            args = args[:1] * len(value)
+        if len(args) == len(value):
+            return origin(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, args)))
+    elif kind is float and type(value) in (int, float):
         return float(value)
-    if kind in ("int", "bool", "str") and type(value).__name__ == kind:
+    elif kind in (int, bool, str) and type(value) is kind:
         return value
-    raise ConfigError(f"config key {path!r} must be {kind}, got {value!r}")
+    name = str(kind) if origin else kind.__name__
+    raise ConfigError(f"config key {path!r} must be {name}, got {value!r}")
 
 
 @contextlib.contextmanager
@@ -284,54 +292,33 @@ def cmd_delta(cfg: RunConfig) -> int:
 
 
 def cmd_merge(cfg: RunConfig, method: str) -> int:
-    if method == "soups":
-        cfg.require("model_a", "model_b", "out")
-        a = cfg.checkpoint("model_a")
-        b = cfg.checkpoint("model_b")
-        w = MergeWeights(
-            {
-                "A": cfg.omega_a if cfg.omega_a is not None else 0.5,
-                "B": cfg.omega_b if cfg.omega_b is not None else 0.5,
-            }
-        )
-        with output_dir(cfg) as out:
-            merged = weighted_average_merge({"A": a, "B": b}, w)
-            save_checkpoint(merged, out / "merged.safetensors")
-            print(out / "merged.safetensors")
-        return 0
-
-    if method == "arithmetic":
-        cfg.require("base", "model_a", "model_b", "out")
-        base = cfg.checkpoint("base")
-        a = cfg.checkpoint("model_a")
-        b = cfg.checkpoint("model_b")
-        w = MergeWeights(
-            {
-                "A": cfg.omega_a if cfg.omega_a is not None else 1.0,
-                "B": cfg.omega_b if cfg.omega_b is not None else 1.0,
-            }
-        )
-        with output_dir(cfg) as out:
-            delta_a = compute_delta(a, base, provenance="A")
-            delta_b = compute_delta(b, base, provenance="B")
-            merged = delta_weighted_merge(base, [delta_a, delta_b], w)
-            save_checkpoint(merged, out / "merged.safetensors")
-            print(out / "merged.safetensors")
-        return 0
-
+    if method not in ("soups", "arithmetic", "hi"):
+        raise ConfigError(f"unknown merge method {method!r}")
+    cfg.require(*(() if method == "soups" else ("base",)), "model_a", "model_b", "out")
+    base = None if method == "soups" else cfg.checkpoint("base")
+    a = cfg.checkpoint("model_a")
+    b = cfg.checkpoint("model_b")
     if method == "hi":
-        cfg.require("base", "model_a", "model_b", "out")
-        base = cfg.checkpoint("base")
-        a = cfg.checkpoint("model_a")
-        b = cfg.checkpoint("model_b")
+        config = cfg.hi_config(Path(cfg.out))
         with output_dir(cfg) as out:
             bridge = make_bridge(cfg, out)
-            hi_merge(base, a, b, cfg.hi_config(out), bridge=bridge)
+            hi_merge(base, a, b, config, bridge=bridge)
             _report_stats(bridge)
             print(out / "merged.safetensors")
         return 0
 
-    raise ConfigError(f"unknown merge method {method!r}")
+    unset = 0.5 if method == "soups" else 1.0  # the weight of an unset --omega-*
+    omega = {"A": cfg.omega_a, "B": cfg.omega_b}
+    w = MergeWeights({m: unset if v is None else v for m, v in omega.items()})
+    with output_dir(cfg) as out:
+        if method == "soups":
+            merged = weighted_average_merge({"A": a, "B": b}, w)
+        else:
+            deltas = [compute_delta(a, base, provenance="A"), compute_delta(b, base, provenance="B")]
+            merged = delta_weighted_merge(base, deltas, w)
+        save_checkpoint(merged, out / "merged.safetensors")
+        print(out / "merged.safetensors")
+    return 0
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
@@ -339,9 +326,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     base = cfg.checkpoint("base")
     a = cfg.checkpoint("model_a")
     b = cfg.checkpoint("model_b")
+    config = cfg.hi_config(Path(cfg.out))
     with output_dir(cfg) as out:
         bridge = make_bridge(cfg, out)
-        config = cfg.hi_config(out)
         ctx, layers = prepare(base, a, b, config, bridge)
         profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
         profile.write_json(out / "profile.json")
@@ -399,37 +386,20 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+# Option type -> how its flag's text is parsed; bools are switches, and
+# the remaining types take the text itself.
+_FLAG_TYPES = {float: float, float | None: float, int: int, list[float]: _float_list}
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON config file; flags override its values")
-    sub.add_argument("--base", help="base (foundation) checkpoint path")
-    sub.add_argument("--model-a", dest="model_a", help="fine-tuned model A path")
-    sub.add_argument("--model-b", dest="model_b", help="fine-tuned model B path")
-    sub.add_argument("--out", help="output directory")
-    sub.add_argument("--p-a", dest="p_a", type=float, help="pruning threshold for model A")
-    sub.add_argument("--s-a", dest="s_a", type=float, help="scaling factor for model A")
-    sub.add_argument("--p-b", dest="p_b", type=float, help="pruning threshold for model B")
-    sub.add_argument("--s-b", dest="s_b", type=float, help="scaling factor for model B")
-    sub.add_argument("--omega-a", dest="omega_a", type=float, help="merge weight for model A")
-    sub.add_argument("--omega-b", dest="omega_b", type=float, help="merge weight for model B")
-    sub.add_argument("--layer-rule", dest="layer_rule", help="layer-index extraction regex")
-    sub.add_argument(
-        "--eval-a", dest="eval_a", help="task A evaluator: command template or JSON spec"
-    )
-    sub.add_argument(
-        "--eval-b", dest="eval_b", help="task B evaluator: command template or JSON spec"
-    )
-    sub.add_argument("--gamma-threshold", dest="gamma_threshold", type=float)
-    sub.add_argument("--recompute", action="store_const", const=True, default=None)
-    sub.add_argument("--max-passes", dest="max_passes", type=int)
-    sub.add_argument("--max-halvings", dest="max_halvings", type=int)
-    sub.add_argument("--single-halving", dest="single_halving", action="store_const", const=True, default=None)
-    sub.add_argument("--include-pre-post", dest="include_pre_post", action="store_const", const=True, default=None)
-    sub.add_argument("--full-matrix", dest="full_matrix", action="store_const", const=True, default=None)
-    sub.add_argument("--keep-candidates", dest="keep_candidates", action="store_const", const=True, default=None)
-    sub.add_argument("--parallel", type=int, help="max concurrent evaluator processes")
-    sub.add_argument("--timeout", type=float, help="evaluator timeout in seconds")
-    sub.add_argument("--p-values", dest="p_values", type=_float_list, help="sweep grid for p")
-    sub.add_argument("--s-values", dest="s_values", type=_float_list, help="sweep grid for s")
+    hints = get_type_hints(RunConfig)
+    for f in fields(RunConfig):
+        if hints[f.name] is bool:
+            parse = {"action": "store_const", "const": True}
+        else:
+            parse = {"type": _FLAG_TYPES.get(hints[f.name], str)}
+        sub.add_argument("--" + f.name.replace("_", "-"), help=f.metadata["help"], **parse)
 
 
 def build_parser() -> _Parser:
@@ -445,7 +415,7 @@ def build_parser() -> _Parser:
         _add_common(sub)
         if name == "merge":
             sub.add_argument(
-                "--method", choices=("soups", "arithmetic", "hi"), default="hi"
+                "--method", choices=("soups", "arithmetic", "hi"), default="hi", help="merge method"
             )
     return parser
 

@@ -11,12 +11,14 @@ restarts skip completed evaluations.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import math
 import os
 import shlex
+import signal
 import subprocess
 import tempfile
 import threading
@@ -124,7 +126,11 @@ def synthetic_composite_eval(cp: Checkpoint, task: SyntheticCompositeTask) -> fl
     return _sign_agreement(np.concatenate(parts), w_star, probes)
 
 
-BUILTIN_TASKS = (SyntheticLinearTask, SyntheticCompositeTask, ConstantTask)
+BUILTIN_TASKS = {
+    "synthetic_linear": SyntheticLinearTask,
+    "synthetic_composite": SyntheticCompositeTask,
+    "constant": ConstantTask,
+}
 
 
 def run_builtin(cp: Checkpoint, spec) -> float:
@@ -157,8 +163,12 @@ class EvalTask:
                     f"evaluator command for task {self.task_id!r} has no "
                     "{checkpoint} placeholder"
                 )
-        elif not isinstance(self.evaluator, BUILTIN_TASKS):
+        elif not isinstance(self.evaluator, tuple(BUILTIN_TASKS.values())):
             raise ConfigError(f"unsupported evaluator {self.evaluator!r}")
+        if not 0 < self.timeout < math.inf:
+            raise ConfigError(
+                f"timeout for task {self.task_id!r} must be finite and > 0, got {self.timeout}"
+            )
 
 
 @dataclass(frozen=True)
@@ -241,7 +251,9 @@ class EvaluationBridge:
         self.cache = cache if cache is not None else EvalCache()
         self.scratch_dir = Path(scratch_dir) if scratch_dir else None
         self.keep_candidates = keep_candidates
-        self.parallel = max(1, int(parallel))
+        if parallel < 1:
+            raise ConfigError(f"parallel must be >= 1, got {parallel}")
+        self.parallel = parallel
         self.invocations = 0
         self.cache_hits = 0
         self.evaluated_fingerprints: set[str] = set()
@@ -287,10 +299,6 @@ class EvaluationBridge:
         with ThreadPoolExecutor(max_workers=self.parallel) as pool:
             return list(pool.map(fn, items))
 
-    def evaluate_many(self, jobs: list[tuple[Checkpoint, EvalTask]]) -> list[EvalResult]:
-        """Evaluate several (checkpoint, task) pairs, preserving order."""
-        return self.map(lambda job: self.evaluate(*job), jobs)
-
     # -- external protocol ---------------------------------------------------
 
     def _run_external(self, blob: bytes, fp: str, task: EvalTask) -> float:
@@ -306,10 +314,19 @@ class EvaluationBridge:
                 token.replace("{checkpoint}", tmp_path)
                 for token in shlex.split(task.evaluator)
             ]
+            # The evaluator leads its own process group, so a timeout also
+            # kills any processes it started.
             try:
-                proc = subprocess.run(
-                    argv, capture_output=True, text=True, timeout=task.timeout
-                )
+                with subprocess.Popen(
+                    argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                    start_new_session=True,
+                ) as proc:
+                    try:
+                        stdout, stderr = proc.communicate(timeout=task.timeout)
+                    except BaseException:
+                        with contextlib.suppress(ProcessLookupError):
+                            os.killpg(proc.pid, signal.SIGKILL)
+                        raise
             except subprocess.TimeoutExpired as exc:
                 raise EvaluatorError(
                     f"task {task.task_id!r}: evaluator timed out after {task.timeout}s"
@@ -321,9 +338,9 @@ class EvaluationBridge:
             if proc.returncode != 0:
                 raise EvaluatorError(
                     f"task {task.task_id!r}: evaluator exited {proc.returncode}; "
-                    f"stderr: {proc.stderr.strip()[-2000:]}"
+                    f"stderr: {stderr.strip()[-2000:]}"
                 )
-            return _parse_score(proc.stdout, task.task_id, proc.stderr)
+            return _parse_score(stdout, task.task_id, stderr)
         finally:
             if not self.keep_candidates:
                 try:

@@ -6,6 +6,7 @@ rounds once to float32 before casting to the output dtype.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .checkpoint import Checkpoint, validate_compat
@@ -23,8 +24,8 @@ class MergeWeights:
 
     def __post_init__(self):
         for model_id, w in self.weights.items():
-            if not w > 0.0:
-                raise ConfigError(f"weight for model {model_id!r} must be > 0, got {w}")
+            if not 0.0 < w < math.inf:
+                raise ConfigError(f"weight for model {model_id!r} must be finite and > 0, got {w}")
 
     def require_convex(self) -> None:
         total = sum(self.weights.values())

@@ -39,7 +39,7 @@ from .delta import (
     prune_topp,
     save_delta,
 )
-from .errors import EvaluatorError, HiMergeError
+from .errors import ConfigError, EvaluatorError, HiMergeError
 from .evaluation import EvalTask, EvaluationBridge
 from .merge import assemble_final
 
@@ -113,6 +113,14 @@ class IterationPolicy:
     max_halvings: int = 3
     single_halving: bool = False
     include_pre_post: bool = False
+
+    def __post_init__(self):
+        if not isfinite(self.gamma_threshold):
+            raise ConfigError(f"gamma_threshold must be finite, got {self.gamma_threshold}")
+        if self.max_passes < 1:
+            raise ConfigError(f"max_passes must be >= 1, got {self.max_passes}")
+        if self.max_halvings < 0:
+            raise ConfigError(f"max_halvings must be >= 0, got {self.max_halvings}")
 
 
 def drop_layer(delta: DeltaVector, partition: LayerPartition, layer) -> DeltaVector:
@@ -225,7 +233,7 @@ def iterate(
 
     try:
         current = profile
-        for pass_idx in range(max(1, policy.max_passes)):
+        for pass_idx in range(policy.max_passes):
             if pass_idx > 0:
                 current = conflict_profile(current_ctx(), layers=analyzed_layers)
             pending = [r for r in current.rows if r.Gamma > policy.gamma_threshold]

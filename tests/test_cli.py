@@ -1,5 +1,7 @@
 import csv
 import json
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from himerge import (
     save_checkpoint,
 )
 from himerge.checkpoint import checkpoint_to_bytes
-from himerge.cli import main
+from himerge.cli import _GROUPS, RunConfig, build_parser, load_run_config, main
 from himerge.evaluation import SyntheticLinearTask, synthetic_linear_eval
 
 from conftest import checkpoint_from_arrays, dyadic_random, random_checkpoint
@@ -674,3 +676,123 @@ class TestTornCache:
         rc, _, err = self._run(workdir, "bad", capsys)
         assert rc == 2
         assert err.startswith("data error:") and "line 1" in err
+
+
+def _one_layer_inputs(workdir):
+    """Checkpoints with one 1-D layer tensor, which the builtin specs below score."""
+    rng = np.random.default_rng(12)
+    paths = {}
+    for name in ("base", "model_a", "model_b"):
+        cp = checkpoint_from_arrays({layer_name(0): dyadic_random(rng, 32)})
+        paths[name] = write_cp(workdir / f"{name}.safetensors", cp)
+    return paths
+
+
+# (verb and method, option, out-of-domain value)
+OUT_OF_DOMAIN = [
+    (["merge"], "parallel", -3),
+    (["merge"], "max_passes", -2),
+    (["merge"], "max_halvings", -1),
+    (["merge"], "gamma_threshold", float("nan")),
+    (["merge"], "timeout", -5.0),
+    (["merge"], "timeout", float("inf")),
+    (["merge", "--method", "arithmetic"], "omega_a", float("inf")),
+    (["sweep"], "p_values", []),
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("verb, name, value", OUT_OF_DOMAIN)
+def test_out_of_domain_option_is_usage_error(workdir, capsys, verb, name, value, source):
+    config = {**_one_layer_inputs(workdir), "out": str(workdir / "out")}
+    config["eval"] = {"a": {"builtin": "constant"}, "b": {"builtin": "constant"}}
+    argv = verb + ["--config", str(workdir / "cfg.json")]
+    if source == "flag":
+        text = ",".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += ["--" + name.replace("_", "-"), text]
+    else:
+        config[name] = value
+    (workdir / "cfg.json").write_text(json.dumps(config))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err
+    assert not any((workdir / "out").glob("*.*"))
+
+
+VERBS = ("delta", "merge", "analyze", "sweep")
+
+
+# Option type -> a non-default value, as JSON and as flag text; other
+# types (paths, evaluators) take the string.
+SAMPLES = {
+    float: (0.25, "0.25"),
+    float | None: (0.25, "0.25"),
+    int: (2, "2"),
+    bool: (True, None),
+    list[float]: ([0.5, 0.25], "0.5,0.25"),
+}
+
+
+def _grouped_keys(table, prefix=()):
+    for key, target in table.items():
+        if isinstance(target, dict):
+            yield from _grouped_keys(target, prefix + (key,))
+        else:
+            yield target, prefix + (key,)
+
+
+@pytest.mark.parametrize("verb", VERBS)
+def test_every_run_option_is_a_documented_flag_and_config_key(workdir, capsys, verb):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    help_text = "".join(capsys.readouterr().out.split())
+    grouped = dict(_grouped_keys(_GROUPS))
+    hints = get_type_hints(RunConfig)
+    parser = build_parser()
+    assert len(fields(RunConfig)) == 25
+
+    def from_config(doc):
+        path = workdir / "cfg.json"
+        path.write_text(json.dumps(doc))
+        return load_run_config(parser.parse_args([verb, "--config", str(path)]))
+
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        assert f.metadata.get("help"), f.name
+        assert flag in help_text and "".join(f.metadata["help"].split()) in help_text, f.name
+        value, text = SAMPLES.get(hints[f.name], ("cmd {checkpoint}",) * 2)
+        by_flag = load_run_config(parser.parse_args([verb, flag] + ([text] if text else [])))
+        assert getattr(by_flag, f.name) == value and by_flag != RunConfig(), f.name
+        assert from_config({f.name: value}) == by_flag, f.name
+        if f.name in grouped:
+            doc = value
+            for key in reversed(grouped[f.name]):
+                doc = {key: doc}
+            assert from_config(doc) == by_flag, f.name
+
+
+LINEAR = {"builtin": "synthetic_linear", "seed": 7, "dim": 32, "n_eval": 50, "target": layer_name(0)}
+BAD_BUILTIN_SPECS = [
+    {**LINEAR, "seed": 7.9},
+    {**LINEAR, "dim": "32"},
+    {**LINEAR, "seed": True},
+    {**LINEAR, "bogus": 1},
+    {"builtin": "synthetic_composite", "probe_seed": 1, "n_eval": 50, "targets": [[layer_name(0), 1.5]]},
+    {"builtin": "constant", "value": "0.5"},
+]
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("spec", BAD_BUILTIN_SPECS, ids=json.dumps)
+def test_ill_typed_or_unknown_builtin_spec_key_is_usage_error(workdir, capsys, spec, source):
+    paths = _one_layer_inputs(workdir)
+    argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
+            "--out", str(workdir / "out"), "--p-values", "1", "--s-values", "1"]
+    if source == "flag":
+        argv += ["--eval-a", json.dumps(spec)]
+    else:
+        (workdir / "cfg.json").write_text(json.dumps({"eval": {"a": spec}}))
+        argv += ["--config", str(workdir / "cfg.json")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err

@@ -1,4 +1,6 @@
 import json
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -220,6 +222,32 @@ class TestExternalProtocol:
         with pytest.raises(EvaluatorError, match="timed out"):
             bridge.evaluate(cp_with_target(np.ones(3)), task)
 
+    def test_timeout_kills_the_evaluators_process_group(self, script_evaluator, tmp_path):
+        pid_file = tmp_path / "grandchild.pid"
+        cmd = script_evaluator(
+            f"""
+            import subprocess, time
+            child = subprocess.Popen(["sleep", "7.25"])
+            open({str(pid_file)!r}, "w").write(str(child.pid))
+            time.sleep(60)
+            """
+        )
+        task = EvalTask("A", cmd, timeout=1.0)
+        with pytest.raises(EvaluatorError, match="timed out"):
+            EvaluationBridge().evaluate(cp_with_target(np.ones(3)), task)
+        stat = Path(f"/proc/{int(pid_file.read_text())}/stat")
+        deadline = time.monotonic() + 2.0
+        state = "?"
+        while time.monotonic() < deadline:
+            try:
+                state = stat.read_text().rsplit(")", 1)[1].split()[0]
+            except FileNotFoundError:
+                return
+            if state == "Z":
+                return
+            time.sleep(0.05)
+        pytest.fail(f"grandchild sleep still running (state {state})")
+
     def test_placeholder_required(self):
         with pytest.raises(ConfigError, match="placeholder"):
             EvalTask("A", "python eval.py")
@@ -249,7 +277,7 @@ class TestExternalProtocol:
         bridge = EvaluationBridge(parallel=4)
         cps = [cp_with_target(np.full(i + 1, 1.0)) for i in range(6)]
         jobs = [(cp, EvalTask("A", cmd)) for cp in cps]
-        results = bridge.evaluate_many(jobs)
+        results = bridge.map(lambda job: bridge.evaluate(*job), jobs)
         # Larger tensors serialize to strictly larger files, so the file-size
         # scores must come back in submission order.
         values = [r.value for r in results]
