@@ -194,7 +194,8 @@ def checkpoint_to_bytes(cp: Checkpoint) -> bytes:
     header_bytes = json.dumps(
         header, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
-    return struct.pack("<Q", len(header_bytes)) + header_bytes + b"".join(chunks)
+    # One join, so the data block is copied once.
+    return b"".join([struct.pack("<Q", len(header_bytes)), header_bytes, *chunks])
 
 
 def _unique_keys(pairs: list) -> dict:

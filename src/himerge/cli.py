@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+import threading
 import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -164,6 +165,8 @@ def load_run_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(cfg, f.name, value)
+    if cfg.parallel < 1:  # before any command creates --out
+        raise ConfigError(f"parallel must be >= 1, got {cfg.parallel}")
     for grid_name in ("p_values", "s_values"):
         values = getattr(cfg, grid_name)
         if not values:
@@ -346,11 +349,24 @@ def cmd_sweep(cfg: RunConfig) -> int:
     with output_dir(cfg) as out:
         bridge = make_bridge(cfg, out)
         delta = compute_delta(model, base, provenance="A")
+        # The kept set depends on p alone, and s * Top_p = s * Top_1(Top_p):
+        # the first cell of a p to start prunes it, its last cell drops it,
+        # and each cell only scales.
         cells = [(p, s) for p in cfg.p_values for s in cfg.s_values]
+        pending = {p: len(cfg.s_values) for p in cfg.p_values}
+        pruned = {}
+        lock = threading.Lock()
 
         def run_cell(cell):
             p, s = cell
-            processed = model_wise_process(delta, PruneScaleParams(p, s))
+            with lock:
+                if p not in pruned:
+                    pruned[p] = model_wise_process(delta, PruneScaleParams(p, 1.0))
+                top_p = pruned[p]
+                pending[p] -= 1
+                if not pending[p]:
+                    del pruned[p]
+            processed = model_wise_process(top_p, PruneScaleParams(1.0, s))
             candidate = apply_delta(base, [processed])
             try:
                 return (p, s, repr(bridge.evaluate(candidate, task).value), "")

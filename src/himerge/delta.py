@@ -1,10 +1,11 @@
 """Delta vectors and model-wise pruning and scaling.
 
 A delta vector holds per-tensor float32 differences of a fine-tuned model
-against its base checkpoint.  Pruning keeps the ``ceil(p * N)`` entries of
-largest magnitude within a scope (the whole model, or a set of layers) and
-zeros the rest; ties at the cut are broken by ascending position in the
-canonical flattened order.  Scaling multiplies every entry by ``s``.
+against its base checkpoint; every entry is finite.  Pruning keeps the
+``ceil(p * N)`` entries of largest magnitude within a scope (the whole
+model, or a set of layers) and zeros the rest; ties at the cut are broken
+by ascending position in the canonical flattened order.  Scaling
+multiplies every entry by ``s``.
 """
 
 from __future__ import annotations
@@ -80,12 +81,21 @@ def _retain_count(p: float, n: int) -> int:
     return int(math.ceil(t))
 
 
+def _require_finite(deltas: dict[str, np.ndarray], what: str) -> None:
+    """Raise CompatError naming the first tensor with a NaN or inf."""
+    for name, arr in deltas.items():
+        if not np.isfinite(arr).all():
+            raise CompatError(f"{what}: tensor {name!r} holds a NaN or inf delta")
+
+
 def compute_delta(model: Checkpoint, base: Checkpoint, provenance: str = "") -> DeltaVector:
-    """Elementwise model - base in float32."""
+    """Elementwise model - base in float32; every difference must be finite."""
     validate_compat(model, base)
-    deltas = {
-        name: model.as_f32(name) - base.as_f32(name) for name in base.names
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        deltas = {
+            name: model.as_f32(name) - base.as_f32(name) for name in base.names
+        }
+    _require_finite(deltas, f"delta of {provenance or 'model'} against the base")
     return DeltaVector(fingerprint(base), deltas, provenance)
 
 
@@ -116,18 +126,24 @@ def prune_topp(
         return delta.replace({})
 
     flats = [delta.deltas[name].reshape(-1) for name in scope]
-    joined = np.concatenate(flats) if len(flats) > 1 else flats[0].copy()
-    k = _retain_count(p, joined.size)
+    joined = np.concatenate(flats) if len(flats) > 1 else flats[0]
+    n = joined.size
+    k = _retain_count(p, n)
 
-    if k >= joined.size:
+    if k >= n:
         return delta.replace({})
-    kept = np.zeros_like(joined)
-    if k > 0:
-        # Stable sort on descending magnitude; equal magnitudes keep their
-        # ascending canonical-flattened-index order.
-        order = np.argsort(-np.abs(joined), kind="stable")
-        idx = order[:k]
-        kept[idx] = joined[idx]
+    if k == 0:
+        kept = np.zeros_like(joined)
+    else:
+        # Threshold selection: t is the k-th largest magnitude.  Keep every
+        # entry above it, then fill the remaining slots from the entries at
+        # t in ascending canonical-flattened-index order.
+        mag = np.abs(joined)
+        t = np.partition(mag, n - k)[n - k]
+        keep = mag > t
+        need = k - int(np.count_nonzero(keep))
+        keep[np.flatnonzero(mag == t)[:need]] = True
+        kept = np.where(keep, joined, np.float32(0.0))
 
     out = {}
     offset = 0
@@ -139,16 +155,20 @@ def prune_topp(
 
 
 def scale(delta: DeltaVector, s: float) -> DeltaVector:
-    """Multiply every entry by s in float32."""
+    """Multiply every entry by s in float32; at s = 1 the arrays are shared."""
     if not (0.0 <= s <= 1.0):
         raise ConfigError(f"scaling factor s={s} outside [0, 1]")
+    if s == 1.0:
+        return delta.replace({})
     factor = np.float32(s)
     return delta.replace({name: arr * factor for name, arr in delta.deltas.items()})
 
 
 def model_wise_process(delta: DeltaVector, params: PruneScaleParams) -> DeltaVector:
-    """Global prune-then-scale: s * Top_p(delta)."""
-    return scale(prune_topp(delta, params.p), params.s)
+    """Global prune-then-scale: s * Top_p(delta).  At p = 1 every entry is
+    kept, so only the scale runs."""
+    pruned = delta if params.p == 1.0 else prune_topp(delta, params.p)
+    return scale(pruned, params.s)
 
 
 def _check_delta_compat(base: Checkpoint, deltas: list[DeltaVector]) -> None:
@@ -235,4 +255,5 @@ def load_delta(path) -> DeltaVector:
     if meta.get("kind") != "delta":
         raise FormatError(f"{path}: not a delta file (missing kind=delta metadata)")
     deltas = {name: cp.as_f32(name) for name in cp.names}
+    _require_finite(deltas, str(path))
     return DeltaVector(meta.get("base_fingerprint", ""), deltas, meta.get("provenance", ""))

@@ -39,6 +39,12 @@ DEFAULT_TIMEOUT = 600.0
 # ---------------------------------------------------------------------------
 
 
+def _require_at_least(low: int, **values) -> None:
+    for name, value in values.items():
+        if value < low:
+            raise ConfigError(f"builtin evaluator {name} must be >= {low}, got {value}")
+
+
 @dataclass(frozen=True)
 class SyntheticLinearTask:
     """Sign-agreement accuracy of one tensor against a seeded hidden optimum."""
@@ -47,6 +53,10 @@ class SyntheticLinearTask:
     dim: int
     n_eval: int
     target: str
+
+    def __post_init__(self):
+        _require_at_least(0, seed=self.seed)
+        _require_at_least(1, dim=self.dim, n_eval=self.n_eval)
 
 
 @dataclass(frozen=True)
@@ -63,12 +73,23 @@ class SyntheticCompositeTask:
     n_eval: int
     targets: tuple[tuple[str, int], ...]
 
+    def __post_init__(self):
+        if not self.targets:
+            raise ConfigError("synthetic_composite needs at least one target")
+        target_seed = min(seed for _, seed in self.targets)
+        _require_at_least(0, probe_seed=self.probe_seed, target_seed=target_seed)
+        _require_at_least(1, n_eval=self.n_eval)
+
 
 @dataclass(frozen=True)
 class ConstantTask:
     """Always returns the same score; useful as a degenerate oracle."""
 
     value: float = 0.5
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ConfigError(f"constant evaluator value must be finite, got {self.value}")
 
 
 def hidden_optimum(seed: int, dim: int) -> np.ndarray:

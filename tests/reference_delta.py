@@ -1,0 +1,40 @@
+"""Slow reference for ``delta.prune_topp``: a full stable argsort on
+descending magnitude, the library's implementation before threshold
+selection.  The differential tests require byte-equal output from the
+library."""
+
+import numpy as np
+
+from himerge.delta import _retain_count
+
+
+def prune_topp(delta, p, *, partition=None, layers=None):
+    if layers is None:
+        scope = delta.names
+    else:
+        wanted = set(layers)
+        scope = [n for n in delta.names if partition.layer_of(n) in wanted]
+    if not scope:
+        return delta.replace({})
+
+    flats = [delta.deltas[name].reshape(-1) for name in scope]
+    joined = np.concatenate(flats) if len(flats) > 1 else flats[0].copy()
+    k = _retain_count(p, joined.size)
+
+    if k >= joined.size:
+        return delta.replace({})
+    kept = np.zeros_like(joined)
+    if k > 0:
+        # Stable sort on descending magnitude; equal magnitudes keep their
+        # ascending canonical-flattened-index order.
+        order = np.argsort(-np.abs(joined), kind="stable")
+        idx = order[:k]
+        kept[idx] = joined[idx]
+
+    out = {}
+    offset = 0
+    for name in scope:
+        arr = delta.deltas[name]
+        out[name] = kept[offset : offset + arr.size].reshape(arr.shape)
+        offset += arr.size
+    return delta.replace(out)

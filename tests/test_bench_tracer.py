@@ -30,7 +30,7 @@ def inputs(tmp_path):
     return paths
 
 
-def traced_span_names(tmp_path, args) -> set[str]:
+def traced_spans(tmp_path, args) -> list[dict]:
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("HIMERGE_CACHE_DIR", None)
@@ -39,7 +39,11 @@ def traced_span_names(tmp_path, args) -> set[str]:
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return {span["name"] for span in json.loads(spans.read_text())}
+    return json.loads(spans.read_text())
+
+
+def traced_span_names(tmp_path, args) -> set[str]:
+    return {span["name"] for span in traced_spans(tmp_path, args)}
 
 
 def test_hi_merge_spans(tmp_path, inputs):
@@ -57,3 +61,17 @@ def test_sweep_spans(tmp_path, inputs):
         "--eval-a", inputs["eval"], "--p-values", "0.5,1.0", "--s-values", "1.0",
     ])
     assert {"cmd_sweep", "apply_delta"} <= names
+
+
+def test_sweep_prunes_once_per_p_inside_the_model_wise_stage(tmp_path, inputs):
+    spans = traced_spans(tmp_path, [
+        "sweep", "--base", inputs["base"], "--model-a", inputs["model_a"],
+        "--eval-a", inputs["eval"], "--p-values", "0.2,0.5,0.8", "--s-values", "0.5,1.0",
+    ])
+    prunes = [span for span in spans if span["name"] == "prune_topp"]
+    assert len(prunes) == 3
+    assert all(spans[span["parent"]]["name"] == "model_wise_process" for span in prunes)
+    # Plus one scale-only model-wise step per cell, all in the model-wise stage.
+    model_wise = [span for span in spans if span["name"] == "model_wise_process"]
+    assert len(model_wise) == 3 + 6
+    assert all(spans[span["parent"]]["name"] == "cmd_sweep" for span in model_wise)

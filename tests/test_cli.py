@@ -1,21 +1,29 @@
 import csv
 import json
+import sys
 from dataclasses import fields
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+import himerge.delta
 from himerge import (
+    EvalCache,
+    EvalTask,
+    EvaluationBridge,
     apply_delta,
+    compute_delta,
     load_checkpoint,
     load_delta,
     save_checkpoint,
+    scale,
 )
 from himerge.checkpoint import checkpoint_to_bytes
 from himerge.cli import _GROUPS, RunConfig, build_parser, load_run_config, main
-from himerge.evaluation import SyntheticLinearTask, synthetic_linear_eval
+from himerge.evaluation import SyntheticCompositeTask, SyntheticLinearTask, synthetic_linear_eval
 
+import reference_delta
 from conftest import checkpoint_from_arrays, dyadic_random, random_checkpoint
 from instances import conflict_instance, layer_name, single_signal_instance
 
@@ -782,9 +790,32 @@ BAD_BUILTIN_SPECS = [
 ]
 
 
+OUT_OF_RANGE_BUILTIN_SPECS = [
+    {**LINEAR, "n_eval": 0},
+    {**LINEAR, "dim": 0},
+    {**LINEAR, "seed": -1},
+    {"builtin": "synthetic_composite", "probe_seed": 1, "n_eval": 0, "targets": [[layer_name(0), 1]]},
+    {"builtin": "synthetic_composite", "probe_seed": 1, "n_eval": 50, "targets": []},
+    {"builtin": "synthetic_composite", "probe_seed": -1, "n_eval": 50, "targets": [[layer_name(0), 1]]},
+    {"builtin": "synthetic_composite", "probe_seed": 1, "n_eval": 50, "targets": [[layer_name(0), -1]]},
+    {"builtin": "constant", "value": float("nan")},
+]
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("spec", BAD_BUILTIN_SPECS, ids=json.dumps)
 def test_ill_typed_or_unknown_builtin_spec_key_is_usage_error(workdir, capsys, spec, source):
+    _assert_spec_is_usage_error(workdir, capsys, spec, source)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("spec", OUT_OF_RANGE_BUILTIN_SPECS, ids=json.dumps)
+def test_out_of_range_builtin_spec_is_usage_error(workdir, capsys, spec, source):
+    _assert_spec_is_usage_error(workdir, capsys, spec, source)
+    assert not (workdir / "out").exists()
+
+
+def _assert_spec_is_usage_error(workdir, capsys, spec, source):
     paths = _one_layer_inputs(workdir)
     argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
             "--out", str(workdir / "out"), "--p-values", "1", "--s-values", "1"]
@@ -796,3 +827,99 @@ def test_ill_typed_or_unknown_builtin_spec_key_is_usage_error(workdir, capsys, s
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", [["sweep"], ["merge"], ["analyze"]])
+def test_parallel_below_one_creates_no_out_dir(workdir, capsys, verb):
+    paths = _one_layer_inputs(workdir)
+    fresh = workdir / "fresh"
+    argv = verb + [
+        "--base", paths["base"], "--model-a", paths["model_a"], "--model-b", paths["model_b"],
+        "--eval-a", json.dumps(LINEAR), "--eval-b", json.dumps(LINEAR),
+        "--parallel", "-3", "--out", str(fresh),
+    ]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not fresh.exists()
+
+
+@pytest.mark.parametrize("verb", [["merge", "--method", "arithmetic"], ["sweep"]])
+def test_non_finite_delta_is_data_error(workdir, capsys, verb):
+    base = checkpoint_from_arrays({layer_name(0): np.zeros(32), layer_name(1): np.ones(4)})
+    model_a = checkpoint_from_arrays(
+        {layer_name(0): np.zeros(32), layer_name(1): [1.0, np.nan, 1.0, 1.0]}
+    )
+    paths = {
+        "base": write_cp(workdir / "base.safetensors", base),
+        "model_a": write_cp(workdir / "a.safetensors", model_a),
+        "model_b": write_cp(workdir / "b.safetensors", base),
+    }
+    argv = verb + [
+        "--base", paths["base"], "--model-a", paths["model_a"], "--model-b", paths["model_b"],
+        "--eval-a", json.dumps(LINEAR), "--out", str(workdir / "out"),
+    ]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and layer_name(1) in err and "Traceback" not in err
+    assert not any((workdir / "out").glob("*.safetensors")) and not (workdir / "out" / "sweep.csv").exists()
+
+
+def _sweep_inputs(workdir):
+    """Two layers and a non-layer tensor with quantised deltas (many ties at
+    every cut), scored by a composite evaluator over all three tensors."""
+    rng = np.random.default_rng(21)
+    names = ["m.embed", layer_name(0), layer_name(1)]
+    base = {n: dyadic_random(rng, 24) for n in names}
+    model = {n: base[n] + np.round(rng.standard_normal(24) * 2) / 4 for n in names}
+    task = SyntheticCompositeTask(probe_seed=5, n_eval=300, targets=tuple((n, i) for i, n in enumerate(names)))
+    spec = {"builtin": "synthetic_composite", "probe_seed": 5, "n_eval": 300,
+            "targets": [list(t) for t in task.targets]}
+    base_cp, model_cp = checkpoint_from_arrays(base), checkpoint_from_arrays(model)
+    paths = (write_cp(workdir / "base.safetensors", base_cp), write_cp(workdir / "model.safetensors", model_cp))
+    return base_cp, model_cp, paths, EvalTask("A", task), spec
+
+
+@pytest.mark.parametrize("parallel", [1, 2, 8])
+def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeypatch, parallel):
+    base_cp, model_cp, (base, model), task, spec = _sweep_inputs(workdir)
+    p_values, s_values = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0], [0.0, 0.5, 1.0]
+
+    # Reference: a full prune-then-scale for every cell, with the argsort
+    # Top_p, evaluated serially.
+    ref_dir = workdir / "reference"
+    bridge = EvaluationBridge(EvalCache(ref_dir / "eval_cache.jsonl"))
+    delta = compute_delta(model_cp, base_cp, provenance="A")
+    ref_dir.mkdir(exist_ok=True)
+    with open(ref_dir / "sweep.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["p", "s", "score", "error"])
+        for p in p_values:
+            for s in s_values:
+                processed = scale(reference_delta.prune_topp(delta, p), s)
+                candidate = apply_delta(base_cp, [processed])
+                writer.writerow([p, s, repr(bridge.evaluate(candidate, task).value), ""])
+
+    calls = []
+    original = himerge.delta.prune_topp
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(himerge.delta, "prune_topp", counting)
+    out = workdir / "out"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, so cells of several p overlap
+    try:
+        rc = main(["sweep", "--base", base, "--model-a", model, "--eval-a", json.dumps(spec),
+                   "--p-values", ",".join(map(str, p_values)), "--s-values", ",".join(map(str, s_values)),
+                   "--parallel", str(parallel), "--out", str(out)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert rc == 0
+    assert sorted(calls) == [p for p in p_values if p < 1.0]  # p = 1 keeps every entry
+    assert (out / "sweep.csv").read_text() == (ref_dir / "sweep.csv").read_text()
+    # Cells that build the same candidate (every s = 0 cell gives the base)
+    # may be evaluated at once and both appended, so compare distinct lines.
+    cache = set((out / "cache" / "eval_cache.jsonl").read_text().splitlines())
+    assert cache == set((ref_dir / "eval_cache.jsonl").read_text().splitlines())

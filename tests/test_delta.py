@@ -19,6 +19,7 @@ from himerge import (
 from himerge.checkpoint import fingerprint, partition_layers
 from himerge.delta import _retain_count
 
+import reference_delta
 from conftest import checkpoint_from_arrays, dyadic_random, random_checkpoint
 
 
@@ -158,6 +159,69 @@ class TestPruneTopp:
         assert np.all((small != 0) <= (large != 0))
 
 
+# Few distinct magnitudes, so most cuts fall inside a run of ties.
+TIED_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, np.inf, -np.inf]),
+    st.integers(-4, 4).map(lambda i: i / 4),
+    st.floats(width=32, allow_nan=False),
+)
+SHAPES = st.sampled_from([(), (1,), (5,), (2, 3), (0, 2)])
+
+
+@st.composite
+def scoped_prunes(draw):
+    """(delta, p, partition, layers) over one to four tensors in up to three
+    layers and a non-layer tensor; layers=None is the global scope."""
+    n_tensors = draw(st.integers(1, 4))
+    arrays = {}
+    for i in range(n_tensors):
+        layer = draw(st.sampled_from(["0", "1", "2", None]))
+        name = f"m.embed{i}" if layer is None else f"m.layers.{layer}.w{i}"
+        shape = draw(SHAPES)
+        size = int(np.prod(shape, dtype=int))
+        values = draw(st.lists(TIED_VALUES, min_size=size, max_size=size))
+        arrays[name] = np.array(values, dtype=np.float32).reshape(shape)
+    delta = DeltaVector("fp", arrays)
+    partition = partition_layers(checkpoint_from_arrays(arrays))
+    layers = draw(st.one_of(st.none(), st.sets(st.sampled_from(partition.all_layers()))))
+    in_scope = [n for n in delta.names if layers is None or partition.layer_of(n) in layers]
+    n = sum(delta.deltas[name].size for name in in_scope)
+    p = draw(
+        st.one_of(
+            st.sampled_from([0.0, 1.0]),
+            st.just((n - 1) / n if n else 0.5),  # k = N - 1
+            st.floats(min_value=0, max_value=1),
+        )
+    )
+    return delta, p, partition, layers
+
+
+class TestAgainstReference:
+    """Threshold selection against the argsort reference in reference_delta.py."""
+
+    @given(scoped_prunes())
+    @settings(max_examples=300, deadline=None)
+    def test_byte_equal_to_argsort(self, case):
+        delta, p, partition, layers = case
+        ours = prune_topp(delta, p, partition=partition, layers=layers)
+        expected = reference_delta.prune_topp(delta, p, partition=partition, layers=layers)
+        assert ours.names == expected.names
+        for name in delta.names:
+            got, want = ours.deltas[name], expected.deltas[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_large_quantised_vector(self):
+        rng = np.random.default_rng(11)
+        values = np.round(rng.standard_normal(200_000) * 4) / 4
+        values[::7] = -0.0
+        delta = delta_from_vector(values)
+        n = values.size
+        for p in (0.0, 0.1, 0.5, 0.9, (n - 1) / n, 1.0):
+            ours = prune_topp(delta, p).deltas["w"]
+            assert ours.tobytes() == reference_delta.prune_topp(delta, p).deltas["w"].tobytes(), p
+
+
 class TestScaleAndProcess:
     def test_scale_identity_and_zero(self):
         delta = delta_from_vector([2.0, -4.0])
@@ -193,6 +257,27 @@ class TestScaleAndProcess:
             a = scale(prune_topp(delta, 0.3), s).deltas["w"]
             b = prune_topp(scale(delta, s), 0.3).deltas["w"]
             assert np.array_equal(a, b)
+
+
+class TestNonFiniteDeltas:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_compute_delta_names_the_first_bad_tensor(self, bad):
+        base = checkpoint_from_arrays({"a": [1.0], "b": [1.0, 2.0], "c": [0.0]})
+        model = checkpoint_from_arrays({"a": [1.0], "b": [1.0, bad], "c": [bad]})
+        with pytest.raises(CompatError, match="tensor 'b'"):
+            compute_delta(model, base, provenance="A")
+
+    def test_overflowing_difference_is_rejected(self):
+        base = checkpoint_from_arrays({"w": [-3e38]})
+        model = checkpoint_from_arrays({"w": [3e38]})
+        with pytest.raises(CompatError, match="tensor 'w'"):
+            compute_delta(model, base)
+
+    def test_load_delta_rejects_non_finite(self, tmp_path):
+        delta = DeltaVector("fp", {"v": np.zeros(2, np.float32), "w": np.array([np.inf], np.float32)})
+        save_delta(delta, tmp_path / "d.safetensors")
+        with pytest.raises(CompatError, match="tensor 'w'"):
+            load_delta(tmp_path / "d.safetensors")
 
 
 class TestComputeApply:
