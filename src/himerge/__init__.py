@@ -12,6 +12,7 @@ from .checkpoint import (
     load_checkpoint,
     partition_layers,
     save_checkpoint,
+    tree_key,
     validate_compat,
 )
 from .delta import (

@@ -6,6 +6,15 @@ little-endian header length, a UTF-8 JSON header mapping tensor names to
 header), then the packed data region.  Files written here are canonical:
 names serialized in lexicographic order, data packed contiguously in that
 order, header JSON keys sorted, no padding.
+
+Two content hashes are defined on the canonical form.  ``fingerprint`` is
+the sha256 of the canonical bytes; delta files record it to name their
+base.  ``tree_key`` is, like a git tree, the sha256 of the canonical
+header followed by each tensor's own sha256 (``TensorRecord.digest``,
+computed once per record).  Checkpoints that share records therefore
+share their hashing: a candidate that differs from its reference in one
+layer hashes only that layer's tensors.  Both are equal for two
+checkpoints exactly when their canonical bytes are.
 """
 
 from __future__ import annotations
@@ -74,7 +83,7 @@ def encode_from_f32(dtype: str, arr: np.ndarray) -> bytes:
     raise FormatError(f"unsupported dtype tag {dtype!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TensorRecord:
     """One named tensor: dtype tag, shape, and raw little-endian data."""
 
@@ -84,7 +93,7 @@ class TensorRecord:
     data: bytes
 
     def __post_init__(self):
-        self.shape = tuple(int(s) for s in self.shape)
+        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         if any(s < 0 for s in self.shape):
             raise FormatError(f"tensor {self.name!r}: negative shape extent {self.shape}")
         expected = self.numel * element_size(self.dtype)
@@ -97,6 +106,22 @@ class TensorRecord:
     @property
     def numel(self) -> int:
         return math.prod(self.shape)
+
+    @property
+    def digest(self) -> bytes:
+        """sha256 of ``data``, computed on first use; the record is immutable.
+
+        A plain attribute, not ``functools.cached_property``, which on
+        Python 3.11 takes one lock per class and so would serialize hashing
+        across threads.  Two threads may both compute it; they store the
+        same value.
+        """
+        try:
+            return self._digest
+        except AttributeError:
+            digest = hashlib.sha256(self.data).digest()
+            object.__setattr__(self, "_digest", digest)
+            return digest
 
     def as_f32(self) -> np.ndarray:
         """Tensor contents widened to float32, in the declared shape."""
@@ -176,12 +201,12 @@ def checkpoint_from_f32(
 # ---------------------------------------------------------------------------
 
 
-def checkpoint_to_bytes(cp: Checkpoint) -> bytes:
+def _header_bytes(cp: Checkpoint) -> bytes:
+    """The canonical container prefix: header length, then header JSON."""
     header: dict[str, object] = {}
     if cp.metadata:
         header["__metadata__"] = {str(k): str(v) for k, v in cp.metadata.items()}
     offset = 0
-    chunks = []
     for rec in cp:
         end = offset + len(rec.data)
         header[rec.name] = {
@@ -189,13 +214,16 @@ def checkpoint_to_bytes(cp: Checkpoint) -> bytes:
             "shape": list(rec.shape),
             "data_offsets": [offset, end],
         }
-        chunks.append(rec.data)
         offset = end
-    header_bytes = json.dumps(
+    header_json = json.dumps(
         header, sort_keys=True, separators=(",", ":"), ensure_ascii=False
     ).encode("utf-8")
+    return struct.pack("<Q", len(header_json)) + header_json
+
+
+def checkpoint_to_bytes(cp: Checkpoint) -> bytes:
     # One join, so the data block is copied once.
-    return b"".join([struct.pack("<Q", len(header_bytes)), header_bytes, *chunks])
+    return b"".join([_header_bytes(cp), *(rec.data for rec in cp)])
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -297,8 +325,19 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
 
 
 def fingerprint(cp: Checkpoint) -> str:
-    """Content hash of the canonical serialized bytes."""
-    return hashlib.sha256(checkpoint_to_bytes(cp)).hexdigest()
+    """sha256 of the canonical serialized bytes, hashed as a stream."""
+    h = hashlib.sha256(_header_bytes(cp))
+    for rec in cp:
+        h.update(rec.data)
+    return h.hexdigest()
+
+
+def tree_key(cp: Checkpoint) -> str:
+    """sha256 of the canonical header followed by every record's digest."""
+    h = hashlib.sha256(_header_bytes(cp))
+    for rec in cp:
+        h.update(rec.digest)
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

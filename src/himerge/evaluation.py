@@ -4,9 +4,16 @@ synthetic evaluators, with content-addressed caching.
 External protocol: the evaluator is a command template containing a
 ``{checkpoint}`` placeholder.  The candidate is serialized to a scratch
 path, the command is invoked once, and it must print exactly one JSON
-object ``{"score": <number>}`` to stdout and exit 0.  Results are cached
-by (checkpoint fingerprint, task id) in a JSON-lines file so reruns and
-restarts skip completed evaluations.
+object ``{"score": <number>}`` to stdout and exit 0.
+
+Scores are cached in a JSON-lines file so reruns and restarts skip
+completed evaluations.  A cache entry is keyed by the candidate's
+``tree_key`` (which hashes only the tensors it does not share with
+checkpoints hashed before), the task id, and the evaluator's identity: the
+sha256 of the command template or of the builtin spec's canonical JSON.
+A candidate is serialized only when an external evaluator needs its file.
+Concurrent evaluations of one entry run the evaluator once; the other
+callers wait for that result and count as cache hits.
 """
 
 from __future__ import annotations
@@ -23,12 +30,12 @@ import subprocess
 import tempfile
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, checkpoint_to_bytes
+from .checkpoint import Checkpoint, checkpoint_to_bytes, tree_key
 from .errors import ConfigError, EvaluatorError, FormatError
 
 DEFAULT_TIMEOUT = 600.0
@@ -176,6 +183,9 @@ class EvalTask:
     task_id: str
     evaluator: object  # str command template, or a builtin task dataclass
     timeout: float = DEFAULT_TIMEOUT
+    # sha256 of the command template or of the builtin spec's canonical
+    # JSON; the timeout does not change a score, so it is left out.
+    identity: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.evaluator, str):
@@ -184,18 +194,27 @@ class EvalTask:
                     f"evaluator command for task {self.task_id!r} has no "
                     "{checkpoint} placeholder"
                 )
-        elif not isinstance(self.evaluator, tuple(BUILTIN_TASKS.values())):
-            raise ConfigError(f"unsupported evaluator {self.evaluator!r}")
+            text = self.evaluator
+        else:
+            kind = next(
+                (k for k, cls in BUILTIN_TASKS.items() if isinstance(self.evaluator, cls)), None
+            )
+            if kind is None:
+                raise ConfigError(f"unsupported evaluator {self.evaluator!r}")
+            text = json.dumps(
+                {"builtin": kind, **asdict(self.evaluator)}, sort_keys=True, separators=(",", ":")
+            )
         if not 0 < self.timeout < math.inf:
             raise ConfigError(
                 f"timeout for task {self.task_id!r} must be finite and > 0, got {self.timeout}"
             )
+        object.__setattr__(self, "identity", hashlib.sha256(text.encode("utf-8")).hexdigest())
 
 
 @dataclass(frozen=True)
 class EvalResult:
     value: float
-    checkpoint_fingerprint: str
+    checkpoint_key: str
     task_id: str
     wall_time: float
 
@@ -205,12 +224,21 @@ class EvalResult:
 # ---------------------------------------------------------------------------
 
 
+CACHE_VERSION = 2
+
+
 class EvalCache:
-    """(fingerprint, task_id) -> score map backed by an append-only JSONL file."""
+    """(tree key, task id, evaluator identity) -> score map backed by an
+    append-only JSONL file.
+
+    Each line is ``{"v": 2, "key", "task_id", "evaluator", "score"}``.
+    Lines of an older format (no ``"v": 2``) hold keys computed another
+    way; they are skipped, so those candidates are evaluated again.
+    """
 
     def __init__(self, path=None):
         self.path = Path(path) if path else None
-        self._scores: dict[tuple[str, str], float] = {}
+        self._scores: dict[tuple[str, str, str], float] = {}
         self._lock = threading.Lock()
         if self.path and self.path.exists():
             self._load()
@@ -225,8 +253,11 @@ class EvalCache:
             try:
                 if line.strip():
                     entry = json.loads(line)
-                    key = (entry["fingerprint"], entry["task_id"])
-                    self._scores[key] = float(entry["score"])
+                    if not isinstance(entry, dict):
+                        raise TypeError("not a JSON object")
+                    if entry.get("v") == CACHE_VERSION:
+                        slot = (entry["key"], entry["task_id"], entry["evaluator"])
+                        self._scores[slot] = float(entry["score"])
             except (ValueError, KeyError, TypeError) as exc:
                 if number < len(lines):
                     raise FormatError(
@@ -241,14 +272,17 @@ class EvalCache:
             with open(self.path, "ab") as fh:
                 fh.write(b"\n")
 
-    def get(self, fp: str, task_id: str):
+    def get(self, key: str, task_id: str, evaluator: str):
         with self._lock:
-            return self._scores.get((fp, task_id))
+            return self._scores.get((key, task_id, evaluator))
 
-    def put(self, fp: str, task_id: str, score: float) -> None:
-        line = json.dumps({"fingerprint": fp, "task_id": task_id, "score": score})
+    def put(self, key: str, task_id: str, evaluator: str, score: float) -> None:
+        line = json.dumps(
+            {"v": CACHE_VERSION, "key": key, "task_id": task_id, "evaluator": evaluator,
+             "score": score}
+        )
         with self._lock:
-            self._scores[(fp, task_id)] = score
+            self._scores[(key, task_id, evaluator)] = score
             if self.path:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 with open(self.path, "a") as fh:
@@ -256,6 +290,25 @@ class EvalCache:
 
     def __len__(self) -> int:
         return len(self._scores)
+
+
+class _Flight:
+    """One evaluation in progress; callers of the same entry wait for it.
+
+    Not a ``concurrent.futures.Future``: importing that module loads
+    ``logging``, which adds about 0.5 MB to the peak RSS of every run.
+    """
+
+    def __init__(self):
+        self.done = threading.Event()
+        self.score: float | None = None
+        self.error: BaseException | None = None
+
+    def result(self) -> float:
+        self.done.wait()
+        if self.error is not None:
+            raise self.error
+        return self.score
 
 
 class EvaluationBridge:
@@ -277,38 +330,56 @@ class EvaluationBridge:
         self.parallel = parallel
         self.invocations = 0
         self.cache_hits = 0
-        self.evaluated_fingerprints: set[str] = set()
-        self._stats_lock = threading.Lock()
+        self.evaluated_keys: set[str] = set()
+        self._lock = threading.Lock()
+        self._in_flight: dict[tuple[str, str, str], _Flight] = {}
 
     @property
     def distinct_checkpoints(self) -> int:
         """Distinct candidate checkpoints actually sent to an evaluator."""
-        return len(self.evaluated_fingerprints)
+        return len(self.evaluated_keys)
 
     def evaluate(self, cp: Checkpoint, task: EvalTask) -> EvalResult:
-        blob = checkpoint_to_bytes(cp)
-        fp = hashlib.sha256(blob).hexdigest()
-        cached = self.cache.get(fp, task.task_id)
-        if cached is not None:
-            with self._stats_lock:
+        key = tree_key(cp)
+        slot = (key, task.task_id, task.identity)
+        with self._lock:
+            score = self.cache.get(*slot)
+            pending = self._in_flight.get(slot) if score is None else None
+            owner = score is None and pending is None
+            if owner:
+                pending = self._in_flight[slot] = _Flight()
+            else:
                 self.cache_hits += 1
-            return EvalResult(cached, fp, task.task_id, 0.0)
+        if not owner:
+            if score is None:
+                score = pending.result()  # raises the owner's error if it failed
+            return EvalResult(score, key, task.task_id, 0.0)
 
-        start = time.monotonic()
-        if isinstance(task.evaluator, str):
-            score = self._run_external(blob, fp, task)
-        else:
-            score = run_builtin(cp, task.evaluator)
-        if not math.isfinite(score):
-            raise EvaluatorError(
-                f"task {task.task_id!r} returned non-finite score {score!r}"
-            )
-        elapsed = time.monotonic() - start
-        with self._stats_lock:
-            self.invocations += 1
-            self.evaluated_fingerprints.add(fp)
-        self.cache.put(fp, task.task_id, float(score))
-        return EvalResult(float(score), fp, task.task_id, elapsed)
+        try:
+            start = time.monotonic()
+            if isinstance(task.evaluator, str):
+                score = self._run_external(cp, key, task)
+            else:
+                score = float(run_builtin(cp, task.evaluator))
+            if not math.isfinite(score):
+                raise EvaluatorError(
+                    f"task {task.task_id!r} returned non-finite score {score!r}"
+                )
+            elapsed = time.monotonic() - start
+            with self._lock:
+                self.invocations += 1
+                self.evaluated_keys.add(key)
+            self.cache.put(*slot, score)
+            pending.score = score
+        except BaseException as exc:
+            pending.error = exc
+            raise
+        finally:
+            # After the cache put, so a caller always finds one or the other.
+            with self._lock:
+                del self._in_flight[slot]
+            pending.done.set()
+        return EvalResult(score, key, task.task_id, elapsed)
 
     def map(self, fn, items) -> list:
         """[fn(item) for item in items] on up to ``parallel`` threads, in order."""
@@ -322,15 +393,15 @@ class EvaluationBridge:
 
     # -- external protocol ---------------------------------------------------
 
-    def _run_external(self, blob: bytes, fp: str, task: EvalTask) -> float:
+    def _run_external(self, cp: Checkpoint, key: str, task: EvalTask) -> float:
         if self.scratch_dir:
             self.scratch_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(
-            prefix=f"cand-{fp[:12]}-", suffix=".safetensors", dir=self.scratch_dir
+            prefix=f"cand-{key[:12]}-", suffix=".safetensors", dir=self.scratch_dir
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(blob)
+                fh.write(checkpoint_to_bytes(cp))
             argv = [
                 token.replace("{checkpoint}", tmp_path)
                 for token in shlex.split(task.evaluator)

@@ -47,12 +47,26 @@ def traced_span_names(tmp_path, args) -> set[str]:
 
 
 def test_hi_merge_spans(tmp_path, inputs):
-    names = traced_span_names(tmp_path, [
+    spans = traced_spans(tmp_path, [
         "merge", "--method", "hi", "--base", inputs["base"],
         "--model-a", inputs["model_a"], "--model-b", inputs["model_b"],
         "--eval-a", inputs["eval"], "--eval-b", inputs["eval"],
     ])
-    assert {"hi_merge", "assemble_final", "conflict_profile", "iterate"} <= names
+    names = {span["name"] for span in spans}
+    assert {"hi_merge", "assemble_final", "conflict_profile", "iterate", "evaluate"} <= names
+
+    # A builtin evaluator needs no file, so candidates are hashed, never
+    # serialized: every serialization is a persisted output.
+    def under_evaluate(span):
+        while span["parent"] is not None:
+            span = spans[span["parent"]]
+            if span["name"] == "evaluate":
+                return True
+        return False
+
+    serialized = [span for span in spans if span["name"] == "checkpoint_to_bytes"]
+    assert not any(under_evaluate(span) for span in serialized)
+    assert len(serialized) == len(list((tmp_path / "out").rglob("*.safetensors")))
 
 
 def test_sweep_spans(tmp_path, inputs):

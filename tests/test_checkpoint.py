@@ -1,8 +1,12 @@
+import hashlib
 import json
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from himerge import (
     PRE,
@@ -22,8 +26,10 @@ from himerge.checkpoint import (
     checkpoint_from_f32,
     checkpoint_to_bytes,
     decode_f32,
+    element_size,
     encode_from_f32,
     fingerprint,
+    tree_key,
 )
 
 from conftest import checkpoint_from_arrays, random_checkpoint
@@ -304,3 +310,98 @@ def test_fingerprint_distinguishes_content():
     b = checkpoint_from_arrays({"w": [1.0 + 2**-10]})
     assert fingerprint(a) != fingerprint(b)
     assert fingerprint(a) == fingerprint(checkpoint_from_arrays({"w": [1.0]}))
+
+
+# Small alphabets, so two independently drawn parts often coincide.
+NAMES = ["a", "b", "m.layers.0.w"]
+SHAPES = [(), (0,), (1,), (2,), (6,), (2, 3), (3, 2)]
+# Little-endian +0.0, -0.0 and a non-zero value for each element size.
+WORDS = {2: [b"\x00\x00", b"\x00\x80", b"\x80\x3f"], 4: [b"\0\0\0\0", b"\0\0\0\x80", b"\0\0\x80\x3f"]}
+METADATA = [None, {"k": "v"}, {"k": "w"}, {"k": "v", "z": ""}]
+
+
+def _draw_record(draw, name, dtype=None, shape=None):
+    dtype = dtype or draw(st.sampled_from(["f32", "f16", "bf16"]))
+    shape = shape if shape is not None else draw(st.sampled_from(SHAPES))
+    n = math.prod(shape)
+    words = draw(st.lists(st.sampled_from(WORDS[element_size(dtype)]), min_size=n, max_size=n))
+    return TensorRecord(name, dtype, shape, b"".join(words))
+
+
+def _variant(draw, rec: TensorRecord, free_names: list[str]):
+    """A record derived from ``rec``: shared, rebuilt, or changed in one part."""
+    how = draw(st.sampled_from(["share", "rebuild", "retag", "reshape", "word", "rename", "redraw"]))
+    name, dtype, shape, data = rec.name, rec.dtype, rec.shape, rec.data
+    if how == "share":
+        return rec
+    if how == "retag":  # the same bytes under another tag of the same width
+        dtype = draw(st.sampled_from([d for d in ("f32", "f16", "bf16")
+                                      if element_size(d) == element_size(dtype)]))
+    elif how == "reshape":  # the same bytes under another shape
+        shape = draw(st.sampled_from([s for s in SHAPES if math.prod(s) == rec.numel]))
+    elif how == "word" and rec.numel:
+        i = draw(st.integers(0, rec.numel - 1))
+        size = element_size(dtype)
+        word = draw(st.sampled_from(WORDS[size]))
+        data = data[: i * size] + word + data[(i + 1) * size :]
+    elif how == "rename" and free_names:
+        name = draw(st.sampled_from(free_names))
+        free_names.remove(name)
+    elif how == "redraw":
+        return _draw_record(draw, name)
+    return TensorRecord(name, dtype, shape, data)  # a new record: its digest is not memoized
+
+
+@st.composite
+def checkpoint_pairs(draw):
+    names = draw(st.lists(st.sampled_from(NAMES), max_size=3, unique=True))
+    first = [_draw_record(draw, name) for name in names]
+    free = [n for n in NAMES if n not in names]
+    second = [_variant(draw, rec, free) for rec in first if draw(st.integers(0, 7))]
+    meta_a = draw(st.sampled_from(METADATA))
+    meta_b = draw(st.sampled_from([meta_a, *METADATA]))
+    return Checkpoint(first, meta_a), Checkpoint(second, meta_b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(checkpoint_pairs())
+def test_tree_key_equal_exactly_when_bytes_equal(pair):
+    a, b = pair
+    same_bytes = checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
+    event(f"same bytes: {same_bytes}")
+    assert (tree_key(a) == tree_key(b)) == same_bytes
+    assert (fingerprint(a) == fingerprint(b)) == same_bytes
+
+
+@settings(max_examples=200, deadline=None)
+@given(checkpoint_pairs())
+def test_fingerprint_hashes_the_canonical_bytes(pair):
+    for cp in pair:
+        assert fingerprint(cp) == hashlib.sha256(checkpoint_to_bytes(cp)).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        ([("w", "f16", (2,), b"\x00\x80\x80\x3f")], [("w", "bf16", (2,), b"\x00\x80\x80\x3f")]),
+        ([("w", "f32", (2, 3), bytes(24))], [("w", "f32", (3, 2), bytes(24))]),
+        # One data block, split at another tensor boundary.
+        ([("a", "f32", (1,), bytes(4)), ("b", "f32", (2,), bytes(8))],
+         [("a", "f32", (2,), bytes(8)), ("b", "f32", (1,), bytes(4))]),
+    ],
+    ids=["f16-vs-bf16", "2x3-vs-3x2", "moved-boundary"],
+)
+def test_tree_key_separates_equal_data_under_another_header(first, second):
+    a = Checkpoint([TensorRecord(*r) for r in first])
+    b = Checkpoint([TensorRecord(*r) for r in second])
+    assert b"".join(r.data for r in a) == b"".join(r.data for r in b)
+    assert tree_key(a) != tree_key(b)
+
+
+def test_tensor_record_is_immutable_and_digests_its_data():
+    rec = TensorRecord("w", "f32", [2], bytes(8))
+    assert rec.shape == (2,)
+    with pytest.raises(AttributeError):
+        rec.data = bytes(8)
+    assert rec.digest == hashlib.sha256(bytes(8)).digest()
+    assert rec.digest is rec.digest

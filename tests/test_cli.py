@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import time
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import himerge.delta
+import himerge.evaluation
 from himerge import (
     EvalCache,
     EvalTask,
@@ -672,7 +674,7 @@ class TestTornCache:
         # Every completed evaluation is reused; only the rest runs again.
         assert calls == fresh_calls - kept
         entries = [json.loads(line) for line in torn.read_text().splitlines()]
-        keys = [(e["fingerprint"], e["task_id"]) for e in entries]
+        keys = [(e["key"], e["task_id"], e["evaluator"]) for e in entries]
         assert len(keys) == len(set(keys)) == fresh_calls
 
     def test_corruption_before_the_last_line_is_a_data_error(self, workdir, capsys):
@@ -919,7 +921,55 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
     assert rc == 0
     assert sorted(calls) == [p for p in p_values if p < 1.0]  # p = 1 keeps every entry
     assert (out / "sweep.csv").read_text() == (ref_dir / "sweep.csv").read_text()
-    # Cells that build the same candidate (every s = 0 cell gives the base)
-    # may be evaluated at once and both appended, so compare distinct lines.
-    cache = set((out / "cache" / "eval_cache.jsonl").read_text().splitlines())
-    assert cache == set((ref_dir / "eval_cache.jsonl").read_text().splitlines())
+    # Lines follow completion order; cells that build the same candidate
+    # (every s = 0 cell gives the base) share one evaluation and one line.
+    cache = sorted((out / "cache" / "eval_cache.jsonl").read_text().splitlines())
+    assert cache == sorted((ref_dir / "eval_cache.jsonl").read_text().splitlines())
+
+
+def _invocations(err: str) -> int:
+    return int(err.split("evaluator invocations: ")[1].split()[0])
+
+
+def test_parallel_sweep_evaluates_each_distinct_candidate_once(workdir, monkeypatch, capsys):
+    _, _, (base, model), _, spec = _sweep_inputs(workdir)
+    original = himerge.evaluation.run_builtin
+
+    def slow(cp, task_spec):  # slow enough for cells of one candidate to overlap
+        time.sleep(0.01)
+        return original(cp, task_spec)
+
+    monkeypatch.setattr(himerge.evaluation, "run_builtin", slow)
+
+    def sweep(out, parallel):
+        argv = ["sweep", "--base", base, "--model-a", model, "--eval-a", json.dumps(spec),
+                "--p-values", "0,0.2,0.5,0.8,1", "--s-values", "0,0.5,0.0001",
+                "--parallel", str(parallel), "--out", str(workdir / out)]
+        assert main(argv) == 0
+        return _invocations(capsys.readouterr().err)
+
+    distinct = sweep("serial", 1)
+    assert distinct < 15  # p = 0 and s = 0 cells all give the base
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for run in range(5):
+            assert sweep(f"parallel{run}", 4) == distinct, run
+            lines = (workdir / f"parallel{run}" / "cache" / "eval_cache.jsonl").read_text().splitlines()
+            assert len(lines) == distinct
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_shared_cache_is_keyed_by_the_evaluator(workdir, monkeypatch, capsys):
+    paths = _one_layer_inputs(workdir)
+    monkeypatch.setenv("HIMERGE_CACHE_DIR", str(workdir / "shared"))
+    for value in (0.25, 0.75):
+        out = workdir / f"out-{value}"
+        argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
+                "--eval-a", json.dumps({"builtin": "constant", "value": value}),
+                "--p-values", "0.5", "--s-values", "1", "--out", str(out)]
+        assert main(argv) == 0
+        assert _invocations(capsys.readouterr().err) == 1
+        with open(out / "sweep.csv", newline="") as fh:
+            assert [row["score"] for row in csv.DictReader(fh)] == [repr(value)]

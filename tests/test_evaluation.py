@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from himerge import evaluation
 from himerge import (
     ConfigError,
     ConstantTask,
@@ -18,6 +19,7 @@ from himerge import (
     hidden_optimum,
     synthetic_linear_eval,
 )
+from himerge.checkpoint import fingerprint
 from himerge.evaluation import synthetic_composite_eval
 
 from conftest import checkpoint_from_arrays
@@ -138,6 +140,54 @@ class TestBridgeBuiltin:
         assert res.value == 0.25
         assert bridge2.invocations == 0
         assert bridge2.cache_hits == 1
+
+    def test_cache_keyed_by_evaluator_not_timeout(self, tmp_path):
+        cache_path = tmp_path / "cache.jsonl"
+        cp = cp_with_target(np.ones(4))
+        bridge = EvaluationBridge(EvalCache(cache_path))
+        assert bridge.evaluate(cp, EvalTask("A", ConstantTask(0.25))).value == 0.25
+        assert bridge.evaluate(cp, EvalTask("A", ConstantTask(0.75))).value == 0.75
+        rerun = EvaluationBridge(EvalCache(cache_path))
+        assert rerun.evaluate(cp, EvalTask("A", ConstantTask(0.75), timeout=5.0)).value == 0.75
+        assert (bridge.invocations, rerun.invocations, rerun.cache_hits) == (2, 0, 1)
+
+    def test_old_format_cache_lines_are_evaluated_again(self, tmp_path):
+        cp = cp_with_target(np.ones(4))
+        cache_path = tmp_path / "cache.jsonl"
+        old = json.dumps({"fingerprint": fingerprint(cp), "task_id": "A", "score": 0.9})
+        cache_path.write_text(old + "\n")
+        bridge = EvaluationBridge(EvalCache(cache_path))
+        assert bridge.evaluate(cp, EvalTask("A", ConstantTask(0.25))).value == 0.25
+        assert (bridge.invocations, bridge.cache_hits) == (1, 0)
+        lines = cache_path.read_text().splitlines()
+        assert lines[0] == old and json.loads(lines[1])["v"] == 2
+
+    def test_concurrent_callers_share_one_evaluation(self, monkeypatch):
+        runs = []
+
+        def slow_failure(cp, spec):
+            runs.append(spec)
+            time.sleep(0.3)
+            raise EvaluatorError("evaluator crashed")
+
+        monkeypatch.setattr(evaluation, "run_builtin", slow_failure)
+        bridge = EvaluationBridge(parallel=4)
+        task = EvalTask("A", ConstantTask(0.5))
+        cps = [cp_with_target(np.ones(4)) for _ in range(4)]  # equal, not shared
+
+        def attempt(cp):
+            try:
+                bridge.evaluate(cp, task)
+            except EvaluatorError as exc:
+                return exc
+
+        errors = bridge.map(attempt, cps)
+        assert len(runs) == 1 and bridge.invocations == 0
+        assert bridge.cache_hits == 3
+        assert all(exc is errors[0] for exc in errors) and errors[0] is not None
+        # A failed evaluation is not cached: the next caller runs it again.
+        monkeypatch.undo()
+        assert bridge.evaluate(cps[0], task).value == 0.5 and bridge.invocations == 1
 
     def test_cached_equals_fresh_for_builtin(self):
         task_spec = SyntheticLinearTask(seed=3, dim=DIM, n_eval=200, target="head.w")
@@ -291,22 +341,27 @@ class TestCacheFile:
         return path
 
     def test_torn_last_line_truncated(self, tmp_path):
-        good = '{"fingerprint": "f1", "task_id": "A", "score": 0.5}\n'
-        path = self._write(tmp_path, good + '{"fingerprint": "f2", "ta')
+        good = '{"v": 2, "key": "f1", "task_id": "A", "evaluator": "e1", "score": 0.5}\n'
+        path = self._write(tmp_path, good + '{"v": 2, "key": "f2", "ta')
         cache = EvalCache(path)
-        assert cache.get("f1", "A") == 0.5 and len(cache) == 1
+        assert cache.get("f1", "A", "e1") == 0.5 and len(cache) == 1
         assert path.read_text() == good
-        cache.put("f2", "A", 0.25)
+        cache.put("f2", "A", "e1", 0.25)
         assert len(EvalCache(path)) == 2
 
     def test_entry_missing_only_its_newline_kept(self, tmp_path):
-        line = '{"fingerprint": "f1", "task_id": "A", "score": 0.5}'
+        line = '{"v": 2, "key": "f1", "task_id": "A", "evaluator": "e1", "score": 0.5}'
         path = self._write(tmp_path, line)
-        assert EvalCache(path).get("f1", "A") == 0.5
+        assert EvalCache(path).get("f1", "A", "e1") == 0.5
         assert path.read_text() == line + "\n"
 
     @pytest.mark.parametrize(
-        "text", ['{"fingerprint": "f1"\n{}\n', '[1, 2]\n\n', '{"fingerprint": "f1", "task_id": "A"}\n']
+        "text",
+        [
+            '{"v": 2, "key": "f1"\n{}\n',
+            '[1, 2]\n\n',
+            '{"v": 2, "key": "f1", "task_id": "A", "evaluator": "e1"}\n',
+        ],
     )
     def test_corruption_elsewhere_raises(self, tmp_path, text):
         path = self._write(tmp_path, text)
