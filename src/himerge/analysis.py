@@ -10,6 +10,15 @@ layers for the resolver.
 
 Each reference (model A, model B, the pre-merge G, the base F) is scored
 once per capability per context; those scores are the profile's baselines.
+
+Every evaluation of a profile is known before the first one runs, so
+``conflict_profile`` lists them as one job table in serial order (missing
+baselines, then per layer and pair the deletion and addition candidates)
+and runs it through ``EvaluationBridge.map``: up to ``parallel``
+evaluations at once, each candidate built on the calling thread just
+before its turn.  The rows are then a pure function of the score list.  A
+failed job is reported as the serial loop would report it: the first
+failure in job order, with the same message.
 """
 
 from __future__ import annotations
@@ -67,8 +76,16 @@ class AnalysisContext:
         key = (capability, source)
         if key not in self._scores:
             ref = self.reference(source)
-            self._scores[key] = self.bridge.evaluate(ref, self.task(capability)).value
+            self.record_baselines([key], [self.bridge.evaluate(ref, self.task(capability)).value])
         return self._scores[key]
+
+    def unscored(self, keys) -> list[tuple[str, str]]:
+        """The (capability, source) baselines this context has not scored yet."""
+        return [key for key in keys if key not in self._scores]
+
+    def record_baselines(self, keys, scores) -> None:
+        """Memoize scores of the (capability, source) baselines ``keys``."""
+        self._scores.update(zip(keys, scores))
 
     def source_layer_arrays(self, source: str, layer) -> list[dict[str, np.ndarray]]:
         deltas = {"A": [self.delta_a], "B": [self.delta_b], "G": [self.delta_a, self.delta_b]}
@@ -90,32 +107,43 @@ def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
     return combine(ref, terms, [sign] * len(terms), names=sorted(touched))
 
 
-def _impact(
-    kind: str, capability: str, source: str, layer, ctx: AnalysisContext,
-    ref_source: str, sign: float,
-) -> float:
-    """P(reference shifted by sign * the source's layer delta) - its baseline."""
+def _candidate(kind: str, source: str, layer, ctx: AnalysisContext) -> Checkpoint:
+    """The checkpoint an impact scores: for a deletion, the source model
+    minus its layer delta; for an addition, the base plus it."""
+    ref_source, sign = (source, -1.0) if kind == "deletion" else ("F", +1.0)
     arrays = ctx.source_layer_arrays(source, layer)
-    task = ctx.task(capability)
+    return shifted_checkpoint(ctx.reference(ref_source), arrays, sign)
+
+
+def _score(ctx: AnalysisContext, job) -> float:
+    """P_capability(checkpoint) of a job; a failed impact names the impact,
+    a failed baseline (kind None) is raised as it is."""
+    kind, capability, source, layer, cp = job
     try:
-        candidate = shifted_checkpoint(ctx.reference(ref_source), arrays, sign)
-        shifted = ctx.bridge.evaluate(candidate, task).value
-        return shifted - ctx.baseline(capability, ref_source)
+        return ctx.bridge.evaluate(cp, ctx.task(capability)).value
     except EvaluatorError as exc:
+        if kind is None:
+            raise
         raise EvaluatorError(
-            f"{kind} impact (capability={capability}, source={source}, "
-            f"layer={layer}): {exc}"
+            f"{kind} impact (capability={capability}, source={source}, layer={layer}): {exc}"
         ) from exc
+
+
+def _impact(kind: str, capability: str, source: str, layer, ctx: AnalysisContext) -> float:
+    """P(candidate) - P(its reference), scored as a ``conflict_profile`` job."""
+    ref_source = source if kind == "deletion" else "F"
+    job = (kind, capability, source, layer, _candidate(kind, source, layer, ctx))
+    return _score(ctx, job) - ctx.baseline(capability, ref_source)
 
 
 def deletion_impact(capability: str, source: str, layer, ctx: AnalysisContext) -> float:
     """P(source model minus its layer delta) - P(source model)."""
-    return _impact("deletion", capability, source, layer, ctx, source, -1.0)
+    return _impact("deletion", capability, source, layer, ctx)
 
 
 def addition_impact(capability: str, source: str, layer, ctx: AnalysisContext) -> float:
     """P(base plus the source's layer delta) - P(base)."""
-    return _impact("addition", capability, source, layer, ctx, "F", +1.0)
+    return _impact("addition", capability, source, layer, ctx)
 
 
 @dataclass
@@ -186,12 +214,55 @@ class ConflictProfile:
                 writer.writerow(cells)
 
 
-def _baselines(ctx: AnalysisContext, pairs) -> dict[str, float]:
-    """Every reference score the pairs' impacts read, in evaluation order:
-    the core pairs, the base per capability, then any cross pairs."""
+def _baseline_keys(pairs) -> list[tuple[str, str]]:
+    """Every (capability, reference) score the pairs' impacts read: the core
+    pairs, the base per capability, then any cross pairs."""
     keys = [*CORE_PAIRS, *((m, "F") for m in CAPABILITIES)]
-    keys += [pair for pair in pairs if pair not in CORE_PAIRS]
-    return {f"{m}:{source}": ctx.baseline(m, source) for m, source in keys}
+    return keys + [pair for pair in pairs if pair not in CORE_PAIRS]
+
+
+def _jobs(ctx: AnalysisContext, layers, pairs, missing):
+    """(kind, capability, source, layer, checkpoint) per evaluation, in
+    serial order: the missing baselines (kind None), then per layer and
+    pair the deletion and the addition candidate.  A generator, so each
+    candidate is built on the consuming thread when its turn comes."""
+    for capability, source in missing:
+        yield None, capability, source, None, ctx.reference(source)
+    for layer in layers:
+        for capability, source in pairs:
+            for kind in ("deletion", "addition"):
+                candidate = _candidate(kind, source, layer, ctx)
+                yield kind, capability, source, layer, candidate
+
+
+def _rows(baselines: dict, layers, pairs, scores) -> list[LayerConflictRow]:
+    """alpha/beta/c/gamma/Gamma per layer from the baselines and the
+    impacts' candidate scores, given in the order ``_jobs`` lists them."""
+    scores = iter(scores)
+    rows = []
+    for layer in layers:
+        alpha: dict[str, float] = {}
+        beta: dict[str, float] = {}
+        c: dict[str, float] = {}
+        for m1, m2 in pairs:
+            key = m1 + m2
+            alpha[key] = next(scores) - baselines[f"{m1}:{m2}"]
+            beta[key] = next(scores) - baselines[f"{m1}:F"]
+            c[key] = alpha[key] + beta[key]
+        gamma_a = c["AA"] - c["AG"]
+        gamma_b = c["BB"] - c["BG"]
+        rows.append(
+            LayerConflictRow(
+                layer=layer,
+                alpha=alpha,
+                beta=beta,
+                c=c,
+                gamma_a=gamma_a,
+                gamma_b=gamma_b,
+                Gamma=gamma_a + gamma_b,
+            )
+        )
+    return rows
 
 
 def conflict_profile(
@@ -204,7 +275,9 @@ def conflict_profile(
 
     By default only the four pairs the conflict formulas need are computed
     (8 evaluations per layer before caching); ``full_matrix=True`` fills the
-    cross (capability, source) report columns too.  Each completed
+    cross (capability, source) report columns too.  Every evaluation is
+    known up front, so all of them run as one job table through
+    ``EvaluationBridge.map``, up to ``parallel`` at once.  Each completed
     evaluation is persisted to the cache, so an aborted run resumes without
     repeating work.
     """
@@ -213,27 +286,12 @@ def conflict_profile(
     pairs = (
         [(m1, m2) for m1 in CAPABILITIES for m2 in SOURCES] if full_matrix else list(CORE_PAIRS)
     )
-    profile = ConflictProfile(baselines=_baselines(ctx, pairs))
-    for layer in layers:
-        alpha: dict[str, float] = {}
-        beta: dict[str, float] = {}
-        c: dict[str, float] = {}
-        for m1, m2 in pairs:
-            key = m1 + m2
-            alpha[key] = deletion_impact(m1, m2, layer, ctx)
-            beta[key] = addition_impact(m1, m2, layer, ctx)
-            c[key] = alpha[key] + beta[key]
-        gamma_a = c["AA"] - c["AG"]
-        gamma_b = c["BB"] - c["BG"]
-        profile.rows.append(
-            LayerConflictRow(
-                layer=layer,
-                alpha=alpha,
-                beta=beta,
-                c=c,
-                gamma_a=gamma_a,
-                gamma_b=gamma_b,
-                Gamma=gamma_a + gamma_b,
-            )
-        )
-    return profile
+    keys = _baseline_keys(pairs)
+    missing = ctx.unscored(keys)
+    scores = ctx.bridge.map(
+        lambda job: _score(ctx, job), _jobs(ctx, layers, pairs, missing)
+    )
+    ctx.record_baselines(missing, scores)
+    baselines = {f"{m}:{source}": ctx.baseline(m, source) for m, source in keys}
+    rows = _rows(baselines, layers, pairs, scores[len(missing):])
+    return ConflictProfile(baselines=baselines, rows=rows)

@@ -7,13 +7,16 @@ header), then the packed data region.  Files written here are canonical:
 names serialized in lexicographic order, data packed contiguously in that
 order, header JSON keys sorted, no padding.
 
+``write_checkpoint`` streams the canonical form to a file: the header,
+then each tensor's data, with no joined copy.
+
 Two content hashes are defined on the canonical form.  ``fingerprint`` is
-the sha256 of the canonical bytes; delta files record it to name their
-base.  ``tree_key`` is, like a git tree, the sha256 of the canonical
-header followed by each tensor's own sha256 (``TensorRecord.digest``,
-computed once per record).  Checkpoints that share records therefore
-share their hashing: a candidate that differs from its reference in one
-layer hashes only that layer's tensors.  Both are equal for two
+the sha256 of the canonical bytes, computed once per checkpoint; delta
+files record it to name their base.  ``tree_key`` is, like a git tree,
+the sha256 of the canonical header followed by each tensor's own sha256
+(``TensorRecord.digest``, computed once per record).  Checkpoints that
+share records therefore share their hashing: a candidate that differs
+from its reference in one layer hashes only that layer's tensors.  Both are equal for two
 checkpoints exactly when their canonical bytes are.
 """
 
@@ -24,6 +27,7 @@ import json
 import math
 import re
 import struct
+import types
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,15 +76,35 @@ def decode_f32(dtype: str, data: bytes) -> np.ndarray:
 
 
 def encode_from_f32(dtype: str, arr: np.ndarray) -> bytes:
-    """Cast a float32 array to the target dtype (round-to-nearest-even)."""
+    """Cast a float32 array to the target dtype (round-to-nearest-even).
+
+    A value beyond the target's range becomes inf; ``checkpoint_from_f32``
+    rejects that.
+    """
     flat = np.ascontiguousarray(arr, dtype=np.float32).reshape(-1)
     if dtype == "f32":
         return flat.astype("<f4").tobytes()
     if dtype == "f16":
-        return flat.astype("<f2").tobytes()
+        with np.errstate(over="ignore"):
+            return flat.astype("<f2").tobytes()
     if dtype == "bf16":
         return _f32_to_bf16(flat)
     raise FormatError(f"unsupported dtype tag {dtype!r}")
+
+
+# dtype tag -> (raw element view, magnitude bits, bit pattern of +inf).  An
+# element is finite exactly when its magnitude bits are below +inf's.
+_INF_BITS = {
+    "f32": ("<u4", 0x7FFFFFFF, 0x7F800000),
+    "f16": ("<u2", 0x7FFF, 0x7C00),
+    "bf16": ("<u2", 0x7FFF, 0x7F80),
+}
+
+
+def _all_finite(dtype: str, data: bytes) -> bool:
+    view, magnitude, inf = _INF_BITS[dtype]
+    bits = np.frombuffer(data, dtype=view)
+    return bits.size == 0 or int((bits & magnitude).max()) < inf
 
 
 @dataclass(frozen=True)
@@ -138,7 +162,13 @@ class Checkpoint:
                 raise FormatError(f"duplicate tensor name {rec.name!r}")
             by_name[rec.name] = rec
         self._records = {name: by_name[name] for name in sorted(by_name)}
-        self.metadata = dict(metadata) if metadata else {}
+        self._metadata = types.MappingProxyType(dict(metadata) if metadata else {})
+        self._fingerprint: str | None = None  # set by fingerprint()
+
+    @property
+    def metadata(self) -> types.MappingProxyType:
+        """The string-to-string header metadata, read-only."""
+        return self._metadata
 
     @property
     def names(self) -> list[str]:
@@ -174,7 +204,9 @@ def checkpoint_from_f32(
 ) -> Checkpoint:
     """Build a checkpoint from float32 arrays, casting to ``like``'s dtypes.
 
-    Any name absent from ``arrays`` is copied from ``like`` unchanged.
+    Any name absent from ``arrays`` is copied from ``like`` unchanged.  An
+    encoded tensor holding a NaN or inf (a value beyond the dtype's range,
+    say) is a CompatError naming it.
     """
     records = []
     for name in like.names:
@@ -185,9 +217,12 @@ def checkpoint_from_f32(
                 raise CompatError(
                     f"tensor {name!r}: array shape {tuple(arr.shape)} != {ref.shape}"
                 )
-            records.append(
-                TensorRecord(name, ref.dtype, ref.shape, encode_from_f32(ref.dtype, arr))
-            )
+            data = encode_from_f32(ref.dtype, arr)
+            if not _all_finite(ref.dtype, data):
+                raise CompatError(
+                    f"tensor {name!r}: a value is NaN, inf or beyond the {ref.dtype} range"
+                )
+            records.append(TensorRecord(name, ref.dtype, ref.shape, data))
         else:
             records.append(ref)
     extra = sorted(set(arrays) - set(like.names))
@@ -221,9 +256,21 @@ def _header_bytes(cp: Checkpoint) -> bytes:
     return struct.pack("<Q", len(header_json)) + header_json
 
 
+def _chunks(cp: Checkpoint):
+    """The canonical container bytes, as the header then each tensor's data."""
+    yield _header_bytes(cp)
+    for rec in cp:
+        yield rec.data
+
+
+def write_checkpoint(cp: Checkpoint, fh) -> None:
+    """Write the canonical container to a binary file, chunk by chunk."""
+    for chunk in _chunks(cp):
+        fh.write(chunk)
+
+
 def checkpoint_to_bytes(cp: Checkpoint) -> bytes:
-    # One join, so the data block is copied once.
-    return b"".join([_header_bytes(cp), *(rec.data for rec in cp)])
+    return b"".join(_chunks(cp))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -321,15 +368,19 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:
-    Path(path).write_bytes(checkpoint_to_bytes(cp))
+    with open(path, "wb") as fh:
+        write_checkpoint(cp, fh)
 
 
 def fingerprint(cp: Checkpoint) -> str:
-    """sha256 of the canonical serialized bytes, hashed as a stream."""
-    h = hashlib.sha256(_header_bytes(cp))
-    for rec in cp:
-        h.update(rec.data)
-    return h.hexdigest()
+    """sha256 of the canonical serialized bytes, hashed as a stream on the
+    first call and then kept on the (immutable) checkpoint."""
+    if cp._fingerprint is None:
+        h = hashlib.sha256()
+        for chunk in _chunks(cp):
+            h.update(chunk)
+        cp._fingerprint = h.hexdigest()
+    return cp._fingerprint
 
 
 def tree_key(cp: Checkpoint) -> str:

@@ -203,18 +203,21 @@ def combine(
     like = ref if like is None else like
     weights = [1.0] * len(terms) if weights is None else [float(w) for w in weights]
     arrays = {}
-    for name in like.names if names is None else names:
-        if ref is None:
-            acc = np.zeros(like.record(name).shape, dtype=np.float64)
-        else:
-            acc = ref.as_f32(name).astype(np.float64)
-        for term, weight in zip(terms, weights):
-            arr = term(name)
-            if arr is None:
-                continue
-            arr = arr.astype(np.float64)
-            acc += arr if weight == 1.0 else weight * arr
-        arrays[name] = acc.astype(np.float32)
+    # A sum that overflows, or adds infs of opposite sign, is rejected by
+    # checkpoint_from_f32, so numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name in like.names if names is None else names:
+            if ref is None:
+                acc = np.zeros(like.record(name).shape, dtype=np.float64)
+            else:
+                acc = ref.as_f32(name).astype(np.float64)
+            for term, weight in zip(terms, weights):
+                arr = term(name)
+                if arr is None:
+                    continue
+                arr = arr.astype(np.float64)
+                acc += arr if weight == 1.0 else weight * arr
+            arrays[name] = acc.astype(np.float32)
     return checkpoint_from_f32(arrays, like=like, metadata={})
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, checkpoint_to_bytes, tree_key
+from .checkpoint import Checkpoint, tree_key, write_checkpoint
 from .errors import ConfigError, EvaluatorError, FormatError
 
 DEFAULT_TIMEOUT = 600.0
@@ -382,14 +382,39 @@ class EvaluationBridge:
         return EvalResult(score, key, task.task_id, elapsed)
 
     def map(self, fn, items) -> list:
-        """[fn(item) for item in items] on up to ``parallel`` threads, in order."""
-        items = list(items)
-        if self.parallel == 1 or len(items) <= 1:
-            return [fn(item) for item in items]
-        from concurrent.futures import ThreadPoolExecutor
+        """[fn(item) for item in items] on up to ``parallel`` threads, in order.
 
+        ``items`` is consumed lazily on the calling thread: the next item is
+        taken only when fewer than ``parallel`` calls are outstanding, so at
+        most ``parallel`` items are alive at once.  On the first failure in
+        item order, of a call or of taking an item, no further item is
+        taken, the calls already running finish, and that failure is
+        raised, as the serial loop would raise it.
+        """
+        if self.parallel == 1:
+            return [fn(item) for item in items]
+        from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+
+        futures = []
+        running: set = set()
+        stopped = None
         with ThreadPoolExecutor(max_workers=self.parallel) as pool:
-            return list(pool.map(fn, items))
+            try:
+                for item in items:
+                    futures.append(pool.submit(fn, item))
+                    running.add(futures[-1])
+                    # Block only while every slot is taken.
+                    timeout = None if len(running) == self.parallel else 0
+                    done, running = wait(running, timeout, return_when=FIRST_COMPLETED)
+                    if any(f.exception() is not None for f in done):
+                        break
+            except Exception as exc:  # taking an item failed
+                stopped = exc
+            wait(running)
+        results = [f.result() for f in futures]  # raises the first failed call
+        if stopped is not None:
+            raise stopped
+        return results
 
     # -- external protocol ---------------------------------------------------
 
@@ -401,7 +426,7 @@ class EvaluationBridge:
         )
         try:
             with os.fdopen(fd, "wb") as fh:
-                fh.write(checkpoint_to_bytes(cp))
+                write_checkpoint(cp, fh)
             argv = [
                 token.replace("{checkpoint}", tmp_path)
                 for token in shlex.split(task.evaluator)

@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from himerge import (
+    Checkpoint,
     ConstantTask,
     EvalCache,
     EvalTask,
@@ -321,7 +322,7 @@ def test_serialization_roundtrip(tmp_path):
         dtype = ("f32", "f16", "bf16")[trial % 3]
         cp = random_checkpoint(rng, n_tensors=int(rng.integers(0, 7)), dtype=dtype)
         if trial % 4 == 0:
-            cp.metadata["trial"] = str(trial)
+            cp = Checkpoint(list(cp), {"trial": str(trial)})
         save_checkpoint(cp, path)
         first = path.read_bytes()
         save_checkpoint(load_checkpoint(path), path)

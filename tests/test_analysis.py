@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -194,26 +195,45 @@ class TestConflictProfile:
         assert all(row.Gamma == 0.0 for row in profile.rows)
 
 
-class TestAgainstReference:
-    """The profile equals the reference analysis, which scores each
-    reference again in every impact, while every evaluation it makes is
-    one baseline or one candidate."""
+@pytest.fixture
+def fine_switching():
+    """Switch threads as often as possible, to interleave pool threads."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
 
+
+class TestAgainstReference:
+    """The profile equals the reference analysis, a serial loop that scores
+    each reference again in every impact, at any ``parallel``; every
+    evaluation the job table makes is one baseline or one candidate.  At
+    ``parallel`` 1 the cache file is byte-identical to the reference's, so
+    the evaluations also run in the reference's order."""
+
+    @pytest.mark.parametrize("parallel", [1, 2, 4])
     @pytest.mark.parametrize("full_matrix", [False, True])
-    def test_profile_matches_reference(self, full_matrix):
-        base, ma, mb, ta, tb, _ = conflict_instance(seed=2, dim=48, n_eval=300)
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_profile_matches_reference(self, tmp_path, fine_switching, seed, full_matrix, parallel):
+        base, ma, mb, ta, tb, _ = conflict_instance(seed=seed, dim=48, n_eval=300)
+        ref_bridge = EvaluationBridge(EvalCache(tmp_path / "ref.jsonl"))
         expected = ref.conflict_profile(
-            make_context(base, ma, mb, ta, tb), full_matrix=full_matrix
+            make_context(base, ma, mb, ta, tb, bridge=ref_bridge), full_matrix=full_matrix
         )
-        bridge = EvaluationBridge()
+        bridge = EvaluationBridge(EvalCache(tmp_path / "cache.jsonl"), parallel=parallel)
         ctx = make_context(base, ma, mb, ta, tb, bridge=bridge)
         profile = conflict_profile(ctx, full_matrix=full_matrix)
         assert profile.to_json_dict() == expected.to_json_dict()
         pairs = len(profile.rows[0].c)
         evaluations = len(profile.baselines) + 2 * pairs * len(profile.rows)
         assert bridge.invocations + bridge.cache_hits == evaluations
+        assert bridge.invocations == ref_bridge.invocations
+        assert_same_cache(tmp_path / "cache.jsonl", tmp_path / "ref.jsonl", parallel)
 
-    def test_recompute_hi_merge_matches_reference(self, monkeypatch):
+    @pytest.mark.parametrize("parallel", [1, 2, 4])
+    def test_recompute_hi_merge_matches_reference(
+        self, tmp_path, monkeypatch, fine_switching, parallel
+    ):
         base, ma, mb, ta, tb, _ = conflict_instance(seed=6, dim=48, n_eval=300)
         config = HiMergeConfig(
             params_a=PruneScaleParams(1.0, 0.5),
@@ -223,7 +243,7 @@ class TestAgainstReference:
             policy=IterationPolicy(recompute=True, max_passes=2),
         )
 
-        def run(profile_fn):
+        def run(profile_fn, bridge):
             # Every profile, including those the resolver recomputes on a
             # context whose theta_G has changed.
             profiles = []
@@ -234,13 +254,25 @@ class TestAgainstReference:
                 return profile
 
             monkeypatch.setattr(resolver_mod, "conflict_profile", recording)
-            result = hi_merge(base, ma, mb, config, bridge=EvaluationBridge())
+            result = hi_merge(base, ma, mb, config, bridge=bridge)
             actions = [a.to_dict() for a in result.log.actions]
             return profiles, actions, checkpoint_to_bytes(result.merged)
 
-        expected = run(ref.conflict_profile)
+        expected = run(ref.conflict_profile, EvaluationBridge(EvalCache(tmp_path / "ref.jsonl")))
         assert len(expected[0]) > 2
-        assert run(conflict_profile) == expected
+        bridge = EvaluationBridge(EvalCache(tmp_path / "cache.jsonl"), parallel=parallel)
+        assert run(conflict_profile, bridge) == expected
+        assert_same_cache(tmp_path / "cache.jsonl", tmp_path / "ref.jsonl", parallel)
+
+
+def assert_same_cache(path, ref_path, parallel):
+    """Byte-identical at parallel 1; otherwise the same lines, whose order
+    follows completion."""
+    if parallel == 1:
+        assert path.read_bytes() == ref_path.read_bytes()
+    else:
+        lines = path.read_text().splitlines()
+        assert sorted(lines) == sorted(ref_path.read_text().splitlines())
 
 
 class TestReports:

@@ -56,7 +56,8 @@ def test_hi_merge_spans(tmp_path, inputs):
     assert {"hi_merge", "assemble_final", "conflict_profile", "iterate", "evaluate"} <= names
 
     # A builtin evaluator needs no file, so candidates are hashed, never
-    # serialized: every serialization is a persisted output.
+    # written: every write is a persisted output, and it streams, with no
+    # joined blob.
     def under_evaluate(span):
         while span["parent"] is not None:
             span = spans[span["parent"]]
@@ -64,9 +65,10 @@ def test_hi_merge_spans(tmp_path, inputs):
                 return True
         return False
 
-    serialized = [span for span in spans if span["name"] == "checkpoint_to_bytes"]
-    assert not any(under_evaluate(span) for span in serialized)
-    assert len(serialized) == len(list((tmp_path / "out").rglob("*.safetensors")))
+    saved = [span for span in spans if span["name"] == "save_checkpoint"]
+    assert not any(under_evaluate(span) for span in saved)
+    assert len(saved) == len(list((tmp_path / "out").rglob("*.safetensors")))
+    assert "checkpoint_to_bytes" not in names
 
 
 def test_sweep_spans(tmp_path, inputs):

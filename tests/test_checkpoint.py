@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import struct
@@ -30,6 +31,7 @@ from himerge.checkpoint import (
     encode_from_f32,
     fingerprint,
     tree_key,
+    write_checkpoint,
 )
 
 from conftest import checkpoint_from_arrays, random_checkpoint
@@ -405,3 +407,42 @@ def test_tensor_record_is_immutable_and_digests_its_data():
         rec.data = bytes(8)
     assert rec.digest == hashlib.sha256(bytes(8)).digest()
     assert rec.digest is rec.digest
+
+
+def test_fingerprint_is_hashed_once_per_checkpoint(monkeypatch):
+    cp = checkpoint_from_arrays({"w": [1.0, 2.0]}, metadata={"m": "1"})
+    first = fingerprint(cp)
+    # A second call reads the memo; it hashes nothing.
+    monkeypatch.setattr(hashlib, "sha256", None)
+    assert fingerprint(cp) == first
+    # The memo cannot go stale: the metadata is read-only.
+    with pytest.raises(TypeError):
+        cp.metadata["m"] = "2"
+    with pytest.raises(AttributeError):
+        cp.metadata = {"m": "2"}
+    assert dict(cp.metadata) == {"m": "1"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(checkpoint_pairs())
+def test_write_checkpoint_streams_the_canonical_bytes(pair):
+    for cp in pair:
+        fh = io.BytesIO()
+        write_checkpoint(cp, fh)
+        assert fh.getvalue() == checkpoint_to_bytes(cp)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "dtype, value",
+    [("f16", 65520.0), ("f16", -70000.0), ("bf16", 3.4e38), ("f32", np.inf), ("bf16", np.nan)],
+)
+def test_checkpoint_from_f32_rejects_a_non_finite_encoding(dtype, value):
+    like = checkpoint_from_arrays({"a": [0.0], "b": [0.0, 0.0]}, dtype=dtype)
+    arrays = {"b": np.array([1.0, value], dtype=np.float32)}
+    with pytest.raises(CompatError, match=f"tensor 'b'.*{dtype}"):
+        checkpoint_from_f32(arrays, like)
+    # The largest finite values still encode.
+    top = {"f16": 65504.0, "bf16": 3.3895314e38, "f32": 3.4028235e38}[dtype]
+    out = checkpoint_from_f32({"b": np.array([top, -top], dtype=np.float32)}, like)
+    assert np.isfinite(out.as_f32("b")).all()

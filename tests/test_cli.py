@@ -233,6 +233,64 @@ class TestMergeCommand:
         )
         assert rc == 3
 
+    def test_failed_candidate_reported_alike_at_any_parallel(
+        self, workdir, script_evaluator, capsys, monkeypatch
+    ):
+        # The evaluator logs the sha256 of every candidate it scores and
+        # fails on the one named in a file.  The chosen candidate is scored
+        # in the first re-profile of a --recompute run, so the failure comes
+        # from the resolution stage with a partial resolution log.
+        log, chosen = workdir / "scored.txt", workdir / "chosen.txt"
+        cmd = script_evaluator(
+            f"""
+            import hashlib, json, os, sys
+            digest = hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest()
+            with open({str(log)!r}, "a") as fh:
+                fh.write(digest + "\\n")
+            if os.path.exists({str(chosen)!r}) and open({str(chosen)!r}).read() == digest:
+                print("the chosen candidate", file=sys.stderr)
+                sys.exit(1)
+            print(json.dumps({{"score": int(digest[:4], 16) / 65535}}))
+            """
+        )
+        rng = np.random.default_rng(11)
+        base_cp, ma, mb = (
+            checkpoint_from_arrays({layer_name(l): dyadic_random(rng, 8) for l in range(3)})
+            for _ in range(3)
+        )
+        options = [
+            "--base", write_cp(workdir / "base.safetensors", base_cp),
+            "--model-a", write_cp(workdir / "a.safetensors", ma),
+            "--model-b", write_cp(workdir / "b.safetensors", mb),
+            "--eval-a", cmd, "--eval-b", cmd, "--s-a", "0.5", "--s-b", "0.5",
+        ]
+        hi = ["merge", "--method", "hi", "--recompute", *options]
+
+        def scored(args, out):
+            log.unlink(missing_ok=True)
+            assert main([*args, "--out", str(workdir / out)]) == 0
+            return log.read_text().splitlines()
+
+        # With a shared cache, the hi run scores only what analyze did not.
+        monkeypatch.setenv("HIMERGE_CACHE_DIR", str(workdir / "shared"))
+        scored(["analyze", *options], "analyze")
+        reprofiles = scored(hi, "full")
+        assert len(reprofiles) > 3
+        chosen.write_text(reprofiles[2])
+        monkeypatch.delenv("HIMERGE_CACHE_DIR")
+        capsys.readouterr()
+
+        def failed_run(parallel):
+            out = workdir / f"failed{parallel}"
+            assert main([*hi, "--parallel", str(parallel), "--out", str(out)]) == 3
+            err = capsys.readouterr().err
+            return err, (out / "resolution_log.partial.jsonl").read_bytes()
+
+        serial = failed_run(1)
+        assert serial[0].startswith("evaluator error: stage resolution: ")
+        assert "the chosen candidate" in serial[0] and serial[1]
+        assert failed_run(2) == serial
+
     def test_malformed_checkpoint_exit_code(self, workdir):
         bad = workdir / "bad.safetensors"
         bad.write_bytes(b"\xff" * 32)
@@ -864,6 +922,22 @@ def test_non_finite_delta_is_data_error(workdir, capsys, verb):
     err = capsys.readouterr().err
     assert err.startswith("data error:") and layer_name(1) in err and "Traceback" not in err
     assert not any((workdir / "out").glob("*.safetensors")) and not (workdir / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_f16_overflow_is_data_error(workdir, capsys):
+    # 60000 + 60000 is past f16's largest value, 65504, and would round to inf.
+    base = checkpoint_from_arrays({layer_name(0): np.zeros(4)}, dtype="f16")
+    model = checkpoint_from_arrays({layer_name(0): [0.0, 60000.0, 1.0, 2.0]}, dtype="f16")
+    paths = [write_cp(workdir / f"{name}.safetensors", cp)
+             for name, cp in (("base", base), ("a", model), ("b", model))]
+    argv = ["merge", "--method", "arithmetic", "--base", paths[0], "--model-a", paths[1],
+            "--model-b", paths[2], "--out", str(workdir / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and layer_name(0) in err and "f16" in err
+    assert "Traceback" not in err
+    assert not (workdir / "out" / "merged.safetensors").exists()
 
 
 def _sweep_inputs(workdir):

@@ -1,4 +1,5 @@
 import json
+import threading
 import time
 from pathlib import Path
 
@@ -332,6 +333,79 @@ class TestExternalProtocol:
         # scores must come back in submission order.
         values = [r.value for r in results]
         assert values == sorted(values) and len(set(values)) == len(values)
+
+
+class TestMap:
+    """``EvaluationBridge.map`` is the ordered, bounded, lazy pool."""
+
+    @pytest.mark.parametrize("parallel", [1, 2, 4])
+    def test_lazy_bounded_and_in_order(self, parallel):
+        bridge = EvaluationBridge(parallel=parallel)
+        lock = threading.Lock()
+        state = {"taken": 0, "finished": 0, "most_outstanding": 0, "taken_by": set()}
+
+        def items():
+            for i in range(24):
+                with lock:
+                    state["taken"] += 1
+                    outstanding = state["taken"] - state["finished"]
+                    state["most_outstanding"] = max(state["most_outstanding"], outstanding)
+                state["taken_by"].add(threading.get_ident())
+                yield i
+
+        def call(i):
+            time.sleep(0.001 * ((i * 7) % 5))  # finish out of order
+            with lock:
+                state["finished"] += 1
+            return i * i
+
+        assert bridge.map(call, items()) == [i * i for i in range(24)]
+        assert state["taken_by"] == {threading.get_ident()}
+        assert state["most_outstanding"] == parallel
+
+    @pytest.mark.parametrize("parallel", [1, 2, 4])
+    def test_first_failure_in_item_order_stops_taking_items(self, parallel):
+        bridge = EvaluationBridge(parallel=parallel)
+        taken = []
+
+        def items():
+            for i in range(50):
+                taken.append(i)
+                yield i
+
+        def call(i):
+            # Items 5 and 6 fail, and the later failure finishes first.
+            if i >= 5:
+                time.sleep(0.0 if i == 6 else 0.05)
+            if i in (5, 6):
+                raise EvaluatorError(f"item {i}")
+            return i
+
+        with pytest.raises(EvaluatorError, match="item 5"):
+            bridge.map(call, items())
+        # Once item 6 has failed, no slot frees up for another item.
+        assert len(taken) <= 5 + parallel
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_failure_to_take_an_item_waits_for_the_calls_before_it(self, parallel):
+        bridge = EvaluationBridge(parallel=parallel)
+
+        def items():
+            yield 0
+            yield 1
+            raise FormatError("cannot build item 2")
+
+        def call(i):
+            time.sleep(0.02)
+            if i == 1:
+                raise EvaluatorError("item 1")
+            return i
+
+        # Item 1 fails before item 2 would be built in the serial loop.
+        with pytest.raises(EvaluatorError, match="item 1"):
+            bridge.map(call, items())
+        with pytest.raises(FormatError, match="item 2"):
+            bridge.map(lambda i: i, items())
 
 
 class TestCacheFile:
