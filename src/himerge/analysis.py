@@ -16,9 +16,13 @@ Every evaluation of a profile is known before the first one runs, so
 baselines, then per layer and pair the deletion and addition candidates)
 and runs it through ``EvaluationBridge.map``: up to ``parallel``
 evaluations at once, each candidate built on the calling thread just
-before its turn.  The rows are then a pure function of the score list.  A
-failed job is reported as the serial loop would report it: the first
-failure in job order, with the same message.
+before its first turn.  A layer with the four core pairs makes 8
+evaluations of 6 distinct candidates: the deletion and the addition
+candidate of each source A, B and G, where the (A, G) and (B, G) pairs
+share G's two candidates, which are built and hashed once.  The rows are
+then a pure function of the score list.  A failed job is reported as the
+serial loop would report it: the first failure in job order, with the same
+message.
 """
 
 from __future__ import annotations
@@ -225,14 +229,18 @@ def _jobs(ctx: AnalysisContext, layers, pairs, missing):
     """(kind, capability, source, layer, checkpoint) per evaluation, in
     serial order: the missing baselines (kind None), then per layer and
     pair the deletion and the addition candidate.  A generator, so each
-    candidate is built on the consuming thread when its turn comes."""
+    candidate is built on the consuming thread when its first turn comes.
+    Pairs of one source share its layer candidates: the (A, G) and (B, G)
+    jobs score the same two G candidate objects."""
     for capability, source in missing:
         yield None, capability, source, None, ctx.reference(source)
     for layer in layers:
+        built: dict[tuple[str, str], Checkpoint] = {}
         for capability, source in pairs:
             for kind in ("deletion", "addition"):
-                candidate = _candidate(kind, source, layer, ctx)
-                yield kind, capability, source, layer, candidate
+                if (kind, source) not in built:
+                    built[kind, source] = _candidate(kind, source, layer, ctx)
+                yield kind, capability, source, layer, built[kind, source]
 
 
 def _rows(baselines: dict, layers, pairs, scores) -> list[LayerConflictRow]:

@@ -11,13 +11,15 @@ order, header JSON keys sorted, no padding.
 then each tensor's data, with no joined copy.
 
 Two content hashes are defined on the canonical form.  ``fingerprint`` is
-the sha256 of the canonical bytes, computed once per checkpoint; delta
-files record it to name their base.  ``tree_key`` is, like a git tree,
-the sha256 of the canonical header followed by each tensor's own sha256
-(``TensorRecord.digest``, computed once per record).  Checkpoints that
-share records therefore share their hashing: a candidate that differs
-from its reference in one layer hashes only that layer's tensors.  Both are equal for two
-checkpoints exactly when their canonical bytes are.
+the sha256 of the canonical bytes; delta files record it to name their
+base.  ``tree_key`` is, like a git tree, the sha256 of the canonical
+header followed by each tensor's own sha256 (``TensorRecord.digest``,
+computed once per record).  Checkpoints that share records therefore share
+their hashing: a candidate that differs from its reference in one layer
+hashes only that layer's tensors.  Both are equal for two checkpoints
+exactly when their canonical bytes are, and both are memoized on the
+immutable ``Checkpoint``: a reference or a candidate scored many times is
+hashed once.
 """
 
 from __future__ import annotations
@@ -164,6 +166,7 @@ class Checkpoint:
         self._records = {name: by_name[name] for name in sorted(by_name)}
         self._metadata = types.MappingProxyType(dict(metadata) if metadata else {})
         self._fingerprint: str | None = None  # set by fingerprint()
+        self._tree_key: str | None = None  # set by tree_key()
 
     @property
     def metadata(self) -> types.MappingProxyType:
@@ -384,11 +387,14 @@ def fingerprint(cp: Checkpoint) -> str:
 
 
 def tree_key(cp: Checkpoint) -> str:
-    """sha256 of the canonical header followed by every record's digest."""
-    h = hashlib.sha256(_header_bytes(cp))
-    for rec in cp:
-        h.update(rec.digest)
-    return h.hexdigest()
+    """sha256 of the canonical header followed by every record's digest,
+    computed on the first call and then kept on the checkpoint."""
+    if cp._tree_key is None:
+        h = hashlib.sha256(_header_bytes(cp))
+        for rec in cp:
+            h.update(rec.digest)
+        cp._tree_key = h.hexdigest()
+    return cp._tree_key
 
 
 # ---------------------------------------------------------------------------

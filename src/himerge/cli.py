@@ -4,8 +4,8 @@ the (p, s) hyperparameter sweep.
 ``RunConfig`` is the option table: each field is a flag on every verb and a
 key of the optional JSON config file (``--config``, which flags override);
 its type parses the flag and checks config and builtin evaluator spec values.
-Exit codes: 0 success, 1 usage/config error, 2 data/compat/I/O error,
-3 evaluator error.
+Exit codes: 0 success, 1 usage/config error, 2 data/compat/I/O error or
+out of memory, 3 evaluator error.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import csv
 import json
 import os
 import sys
-import threading
 import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -349,31 +348,30 @@ def cmd_sweep(cfg: RunConfig) -> int:
     with output_dir(cfg) as out:
         bridge = make_bridge(cfg, out)
         delta = compute_delta(model, base, provenance="A")
-        # The kept set depends on p alone, and s * Top_p = s * Top_1(Top_p):
-        # the first cell of a p to start prunes it, its last cell drops it,
-        # and each cell only scales.
-        cells = [(p, s) for p in cfg.p_values for s in cfg.s_values]
-        pending = {p: len(cfg.s_values) for p in cfg.p_values}
-        pruned = {}
-        lock = threading.Lock()
 
-        def run_cell(cell):
-            p, s = cell
-            with lock:
-                if p not in pruned:
-                    pruned[p] = model_wise_process(delta, PruneScaleParams(p, 1.0))
-                top_p = pruned[p]
-                pending[p] -= 1
-                if not pending[p]:
-                    del pruned[p]
-            processed = model_wise_process(top_p, PruneScaleParams(1.0, s))
-            candidate = apply_delta(base, [processed])
+        def candidates():
+            # The kept set depends on p alone, and s * Top_p = s * Top_1(Top_p):
+            # prune once per p, then only scale per cell.  A generator, so
+            # bridge.map builds each candidate on this thread and keeps at
+            # most ``parallel`` of them alive.  A cell's scaled delta lives
+            # only during its apply_delta, and the last p's Top_p is dropped
+            # before the next p is pruned.
+            for p in cfg.p_values:
+                top_p = model_wise_process(delta, PruneScaleParams(p, 1.0))
+                for s in cfg.s_values:
+                    yield p, s, apply_delta(
+                        base, [model_wise_process(top_p, PruneScaleParams(1.0, s))]
+                    )
+                del top_p
+
+        def score(cell):
+            p, s, candidate = cell
             try:
                 return (p, s, repr(bridge.evaluate(candidate, task).value), "")
             except EvaluatorError as exc:
                 return (p, s, "", str(exc))
 
-        rows = bridge.map(run_cell, cells)
+        rows = bridge.map(score, candidates())
         sweep_path = out / "sweep.csv"
         with open(sweep_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -460,6 +458,10 @@ def main(argv=None) -> int:
         return 3
     except (HiMergeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

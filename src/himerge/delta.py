@@ -199,6 +199,13 @@ def combine(
     zero terms), or from +0.0 when ``ref`` is None, and rounded once to
     float32.  Only ``names`` (default: all of ``like``'s) are recomputed;
     the other tensors are shared with ``like``, which defaults to ``ref``.
+
+    Where exactly one term of weight +1 or -1 touches a tensor, the sum is
+    taken in float32 instead, with the same bits.  The float64 path rounds
+    twice, ``f32(f64(x + y))``, and for addition that equals the correctly
+    rounded ``f32(x + y)`` whenever 53 >= 2 * 24 + 2 (Figueroa, "When is
+    double rounding innocuous?", 1995); a sum in the subnormal range is
+    exact in both.  Signed zeros and overflow to inf come out the same.
     """
     like = ref if like is None else like
     weights = [1.0] * len(terms) if weights is None else [float(w) for w in weights]
@@ -208,13 +215,18 @@ def combine(
     with np.errstate(over="ignore", invalid="ignore"):
         for name in like.names if names is None else names:
             if ref is None:
-                acc = np.zeros(like.record(name).shape, dtype=np.float64)
+                start = np.zeros(like.record(name).shape, dtype=np.float32)
             else:
-                acc = ref.as_f32(name).astype(np.float64)
-            for term, weight in zip(terms, weights):
-                arr = term(name)
-                if arr is None:
-                    continue
+                start = ref.as_f32(name)  # a fresh array, so it can take a sum in place
+            parts = [(term(name), weight) for term, weight in zip(terms, weights)]
+            parts = [(arr, weight) for arr, weight in parts if arr is not None]
+            if len(parts) == 1 and parts[0][1] in (1.0, -1.0):
+                arr, weight = parts[0]
+                (np.add if weight == 1.0 else np.subtract)(start, arr, out=start)
+                arrays[name] = start
+                continue
+            acc = start.astype(np.float64)
+            for arr, weight in parts:
                 arr = arr.astype(np.float64)
                 acc += arr if weight == 1.0 else weight * arr
             arrays[name] = acc.astype(np.float32)

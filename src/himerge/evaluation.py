@@ -104,12 +104,16 @@ def hidden_optimum(seed: int, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
+# A fixture is (probes, sign(probes @ w_star)): the optimum's side of each
+# probe is a constant of the task, so it is computed once, not per call.
+
+
 @functools.lru_cache(maxsize=8)
 def _linear_fixture(seed: int, dim: int, n_eval: int):
     rng = np.random.default_rng(seed)
     w_star = rng.standard_normal(dim)
     probes = rng.standard_normal((n_eval, dim))
-    return w_star, probes
+    return probes, np.sign(probes @ w_star)
 
 
 @functools.lru_cache(maxsize=8)
@@ -120,11 +124,11 @@ def _composite_fixture(task: SyntheticCompositeTask, dims: tuple[int, ...]):
     probes = np.random.default_rng(task.probe_seed).standard_normal(
         (task.n_eval, w_star.size)
     )
-    return w_star, probes
+    return probes, np.sign(probes @ w_star)
 
 
-def _sign_agreement(w: np.ndarray, w_star: np.ndarray, probes: np.ndarray) -> float:
-    return float(np.mean(np.sign(probes @ w) == np.sign(probes @ w_star)))
+def _sign_agreement(w: np.ndarray, probes: np.ndarray, star_signs: np.ndarray) -> float:
+    return float(np.mean(np.sign(probes @ w) == star_signs))
 
 
 def synthetic_linear_eval(cp: Checkpoint, task: SyntheticLinearTask) -> float:
@@ -137,8 +141,8 @@ def synthetic_linear_eval(cp: Checkpoint, task: SyntheticLinearTask) -> float:
             f"synthetic task target {task.target!r} must be 1-D of length "
             f"{task.dim}, got shape {rec.shape}"
         )
-    w_star, probes = _linear_fixture(task.seed, task.dim, task.n_eval)
-    return _sign_agreement(rec.as_f32().astype(np.float64), w_star, probes)
+    probes, star_signs = _linear_fixture(task.seed, task.dim, task.n_eval)
+    return _sign_agreement(rec.as_f32().astype(np.float64), probes, star_signs)
 
 
 def synthetic_composite_eval(cp: Checkpoint, task: SyntheticCompositeTask) -> float:
@@ -150,8 +154,8 @@ def synthetic_composite_eval(cp: Checkpoint, task: SyntheticCompositeTask) -> fl
         arr = cp.as_f32(name).reshape(-1).astype(np.float64)
         parts.append(arr)
         dims.append(arr.size)
-    w_star, probes = _composite_fixture(task, tuple(dims))
-    return _sign_agreement(np.concatenate(parts), w_star, probes)
+    probes, star_signs = _composite_fixture(task, tuple(dims))
+    return _sign_agreement(np.concatenate(parts), probes, star_signs)
 
 
 BUILTIN_TASKS = {
@@ -385,14 +389,19 @@ class EvaluationBridge:
         """[fn(item) for item in items] on up to ``parallel`` threads, in order.
 
         ``items`` is consumed lazily on the calling thread: the next item is
-        taken only when fewer than ``parallel`` calls are outstanding, so at
+        taken only when fewer than ``parallel`` calls are outstanding, and
+        map drops its own reference to an item once the call has it, so at
         most ``parallel`` items are alive at once.  On the first failure in
         item order, of a call or of taking an item, no further item is
         taken, the calls already running finish, and that failure is
         raised, as the serial loop would raise it.
         """
         if self.parallel == 1:
-            return [fn(item) for item in items]
+            results = []
+            for item in items:
+                results.append(fn(item))
+                del item  # before the next item is built
+            return results
         from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
         futures = []
@@ -402,6 +411,7 @@ class EvaluationBridge:
             try:
                 for item in items:
                     futures.append(pool.submit(fn, item))
+                    del item  # only the pool holds it now
                     running.add(futures[-1])
                     # Block only while every slot is taken.
                     timeout = None if len(running) == self.parallel else 0

@@ -18,16 +18,18 @@ from himerge import (
     deletion_impact,
     hi_merge,
 )
+from himerge import analysis as analysis_mod
 from himerge import resolver as resolver_mod
 from himerge.analysis import PAIR_KEYS
 from himerge.checkpoint import checkpoint_to_bytes
 
 import reference_analysis as ref
 
-from conftest import checkpoint_from_arrays
+from conftest import checkpoint_from_arrays, dyadic_random
 from instances import (
     N_LAYERS,
     conflict_instance,
+    layer_name,
     make_context,
     single_signal_instance,
     specialists_instance,
@@ -193,6 +195,46 @@ class TestConflictProfile:
         profile = conflict_profile(ctx, layers=layers)
         assert [row.layer for row in profile.rows] == layers
         assert all(row.Gamma == 0.0 for row in profile.rows)
+
+
+@pytest.mark.parametrize("full_matrix", [False, True])
+def test_each_layer_builds_six_candidates(monkeypatch, full_matrix):
+    """A deletion and an addition candidate per source A, B and G: the
+    (A, G) and (B, G) pairs, and with the full matrix every capability,
+    share them.  Each layer still makes 8 evaluations, or 12 with the full
+    matrix, and scores exactly the candidates it built."""
+    rng = np.random.default_rng(16)
+    layers = 16
+
+    def random_model():
+        return checkpoint_from_arrays({layer_name(l): dyadic_random(rng, 8) for l in range(layers)})
+
+    base, ma, mb = random_model(), random_model(), random_model()
+    ta, tb = constant_tasks()
+    ctx = make_context(base, ma, mb, ta, tb)
+    built = []
+    original = analysis_mod.shifted_checkpoint
+
+    def counting(ref, arrays_list, sign):
+        built.append(original(ref, arrays_list, sign))
+        return built[-1]
+
+    monkeypatch.setattr(analysis_mod, "shifted_checkpoint", counting)
+    scored = []
+    evaluate = ctx.bridge.evaluate
+
+    def recording(cp, task):
+        scored.append(cp)
+        return evaluate(cp, task)
+
+    monkeypatch.setattr(ctx.bridge, "evaluate", recording)
+    profile = conflict_profile(ctx, full_matrix=full_matrix)
+    assert len(profile.rows) == layers
+    assert len(built) == 6 * layers
+    assert len({id(cp) for cp in built}) == 6 * layers
+    per_layer = 12 if full_matrix else 8
+    assert len(scored) == len(profile.baselines) + per_layer * layers
+    assert {id(cp) for cp in scored[len(profile.baselines):]} == {id(cp) for cp in built}
 
 
 @pytest.fixture

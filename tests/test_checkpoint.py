@@ -9,6 +9,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import himerge.checkpoint as checkpoint_mod
 from himerge import (
     PRE,
     POST,
@@ -421,6 +422,15 @@ def test_fingerprint_is_hashed_once_per_checkpoint(monkeypatch):
     with pytest.raises(AttributeError):
         cp.metadata = {"m": "2"}
     assert dict(cp.metadata) == {"m": "1"}
+
+
+def test_tree_key_is_hashed_once_per_checkpoint(monkeypatch):
+    cp = checkpoint_from_arrays({"w": [1.0, 2.0]}, metadata={"m": "1"})
+    first = tree_key(cp)
+    # A second call reads the memo: no header is built and nothing is hashed.
+    monkeypatch.setattr(hashlib, "sha256", None)
+    monkeypatch.setattr(checkpoint_mod, "_header_bytes", None)
+    assert tree_key(cp) == first
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,6 +1,7 @@
 import csv
 import json
 import sys
+import threading
 import time
 from dataclasses import fields
 from typing import get_type_hints
@@ -8,6 +9,7 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+import himerge.cli
 import himerge.delta
 import himerge.evaluation
 from himerge import (
@@ -955,7 +957,7 @@ def _sweep_inputs(workdir):
     return base_cp, model_cp, paths, EvalTask("A", task), spec
 
 
-@pytest.mark.parametrize("parallel", [1, 2, 8])
+@pytest.mark.parametrize("parallel", [1, 2, 4, 8])
 def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeypatch, parallel):
     base_cp, model_cp, (base, model), task, spec = _sweep_inputs(workdir)
     p_values, s_values = [0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0], [0.0, 0.5, 1.0]
@@ -983,6 +985,14 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
         return original(*args, **kwargs)
 
     monkeypatch.setattr(himerge.delta, "prune_topp", counting)
+    threads = []
+    original_apply = himerge.cli.apply_delta
+
+    def recording(*args, **kwargs):
+        threads.append(threading.current_thread())
+        return original_apply(*args, **kwargs)
+
+    monkeypatch.setattr(himerge.cli, "apply_delta", recording)
     out = workdir / "out"
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so cells of several p overlap
@@ -994,6 +1004,9 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
         sys.setswitchinterval(interval)
     assert rc == 0
     assert sorted(calls) == [p for p in p_values if p < 1.0]  # p = 1 keeps every entry
+    # Candidates are built on the calling thread; pool threads only evaluate.
+    assert len(threads) == len(p_values) * len(s_values)
+    assert all(thread is threading.main_thread() for thread in threads)
     assert (out / "sweep.csv").read_text() == (ref_dir / "sweep.csv").read_text()
     # Lines follow completion order; cells that build the same candidate
     # (every s = 0 cell gives the base) share one evaluation and one line.
@@ -1047,3 +1060,20 @@ def test_shared_cache_is_keyed_by_the_evaluator(workdir, monkeypatch, capsys):
         assert _invocations(capsys.readouterr().err) == 1
         with open(out / "sweep.csv", newline="") as fh:
             assert [row["score"] for row in csv.DictReader(fh)] == [repr(value)]
+
+
+@pytest.mark.parametrize("verb", ["delta", "sweep"])
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 EiB for an array", ""])
+def test_memory_error_is_exit_2_without_traceback(workdir, monkeypatch, capsys, verb, message):
+    paths = _one_layer_inputs(workdir)
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(himerge.cli, "compute_delta", exhausted)
+    argv = [verb, "--base", paths["base"], "--model-a", paths["model_a"], "--out", str(workdir / "out")]
+    if verb == "sweep":
+        argv += ["--eval-a", json.dumps({"builtin": "constant", "value": 0.5})]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")

@@ -3,7 +3,7 @@ against its own float64 loop in reference_merge.py, byte for byte."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference_merge as ref
@@ -170,3 +170,91 @@ def test_weighted_average_accumulates_from_positive_zero():
     neg = Checkpoint([record_from_array("w", np.array([-0.0], dtype=np.float32))])
     out = weighted_average_merge({"A": neg, "B": neg}, MergeWeights({"A": 0.5, "B": 0.5}))
     assert not np.signbit(out.as_f32("w")[0])
+
+
+# Single-term sums (one term of weight +1 or -1) run in float32 rather than
+# float64.  These tests hold that path to the float64 reference loops at the
+# edges of the three storage formats, given as float32 bit patterns.
+EDGE_BITS = [
+    0x00000000, 0x80000000,  # +0.0, -0.0
+    0x00000001, 0x00000002, 0x007FFFFF, 0x00800000,  # f32 subnormals, smallest normal
+    0x7F7FFFFF, 0x7F7FFFFE,  # f32 max and its neighbour
+    0x477FE000, 0x477FEFFF, 0x477FF000,  # f16 max 65504, the last value that rounds to it, 65520
+    0x33800000, 0x33000000, 0x38800000,  # f16's smallest subnormal, half of it, smallest normal
+    0x7F7F0000, 0x7F7F7FFF, 0x7F7F8000,  # bf16 max, the last value that rounds to it, the tie above
+    0x3F808000, 0x3F818000, 0x3F807FFF, 0x3F808001,  # bf16 ties to even, and their neighbours
+    0x3F800000, 0x3F7FFFFF, 0x33FFFFFF,  # 1.0, just below it, a value with a full significand
+]
+_EXPONENT = 0x7F800000  # all ones in a NaN or an inf
+
+
+def _finite(bits):
+    return bits & _EXPONENT != _EXPONENT
+
+
+def _from_bits(bits):
+    return np.array(bits, dtype=np.uint32).view(np.float32)
+
+
+def _edge_values():
+    """Every edge pattern, its neighbours one ulp away, and their negations."""
+    bits = {(b + d) & 0x7FFFFFFF for b in EDGE_BITS for d in (-1, 0, 1)}
+    values = _from_bits(sorted(filter(_finite, bits)))
+    return np.concatenate([values, -values])
+
+
+EDGE_BIT_PATTERNS = st.one_of(
+    st.sampled_from(EDGE_BITS).flatmap(
+        lambda b: st.integers(-2, 2).map(lambda d: (b + d) & 0xFFFFFFFF)
+    ),
+    st.integers(0, 2**32 - 1),
+).filter(_finite)
+
+
+@st.composite
+def single_term_instances(draw):
+    """A one-tensor reference of any dtype and one float32 term, both
+    drawn from edge bit patterns; the reference is finite in its dtype."""
+    dtype = draw(DTYPES)
+    size = draw(st.integers(1, 4))
+    ref_values = _from_bits(draw(st.lists(EDGE_BIT_PATTERNS, min_size=size, max_size=size)))
+    term = _from_bits(draw(st.lists(EDGE_BIT_PATTERNS, min_size=size, max_size=size)))
+    base = Checkpoint([record_from_array("model.layers.0.w", ref_values, dtype)])
+    assume(np.isfinite(base.as_f32("model.layers.0.w")).all())
+    return base, {"model.layers.0.w": term}
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_term_instances(), st.sampled_from([1.0, -1.0]))
+def test_single_term_sums_match_the_float64_loops(inst, sign):
+    base, term = inst
+    if sign == 1.0:
+        (delta,) = deltas_for(base, [term])
+        assert outcome(apply_delta, base, [delta]) == ref_outcome(ref.apply_delta, base, [delta])
+    assert outcome(shifted_checkpoint, base, [term], sign) == ref_outcome(
+        ref.shifted_checkpoint, base, [term], sign
+    )
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16", "bf16"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_single_term_sums_match_on_every_pair_of_edge_values(dtype, sign):
+    """Every (reference, term) pair of edge values at once, in one tensor.
+    Pairs whose sum is not finite in the dtype are left out, since one of
+    them rejects the whole tensor; the hypothesis test above covers them."""
+    values = _edge_values()
+    refs = record_from_array("w", values, dtype).as_f32()  # as stored in the dtype
+    r, t = np.meshgrid(refs[np.isfinite(refs)], values, indexing="ij")
+    r, t = r.ravel(), t.ravel()
+    with np.errstate(over="ignore"):
+        exact = (r.astype(np.float64) + sign * t.astype(np.float64)).astype(np.float32)
+        finite = np.isfinite(record_from_array("w", exact, dtype).as_f32())
+    base = Checkpoint([record_from_array("w", r[finite], dtype)])
+    terms = [{"w": t[finite]}]
+    got = shifted_checkpoint(base, terms, sign)
+    assert checkpoint_to_bytes(got) == checkpoint_to_bytes(ref.shifted_checkpoint(base, terms, sign))
+    if sign == 1.0:
+        deltas = deltas_for(base, terms)
+        assert checkpoint_to_bytes(apply_delta(base, deltas)) == checkpoint_to_bytes(
+            ref.apply_delta(base, deltas)
+        )

@@ -1,6 +1,7 @@
 import json
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +110,38 @@ class TestSyntheticComposite:
             targets=tuple((f"m.layers.{l}.w", 100 + l) for l in range(4)),
         )
         assert synthetic_composite_eval(cp, task) == 1.0
+
+
+def two_matvec_score(w, w_star, probes):
+    """The builtin score as first written: both sides of every probe per call."""
+    return float(np.mean(np.sign(probes @ w) == np.sign(probes @ w_star)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_builtin_scores_equal_the_two_matvec_formula(seed):
+    rng = np.random.default_rng(seed)
+    dtype = ["f32", "f16", "bf16"][seed % 3]
+    dims = [int(d) for d in rng.integers(1, 40, size=3)]
+    arrays = {f"m.layers.{i}.w": rng.standard_normal(d).astype(np.float32) for i, d in enumerate(dims)}
+    arrays["m.layers.0.w"][::3] = 0.0  # probes at sign 0 too
+    cp = checkpoint_from_arrays(arrays, dtype=dtype)
+    names = list(arrays)
+
+    linear = SyntheticLinearTask(seed=seed, dim=dims[0], n_eval=257, target=names[0])
+    fixture = np.random.default_rng(seed)
+    w_star = fixture.standard_normal(dims[0])
+    probes = fixture.standard_normal((257, dims[0]))
+    w = cp.as_f32(names[0]).astype(np.float64)
+    for _ in range(2):  # the first call builds the fixture, the second reuses it
+        assert synthetic_linear_eval(cp, linear) == two_matvec_score(w, w_star, probes)
+
+    targets = tuple((name, 10 + i) for i, name in enumerate(names))
+    composite = SyntheticCompositeTask(probe_seed=seed, n_eval=300, targets=targets)
+    w_star = np.concatenate([hidden_optimum(s, d) for (_, s), d in zip(targets, dims)])
+    probes = np.random.default_rng(seed).standard_normal((300, w_star.size))
+    w = np.concatenate([cp.as_f32(name).astype(np.float64) for name in names])
+    for _ in range(2):
+        assert synthetic_composite_eval(cp, composite) == two_matvec_score(w, w_star, probes)
 
 
 class TestBridgeBuiltin:
@@ -362,6 +395,28 @@ class TestMap:
         assert bridge.map(call, items()) == [i * i for i in range(24)]
         assert state["taken_by"] == {threading.get_ident()}
         assert state["most_outstanding"] == parallel
+
+    def test_serial_map_drops_each_item_before_taking_the_next(self):
+        """A generator of large items, such as sweep candidates, then holds
+        one of them at a time."""
+
+        class Item:
+            pass
+
+        alive = weakref.WeakSet()
+        seen = []
+
+        def track(item):
+            alive.add(item)
+            return item
+
+        def items():
+            for _ in range(5):
+                seen.append(len(alive))  # items still referenced as the next is built
+                yield track(Item())
+
+        EvaluationBridge(parallel=1).map(lambda item: None, items())
+        assert seen == [0] * 5
 
     @pytest.mark.parametrize("parallel", [1, 2, 4])
     def test_first_failure_in_item_order_stops_taking_items(self, parallel):
