@@ -30,11 +30,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, LayerPartition
+from .checkpoint import Checkpoint, LayerPartition, atomic_open
 from .delta import DeltaVector, combine, layer_arrays
 from .errors import ConfigError, EvaluatorError
 from .evaluation import EvalTask, EvaluationBridge
@@ -197,7 +196,8 @@ class ConflictProfile:
         }
 
     def write_json(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
+        with atomic_open(path) as fh:
+            fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
 
     def write_csv(self, path) -> None:
         header = (
@@ -207,7 +207,7 @@ class ConflictProfile:
             + [f"c_{k}" for k in PAIR_KEYS]
             + ["gamma_a", "gamma_b", "Gamma"]
         )
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in self.rows:

@@ -8,7 +8,10 @@ names serialized in lexicographic order, data packed contiguously in that
 order, header JSON keys sorted, no padding.
 
 ``write_checkpoint`` streams the canonical form to a file: the header,
-then each tensor's data, with no joined copy.
+then each tensor's data, with no joined copy.  ``save_checkpoint`` writes
+through ``atomic_open``, so a failed save leaves no partial file.
+``load_checkpoint`` reads a file into one buffer, and its records view
+slices of that buffer.
 
 Two content hashes are defined on the canonical form.  ``fingerprint`` is
 the sha256 of the canonical bytes; delta files record it to name their
@@ -24,10 +27,13 @@ hashed once.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
+import os
 import re
+import secrets
 import struct
 import types
 from dataclasses import dataclass, field
@@ -54,43 +60,56 @@ def element_size(dtype: str) -> int:
     return _DTYPES[dtype][1]
 
 
-def _bf16_to_f32(buf: bytes) -> np.ndarray:
-    bits = np.frombuffer(buf, dtype="<u2").astype(np.uint32) << 16
+def _bf16_to_f32(buf) -> np.ndarray:
+    bits = np.frombuffer(buf, dtype="<u2").astype(np.uint32)
+    bits <<= 16
     return bits.view(np.float32)
 
 
-def _f32_to_bf16(arr: np.ndarray) -> bytes:
-    # Round to nearest even on the dropped 16 mantissa bits.
-    bits = np.ascontiguousarray(arr, dtype="<f4").view(np.uint32)
-    rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
-    return rounded.astype("<u2").tobytes()
+def _f32_to_bf16(flat: np.ndarray) -> np.ndarray:
+    """Round contiguous float32 values to bf16 bit patterns, to nearest even
+    on the dropped 16 mantissa bits, in one uint32 temporary."""
+    bits = flat.view("<u4")
+    rounded = bits >> 16
+    rounded &= 1
+    rounded += 0x7FFF
+    rounded += bits
+    rounded >>= 16
+    return rounded.astype("<u2")
 
 
-def decode_f32(dtype: str, data: bytes) -> np.ndarray:
-    """Widen a raw little-endian element buffer to a flat float32 array."""
+def array_bytes(arr: np.ndarray) -> memoryview:
+    """A read-only byte view of a C-contiguous array's data; it keeps the
+    array alive, and the array must not change while the view is in use."""
+    return memoryview(arr.reshape(-1).view(np.uint8)).toreadonly()
+
+
+def decode_f32(dtype: str, data) -> np.ndarray:
+    """Widen a raw little-endian element buffer to a fresh, flat float32 array."""
     if dtype == "f32":
         return np.frombuffer(data, dtype="<f4").astype(np.float32, copy=True)
     if dtype == "f16":
         return np.frombuffer(data, dtype="<f2").astype(np.float32)
     if dtype == "bf16":
-        return _bf16_to_f32(data).copy()
+        return _bf16_to_f32(data)
     raise FormatError(f"unsupported dtype tag {dtype!r}")
 
 
-def encode_from_f32(dtype: str, arr: np.ndarray) -> bytes:
-    """Cast a float32 array to the target dtype (round-to-nearest-even).
+def encode_from_f32(dtype: str, arr: np.ndarray) -> memoryview:
+    """Cast a float32 array to the target dtype (round-to-nearest-even), as
+    a read-only byte view of a fresh array.
 
-    A value beyond the target's range becomes inf; ``checkpoint_from_f32``
+    A value beyond the target's range becomes inf; ``encode_record``
     rejects that.
     """
-    flat = np.ascontiguousarray(arr, dtype=np.float32).reshape(-1)
+    flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
     if dtype == "f32":
-        return flat.astype("<f4").tobytes()
+        return array_bytes(flat.astype("<f4"))  # a copy: the bytes must not alias arr
     if dtype == "f16":
         with np.errstate(over="ignore"):
-            return flat.astype("<f2").tobytes()
+            return array_bytes(flat.astype("<f2"))
     if dtype == "bf16":
-        return _f32_to_bf16(flat)
+        return array_bytes(_f32_to_bf16(flat))
     raise FormatError(f"unsupported dtype tag {dtype!r}")
 
 
@@ -103,7 +122,7 @@ _INF_BITS = {
 }
 
 
-def _all_finite(dtype: str, data: bytes) -> bool:
+def _all_finite(dtype: str, data) -> bool:
     view, magnitude, inf = _INF_BITS[dtype]
     bits = np.frombuffer(data, dtype=view)
     return bits.size == 0 or int((bits & magnitude).max()) < inf
@@ -111,12 +130,16 @@ def _all_finite(dtype: str, data: bytes) -> bool:
 
 @dataclass(frozen=True)
 class TensorRecord:
-    """One named tensor: dtype tag, shape, and raw little-endian data."""
+    """One named tensor: dtype tag, shape, and raw little-endian data.
+
+    ``data`` is ``bytes`` or a read-only byte ``memoryview``: a loaded
+    record views its file's buffer, and an encoded one its fresh array.
+    """
 
     name: str
     dtype: str
     shape: tuple[int, ...]
-    data: bytes
+    data: bytes | memoryview
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
@@ -200,37 +223,38 @@ class Checkpoint:
         return sum(rec.numel for rec in self)
 
 
+def encode_record(ref: TensorRecord, arr: np.ndarray) -> TensorRecord:
+    """A record with ``ref``'s name, dtype and shape holding ``arr``.
+
+    A shape mismatch, or an encoded value that is NaN or inf (a value
+    beyond the dtype's range, say), is a CompatError naming the tensor.
+    """
+    if tuple(arr.shape) != ref.shape:
+        raise CompatError(
+            f"tensor {ref.name!r}: array shape {tuple(arr.shape)} != {ref.shape}"
+        )
+    data = encode_from_f32(ref.dtype, arr)
+    if not _all_finite(ref.dtype, data):
+        raise CompatError(
+            f"tensor {ref.name!r}: a value is NaN, inf or beyond the {ref.dtype} range"
+        )
+    return TensorRecord(ref.name, ref.dtype, ref.shape, data)
+
+
 def checkpoint_from_f32(
     arrays: dict[str, np.ndarray],
     like: Checkpoint,
     metadata: dict[str, str] | None = None,
 ) -> Checkpoint:
-    """Build a checkpoint from float32 arrays, casting to ``like``'s dtypes.
-
-    Any name absent from ``arrays`` is copied from ``like`` unchanged.  An
-    encoded tensor holding a NaN or inf (a value beyond the dtype's range,
-    say) is a CompatError naming it.
-    """
-    records = []
-    for name in like.names:
-        ref = like.record(name)
-        if name in arrays:
-            arr = arrays[name]
-            if tuple(arr.shape) != ref.shape:
-                raise CompatError(
-                    f"tensor {name!r}: array shape {tuple(arr.shape)} != {ref.shape}"
-                )
-            data = encode_from_f32(ref.dtype, arr)
-            if not _all_finite(ref.dtype, data):
-                raise CompatError(
-                    f"tensor {name!r}: a value is NaN, inf or beyond the {ref.dtype} range"
-                )
-            records.append(TensorRecord(name, ref.dtype, ref.shape, data))
-        else:
-            records.append(ref)
+    """Build a checkpoint from float32 arrays, casting to ``like``'s dtypes
+    with ``encode_record``.  Any name absent from ``arrays`` is copied from
+    ``like`` unchanged."""
     extra = sorted(set(arrays) - set(like.names))
     if extra:
         raise CompatError(f"arrays for unknown tensors: {extra[:5]}")
+    records = [
+        encode_record(rec, arrays[rec.name]) if rec.name in arrays else rec for rec in like
+    ]
     return Checkpoint(records, metadata if metadata is not None else like.metadata)
 
 
@@ -287,6 +311,8 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
+    """Parse a container.  The records view ``blob`` without copying it, so
+    it must not change afterwards (``bytes`` cannot)."""
     if len(blob) < 8:
         raise FormatError(f"file too short for header length field ({len(blob)} bytes)")
     (header_len,) = struct.unpack_from("<Q", blob)
@@ -296,7 +322,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         )
     try:
         header = json.loads(
-            blob[8 : 8 + header_len].decode("utf-8"), object_pairs_hook=_unique_keys
+            bytes(blob[8 : 8 + header_len]).decode("utf-8"), object_pairs_hook=_unique_keys
         )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"invalid header JSON: {exc}") from exc
@@ -310,7 +336,7 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         ):
             raise FormatError("__metadata__ must be a string-to-string map")
 
-    data = blob[8 + header_len :]
+    data = memoryview(blob).toreadonly()[8 + header_len :]
     records = []
     regions = []
     for name, entry in header.items():
@@ -370,8 +396,27 @@ def load_checkpoint(path) -> Checkpoint:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a fresh temp file next to ``path`` for writing.  When the block
+    ends normally it replaces ``path`` (``os.replace``); when it raises, it is
+    removed.  So ``path`` holds either its old contents or the complete new
+    ones, never a partial write."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        with open(fd, mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(cp: Checkpoint, path) -> None:
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         write_checkpoint(cp, fh)
 
 

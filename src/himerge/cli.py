@@ -13,8 +13,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import fcntl
 import json
 import os
+import socket
 import sys
 import types
 from dataclasses import dataclass, field, fields
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .analysis import conflict_profile
-from .checkpoint import DEFAULT_LAYER_RULE, load_checkpoint, save_checkpoint
+from .checkpoint import DEFAULT_LAYER_RULE, atomic_open, load_checkpoint, save_checkpoint
 from .delta import (
     PruneScaleParams,
     compute_delta,
@@ -236,20 +238,69 @@ def _typed(value, kind, path: str):
     raise ConfigError(f"config key {path!r} must be {name}, got {value!r}")
 
 
+def _owner_is_gone(text: str) -> bool:
+    """Whether a lock's ``pid host`` names a process on this host that no
+    longer exists.  Anything else (unreadable, a live pid, another host)
+    keeps the lock."""
+    parts = text.split()
+    if len(parts) != 2 or not parts[0].isdecimal() or parts[1] != socket.gethostname():
+        return False
+    try:
+        os.kill(int(parts[0]), 0)  # pid 0 names our own process group: alive
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):  # another user's live process, or no pid at all
+        pass
+    return False
+
+
+def _remove_stale_lock(lock: Path) -> bool:
+    """Unlink ``lock`` if its owner is gone; return whether it was removed
+    (or vanished meanwhile), so that creating it may be tried once more.
+
+    Racing reruns ``flock`` the old lock file, so they take it over one at a
+    time; each checks, under the flock, that the path still names that file
+    before it unlinks it, so none can remove a lock another has just made.
+    """
+    try:
+        fd = os.open(lock, os.O_RDONLY)
+    except FileNotFoundError:
+        return True
+    with open(fd, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            if os.stat(lock).st_ino != os.fstat(fh.fileno()).st_ino:
+                return True
+        except FileNotFoundError:
+            return True
+        if not _owner_is_gone(fh.read().decode("utf-8", "replace")):
+            return False
+        os.unlink(lock)
+        return True
+
+
 @contextlib.contextmanager
 def output_dir(cfg: RunConfig):
-    """Create the output directory and hold an exclusive lock file in it."""
+    """Create the output directory and hold an exclusive lock file in it.
+
+    The lock holds ``pid host``.  A lock left by a process of this host that
+    no longer exists is taken over.
+    """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / LOCK_NAME
+    for retry in (False, True):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            break
+        except FileExistsError:
+            if retry or not _remove_stale_lock(lock):
+                raise ConfigError(
+                    f"output directory {out} is locked by another run (remove {lock} if stale)"
+                ) from None
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ConfigError(
-            f"output directory {out} is locked by another run (remove {lock} if stale)"
-        )
-    os.close(fd)
-    try:
+        with open(fd, "w") as fh:
+            fh.write(f"{os.getpid()} {socket.gethostname()}\n")
         yield out
     finally:
         with contextlib.suppress(OSError):
@@ -373,7 +424,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
         rows = bridge.map(score, candidates())
         sweep_path = out / "sweep.csv"
-        with open(sweep_path, "w", newline="") as fh:
+        with atomic_open(sweep_path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["p", "s", "score", "error"])
             for row in rows:

@@ -19,8 +19,8 @@ from .checkpoint import (
     Checkpoint,
     LayerPartition,
     TensorRecord,
-    checkpoint_from_f32,
-    encode_from_f32,
+    array_bytes,
+    encode_record,
     fingerprint,
     load_checkpoint,
     save_checkpoint,
@@ -91,10 +91,12 @@ def _require_finite(deltas: dict[str, np.ndarray], what: str) -> None:
 def compute_delta(model: Checkpoint, base: Checkpoint, provenance: str = "") -> DeltaVector:
     """Elementwise model - base in float32; every difference must be finite."""
     validate_compat(model, base)
+    deltas = {}
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
-        deltas = {
-            name: model.as_f32(name) - base.as_f32(name) for name in base.names
-        }
+        for name in base.names:
+            diff = model.as_f32(name)  # a fresh array, so it can take the difference in place
+            diff -= base.as_f32(name)
+            deltas[name] = diff
     _require_finite(deltas, f"delta of {provenance or 'model'} against the base")
     return DeltaVector(fingerprint(base), deltas, provenance)
 
@@ -110,7 +112,13 @@ def prune_topp(
 
     ``layers=None`` means the global scope (all tensors).  Otherwise
     ``layers`` is a collection of layer ids and ``partition`` maps tensor
-    names onto them; tensors outside the scope are untouched.
+    names onto them; tensors outside the scope are untouched.  When every
+    entry in scope is kept (or the scope is empty), ``delta`` itself is
+    returned; otherwise every array in scope is a fresh one.
+
+    The threshold comes from one float32 magnitude buffer over the scope,
+    partitioned in place and freed before the kept tensors are built one at
+    a time, so no joined copy of the scope is made.
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"pruning threshold p={p} outside [0, 1]")
@@ -122,36 +130,37 @@ def prune_topp(
     else:
         wanted = set(layers)
         scope = [n for n in delta.names if partition.layer_of(n) in wanted]
-    if not scope:
-        return delta.replace({})
-
     flats = [delta.deltas[name].reshape(-1) for name in scope]
-    joined = np.concatenate(flats) if len(flats) > 1 else flats[0]
-    n = joined.size
+    n = sum(flat.size for flat in flats)
     k = _retain_count(p, n)
-
     if k >= n:
-        return delta.replace({})
-    if k == 0:
-        kept = np.zeros_like(joined)
-    else:
-        # Threshold selection: t is the k-th largest magnitude.  Keep every
-        # entry above it, then fill the remaining slots from the entries at
-        # t in ascending canonical-flattened-index order.
-        mag = np.abs(joined)
-        t = np.partition(mag, n - k)[n - k]
-        keep = mag > t
-        need = k - int(np.count_nonzero(keep))
-        keep[np.flatnonzero(mag == t)[:need]] = True
-        kept = np.where(keep, joined, np.float32(0.0))
+        return delta
 
-    out = {}
+    if k == 0:
+        return delta.replace({name: np.zeros(delta.deltas[name].shape, np.float32) for name in scope})
+    # Threshold selection: t is the k-th largest magnitude.  Keep every
+    # entry above it, then fill the remaining ``need`` slots with the
+    # entries equal to t in ascending canonical-flattened-index order.
+    mag = np.empty(n, dtype=np.float32)
     offset = 0
-    for name in scope:
-        arr = delta.deltas[name]
-        out[name] = kept[offset : offset + arr.size].reshape(arr.shape)
-        offset += arr.size
-    return delta.replace(out)
+    for flat in flats:
+        np.abs(flat, out=mag[offset : offset + flat.size])
+        offset += flat.size
+    mag.partition(n - k)
+    t = mag[n - k]
+    # After the partition every magnitude above t lies right of n - k.
+    need = k - int(np.count_nonzero(mag[n - k + 1 :] > t))
+    del mag
+    kept = {}
+    for name, flat in zip(scope, flats):
+        mag = np.abs(flat)
+        keep = mag > t
+        if need:
+            ties = np.flatnonzero(mag == t)[:need]
+            keep[ties] = True
+            need -= ties.size
+        kept[name] = np.where(keep, flat, np.float32(0.0)).reshape(delta.deltas[name].shape)
+    return delta.replace(kept)
 
 
 def scale(delta: DeltaVector, s: float) -> DeltaVector:
@@ -165,10 +174,17 @@ def scale(delta: DeltaVector, s: float) -> DeltaVector:
 
 
 def model_wise_process(delta: DeltaVector, params: PruneScaleParams) -> DeltaVector:
-    """Global prune-then-scale: s * Top_p(delta).  At p = 1 every entry is
-    kept, so only the scale runs."""
+    """Global prune-then-scale: s * Top_p(delta).  Top_p's arrays are fresh,
+    so they are scaled in place; where Top_p keeps every entry (always at
+    p = 1), only the scale runs."""
     pruned = delta if params.p == 1.0 else prune_topp(delta, params.p)
-    return scale(pruned, params.s)
+    if pruned is delta:
+        return scale(delta, params.s)
+    if params.s != 1.0:
+        factor = np.float32(params.s)
+        for arr in pruned.deltas.values():
+            arr *= factor
+    return pruned
 
 
 def _check_delta_compat(base: Checkpoint, deltas: list[DeltaVector]) -> None:
@@ -199,6 +215,8 @@ def combine(
     zero terms), or from +0.0 when ``ref`` is None, and rounded once to
     float32.  Only ``names`` (default: all of ``like``'s) are recomputed;
     the other tensors are shared with ``like``, which defaults to ``ref``.
+    Each sum is encoded as soon as it is done, so only one tensor's
+    float32 temporaries are alive at a time.
 
     Where exactly one term of weight +1 or -1 touches a tensor, the sum is
     taken in float32 instead, with the same bits.  The float64 path rounds
@@ -209,28 +227,36 @@ def combine(
     """
     like = ref if like is None else like
     weights = [1.0] * len(terms) if weights is None else [float(w) for w in weights]
-    arrays = {}
+    # like.record raises a FormatError on an unknown name.
+    wanted = set(like.names) if names is None else {like.record(n).name for n in names}
     # A sum that overflows, or adds infs of opposite sign, is rejected by
-    # checkpoint_from_f32, so numpy need not warn about it.
+    # encode_record, so numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for name in like.names if names is None else names:
-            if ref is None:
-                start = np.zeros(like.record(name).shape, dtype=np.float32)
-            else:
-                start = ref.as_f32(name)  # a fresh array, so it can take a sum in place
-            parts = [(term(name), weight) for term, weight in zip(terms, weights)]
-            parts = [(arr, weight) for arr, weight in parts if arr is not None]
-            if len(parts) == 1 and parts[0][1] in (1.0, -1.0):
-                arr, weight = parts[0]
-                (np.add if weight == 1.0 else np.subtract)(start, arr, out=start)
-                arrays[name] = start
-                continue
-            acc = start.astype(np.float64)
-            for arr, weight in parts:
-                arr = arr.astype(np.float64)
-                acc += arr if weight == 1.0 else weight * arr
-            arrays[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(arrays, like=like, metadata={})
+        records = [
+            encode_record(rec, _sum(ref, rec, terms, weights)) if rec.name in wanted else rec
+            for rec in like
+        ]
+    return Checkpoint(records, {})
+
+
+def _sum(ref: Checkpoint | None, rec: TensorRecord, terms, weights) -> np.ndarray:
+    """One tensor of ``combine``, as a fresh float32 array; its temporaries
+    are freed on return."""
+    if ref is None:
+        start = np.zeros(rec.shape, dtype=np.float32)
+    else:
+        start = ref.as_f32(rec.name)  # a fresh array, so it can take a sum in place
+    parts = [(term(rec.name), weight) for term, weight in zip(terms, weights)]
+    parts = [(arr, weight) for arr, weight in parts if arr is not None]
+    if len(parts) == 1 and parts[0][1] in (1.0, -1.0):
+        arr, weight = parts[0]
+        return (np.add if weight == 1.0 else np.subtract)(start, arr, out=start)
+    acc = start.astype(np.float64)
+    del start
+    for arr, weight in parts:
+        # A float32 term is widened to float64 chunk by chunk, not as a whole.
+        acc += arr if weight == 1.0 else np.multiply(arr, weight, dtype=np.float64)
+    return acc.astype(np.float32)
 
 
 def apply_delta(base: Checkpoint, deltas: list[DeltaVector]) -> Checkpoint:
@@ -252,8 +278,9 @@ def layer_arrays(
 
 
 def save_delta(delta: DeltaVector, path) -> None:
+    """Write a delta file; its records view the float32 arrays, unencoded."""
     records = [
-        TensorRecord(name, "f32", arr.shape, encode_from_f32("f32", arr))
+        TensorRecord(name, "f32", arr.shape, array_bytes(np.ascontiguousarray(arr, "<f4")))
         for name, arr in delta.deltas.items()
     ]
     meta = {

@@ -27,6 +27,7 @@ from .checkpoint import (
     DEFAULT_LAYER_RULE,
     Checkpoint,
     LayerPartition,
+    atomic_open,
     partition_layers,
     save_checkpoint,
     validate_compat,
@@ -87,7 +88,7 @@ class ResolutionLog:
     actions: list[ResolutionAction] = field(default_factory=list)
 
     def write_jsonl(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_open(path) as fh:
             for action in self.actions:
                 fh.write(json.dumps(action.to_dict(), sort_keys=True) + "\n")
 
@@ -421,4 +422,5 @@ def _persist(result: HiMergeResult, out_dir) -> None:
     result.profile.write_json(out / "profile.json")
     result.profile.write_csv(out / "profile.csv")
     result.log.write_jsonl(out / "resolution_log.jsonl")
-    (out / "resolution_summary.txt").write_text(result.log.summary() + "\n")
+    with atomic_open(out / "resolution_summary.txt") as fh:
+        fh.write(result.log.summary() + "\n")

@@ -1,5 +1,7 @@
+import contextlib
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,3 +54,18 @@ def script_evaluator(tmp_path):
         return f"{sys.executable} {path} {{checkpoint}}"
 
     return make
+
+
+@contextlib.contextmanager
+def traced_peak():
+    """Measure the peak of the memory allocated inside the block, numpy
+    array data included, above what was allocated when it began.  Yields a
+    one-element list that holds the peak in bytes once the block ends."""
+    peak = [0]
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        yield peak
+        peak[0] = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

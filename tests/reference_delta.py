@@ -38,3 +38,9 @@ def prune_topp(delta, p, *, partition=None, layers=None):
         out[name] = kept[offset : offset + arr.size].reshape(arr.shape)
         offset += arr.size
     return delta.replace(out)
+
+
+def scale(delta, s):
+    """Every entry times float32(s), as new arrays."""
+    factor = np.float32(s)
+    return delta.replace({name: arr * factor for name, arr in delta.deltas.items()})

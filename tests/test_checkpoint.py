@@ -35,6 +35,7 @@ from himerge.checkpoint import (
     write_checkpoint,
 )
 
+import reference_checkpoint
 from conftest import checkpoint_from_arrays, random_checkpoint
 
 
@@ -172,6 +173,17 @@ class TestContainerFormat:
             load_checkpoint(tmp_path / "nope.safetensors")
 
 
+# float32 magnitudes at the edges of bf16 rounding: zero, subnormals
+# (smallest, a tie, largest), the smallest normal, ties to even in both
+# directions, the largest values that round to a finite bf16 and to inf,
+# the largest finite float32, and inf.
+BF16_EDGE_MAGNITUDES = [
+    0x00000000, 0x00000001, 0x00008000, 0x00018000, 0x007FFFFF, 0x00800000,
+    0x3F808000, 0x3F818000, 0x3F800000, 0x7F7F7FFF, 0x7F7F8000, 0x7F7FFFFF,
+    0x7F800000,
+]
+
+
 class TestDtypes:
     @pytest.mark.parametrize("dtype", ["f16", "bf16"])
     def test_widen_narrow_roundtrip(self, dtype):
@@ -201,6 +213,40 @@ class TestDtypes:
     def test_bf16_widening_is_exact(self):
         buf = np.array([0x3F80, 0xBF80, 0x4000], dtype="<u2").tobytes()  # 1, -1, 2
         assert decode_f32("bf16", buf).tolist() == [1.0, -1.0, 2.0]
+
+    def test_bf16_decode_of_every_bit_pattern_matches_the_reference(self):
+        patterns = np.arange(1 << 16, dtype="<u2").tobytes()
+        ours = decode_f32("bf16", patterns)
+        expected = reference_checkpoint.bf16_to_f32(patterns)
+        assert ours.dtype == np.float32 and ours.flags.writeable
+        assert ours.view(np.uint32).tolist() == expected.view(np.uint32).tolist()
+
+    def test_bf16_encode_of_float32_edge_patterns_matches_the_reference(self):
+        edges = []
+        for sign in (0, 0x80000000):
+            for magnitude in BF16_EDGE_MAGNITUDES:
+                for step in (-1, 0, 1):  # each edge and its one-ulp neighbours
+                    if 0 <= magnitude + step <= 0x7F800000:
+                        edges.append(sign | (magnitude + step))
+        values = np.array(edges, dtype=np.uint32).view(np.float32)
+        assert bytes(encode_from_f32("bf16", values)) == reference_checkpoint.f32_to_bf16(values)
+
+    @given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=64))
+    @settings(max_examples=200, deadline=None)
+    def test_bf16_encode_of_any_bit_pattern_matches_the_reference(self, words):
+        values = np.array(words, dtype=np.uint32).view(np.float32)
+        assert bytes(encode_from_f32("bf16", values)) == reference_checkpoint.f32_to_bf16(values)
+
+    def test_encoding_leaves_its_input_alone_and_does_not_alias_it(self):
+        values = np.array([1.0 + 2.0**-8, -3.5, 0.0], dtype=np.float32)
+        before = values.tobytes()
+        encoded = {dtype: encode_from_f32(dtype, values) for dtype in ("f32", "f16", "bf16")}
+        assert values.tobytes() == before
+        snapshot = {dtype: bytes(data) for dtype, data in encoded.items()}
+        values[:] = 7.0
+        for dtype, data in encoded.items():
+            assert data.readonly and len(data) == values.size * element_size(dtype)
+            assert bytes(data) == snapshot[dtype]
 
     def test_checkpoint_from_f32_casts_to_reference_dtype(self):
         ref = checkpoint_from_arrays({"w": [1.0, 2.0]}, dtype="f16")

@@ -1,5 +1,9 @@
 import csv
+import errno
 import json
+import os
+import socket
+import subprocess
 import sys
 import threading
 import time
@@ -9,10 +13,13 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+import himerge.checkpoint
 import himerge.cli
 import himerge.delta
 import himerge.evaluation
+import himerge.resolver
 from himerge import (
+    ConfigError,
     EvalCache,
     EvalTask,
     EvaluationBridge,
@@ -24,7 +31,7 @@ from himerge import (
     scale,
 )
 from himerge.checkpoint import checkpoint_to_bytes
-from himerge.cli import _GROUPS, RunConfig, build_parser, load_run_config, main
+from himerge.cli import _GROUPS, RunConfig, build_parser, load_run_config, main, output_dir
 from himerge.evaluation import SyntheticCompositeTask, SyntheticLinearTask, synthetic_linear_eval
 
 import reference_delta
@@ -35,6 +42,13 @@ from instances import conflict_instance, layer_name, single_signal_instance
 @pytest.fixture
 def workdir(tmp_path):
     return tmp_path
+
+
+def exited_pid() -> int:
+    """The pid of a child process that has exited and been reaped."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
 
 
 def write_cp(path, cp):
@@ -327,6 +341,83 @@ class TestMergeCommand:
             ["merge", "--method", "soups", "--model-a", a, "--model-b", b, "--out", str(out)]
         )
         assert rc == 1
+
+    def _soups(self, workdir):
+        cp = random_checkpoint(np.random.default_rng(5))
+        a = write_cp(workdir / "a.safetensors", cp)
+        b = write_cp(workdir / "b.safetensors", cp)
+        return ["merge", "--method", "soups", "--model-a", a, "--model-b", b]
+
+    def test_lock_of_an_exited_process_is_taken_over(self, workdir, monkeypatch):
+        argv = self._soups(workdir)
+        out = workdir / "out"
+        out.mkdir()
+        (out / ".himerge.lock").write_text(f"{exited_pid()} {socket.gethostname()}\n")
+        seen = []
+        real_merge = himerge.cli.weighted_average_merge
+
+        def merge_and_read_lock(*args):
+            seen.append((out / ".himerge.lock").read_text())
+            return real_merge(*args)
+
+        monkeypatch.setattr(himerge.cli, "weighted_average_merge", merge_and_read_lock)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert seen == [f"{os.getpid()} {socket.gethostname()}\n"]
+        assert (out / "merged.safetensors").exists()
+        assert not (out / ".himerge.lock").exists()
+
+    @pytest.mark.parametrize(
+        "owner",
+        [
+            lambda: f"{os.getppid()} {socket.gethostname()}",  # alive
+            lambda: f"{os.getpid()} {socket.gethostname()}",  # alive: this process
+            lambda: f"{exited_pid()} other-host",
+            lambda: "not-a-pid",
+            lambda: f"0 {socket.gethostname()}",
+        ],
+        ids=["parent", "self", "other-host", "garbage", "pid-0"],
+    )
+    def test_lock_of_a_live_or_unknown_owner_is_kept(self, workdir, capsys, owner):
+        argv = self._soups(workdir)
+        out = workdir / "out"
+        out.mkdir()
+        text = owner()
+        (out / ".himerge.lock").write_text(text)
+        assert main([*argv, "--out", str(out)]) == 1
+        assert "locked by another run" in capsys.readouterr().err
+        assert (out / ".himerge.lock").read_text() == text
+        assert not (out / "merged.safetensors").exists()
+
+    def test_racing_reruns_take_over_a_stale_lock_once(self, workdir):
+        out = workdir / "out"
+        out.mkdir()
+        (out / ".himerge.lock").write_text(f"{exited_pid()} {socket.gethostname()}")
+        n = 6
+        everyone_tried = threading.Barrier(n, timeout=30)
+        outcomes = []
+
+        def rerun():
+            try:
+                with output_dir(RunConfig(out=str(out))):
+                    outcomes.append("ran")
+                    everyone_tried.wait()  # hold the lock until every rerun has tried
+            except ConfigError:
+                outcomes.append("locked")
+                everyone_tried.wait()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the takeovers interleave
+        try:
+            threads = [threading.Thread(target=rerun) for _ in range(n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(outcomes) == ["locked"] * (n - 1) + ["ran"]
+        assert not (out / ".himerge.lock").exists()
 
     def test_lock_removed_after_run(self, workdir):
         rng = np.random.default_rng(6)
@@ -1077,3 +1168,42 @@ def test_memory_error_is_exit_2_without_traceback(workdir, monkeypatch, capsys, 
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == (f"error: out of memory: {message}\n" if message else "error: out of memory\n")
+
+
+def test_failed_persist_leaves_no_partial_output_or_temp_file(workdir, capsys, monkeypatch):
+    """A save that fails after the header, as on a full disk, leaves
+    ``merged.safetensors`` absent or as it was, and no temp file."""
+    paths = _one_layer_inputs(workdir)
+    out = workdir / "out"
+    argv = ["merge", "--method", "hi", "--base", paths["base"], "--model-a", paths["model_a"],
+            "--model-b", paths["model_b"], "--eval-a", '{"builtin": "constant"}',
+            "--eval-b", '{"builtin": "constant"}', "--out", str(out)]
+    real_persist = himerge.resolver._persist
+
+    def header_then_disk_full(cp, fh):
+        fh.write(himerge.checkpoint._header_bytes(cp))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def persist_on_a_full_disk(result, out_dir):
+        with monkeypatch.context() as m:
+            m.setattr(himerge.checkpoint, "write_checkpoint", header_then_disk_full)
+            real_persist(result, out_dir)
+
+    def leftovers():
+        return sorted(p.name for p in out.rglob("*") if p.name.startswith("."))
+
+    with monkeypatch.context() as m:
+        m.setattr(himerge.resolver, "_persist", persist_on_a_full_disk)
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "No space left on device" in err and "Traceback" not in err
+    assert not (out / "merged.safetensors").exists()
+    assert leftovers() == []
+
+    assert main(argv) == 0
+    merged = (out / "merged.safetensors").read_bytes()
+    with monkeypatch.context() as m:
+        m.setattr(himerge.resolver, "_persist", persist_on_a_full_disk)
+        assert main(argv) == 2
+    assert (out / "merged.safetensors").read_bytes() == merged
+    assert leftovers() == []

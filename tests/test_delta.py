@@ -169,7 +169,7 @@ SHAPES = st.sampled_from([(), (1,), (5,), (2, 3), (0, 2)])
 
 
 @st.composite
-def scoped_prunes(draw):
+def scoped_prunes(draw, global_only=False):
     """(delta, p, partition, layers) over one to four tensors in up to three
     layers and a non-layer tensor; layers=None is the global scope."""
     n_tensors = draw(st.integers(1, 4))
@@ -183,7 +183,9 @@ def scoped_prunes(draw):
         arrays[name] = np.array(values, dtype=np.float32).reshape(shape)
     delta = DeltaVector("fp", arrays)
     partition = partition_layers(checkpoint_from_arrays(arrays))
-    layers = draw(st.one_of(st.none(), st.sets(st.sampled_from(partition.all_layers()))))
+    layers = None if global_only else draw(
+        st.one_of(st.none(), st.sets(st.sampled_from(partition.all_layers())))
+    )
     in_scope = [n for n in delta.names if layers is None or partition.layer_of(n) in layers]
     n = sum(delta.deltas[name].size for name in in_scope)
     p = draw(
@@ -210,6 +212,49 @@ class TestAgainstReference:
             got, want = ours.deltas[name], expected.deltas[name]
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
+
+    @given(scoped_prunes(global_only=True), st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_fused_prune_and_scale_byte_equal_to_prune_then_scale(self, case, s):
+        delta, p, _, _ = case
+        before = {name: arr.tobytes() for name, arr in delta.deltas.items()}
+        with np.errstate(invalid="ignore"):  # inf * 0 in both
+            ours = model_wise_process(delta, PruneScaleParams(p, s))
+            expected = reference_delta.scale(reference_delta.prune_topp(delta, p), s)
+        assert ours.names == expected.names
+        for name in delta.names:
+            got, want = ours.deltas[name], expected.deltas[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert delta.deltas[name].tobytes() == before[name], name  # input untouched
+
+    def test_ties_fill_the_budget_in_flat_order_across_tensors(self):
+        delta = DeltaVector("fp", {
+            "a": np.array([1.0, 3.0], dtype=np.float32),
+            "b": np.array(-1.0, dtype=np.float32),  # 0-d
+            "c": np.array([], dtype=np.float32),
+            "d": np.array([1.0, -1.0], dtype=np.float32),
+        })
+        for p, kept in [(0.2, [[0.0, 3.0], 0.0, [], [0.0, 0.0]]),
+                        (0.4, [[1.0, 3.0], 0.0, [], [0.0, 0.0]]),
+                        (0.6, [[1.0, 3.0], -1.0, [], [0.0, 0.0]]),
+                        (0.8, [[1.0, 3.0], -1.0, [], [1.0, 0.0]])]:
+            out = prune_topp(delta, p)
+            assert [out.deltas[n].tolist() for n in "abcd"] == kept, p
+            assert out.deltas["b"].shape == () and out.deltas["c"].shape == (0,)
+
+    def test_zero_scale_gives_negative_zero_for_kept_negative_entries(self):
+        delta = delta_from_vector([-3.0, 1.0, -0.5, 2.0])
+        out = model_wise_process(delta, PruneScaleParams(0.5, 0.0)).deltas["w"]
+        assert not out.any()
+        assert np.signbit(out).tolist() == [True, False, False, False]
+
+    def test_keeping_every_entry_scales_a_copy(self):
+        delta = delta_from_vector([1.0, -2.0, 3.0, 4.0, 5.0])
+        assert prune_topp(delta, 0.9) is delta  # ceil(0.9 * 5) = 5
+        out = model_wise_process(delta, PruneScaleParams(0.9, 0.5))
+        assert out.deltas["w"].tolist() == [0.5, -1.0, 1.5, 2.0, 2.5]
+        assert delta.deltas["w"].tolist() == [1.0, -2.0, 3.0, 4.0, 5.0]
 
     def test_large_quantised_vector(self):
         rng = np.random.default_rng(11)
