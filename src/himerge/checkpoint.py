@@ -10,8 +10,12 @@ order, header JSON keys sorted, no padding.
 ``write_checkpoint`` streams the canonical form to a file: the header,
 then each tensor's data, with no joined copy.  ``save_checkpoint`` writes
 through ``atomic_open``, so a failed save leaves no partial file.
-``load_checkpoint`` reads a file into one buffer, and its records view
-slices of that buffer.
+``load_checkpoint`` reads and checks only the header and keeps the file
+open: each of its records holds a byte range of the file, and each use of
+its ``data`` reads that range again (from the page cache, not the
+process's own memory).  A file changed in place after the load is a
+FormatError at the next read; one replaced by a rename is harmless, since
+the open descriptor keeps the old contents.
 
 Two content hashes are defined on the canonical form.  ``fingerprint`` is
 the sha256 of the canonical bytes; delta files record it to name their
@@ -28,14 +32,17 @@ hashed once.
 from __future__ import annotations
 
 import contextlib
+import errno
 import hashlib
 import json
 import math
 import os
 import re
 import secrets
+import stat
 import struct
 import types
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -113,42 +120,47 @@ def encode_from_f32(dtype: str, arr: np.ndarray) -> memoryview:
     raise FormatError(f"unsupported dtype tag {dtype!r}")
 
 
-# dtype tag -> (raw element view, magnitude bits, bit pattern of +inf).  An
-# element is finite exactly when its magnitude bits are below +inf's.
-_INF_BITS = {
-    "f32": ("<u4", 0x7FFFFFFF, 0x7F800000),
-    "f16": ("<u2", 0x7FFF, 0x7C00),
-    "bf16": ("<u2", 0x7FFF, 0x7F80),
+# dtype tag -> the least float32 magnitude that encodes to inf in that
+# dtype (the midpoint above its largest finite value, which rounds up, to
+# even), from its bit pattern.
+_ENCODES_TO_INF = {
+    dtype: np.uint32(bits).view(np.float32)
+    for dtype, bits in {"f32": 0x7F800000, "f16": 0x477FF000, "bf16": 0x7F7F8000}.items()
 }
 
 
-def _all_finite(dtype: str, data) -> bool:
-    view, magnitude, inf = _INF_BITS[dtype]
-    bits = np.frombuffer(data, dtype=view)
-    return bits.size == 0 or int((bits & magnitude).max()) < inf
+def _encodes_finite(dtype: str, flat: np.ndarray) -> bool:
+    """Whether every value of a float32 array encodes to a finite value in
+    ``dtype``: a check of the input, so no NaN can slip through a wrapped
+    encoding.  A NaN fails both comparisons, and no temporary is made."""
+    limit = _ENCODES_TO_INF[dtype]
+    return flat.size == 0 or bool(-limit < flat.min() and flat.max() < limit)
 
 
 @dataclass(frozen=True)
 class TensorRecord:
     """One named tensor: dtype tag, shape, and raw little-endian data.
 
-    ``data`` is ``bytes`` or a read-only byte ``memoryview``: a loaded
-    record views its file's buffer, and an encoded one its fresh array.
+    ``data`` is ``bytes`` or a read-only byte ``memoryview`` (an encoded
+    record views its fresh array).  ``FileRecord``, a loaded record, reads
+    it from its file as ``bytes`` on each use instead.
     """
 
     name: str
     dtype: str
     shape: tuple[int, ...]
     data: bytes | memoryview
+    # The size of ``data``, from the shape and dtype: it reads nothing.
+    nbytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         if any(s < 0 for s in self.shape):
             raise FormatError(f"tensor {self.name!r}: negative shape extent {self.shape}")
-        expected = self.numel * element_size(self.dtype)
-        if expected != len(self.data):
+        object.__setattr__(self, "nbytes", self.numel * element_size(self.dtype))
+        if self.nbytes != len(self.data):
             raise FormatError(
-                f"tensor {self.name!r}: shape {self.shape} needs {expected} bytes, "
+                f"tensor {self.name!r}: shape {self.shape} needs {self.nbytes} bytes, "
                 f"got {len(self.data)}"
             )
 
@@ -175,6 +187,69 @@ class TensorRecord:
     def as_f32(self) -> np.ndarray:
         """Tensor contents widened to float32, in the declared shape."""
         return decode_f32(self.dtype, self.data).reshape(self.shape)
+
+
+class _FileSource:
+    """An input file held open for the records loaded from it.
+
+    The descriptor is closed when the last record that uses it is gone:
+    records can outlive their ``Checkpoint``.  ``read`` is ``os.pread``,
+    so pool threads may read at once.
+    """
+
+    def __init__(self, path: Path):
+        self.path = path
+        self.fd = os.open(path, os.O_RDONLY)
+        weakref.finalize(self, os.close, self.fd)
+        st = os.fstat(self.fd)
+        if stat.S_ISDIR(st.st_mode):  # os.open takes a directory; reading it would fail
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        self.size = st.st_size
+        self._stamp = (st.st_size, st.st_mtime_ns)
+
+    def read(self, offset: int, length: int) -> bytes:
+        """``length`` bytes at ``offset``, read afresh.  A file whose size or
+        mtime differs from the load's, a short read or an OSError is a
+        FormatError naming the file."""
+        chunks = []
+        done = 0
+        try:
+            st = os.fstat(self.fd)
+            if (st.st_size, st.st_mtime_ns) != self._stamp:
+                raise FormatError(f"{self.path}: the file changed after it was loaded")
+            while done < length:  # one read returns at most about 2 GiB
+                chunk = os.pread(self.fd, length - done, offset + done)
+                if not chunk:
+                    raise FormatError(
+                        f"{self.path}: short read: {done} of {length} bytes at offset {offset}"
+                    )
+                chunks.append(chunk)
+                done += len(chunk)
+        except OSError as exc:
+            raise FormatError(f"cannot read {self.path}: {exc}") from exc
+        return b"".join(chunks)  # a single chunk is returned as it is, not copied
+
+
+class FileRecord(TensorRecord):
+    """A loaded tensor: it holds its file and byte offset, not the bytes,
+    and each use of ``data`` reads them from the file again.  Its size
+    comes from the shape, which the loader checked against the header's
+    data offsets."""
+
+    def __init__(self, name: str, dtype: str, shape: tuple[int, ...], source: _FileSource,
+                 offset: int):
+        nbytes = math.prod(shape) * element_size(dtype)
+        for attr, value in (("name", name), ("dtype", dtype), ("shape", shape),
+                            ("nbytes", nbytes), ("_source", source), ("_offset", offset)):
+            object.__setattr__(self, attr, value)
+
+    @property
+    def data(self) -> bytes:
+        return self._source.read(self._offset, self.nbytes)
+
+    def __repr__(self) -> str:
+        return (f"FileRecord(name={self.name!r}, dtype={self.dtype!r}, shape={self.shape}, "
+                f"file={str(self._source.path)!r}, offset={self._offset})")
 
 
 class Checkpoint:
@@ -226,19 +301,19 @@ class Checkpoint:
 def encode_record(ref: TensorRecord, arr: np.ndarray) -> TensorRecord:
     """A record with ``ref``'s name, dtype and shape holding ``arr``.
 
-    A shape mismatch, or an encoded value that is NaN or inf (a value
-    beyond the dtype's range, say), is a CompatError naming the tensor.
+    A shape mismatch, or a value that is NaN or inf or would encode to inf
+    (one beyond the dtype's range), is a CompatError naming the tensor.
     """
     if tuple(arr.shape) != ref.shape:
         raise CompatError(
             f"tensor {ref.name!r}: array shape {tuple(arr.shape)} != {ref.shape}"
         )
-    data = encode_from_f32(ref.dtype, arr)
-    if not _all_finite(ref.dtype, data):
+    flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
+    if not _encodes_finite(ref.dtype, flat):
         raise CompatError(
             f"tensor {ref.name!r}: a value is NaN, inf or beyond the {ref.dtype} range"
         )
-    return TensorRecord(ref.name, ref.dtype, ref.shape, data)
+    return TensorRecord(ref.name, ref.dtype, ref.shape, encode_from_f32(ref.dtype, flat))
 
 
 def checkpoint_from_f32(
@@ -270,7 +345,7 @@ def _header_bytes(cp: Checkpoint) -> bytes:
         header["__metadata__"] = {str(k): str(v) for k, v in cp.metadata.items()}
     offset = 0
     for rec in cp:
-        end = offset + len(rec.data)
+        end = offset + rec.nbytes
         header[rec.name] = {
             "dtype": _DTYPES[rec.dtype][0],
             "shape": list(rec.shape),
@@ -310,19 +385,22 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
-def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
-    """Parse a container.  The records view ``blob`` without copying it, so
-    it must not change afterwards (``bytes`` cannot)."""
-    if len(blob) < 8:
-        raise FormatError(f"file too short for header length field ({len(blob)} bytes)")
-    (header_len,) = struct.unpack_from("<Q", blob)
-    if 8 + header_len > len(blob):
+def _parse_container(read, size: int):
+    """Check a container's header; ``read(offset, length)`` returns bytes of
+    the container, which is ``size`` bytes long.  Returns the metadata and,
+    per tensor, ``(name, dtype, shape, begin, end)``, its byte range in the
+    container.  Only the header is read: the data regions are checked
+    against the header's shapes and the size alone."""
+    if size < 8:
+        raise FormatError(f"file too short for header length field ({size} bytes)")
+    (header_len,) = struct.unpack("<Q", read(0, 8))
+    if 8 + header_len > size:
         raise FormatError(
-            f"malformed header length {header_len} exceeds file size {len(blob)}"
+            f"malformed header length {header_len} exceeds file size {size}"
         )
     try:
         header = json.loads(
-            bytes(blob[8 : 8 + header_len]).decode("utf-8"), object_pairs_hook=_unique_keys
+            bytes(read(8, header_len)).decode("utf-8"), object_pairs_hook=_unique_keys
         )
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"invalid header JSON: {exc}") from exc
@@ -336,8 +414,9 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         ):
             raise FormatError("__metadata__ must be a string-to-string map")
 
-    data = memoryview(blob).toreadonly()[8 + header_len :]
-    records = []
+    data_start = 8 + header_len
+    data_len = size - data_start
+    entries = []
     regions = []
     for name, entry in header.items():
         if not isinstance(entry, dict):
@@ -358,12 +437,18 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         ):
             raise FormatError(f"tensor {name!r}: invalid data_offsets {offsets!r}")
         begin, end = offsets
-        if not (0 <= begin <= end <= len(data)):
+        if not (0 <= begin <= end <= data_len):
             raise FormatError(
                 f"tensor {name!r}: out-of-bounds data region [{begin}, {end}) "
-                f"in {len(data)}-byte data block"
+                f"in {data_len}-byte data block"
             )
-        records.append(TensorRecord(name, _WIRE_TO_DTYPE[wire], tuple(shape), data[begin:end]))
+        dtype, shape = _WIRE_TO_DTYPE[wire], tuple(shape)
+        expected = math.prod(shape) * element_size(dtype)
+        if expected != end - begin:
+            raise FormatError(
+                f"tensor {name!r}: shape {shape} needs {expected} bytes, got {end - begin}"
+            )
+        entries.append((name, dtype, shape, data_start + begin, data_start + end))
         if end > begin:
             regions.append((begin, end, name))
 
@@ -379,21 +464,39 @@ def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
         if b2 > e1:
             raise FormatError(f"gap in data block: bytes [{e1}, {b2}) belong to no tensor")
         prev = (b2, e2, n2)
-    if prev[1] != len(data):
-        raise FormatError(f"{len(data) - prev[1]} trailing bytes after the last data region")
+    if prev[1] != data_len:
+        raise FormatError(f"{data_len - prev[1]} trailing bytes after the last data region")
+    return metadata, entries
+
+
+def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
+    """Parse a container held in memory.  The records view ``blob`` without
+    copying it, so it must not change afterwards (``bytes`` cannot)."""
+    view = memoryview(blob).toreadonly()
+    metadata, entries = _parse_container(lambda offset, n: view[offset : offset + n], len(view))
+    records = [
+        TensorRecord(name, dtype, shape, view[begin:end])
+        for name, dtype, shape, begin, end in entries
+    ]
     return Checkpoint(records, metadata)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Open a container file and check its header.  The file stays open, and
+    each record reads its bytes from it on each use (``FileRecord``)."""
     path = Path(path)
     try:
-        blob = path.read_bytes()
+        source = _FileSource(path)
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return checkpoint_from_bytes(blob)
+        metadata, entries = _parse_container(source.read, source.size)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+    records = [
+        FileRecord(name, dtype, shape, source, begin) for name, dtype, shape, begin, _ in entries
+    ]
+    return Checkpoint(records, metadata)
 
 
 @contextlib.contextmanager
@@ -403,7 +506,7 @@ def atomic_open(path, mode: str = "w", **kwargs):
     removed.  So ``path`` holds either its old contents or the complete new
     ones, never a partial write."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")  # _TEMP_NAME matches it
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with open(fd, mode, **kwargs) as fh:
@@ -413,6 +516,22 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+_TEMP_NAME = re.compile(r"\.(.+)\.[0-9a-f]{8}\.tmp")
+
+
+def remove_stale_temps(directory, names) -> None:
+    """Remove the temp files that an ``atomic_open`` of one of ``names`` in
+    ``directory`` left behind when its process was killed.  Only call this
+    while no other process can be writing those names."""
+    names = set(names)
+    with os.scandir(directory) as entries:
+        for entry in entries:
+            match = _TEMP_NAME.fullmatch(entry.name)
+            if match and match.group(1) in names:
+                with contextlib.suppress(OSError):  # gone already, or not ours to remove
+                    os.unlink(entry.path)
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:

@@ -24,7 +24,13 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .analysis import conflict_profile
-from .checkpoint import DEFAULT_LAYER_RULE, atomic_open, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    DEFAULT_LAYER_RULE,
+    atomic_open,
+    load_checkpoint,
+    remove_stale_temps,
+    save_checkpoint,
+)
 from .delta import (
     PruneScaleParams,
     compute_delta,
@@ -39,6 +45,22 @@ from .resolver import HiMergeConfig, IterationPolicy, hi_merge, prepare
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 LOCK_NAME = ".himerge.lock"
+# Every file a command writes into --out, each through atomic_open.
+OUTPUT_NAMES = (
+    "delta.safetensors",
+    "merged.safetensors",
+    "theta_g.safetensors",
+    "delta_a_processed.safetensors",
+    "delta_b_processed.safetensors",
+    "delta_a_final.safetensors",
+    "delta_b_final.safetensors",
+    "profile.json",
+    "profile.csv",
+    "resolution_log.jsonl",
+    "resolution_log.partial.jsonl",
+    "resolution_summary.txt",
+    "sweep.csv",
+)
 _POLICY = IterationPolicy()  # the resolution-policy defaults
 
 
@@ -284,7 +306,8 @@ def output_dir(cfg: RunConfig):
     """Create the output directory and hold an exclusive lock file in it.
 
     The lock holds ``pid host``.  A lock left by a process of this host that
-    no longer exists is taken over.
+    no longer exists is taken over.  Under the lock, the temp files of
+    outputs whose writer was killed are removed.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -301,6 +324,7 @@ def output_dir(cfg: RunConfig):
     try:
         with open(fd, "w") as fh:
             fh.write(f"{os.getpid()} {socket.gethostname()}\n")
+        remove_stale_temps(out, OUTPUT_NAMES)
         yield out
     finally:
         with contextlib.suppress(OSError):

@@ -64,8 +64,15 @@ def delta_weighted_merge(
 
 
 def assemble_final(
-    base: Checkpoint, delta_a: DeltaVector, delta_b: DeltaVector
+    base: Checkpoint,
+    delta_a: DeltaVector,
+    delta_b: DeltaVector,
+    *,
+    like: Checkpoint | None = None,
+    names=None,
 ) -> Checkpoint:
-    """theta_F + delta_A + delta_B with implicit unit weights."""
+    """theta_F + delta_A + delta_B with implicit unit weights.  As in
+    ``combine``, only ``names`` are recomputed and the other tensors are
+    taken from ``like``."""
     _check_delta_compat(base, [delta_a, delta_b])
-    return combine(base, [delta_a.deltas.get, delta_b.deltas.get])
+    return combine(base, [delta_a.deltas.get, delta_b.deltas.get], like=like, names=names)

@@ -397,7 +397,7 @@ def hi_merge(
                 partial.write_jsonl(out / "resolution_log.partial.jsonl")
             raise
     with _stage("assembly"):
-        merged = assemble_final(base, final_a, final_b)
+        merged = _assemble(ctx, final_a, final_b)
     result = HiMergeResult(
         merged=merged,
         log=log,
@@ -410,6 +410,19 @@ def hi_merge(
         with _stage("persist"):
             _persist(result, config.out_dir)
     return result
+
+
+def _assemble(ctx: AnalysisContext, final_a: DeltaVector, final_b: DeltaVector) -> Checkpoint:
+    """theta_F + delta_A + delta_B, sharing theta_G's record wherever neither
+    final delta holds a new array: theta_G is the same sum over the same
+    arrays, so those records are equal."""
+    changed = [
+        name
+        for name in ctx.base.names
+        if final_a.deltas.get(name) is not ctx.delta_a.deltas[name]
+        or final_b.deltas.get(name) is not ctx.delta_b.deltas[name]
+    ]
+    return assemble_final(ctx.base, final_a, final_b, like=ctx.theta_g, names=changed)
 
 
 def _persist(result: HiMergeResult, out_dir) -> None:

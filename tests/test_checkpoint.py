@@ -1,8 +1,12 @@
+import errno
 import hashlib
 import io
 import json
 import math
+import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,19 +28,27 @@ from himerge import (
     validate_compat,
 )
 from himerge.checkpoint import (
+    FileRecord,
     checkpoint_from_bytes,
     checkpoint_from_f32,
     checkpoint_to_bytes,
     decode_f32,
     element_size,
     encode_from_f32,
+    encode_record,
     fingerprint,
     tree_key,
     write_checkpoint,
 )
 
 import reference_checkpoint
-from conftest import checkpoint_from_arrays, random_checkpoint
+from conftest import (
+    backdate,
+    checkpoint_from_arrays,
+    random_checkpoint,
+    rewrite_in_place,
+    truncate_by_one,
+)
 
 
 def make_file_bytes(header: dict, data: bytes) -> bytes:
@@ -171,6 +183,12 @@ class TestContainerFormat:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError, match="cannot read"):
             load_checkpoint(tmp_path / "nope.safetensors")
+
+    def test_directory_is_reported_as_reading_it_would_report_it(self, tmp_path):
+        with pytest.raises(FormatError) as exc:
+            load_checkpoint(tmp_path)
+        error = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(tmp_path))
+        assert str(exc.value) == f"cannot read {tmp_path}: {error}"
 
 
 # float32 magnitudes at the edges of bf16 rounding: zero, subnormals
@@ -502,3 +520,163 @@ def test_checkpoint_from_f32_rejects_a_non_finite_encoding(dtype, value):
     top = {"f16": 65504.0, "bf16": 3.3895314e38, "f32": 3.4028235e38}[dtype]
     out = checkpoint_from_f32({"b": np.array([top, -top], dtype=np.float32)}, like)
     assert np.isfinite(out.as_f32("b")).all()
+
+
+# float32 bit patterns that are NaN: the quiet and signalling extremes, the
+# ones whose low bits carry when rounded to bf16, and both signs of each.
+NAN_PATTERNS = [
+    sign | magnitude
+    for sign in (0, 0x80000000)
+    for magnitude in (0x7F800001, 0x7F808000, 0x7FBFFFFF, 0x7FC00000, 0x7FFF8000, 0x7FFFFFFF)
+]
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16", "bf16"])
+def test_encode_record_rejects_every_nan_pattern(dtype):
+    ref = TensorRecord("w", dtype, (2,), bytes(2 * element_size(dtype)))
+    for pattern in NAN_PATTERNS:
+        values = np.array([0x3F800000, pattern], dtype=np.uint32).view(np.float32)
+        with pytest.raises(CompatError, match=f"tensor 'w'.*{dtype}"):
+            encode_record(ref, values)
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f16", "bf16"])
+def test_encode_record_accepts_exactly_the_values_that_encode_finite(dtype):
+    """The check reads the float32 input, not the encoding: it must accept a
+    non-NaN value exactly when the value's encoding is finite."""
+    edges = [0x477FF000, 0x7F7F8000, 0x7F800000]  # the dtypes' first values that encode to inf
+    magnitudes = [m + step for m in edges for step in range(-3, 4)]
+    rng = np.random.default_rng(5)
+    magnitudes += rng.integers(0, 0x7F800001, size=400).tolist()
+    ref = TensorRecord("w", dtype, (1,), bytes(element_size(dtype)))
+    for magnitude in magnitudes:
+        for sign in (0, 0x80000000):
+            value = np.array([sign | magnitude], dtype=np.uint32).view(np.float32)
+            if np.isnan(value).any():
+                continue
+            encodes_finite = np.isfinite(decode_f32(dtype, encode_from_f32(dtype, value))).all()
+            if encodes_finite:
+                assert bytes(encode_record(ref, value).data) == bytes(encode_from_f32(dtype, value))
+            else:
+                with pytest.raises(CompatError):
+                    encode_record(ref, value)
+
+
+# ---------------------------------------------------------------------------
+# Loaded records read their bytes from the open file
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def container_files(draw):
+    """Container bytes with drawn records and metadata, the data regions laid
+    out in a drawn order (so not always the canonical one)."""
+    names = draw(st.lists(st.sampled_from(NAMES), max_size=3, unique=True))
+    records = draw(st.permutations([_draw_record(draw, name) for name in names]))
+    metadata = draw(st.sampled_from(METADATA))
+    header = {"__metadata__": metadata} if metadata else {}
+    offset = 0
+    for rec in records:
+        wire = {"f32": "F32", "f16": "F16", "bf16": "BF16"}[rec.dtype]
+        header[rec.name] = {"dtype": wire, "shape": list(rec.shape),
+                            "data_offsets": [offset, offset + len(rec.data)]}
+        offset += len(rec.data)
+    return make_file_bytes(header, b"".join(rec.data for rec in records))
+
+
+@settings(max_examples=200, deadline=None)
+@given(container_files())
+def test_loaded_records_equal_the_parsed_bytes(blob):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cp.safetensors"
+        path.write_bytes(blob)
+        loaded = load_checkpoint(path)
+        parsed = checkpoint_from_bytes(path.read_bytes())
+        assert loaded.names == parsed.names
+        assert dict(loaded.metadata) == dict(parsed.metadata)
+        for ours, theirs in zip(loaded, parsed):
+            assert isinstance(ours, FileRecord)
+            assert (ours.dtype, ours.shape, ours.nbytes) == (theirs.dtype, theirs.shape, len(theirs.data))
+            assert bytes(ours.data) == bytes(theirs.data)
+            assert ours.digest == theirs.digest
+            assert ours.as_f32().tobytes() == theirs.as_f32().tobytes()
+        assert tree_key(loaded) == tree_key(parsed)
+        assert fingerprint(loaded) == fingerprint(parsed)
+        again = Path(tmp) / "again.safetensors"
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == checkpoint_to_bytes(parsed)
+
+
+MALFORMED = {
+    "too-short": b"\x01\x00",
+    "header-length": struct.pack("<Q", 99) + b"{}",
+    "json": struct.pack("<Q", 2) + b"{]",
+    "duplicate-key": struct.pack("<Q", 17) + b'{"a":"1","a":"2"}',
+    "out-of-bounds": make_file_bytes({"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}}, bytes(4)),
+    "shape-size": make_file_bytes({"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 4]}}, bytes(4)),
+    "gap": make_file_bytes({"w": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]}}, bytes(8)),
+    "trailing": make_file_bytes({"w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}}, bytes(6)),
+}
+
+
+@pytest.mark.parametrize("blob", MALFORMED.values(), ids=MALFORMED.keys())
+def test_load_checkpoint_reports_what_checkpoint_from_bytes_reports(tmp_path, blob):
+    path = tmp_path / "bad.safetensors"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError) as parsed:
+        checkpoint_from_bytes(blob)
+    with pytest.raises(FormatError) as loaded:
+        load_checkpoint(path)
+    assert str(loaded.value) == f"{path}: {parsed.value}"
+
+
+def _saved(tmp_path):
+    """A checkpoint of a few f32 tensors and its back-dated file."""
+    cp = random_checkpoint(np.random.default_rng(8), n_tensors=3, dtype="f32")
+    path = tmp_path / "cp.safetensors"
+    save_checkpoint(cp, path)
+    backdate(path)
+    return cp, path
+
+
+@pytest.mark.parametrize("disturb", [truncate_by_one, rewrite_in_place])
+def test_a_file_changed_after_loading_is_a_format_error_naming_it(tmp_path, disturb):
+    cp, path = _saved(tmp_path)
+    loaded = load_checkpoint(path)
+    disturb(path)
+    rec = loaded.record(cp.names[0])
+    assert rec.nbytes == len(cp.record(rec.name).data)  # sizes read nothing
+    with pytest.raises(FormatError, match=f"{path}: the file changed after it was loaded"):
+        rec.data
+
+
+def test_a_file_replaced_by_rename_keeps_the_loaded_contents(tmp_path):
+    cp, path = _saved(tmp_path)
+    loaded = load_checkpoint(path)
+    other = tmp_path / "other.safetensors"
+    save_checkpoint(random_checkpoint(np.random.default_rng(9), n_tensors=3), other)
+    os.replace(other, path)
+    assert checkpoint_to_bytes(loaded) == checkpoint_to_bytes(cp)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_the_file_closes_with_the_last_record_that_uses_it(tmp_path):
+    def open_descriptors():
+        return len(os.listdir("/proc/self/fd"))
+
+    cp, path = _saved(tmp_path)
+    before = open_descriptors()
+    for _ in range(200):
+        loaded = load_checkpoint(path)
+        assert fingerprint(loaded) == fingerprint(cp)
+        del loaded
+    assert open_descriptors() == before
+
+    # A record can outlive its checkpoint; the file stays open until it goes.
+    loaded = load_checkpoint(path)
+    rec = loaded.record(cp.names[0])
+    del loaded
+    assert open_descriptors() == before + 1
+    assert bytes(rec.data) == bytes(cp.record(rec.name).data)
+    del rec
+    assert open_descriptors() == before

@@ -35,7 +35,14 @@ from himerge.cli import _GROUPS, RunConfig, build_parser, load_run_config, main,
 from himerge.evaluation import SyntheticCompositeTask, SyntheticLinearTask, synthetic_linear_eval
 
 import reference_delta
-from conftest import checkpoint_from_arrays, dyadic_random, random_checkpoint
+from conftest import (
+    backdate,
+    checkpoint_from_arrays,
+    dyadic_random,
+    random_checkpoint,
+    rewrite_in_place,
+    truncate_by_one,
+)
 from instances import conflict_instance, layer_name, single_signal_instance
 
 
@@ -1207,3 +1214,106 @@ def test_failed_persist_leaves_no_partial_output_or_temp_file(workdir, capsys, m
         assert main(argv) == 2
     assert (out / "merged.safetensors").read_bytes() == merged
     assert leftovers() == []
+
+
+# ---------------------------------------------------------------------------
+# Inputs stay on disk: a run reads them again on each use
+# ---------------------------------------------------------------------------
+
+
+def _hi_run(workdir, out, parallel=1):
+    """Back-dated inputs with a real conflict profile, and the argv of a hi
+    merge on them."""
+    base_cp, ma, mb, ta, tb = single_signal_instance(n_eval=300)
+    paths = {}
+    for name, cp in (("base", base_cp), ("model_a", ma), ("model_b", mb)):
+        paths[name] = workdir / f"{name}.safetensors"
+        save_checkpoint(cp, paths[name])
+        backdate(paths[name])
+    argv = ["merge", "--method", "hi", "--base", str(paths["base"]),
+            "--model-a", str(paths["model_a"]), "--model-b", str(paths["model_b"]),
+            "--p-a", "0.5", "--s-a", "0.5", "--p-b", "0.5", "--s-b", "0.5",
+            "--eval-a", json.dumps(linear_spec(ta)), "--eval-b", json.dumps(linear_spec(tb)),
+            "--parallel", str(parallel), "--out", str(out)]
+    return paths, argv
+
+
+def _tree(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def _disturb_at_analysis(monkeypatch, path, disturb):
+    """Change ``path`` once the run has loaded it and computed the deltas,
+    just before the conflict analysis reads model A again."""
+    real = himerge.resolver.conflict_profile
+
+    def disturbed(*args, **kwargs):
+        disturb(path)
+        monkeypatch.setattr(himerge.resolver, "conflict_profile", real)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(himerge.resolver, "conflict_profile", disturbed)
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("disturb", [truncate_by_one, rewrite_in_place])
+def test_an_input_changed_during_the_run_is_exit_2_naming_it(
+    workdir, capsys, monkeypatch, disturb, parallel
+):
+    paths, argv = _hi_run(workdir, workdir / "out", parallel)
+    _disturb_at_analysis(monkeypatch, paths["model_a"], disturb)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: stage analysis: ")
+    assert f"{paths['model_a']}: the file changed after it was loaded" in err
+    assert "Traceback" not in err
+    assert not (workdir / "out" / "merged.safetensors").exists()
+
+
+def test_an_input_replaced_by_rename_during_the_run_changes_nothing(workdir, monkeypatch):
+    paths, argv = _hi_run(workdir, workdir / "calm")
+    assert main(argv) == 0
+    calm = _tree(workdir / "calm")
+
+    def replace_with_another_model(path):
+        other = workdir / "other.safetensors"
+        save_checkpoint(random_checkpoint(np.random.default_rng(3)), other)
+        os.replace(other, path)
+
+    argv[argv.index("--out") + 1] = str(workdir / "replaced")
+    _disturb_at_analysis(monkeypatch, paths["model_a"], replace_with_another_model)
+    assert main(argv) == 0
+    assert _tree(workdir / "replaced") == calm
+    assert load_checkpoint(paths["model_a"]).names != load_checkpoint(paths["base"]).names
+
+
+def test_stale_temp_files_of_outputs_are_removed(workdir):
+    paths, argv = _hi_run(workdir, workdir / "out")
+    out = workdir / "out"
+    out.mkdir()
+    stale = out / ".merged.safetensors.deadbeef.tmp"
+    unrelated = out / ".notes.tmp"
+    stale.write_bytes(b"half a file")
+    unrelated.write_text("keep me")
+    assert main(argv) == 0
+    assert not stale.exists()
+    assert unrelated.read_text() == "keep me"
+
+
+def test_every_output_a_command_writes_is_a_known_output_name(workdir):
+    """The stale temp files removed are those of OUTPUT_NAMES, so the table
+    must name every file a command writes into --out."""
+    paths, argv = _hi_run(workdir, workdir / "hi")
+    assert main(argv) == 0
+    inputs = ["--base", str(paths["base"]), "--model-a", str(paths["model_a"])]
+    evals = argv[argv.index("--eval-a") : argv.index("--eval-b") + 2]
+    assert main(["delta", *inputs, "--out", str(workdir / "delta")]) == 0
+    assert main(["analyze", *inputs, "--model-b", str(paths["model_b"]), *evals,
+                 "--out", str(workdir / "analyze")]) == 0
+    assert main(["sweep", *inputs, *evals[:2], "--p-values", "0.5", "--s-values", "1",
+                 "--out", str(workdir / "sweep")]) == 0
+    written = set()
+    for verb in ("hi", "delta", "analyze", "sweep"):
+        out = workdir / verb
+        written |= {p.name for p in out.iterdir() if p.is_file()}
+    assert written and written <= set(himerge.cli.OUTPUT_NAMES)

@@ -1,11 +1,10 @@
 """Whole-model passes hold one tensor's temporaries at a time.
 
-Each bound is the memory a pass must keep (its output, a file buffer, a
-header) plus a few tensors of temporaries, plus SLACK for the Python
-objects around them (records, views, dicts, file buffers).  The model has
-16 tensors, so a pass that materializes the whole model once more, as a
-joined copy or a dict of float32 arrays, overshoots its bound several
-times over.
+Each bound is the memory a pass must keep (its output, or a header) plus a
+few tensors of temporaries, plus SLACK for the Python objects around them
+(records, views, dicts, read buffers).  The model has 16 tensors, so a pass
+that materializes the whole model once more, as a joined copy or a dict of
+float32 arrays, overshoots its bound several times over.
 """
 
 import math
@@ -13,7 +12,17 @@ import math
 import numpy as np
 import pytest
 
-from himerge import DeltaVector, load_checkpoint, save_checkpoint, save_delta
+from himerge import (
+    ConstantTask,
+    DeltaVector,
+    EvalTask,
+    HiMergeConfig,
+    PruneScaleParams,
+    hi_merge,
+    load_checkpoint,
+    save_checkpoint,
+    save_delta,
+)
 from himerge.delta import combine
 from himerge.checkpoint import decode_f32
 
@@ -66,17 +75,40 @@ def test_save_delta_writes_views_of_the_float32_arrays(tmp_path):
 
 
 @pytest.mark.parametrize("dtype", ["bf16", "f32"])
-def test_load_checkpoint_reads_into_one_buffer(tmp_path, dtype):
+def test_load_checkpoint_reads_only_the_header(tmp_path, dtype):
     cp = checkpoint_from_arrays(float32_arrays(3), dtype=dtype)
     path = tmp_path / "model.safetensors"
     save_checkpoint(cp, path)
+    header = path.stat().st_size - sum(len(rec.data) for rec in cp)
     with traced_peak() as peak:
         loaded = load_checkpoint(path)
-    one_tensor = max(len(rec.data) for rec in cp)
-    assert peak[0] <= path.stat().st_size + one_tensor + SLACK
+    assert peak[0] <= header + SLACK
     for rec in loaded:
-        assert isinstance(rec.data, memoryview) and rec.data.readonly
-        assert rec.data == cp.record(rec.name).data
+        assert bytes(rec.data) == bytes(cp.record(rec.name).data)
+
+
+def test_hi_merge_holds_no_copy_of_its_inputs(tmp_path):
+    """Loading three f32 models and merging them peaks within four float32
+    models' worth of the run's own data (two raw deltas, Top_p's magnitude
+    buffer and its kept arrays during model-wise processing; later theta_G,
+    the merged model and the two deltas) plus a few tensors.  Holding the
+    three inputs too would add three models."""
+    model = N_TENSORS * F32_TENSOR
+    paths = []
+    for seed, scale in ((5, 1.0), (6, 0.01), (7, 0.01)):
+        arrays = float32_arrays(seed, scale)
+        if paths:
+            base = float32_arrays(5)
+            arrays = {name: base[name] + arr for name, arr in arrays.items()}
+        paths.append(tmp_path / f"{seed}.safetensors")
+        save_checkpoint(checkpoint_from_arrays(arrays), paths[-1])
+    task_a, task_b = (EvalTask(t, ConstantTask(0.5)) for t in "AB")
+    params = PruneScaleParams(0.5, 0.5)
+    config = HiMergeConfig(params, params, task_a, task_b)
+    with traced_peak() as peak:
+        result = hi_merge(*(load_checkpoint(path) for path in paths), config)
+    assert len(result.merged) == N_TENSORS
+    assert peak[0] <= 4 * model + 4 * F32_TENSOR + SLACK
 
 
 def test_bf16_decode_makes_one_array():

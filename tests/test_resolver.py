@@ -18,6 +18,7 @@ from himerge import (
     IterationPolicy,
     MergeWeights,
     PruneScaleParams,
+    assemble_final,
     classify_layer,
     compute_delta,
     delta_weighted_merge,
@@ -322,6 +323,25 @@ class TestHiMerge:
         sa_m = bridge.evaluate(result.merged, ta).value
         sb_m = bridge.evaluate(result.merged, tb).value
         assert sa_m >= sa_g and sb_m >= sb_g
+
+    def test_assembly_shares_theta_g_records_of_layers_left_alone(self):
+        base, ma, mb, ta, tb, k = conflict_instance(seed=4)
+        config = HiMergeConfig(
+            params_a=PruneScaleParams(0.5, 0.5),
+            params_b=PruneScaleParams(0.5, 0.5),
+            task_a=ta,
+            task_b=tb,
+            policy=IterationPolicy(gamma_threshold=-1.0),
+        )
+        result = hi_merge(base, ma, mb, config)
+        acted = {a.layer for a in result.log.actions if a.kind != "KEEP"}
+        partition = partition_layers(base)
+        assert acted and set(partition.all_layers()) - acted
+        for rec in result.merged:
+            shared = rec is result.theta_g.record(rec.name)
+            assert shared == (partition.layer_of(rec.name) not in acted)
+        full = assemble_final(base, result.delta_a, result.delta_b)
+        assert checkpoint_to_bytes(result.merged) == checkpoint_to_bytes(full)
 
     def test_half_precision_checkpoints_keep_their_dtype(self):
         rng = np.random.default_rng(11)
