@@ -9,10 +9,12 @@ the merged model loses at that layer, and Gamma = gamma_A + gamma_B ranks
 layers for the resolver.
 
 Each reference (model A, model B, the pre-merge G, the base F) is scored
-once per capability per context; those scores are the profile's baselines.
+once per capability per profile; those scores are the profile's baselines.
+Scores are remembered only by the evaluation cache, so scoring a reference
+again is a cache hit.
 
 Every evaluation of a profile is known before the first one runs, so
-``conflict_profile`` lists them as one job table in serial order (missing
+``conflict_profile`` lists them as one job table in serial order (the
 baselines, then per layer and pair the deletion and addition candidates)
 and runs it through ``EvaluationBridge.map``: up to ``parallel``
 evaluations at once, each candidate built on the calling thread just
@@ -60,8 +62,6 @@ class AnalysisContext:
     task_a: EvalTask
     task_b: EvalTask
     bridge: EvaluationBridge
-    # (capability, source) -> baseline score; a replaced context starts empty.
-    _scores: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def task(self, capability: str) -> EvalTask:
         if capability == "A":
@@ -73,22 +73,6 @@ class AnalysisContext:
     def reference(self, source: str) -> Checkpoint:
         """The checkpoint of model A, model B, the pre-merge G or the base F."""
         return {"A": self.model_a, "B": self.model_b, "G": self.theta_g, "F": self.base}[source]
-
-    def baseline(self, capability: str, source: str) -> float:
-        """P_capability(reference(source)), scored at most once per context."""
-        key = (capability, source)
-        if key not in self._scores:
-            ref = self.reference(source)
-            self.record_baselines([key], [self.bridge.evaluate(ref, self.task(capability)).value])
-        return self._scores[key]
-
-    def unscored(self, keys) -> list[tuple[str, str]]:
-        """The (capability, source) baselines this context has not scored yet."""
-        return [key for key in keys if key not in self._scores]
-
-    def record_baselines(self, keys, scores) -> None:
-        """Memoize scores of the (capability, source) baselines ``keys``."""
-        self._scores.update(zip(keys, scores))
 
     def source_layer_arrays(self, source: str, layer) -> list[dict[str, np.ndarray]]:
         deltas = {"A": [self.delta_a], "B": [self.delta_b], "G": [self.delta_a, self.delta_b]}
@@ -133,10 +117,12 @@ def _score(ctx: AnalysisContext, job) -> float:
 
 
 def _impact(kind: str, capability: str, source: str, layer, ctx: AnalysisContext) -> float:
-    """P(candidate) - P(its reference), scored as a ``conflict_profile`` job."""
+    """P(candidate) - P(its reference), each scored as a ``conflict_profile``
+    job; the reference is a cache hit after its first score."""
     ref_source = source if kind == "deletion" else "F"
     job = (kind, capability, source, layer, _candidate(kind, source, layer, ctx))
-    return _score(ctx, job) - ctx.baseline(capability, ref_source)
+    reference = (None, capability, ref_source, None, ctx.reference(ref_source))
+    return _score(ctx, job) - _score(ctx, reference)
 
 
 def deletion_impact(capability: str, source: str, layer, ctx: AnalysisContext) -> float:
@@ -225,14 +211,14 @@ def _baseline_keys(pairs) -> list[tuple[str, str]]:
     return keys + [pair for pair in pairs if pair not in CORE_PAIRS]
 
 
-def _jobs(ctx: AnalysisContext, layers, pairs, missing):
+def _jobs(ctx: AnalysisContext, layers, pairs, keys):
     """(kind, capability, source, layer, checkpoint) per evaluation, in
-    serial order: the missing baselines (kind None), then per layer and
+    serial order: the baselines ``keys`` (kind None), then per layer and
     pair the deletion and the addition candidate.  A generator, so each
     candidate is built on the consuming thread when its first turn comes.
     Pairs of one source share its layer candidates: the (A, G) and (B, G)
     jobs score the same two G candidate objects."""
-    for capability, source in missing:
+    for capability, source in keys:
         yield None, capability, source, None, ctx.reference(source)
     for layer in layers:
         built: dict[tuple[str, str], Checkpoint] = {}
@@ -295,11 +281,7 @@ def conflict_profile(
         [(m1, m2) for m1 in CAPABILITIES for m2 in SOURCES] if full_matrix else list(CORE_PAIRS)
     )
     keys = _baseline_keys(pairs)
-    missing = ctx.unscored(keys)
-    scores = ctx.bridge.map(
-        lambda job: _score(ctx, job), _jobs(ctx, layers, pairs, missing)
-    )
-    ctx.record_baselines(missing, scores)
-    baselines = {f"{m}:{source}": ctx.baseline(m, source) for m, source in keys}
-    rows = _rows(baselines, layers, pairs, scores[len(missing):])
+    scores = ctx.bridge.map(lambda job: _score(ctx, job), _jobs(ctx, layers, pairs, keys))
+    baselines = {f"{m}:{source}": score for (m, source), score in zip(keys, scores)}
+    rows = _rows(baselines, layers, pairs, scores[len(keys):])
     return ConflictProfile(baselines=baselines, rows=rows)

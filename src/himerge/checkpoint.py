@@ -316,23 +316,6 @@ def encode_record(ref: TensorRecord, arr: np.ndarray) -> TensorRecord:
     return TensorRecord(ref.name, ref.dtype, ref.shape, encode_from_f32(ref.dtype, flat))
 
 
-def checkpoint_from_f32(
-    arrays: dict[str, np.ndarray],
-    like: Checkpoint,
-    metadata: dict[str, str] | None = None,
-) -> Checkpoint:
-    """Build a checkpoint from float32 arrays, casting to ``like``'s dtypes
-    with ``encode_record``.  Any name absent from ``arrays`` is copied from
-    ``like`` unchanged."""
-    extra = sorted(set(arrays) - set(like.names))
-    if extra:
-        raise CompatError(f"arrays for unknown tensors: {extra[:5]}")
-    records = [
-        encode_record(rec, arrays[rec.name]) if rec.name in arrays else rec for rec in like
-    ]
-    return Checkpoint(records, metadata if metadata is not None else like.metadata)
-
-
 # ---------------------------------------------------------------------------
 # Container serialization
 # ---------------------------------------------------------------------------

@@ -39,9 +39,16 @@ from .delta import (
     save_delta,
 )
 from .errors import CompatError, ConfigError, EvaluatorError, FormatError, HiMergeError
-from .evaluation import BUILTIN_TASKS, DEFAULT_TIMEOUT, EvalCache, EvalTask, EvaluationBridge
+from .evaluation import (
+    BUILTIN_TASKS,
+    DEFAULT_TIMEOUT,
+    MAX_TIMEOUT,
+    EvalCache,
+    EvalTask,
+    EvaluationBridge,
+)
 from .merge import MergeWeights, delta_weighted_merge, weighted_average_merge
-from .resolver import HiMergeConfig, IterationPolicy, hi_merge, prepare
+from .resolver import HiMergeConfig, IterationPolicy, _stage, hi_merge, prepare
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 LOCK_NAME = ".himerge.lock"
@@ -97,7 +104,7 @@ class RunConfig:
     full_matrix: bool = _opt(False, "also score the cross (capability, source) pairs")
     keep_candidates: bool = _opt(False, "keep serialized candidates under <out>/candidates")
     parallel: int = _opt(1, "max concurrent evaluations, >= 1")
-    timeout: float = _opt(DEFAULT_TIMEOUT, "evaluator timeout in seconds, finite and > 0")
+    timeout: float = _opt(DEFAULT_TIMEOUT, f"evaluator timeout in seconds, in (0, {MAX_TIMEOUT:.0f}]")
     p_values: list[float] = _opt(DEFAULT_GRID, "sweep grid for p: distinct values in [0, 1]")
     s_values: list[float] = _opt(DEFAULT_GRID, "sweep grid for s: distinct values in [0, 1]")
 
@@ -149,10 +156,7 @@ def parse_eval_spec(spec, task_id: str, timeout: float) -> EvalTask:
         text = spec.strip()
         if not text.startswith("{"):
             return EvalTask(task_id, text, timeout=timeout)
-        try:
-            spec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"evaluator spec for {task_id} is not valid JSON: {exc}")
+        spec = _load_json(text, f"evaluator spec for {task_id}")
     if not isinstance(spec, dict):
         raise ConfigError(f"evaluator spec for {task_id} must be a command or object")
     if "command" in spec:
@@ -173,17 +177,24 @@ def parse_eval_spec(spec, task_id: str, timeout: float) -> EvalTask:
     return EvalTask(task_id, builtin, timeout=timeout)
 
 
+def _load_json(text: str | bytes, what: str):
+    """A JSON document the CLI reads, from text or UTF-8 bytes; one that is
+    not UTF-8, not JSON or nested too deeply to parse is a ConfigError."""
+    try:
+        return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ConfigError(f"{what} is nested too deeply to parse") from None
+
+
 def load_run_config(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig()
     if getattr(args, "config", None):
         path = Path(args.config)
         if not path.exists():
             raise ConfigError(f"config file does not exist: {path}")
-        try:
-            doc = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}")
-        _apply_config_doc(cfg, doc)
+        _apply_config_doc(cfg, _load_json(path.read_bytes(), "config file"))
     for f in fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
@@ -407,7 +418,8 @@ def cmd_analyze(cfg: RunConfig) -> int:
     with output_dir(cfg) as out:
         bridge = make_bridge(cfg, out)
         ctx, layers = prepare(base, a, b, config, bridge)
-        profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
+        with _stage("analysis"):  # the stage hi_merge runs it in, so errors read the same
+            profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
         profile.write_json(out / "profile.json")
         profile.write_csv(out / "profile.csv")
         _report_stats(bridge)

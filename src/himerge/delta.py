@@ -104,17 +104,20 @@ def compute_delta(model: Checkpoint, base: Checkpoint, provenance: str = "") -> 
 def prune_topp(
     delta: DeltaVector,
     p: float,
+    s: float = 1.0,
     *,
     partition: LayerPartition | None = None,
     layers=None,
 ) -> DeltaVector:
-    """Keep the ceil(p * N_scope) largest-|value| entries in scope, zero the rest.
+    """s * Top_p: keep the ceil(p * N_scope) largest-|value| entries in
+    scope, zero the rest, and multiply the scope by s in float32.
 
     ``layers=None`` means the global scope (all tensors).  Otherwise
     ``layers`` is a collection of layer ids and ``partition`` maps tensor
-    names onto them; tensors outside the scope are untouched.  When every
-    entry in scope is kept (or the scope is empty), ``delta`` itself is
-    returned; otherwise every array in scope is a fresh one.
+    names onto them; tensors outside the scope are untouched (shared).
+    When every entry in scope is kept (or the scope is empty) and s = 1,
+    ``delta`` itself is returned; otherwise every array in scope is a fresh
+    one, and the kept arrays, fresh already, are scaled in place.
 
     The threshold comes from one float32 magnitude buffer over the scope,
     partitioned in place and freed before the kept tensors are built one at
@@ -122,6 +125,8 @@ def prune_topp(
     """
     if not (0.0 <= p <= 1.0):
         raise ConfigError(f"pruning threshold p={p} outside [0, 1]")
+    if not (0.0 <= s <= 1.0):
+        raise ConfigError(f"scaling factor s={s} outside [0, 1]")
     if layers is not None and partition is None:
         raise ConfigError("layer-scoped pruning requires a partition")
 
@@ -133,8 +138,11 @@ def prune_topp(
     flats = [delta.deltas[name].reshape(-1) for name in scope]
     n = sum(flat.size for flat in flats)
     k = _retain_count(p, n)
+    factor = np.float32(s)
     if k >= n:
-        return delta
+        if s == 1.0:
+            return delta
+        return delta.replace({name: delta.deltas[name] * factor for name in scope})
 
     if k == 0:
         return delta.replace({name: np.zeros(delta.deltas[name].shape, np.float32) for name in scope})
@@ -160,6 +168,8 @@ def prune_topp(
             keep[ties] = True
             need -= ties.size
         kept[name] = np.where(keep, flat, np.float32(0.0)).reshape(delta.deltas[name].shape)
+        if s != 1.0:
+            kept[name] *= factor
     return delta.replace(kept)
 
 
@@ -174,17 +184,11 @@ def scale(delta: DeltaVector, s: float) -> DeltaVector:
 
 
 def model_wise_process(delta: DeltaVector, params: PruneScaleParams) -> DeltaVector:
-    """Global prune-then-scale: s * Top_p(delta).  Top_p's arrays are fresh,
-    so they are scaled in place; where Top_p keeps every entry (always at
-    p = 1), only the scale runs."""
-    pruned = delta if params.p == 1.0 else prune_topp(delta, params.p)
-    if pruned is delta:
+    """Global prune-then-scale: s * Top_p(delta).  At p = 1 Top_p keeps
+    every entry, so only the scale runs."""
+    if params.p == 1.0:
         return scale(delta, params.s)
-    if params.s != 1.0:
-        factor = np.float32(params.s)
-        for arr in pruned.deltas.values():
-            arr *= factor
-    return pruned
+    return prune_topp(delta, params.p, params.s)
 
 
 def _check_delta_compat(base: Checkpoint, deltas: list[DeltaVector]) -> None:

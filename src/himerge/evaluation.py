@@ -4,7 +4,8 @@ synthetic evaluators, with content-addressed caching.
 External protocol: the evaluator is a command template containing a
 ``{checkpoint}`` placeholder.  The candidate is serialized to a scratch
 path, the command is invoked once, and it must print exactly one JSON
-object ``{"score": <number>}`` to stdout and exit 0.
+object ``{"score": <number>}`` to stdout, in UTF-8, and exit 0.  Bytes
+of its stdout or stderr that are not UTF-8 are read as U+FFFD.
 
 Scores are cached in a JSON-lines file so reruns and restarts skip
 completed evaluations.  A cache entry is keyed by the candidate's
@@ -39,6 +40,8 @@ from .checkpoint import Checkpoint, tree_key, write_checkpoint
 from .errors import ConfigError, EvaluatorError, FormatError
 
 DEFAULT_TIMEOUT = 600.0
+# The longest wait a poll takes: 2**31 - 1 milliseconds, in whole seconds.
+MAX_TIMEOUT = 2147483.0
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +211,10 @@ class EvalTask:
             text = json.dumps(
                 {"builtin": kind, **asdict(self.evaluator)}, sort_keys=True, separators=(",", ":")
             )
-        if not 0 < self.timeout < math.inf:
+        if not 0 < self.timeout <= MAX_TIMEOUT:
             raise ConfigError(
-                f"timeout for task {self.task_id!r} must be finite and > 0, got {self.timeout}"
+                f"timeout for task {self.task_id!r} must be > 0 and <= {MAX_TIMEOUT:.0f}, "
+                f"got {self.timeout}"
             )
         object.__setattr__(self, "identity", hashlib.sha256(text.encode("utf-8")).hexdigest())
 
@@ -218,9 +222,7 @@ class EvalTask:
 @dataclass(frozen=True)
 class EvalResult:
     value: float
-    checkpoint_key: str
-    task_id: str
-    wall_time: float
+    wall_time: float  # seconds the evaluator ran; 0 for a cache hit
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +359,7 @@ class EvaluationBridge:
         if not owner:
             if score is None:
                 score = pending.result()  # raises the owner's error if it failed
-            return EvalResult(score, key, task.task_id, 0.0)
+            return EvalResult(score, 0.0)
 
         try:
             start = time.monotonic()
@@ -383,7 +385,7 @@ class EvaluationBridge:
             with self._lock:
                 del self._in_flight[slot]
             pending.done.set()
-        return EvalResult(score, key, task.task_id, elapsed)
+        return EvalResult(score, elapsed)
 
     def map(self, fn, items) -> list:
         """[fn(item) for item in items] on up to ``parallel`` threads, in order.
@@ -445,8 +447,8 @@ class EvaluationBridge:
             # kills any processes it started.
             try:
                 with subprocess.Popen(
-                    argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-                    start_new_session=True,
+                    argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                    encoding="utf-8", errors="replace", start_new_session=True,
                 ) as proc:
                     try:
                         stdout, stderr = proc.communicate(timeout=task.timeout)

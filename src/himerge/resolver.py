@@ -135,12 +135,7 @@ def reprune_layer(
     delta: DeltaVector, partition: LayerPartition, layer, p: float, s: float
 ) -> DeltaVector:
     """Layer-scoped prune-then-scale, leaving every other layer untouched."""
-    pruned = prune_topp(delta, p, partition=partition, layers={layer})
-    factor = np.float32(s)
-    replaced = {
-        name: pruned.deltas[name] * factor for name in partition.names_in(layer)
-    }
-    return delta.replace(replaced)
+    return prune_topp(delta, p, s, partition=partition, layers={layer})
 
 
 def resolve_layer(
@@ -216,7 +211,7 @@ def iterate(
     analyzed_layers = [row.layer for row in profile.rows]
 
     def current_ctx() -> AnalysisContext:
-        theta_g = assemble_final(ctx.base, state["A"], state["B"])
+        theta_g = _assemble(ctx, state["A"], state["B"])
         return dataclasses.replace(
             ctx, delta_a=state["A"], delta_b=state["B"], theta_g=theta_g
         )

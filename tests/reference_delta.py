@@ -40,7 +40,8 @@ def prune_topp(delta, p, *, partition=None, layers=None):
     return delta.replace(out)
 
 
-def scale(delta, s):
-    """Every entry times float32(s), as new arrays."""
+def scale(delta, s, names=None):
+    """Every entry of ``names`` (default: all) times float32(s), as new arrays."""
     factor = np.float32(s)
-    return delta.replace({name: arr * factor for name, arr in delta.deltas.items()})
+    names = delta.names if names is None else names
+    return delta.replace({name: delta.deltas[name] * factor for name in names})

@@ -7,7 +7,16 @@ only the arithmetic is compared.
 
 import numpy as np
 
-from himerge.checkpoint import checkpoint_from_f32
+from himerge.checkpoint import Checkpoint, encode_record
+
+
+def _encode(arrays, like):
+    """``like`` with the tensors named in ``arrays`` replaced by them,
+    cast to ``like``'s dtypes; the metadata is dropped, as the library's
+    results drop it."""
+    return Checkpoint(
+        [encode_record(rec, arrays[rec.name]) if rec.name in arrays else rec for rec in like]
+    )
 
 
 def apply_delta(base, deltas):
@@ -17,7 +26,7 @@ def apply_delta(base, deltas):
         for dv in deltas:
             acc += dv.deltas[name].astype(np.float64)
         arrays[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(arrays, like=base, metadata={})
+    return _encode(arrays, base)
 
 
 def delta_weighted_merge(base, deltas, weights):
@@ -27,7 +36,7 @@ def delta_weighted_merge(base, deltas, weights):
         for dv, weight in zip(deltas, weights):
             acc += float(weight) * dv.deltas[name].astype(np.float64)
         arrays[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(arrays, like=base, metadata={})
+    return _encode(arrays, base)
 
 
 def assemble_final(base, delta_a, delta_b):
@@ -49,7 +58,7 @@ def shifted_checkpoint(ref, arrays_list, sign):
             if name in arrays:
                 acc += sign * arrays[name].astype(np.float64)
         out[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(out, like=ref, metadata={})
+    return _encode(out, ref)
 
 
 def weighted_average_merge(models, weights):
@@ -61,4 +70,4 @@ def weighted_average_merge(models, weights):
         for model_id, weight in zip(ids, weights):
             acc += float(weight) * models[model_id].as_f32(name).astype(np.float64)
         arrays[name] = acc.astype(np.float32)
-    return checkpoint_from_f32(arrays, like=first, metadata={})
+    return _encode(arrays, first)

@@ -30,7 +30,6 @@ from himerge import (
 from himerge.checkpoint import (
     FileRecord,
     checkpoint_from_bytes,
-    checkpoint_from_f32,
     checkpoint_to_bytes,
     decode_f32,
     element_size,
@@ -266,12 +265,12 @@ class TestDtypes:
             assert data.readonly and len(data) == values.size * element_size(dtype)
             assert bytes(data) == snapshot[dtype]
 
-    def test_checkpoint_from_f32_casts_to_reference_dtype(self):
-        ref = checkpoint_from_arrays({"w": [1.0, 2.0]}, dtype="f16")
-        out = checkpoint_from_f32({"w": np.array([0.1, 0.2], dtype=np.float32)}, like=ref)
-        assert out.record("w").dtype == "f16"
+    def test_encode_record_casts_to_reference_dtype(self):
+        ref = checkpoint_from_arrays({"w": [1.0, 2.0]}, dtype="f16").record("w")
+        out = encode_record(ref, np.array([0.1, 0.2], dtype=np.float32))
+        assert (out.name, out.dtype, out.shape) == ("w", "f16", (2,))
         expected = np.array([0.1, 0.2], dtype=np.float32).astype(np.float16).astype(np.float32)
-        assert np.array_equal(out.as_f32("w"), expected)
+        assert np.array_equal(out.as_f32(), expected)
 
 
 class TestValidateCompat:
@@ -511,15 +510,14 @@ def test_write_checkpoint_streams_the_canonical_bytes(pair):
     "dtype, value",
     [("f16", 65520.0), ("f16", -70000.0), ("bf16", 3.4e38), ("f32", np.inf), ("bf16", np.nan)],
 )
-def test_checkpoint_from_f32_rejects_a_non_finite_encoding(dtype, value):
-    like = checkpoint_from_arrays({"a": [0.0], "b": [0.0, 0.0]}, dtype=dtype)
-    arrays = {"b": np.array([1.0, value], dtype=np.float32)}
+def test_encode_record_rejects_a_non_finite_encoding(dtype, value):
+    ref = checkpoint_from_arrays({"a": [0.0], "b": [0.0, 0.0]}, dtype=dtype).record("b")
     with pytest.raises(CompatError, match=f"tensor 'b'.*{dtype}"):
-        checkpoint_from_f32(arrays, like)
+        encode_record(ref, np.array([1.0, value], dtype=np.float32))
     # The largest finite values still encode.
     top = {"f16": 65504.0, "bf16": 3.3895314e38, "f32": 3.4028235e38}[dtype]
-    out = checkpoint_from_f32({"b": np.array([top, -top], dtype=np.float32)}, like)
-    assert np.isfinite(out.as_f32("b")).all()
+    out = encode_record(ref, np.array([top, -top], dtype=np.float32))
+    assert np.isfinite(out.as_f32()).all()
 
 
 # float32 bit patterns that are NaN: the quiet and signalling extremes, the

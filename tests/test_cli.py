@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import socket
 import subprocess
@@ -864,6 +865,8 @@ OUT_OF_DOMAIN = [
     (["merge"], "gamma_threshold", float("nan")),
     (["merge"], "timeout", -5.0),
     (["merge"], "timeout", float("inf")),
+    (["merge"], "timeout", math.nextafter(2147483.0, math.inf)),  # above the longest poll
+    (["sweep"], "timeout", 1e7),
     (["merge", "--method", "arithmetic"], "omega_a", float("inf")),
     (["sweep"], "p_values", []),
 ]
@@ -1317,3 +1320,91 @@ def test_every_output_a_command_writes_is_a_known_output_name(workdir):
         out = workdir / verb
         written |= {p.name for p in out.iterdir() if p.is_file()}
     assert written and written <= set(himerge.cli.OUTPUT_NAMES)
+
+
+def _hi_args(paths, eval_a, eval_b=None):
+    return [
+        "--base", paths["base"], "--model-a", paths["model_a"], "--model-b", paths["model_b"],
+        "--eval-a", eval_a, "--eval-b", eval_b or eval_a,
+    ]
+
+
+DEEP = "[" * 50_000 + "]" * 50_000
+
+
+@pytest.mark.parametrize("case", ["config not UTF-8", "config nested deep", "eval spec nested deep"])
+def test_json_the_cli_cannot_parse_is_a_usage_error_before_out_exists(workdir, capsys, case):
+    paths = _one_layer_inputs(workdir)
+    out, cfg = workdir / "out", workdir / "cfg.json"
+    spec = '{"command": ' + DEEP + "}" if case == "eval spec nested deep" else json.dumps(LINEAR)
+    argv = ["merge", "--method", "hi", *_hi_args(paths, spec), "--out", str(out)]
+    if case != "eval spec nested deep":
+        cfg.write_bytes(b'{"layer_rule": "\xff"}' if case == "config not UTF-8" else DEEP.encode())
+        argv += ["--config", str(cfg)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    what = "evaluator spec for A" if case == "eval spec nested deep" else "config file"
+    assert err.startswith(f"usage error: {what} is ")
+    assert not out.exists()
+
+
+NOISY_STDERR = """
+    import sys
+    sys.stderr.buffer.write(b"\\xff not UTF-8\\n")
+    print('{"score": 0.5}')
+    """
+BAD_STDOUT = """
+    import sys
+    sys.stdout.buffer.write(b'{"score": 0.\\xff5}\\n')
+    """
+
+
+def test_sweep_reads_evaluator_output_that_is_not_utf8(workdir, capsys, script_evaluator):
+    paths = _one_layer_inputs(workdir)
+    grid = ["--p-values", "0.5,1", "--s-values", "1"]
+    for name, body in (("noisy", NOISY_STDERR), ("bad", BAD_STDOUT)):
+        cmd = script_evaluator(body, name=f"{name}.py")
+        out = workdir / name
+        argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"], "--eval-a", cmd]
+        assert main(argv + grid + ["--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        with open(out / "sweep.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        if name == "noisy":
+            assert [(r["score"], r["error"]) for r in rows] == [("0.5", "")] * 2
+        else:
+            assert all(r["score"] == "" and "not a single JSON object" in r["error"] for r in rows)
+
+
+def test_hi_reads_evaluator_output_that_is_not_utf8(workdir, capsys, script_evaluator):
+    paths = _one_layer_inputs(workdir)
+    noisy = script_evaluator(NOISY_STDERR, name="noisy.py")
+    assert main(["merge", "--method", "hi", *_hi_args(paths, noisy), "--out", str(workdir / "a")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    bad = script_evaluator(BAD_STDOUT, name="bad.py")
+    assert main(["merge", "--method", "hi", *_hi_args(paths, bad), "--out", str(workdir / "b")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("evaluator error: stage analysis: task 'A': stdout is not a single JSON")
+    assert "\ufffd" in err
+
+
+def test_timeout_at_the_cap_runs_an_external_evaluator(workdir, capsys, script_evaluator):
+    paths = _one_layer_inputs(workdir)
+    cmd = script_evaluator("""print('{"score": 0.5}')""")
+    argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"], "--eval-a", cmd,
+            "--p-values", "1", "--s-values", "1", "--timeout", "2147483", "--out", str(workdir / "out")]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert "0.5" in (workdir / "out" / "sweep.csv").read_text()
+
+
+def test_analyze_reports_an_evaluator_failure_as_hi_does(workdir, capsys, script_evaluator):
+    paths = _one_layer_inputs(workdir)
+    cmd = script_evaluator("import sys; print('no score', file=sys.stderr); sys.exit(1)")
+    errors = {}
+    for verb in (["analyze"], ["merge", "--method", "hi"]):
+        assert main([*verb, *_hi_args(paths, cmd), "--out", str(workdir / verb[0])]) == 3
+        errors[verb[0]] = capsys.readouterr().err
+    assert errors["analyze"] == errors["merge"]
+    assert errors["analyze"].startswith("evaluator error: stage analysis: task 'A': evaluator exited 1")

@@ -228,6 +228,43 @@ class TestAgainstReference:
             assert got.tobytes() == want.tobytes(), name
             assert delta.deltas[name].tobytes() == before[name], name  # input untouched
 
+    @given(scoped_prunes(), st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_prune_and_scale_byte_equal_to_prune_then_scale_of_the_scope(self, case, s):
+        delta, p, partition, layers = case
+        before = {name: arr.tobytes() for name, arr in delta.deltas.items()}
+        scope = [n for n in delta.names if layers is None or partition.layer_of(n) in layers]
+        with np.errstate(invalid="ignore"):  # inf * 0 in both
+            ours = prune_topp(delta, p, s, partition=partition, layers=layers)
+            pruned = reference_delta.prune_topp(delta, p, partition=partition, layers=layers)
+            expected = reference_delta.scale(pruned, s, names=scope)
+        assert ours.names == expected.names
+        for name in delta.names:
+            got, want = ours.deltas[name], expected.deltas[name]
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert delta.deltas[name].tobytes() == before[name], name  # input untouched
+            if name not in scope:
+                assert got is delta.deltas[name], name
+        n = sum(delta.deltas[name].size for name in scope)
+        if s == 1.0 and _retain_count(p, n) >= n:
+            assert ours is delta
+        else:
+            assert all(ours.deltas[name] is not delta.deltas[name] for name in scope)
+
+    @pytest.mark.parametrize("p, signs", [(0.5, [True, False, False, False]),
+                                          (1.0, [True, False, True, False])])
+    def test_zero_scale_in_a_layer_scope_gives_negative_zero_for_kept_negatives(self, p, signs):
+        delta = DeltaVector("fp", {
+            "m.layers.0.w": np.array([-3.0, 1.0, -0.5, 2.0], dtype=np.float32),
+            "m.layers.1.w": np.array([-1.0], dtype=np.float32),
+        })
+        partition = partition_layers(checkpoint_from_arrays(delta.deltas))
+        out = prune_topp(delta, p, 0.0, partition=partition, layers={0})
+        assert not out.deltas["m.layers.0.w"].any()
+        assert np.signbit(out.deltas["m.layers.0.w"]).tolist() == signs
+        assert out.deltas["m.layers.1.w"] is delta.deltas["m.layers.1.w"]
+
     def test_ties_fill_the_budget_in_flat_order_across_tensors(self):
         delta = DeltaVector("fp", {
             "a": np.array([1.0, 3.0], dtype=np.float32),

@@ -1,4 +1,5 @@
 import json
+import math
 import threading
 import time
 import weakref
@@ -331,6 +332,50 @@ class TestExternalProtocol:
                 return
             time.sleep(0.05)
         pytest.fail(f"grandchild sleep still running (state {state})")
+
+    def test_stdout_that_is_not_utf8_is_an_evaluator_error(self, script_evaluator):
+        cmd = script_evaluator(
+            """
+            import sys
+            sys.stdout.buffer.write(b'\\xff{"score": 0.5}\\n')
+            """
+        )
+        with pytest.raises(EvaluatorError, match="single JSON object.*\\ufffd"):
+            EvaluationBridge().evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
+
+    def test_stderr_that_is_not_utf8_is_shown_with_replacement_characters(self, script_evaluator):
+        cmd = script_evaluator(
+            """
+            import sys
+            sys.stderr.buffer.write(b'bad \\xff byte\\n')
+            sys.stderr.flush()
+            print('{"score": 0.5}')
+            """
+        )
+        bridge = EvaluationBridge()
+        assert bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd)).value == 0.5
+        failing = cmd.replace("eval.py", "fail.py")
+        script_evaluator(
+            """
+            import sys
+            sys.stderr.buffer.write(b'bad \\xff byte\\n')
+            sys.exit(1)
+            """,
+            name="fail.py",
+        )
+        with pytest.raises(EvaluatorError, match="stderr: bad \ufffd byte"):
+            bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", failing))
+
+    def test_timeout_is_capped_at_the_longest_poll(self, script_evaluator):
+        # A poll waits at most 2**31 - 1 ms; above the cap subprocess raised
+        # OverflowError at the first evaluation.
+        assert evaluation.MAX_TIMEOUT == 2147483.0
+        cmd = script_evaluator("""print('{"score": 0.25}')""")
+        task = EvalTask("A", cmd, timeout=evaluation.MAX_TIMEOUT)
+        assert EvaluationBridge().evaluate(cp_with_target(np.ones(3)), task).value == 0.25
+        for above in (math.nextafter(evaluation.MAX_TIMEOUT, math.inf), 1e7, math.nan):
+            with pytest.raises(ConfigError, match="<= 2147483, got"):
+                EvalTask("A", cmd, timeout=above)
 
     def test_placeholder_required(self):
         with pytest.raises(ConfigError, match="placeholder"):

@@ -343,6 +343,39 @@ class TestHiMerge:
         full = assemble_final(base, result.delta_a, result.delta_b)
         assert checkpoint_to_bytes(result.merged) == checkpoint_to_bytes(full)
 
+    def test_reprofile_theta_g_shares_the_records_no_action_touched(self, monkeypatch):
+        base, ma, mb, ta, tb, _ = conflict_instance(seed=4)
+        contexts = []
+        original = resolver_mod.conflict_profile
+
+        def recording(ctx, *args, **kwargs):
+            contexts.append(ctx)
+            return original(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(resolver_mod, "conflict_profile", recording)
+        config = HiMergeConfig(
+            params_a=PruneScaleParams(0.5, 0.5),
+            params_b=PruneScaleParams(0.5, 0.5),
+            task_a=ta,
+            task_b=tb,
+            policy=IterationPolicy(gamma_threshold=-1.0, recompute=True, max_passes=2),
+        )
+        hi_merge(base, ma, mb, config)
+        first, reprofiles = contexts[0], contexts[1:]
+        assert reprofiles
+        shared = []
+        for ctx in reprofiles:
+            for rec in ctx.theta_g:
+                untouched = (
+                    ctx.delta_a.deltas[rec.name] is first.delta_a.deltas[rec.name]
+                    and ctx.delta_b.deltas[rec.name] is first.delta_b.deltas[rec.name]
+                )
+                assert (rec is first.theta_g.record(rec.name)) == untouched, rec.name
+                shared.append(untouched)
+            full = assemble_final(base, ctx.delta_a, ctx.delta_b)
+            assert checkpoint_to_bytes(ctx.theta_g) == checkpoint_to_bytes(full)
+        assert any(shared) and not all(shared)
+
     def test_half_precision_checkpoints_keep_their_dtype(self):
         rng = np.random.default_rng(11)
         names = [f"m.layers.{l}.w" for l in range(2)]
