@@ -153,17 +153,6 @@ class ConflictProfile:
     baselines: dict[str, float]
     rows: list[LayerConflictRow] = field(default_factory=list)
 
-    def row_for(self, layer) -> LayerConflictRow:
-        for row in self.rows:
-            if row.layer == layer:
-                return row
-        raise KeyError(f"no analyzed layer {layer!r}")
-
-    def argmax_gamma(self):
-        if not self.rows:
-            return None
-        return max(self.rows, key=lambda r: r.Gamma).layer
-
     def to_json_dict(self) -> dict:
         return {
             "baselines": dict(self.baselines),

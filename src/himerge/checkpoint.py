@@ -371,7 +371,7 @@ def _unique_keys(pairs: list) -> dict:
 def _parse_container(read, size: int):
     """Check a container's header; ``read(offset, length)`` returns bytes of
     the container, which is ``size`` bytes long.  Returns the metadata and,
-    per tensor, ``(name, dtype, shape, begin, end)``, its byte range in the
+    per tensor, ``(name, dtype, shape, begin)``, where its bytes start in the
     container.  Only the header is read: the data regions are checked
     against the header's shapes and the size alone."""
     if size < 8:
@@ -431,7 +431,7 @@ def _parse_container(read, size: int):
             raise FormatError(
                 f"tensor {name!r}: shape {shape} needs {expected} bytes, got {end - begin}"
             )
-        entries.append((name, dtype, shape, data_start + begin, data_start + end))
+        entries.append((name, dtype, shape, data_start + begin))
         if end > begin:
             regions.append((begin, end, name))
 
@@ -452,18 +452,6 @@ def _parse_container(read, size: int):
     return metadata, entries
 
 
-def checkpoint_from_bytes(blob: bytes) -> Checkpoint:
-    """Parse a container held in memory.  The records view ``blob`` without
-    copying it, so it must not change afterwards (``bytes`` cannot)."""
-    view = memoryview(blob).toreadonly()
-    metadata, entries = _parse_container(lambda offset, n: view[offset : offset + n], len(view))
-    records = [
-        TensorRecord(name, dtype, shape, view[begin:end])
-        for name, dtype, shape, begin, end in entries
-    ]
-    return Checkpoint(records, metadata)
-
-
 def load_checkpoint(path) -> Checkpoint:
     """Open a container file and check its header.  The file stays open, and
     each record reads its bytes from it on each use (``FileRecord``)."""
@@ -477,7 +465,7 @@ def load_checkpoint(path) -> Checkpoint:
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     records = [
-        FileRecord(name, dtype, shape, source, begin) for name, dtype, shape, begin, _ in entries
+        FileRecord(name, dtype, shape, source, begin) for name, dtype, shape, begin in entries
     ]
     return Checkpoint(records, metadata)
 

@@ -345,11 +345,9 @@ def output_dir(cfg: RunConfig):
 def make_bridge(cfg: RunConfig, out: Path) -> EvaluationBridge:
     cache_dir = os.environ.get("HIMERGE_CACHE_DIR")
     cache_dir = Path(cache_dir) if cache_dir else out / "cache"
-    scratch = out / "candidates" if cfg.keep_candidates else None
     return EvaluationBridge(
         EvalCache(cache_dir / "eval_cache.jsonl"),
-        scratch_dir=scratch,
-        keep_candidates=cfg.keep_candidates,
+        keep_dir=out / "candidates" if cfg.keep_candidates else None,
         parallel=cfg.parallel,
     )
 

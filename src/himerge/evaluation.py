@@ -264,7 +264,7 @@ class EvalCache:
                     if entry.get("v") == CACHE_VERSION:
                         slot = (entry["key"], entry["task_id"], entry["evaluator"])
                         self._scores[slot] = float(entry["score"])
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 if number < len(lines):
                     raise FormatError(
                         f"{self.path}: corrupt cache entry on line {number}: {exc}"
@@ -318,19 +318,21 @@ class _Flight:
 
 
 class EvaluationBridge:
-    """Evaluates checkpoints against tasks with caching and call accounting."""
+    """Evaluates checkpoints against tasks with caching and call accounting.
+
+    An external evaluator reads each candidate from a file: written to
+    ``keep_dir`` and kept there, or without one to ``tempfile``'s directory
+    and removed once scored."""
 
     def __init__(
         self,
         cache: EvalCache | None = None,
         *,
-        scratch_dir=None,
-        keep_candidates: bool = False,
+        keep_dir: Path | None = None,
         parallel: int = 1,
     ):
         self.cache = cache if cache is not None else EvalCache()
-        self.scratch_dir = Path(scratch_dir) if scratch_dir else None
-        self.keep_candidates = keep_candidates
+        self.keep_dir = Path(keep_dir) if keep_dir is not None else None
         if parallel < 1:
             raise ConfigError(f"parallel must be >= 1, got {parallel}")
         self.parallel = parallel
@@ -431,10 +433,10 @@ class EvaluationBridge:
     # -- external protocol ---------------------------------------------------
 
     def _run_external(self, cp: Checkpoint, key: str, task: EvalTask) -> float:
-        if self.scratch_dir:
-            self.scratch_dir.mkdir(parents=True, exist_ok=True)
+        if self.keep_dir is not None:
+            self.keep_dir.mkdir(parents=True, exist_ok=True)
         fd, tmp_path = tempfile.mkstemp(
-            prefix=f"cand-{key[:12]}-", suffix=".safetensors", dir=self.scratch_dir
+            prefix=f"cand-{key[:12]}-", suffix=".safetensors", dir=self.keep_dir
         )
         try:
             with os.fdopen(fd, "wb") as fh:
@@ -471,11 +473,9 @@ class EvaluationBridge:
                 )
             return _parse_score(stdout, task.task_id, stderr)
         finally:
-            if not self.keep_candidates:
-                try:
+            if self.keep_dir is None:
+                with contextlib.suppress(OSError):
                     os.unlink(tmp_path)
-                except OSError:
-                    pass
 
 
 def _parse_score(stdout: str, task_id: str, stderr: str = "") -> float:

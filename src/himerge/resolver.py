@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
@@ -144,13 +145,16 @@ def resolve_layer(
     delta_a: DeltaVector,
     delta_b: DeltaVector,
     partition: LayerPartition,
-    layer_params: dict[str, tuple[float, float]],
+    layer_params: dict[str, tuple[float, float] | str],
 ) -> tuple[DeltaVector, DeltaVector, ResolutionAction]:
     """Apply the three-case rule to one layer.
 
     ``layer_params`` maps model id to the (p, s) to use if this layer turns
-    out to be a partial conflict.
+    out to be a partial conflict with that model as the aggressor, or to the
+    reason it may not be re-pruned again (the halving cap): the layer is
+    then kept.
     """
+    deltas = {"A": delta_a, "B": delta_b}
     case = classify_layer(row.gamma_a, row.gamma_b)
     common = dict(
         layer=layer,
@@ -166,27 +170,42 @@ def resolve_layer(
         note = f"own contributions c_AA={own_a!r} c_BB={own_b!r}"
         if own_a == own_b:
             note += " (tie: kept A)"
-        if loser == "A":
-            delta_a = drop_layer(delta_a, partition, layer)
-        else:
-            delta_b = drop_layer(delta_b, partition, layer)
+        deltas[loser] = drop_layer(deltas[loser], partition, layer)
         action = ResolutionAction(kind="DROP", model=loser, note=note, **common)
     elif case is ConflictCase.PARTIAL:
         aggressor = "A" if row.gamma_a < 0 else "B"
-        p_layer, s_layer = layer_params[aggressor]
-        if aggressor == "A":
-            delta_a = reprune_layer(delta_a, partition, layer, p_layer, s_layer)
+        params = layer_params[aggressor]
+        if isinstance(params, str):
+            action = ResolutionAction(kind="KEEP", note=params, **common)
         else:
-            delta_b = reprune_layer(delta_b, partition, layer, p_layer, s_layer)
-        action = ResolutionAction(
-            kind="REPRUNE", model=aggressor, p_layer=p_layer, s_layer=s_layer, **common
-        )
+            p_layer, s_layer = params
+            deltas[aggressor] = reprune_layer(deltas[aggressor], partition, layer, p_layer, s_layer)
+            action = ResolutionAction(
+                kind="REPRUNE", model=aggressor, p_layer=p_layer, s_layer=s_layer, **common
+            )
     else:
         note = ""
         if (row.gamma_a == 0) != (row.gamma_b == 0) and max(row.gamma_a, row.gamma_b) > 0:
             note = "boundary: one conflict is exactly zero; kept without action"
         action = ResolutionAction(kind="KEEP", note=note, **common)
-    return delta_a, delta_b, action
+    return deltas["A"], deltas["B"], action
+
+
+def _above(rows, threshold: float) -> list:
+    """The rows whose Gamma exceeds ``threshold``, in descending Gamma
+    (a stable sort: equal Gammas keep their profile order)."""
+    return sorted((r for r in rows if r.Gamma > threshold), key=lambda r: -r.Gamma)
+
+
+def _reprofile(
+    ctx: AnalysisContext, delta_a: DeltaVector, delta_b: DeltaVector, layers, threshold: float
+) -> list:
+    """Profile ``layers`` against the current deltas and their theta_G; the
+    rows to resolve next, as ``_above`` orders them."""
+    current = dataclasses.replace(
+        ctx, delta_a=delta_a, delta_b=delta_b, theta_g=_assemble(ctx, delta_a, delta_b)
+    )
+    return _above(conflict_profile(current, layers=layers).rows, threshold)
 
 
 def iterate(
@@ -200,83 +219,56 @@ def iterate(
 
     Default is a single pass over the initial profile.  With
     ``policy.recompute`` the profile of the remaining layers is recomputed
-    after each action; additional passes always recompute.  Layer-wise
-    (p, s) start at half the model-wise values and halve again per partial
-    revisit of the same layer, up to ``max_halvings``.
+    after each action; additional passes always recompute, and a pass with
+    nothing above the threshold ends the run.  Layer-wise (p, s) start at
+    half the model-wise values and halve again per partial revisit of the
+    same layer, up to ``max_halvings``.
     """
-    state = {"A": ctx.delta_a, "B": ctx.delta_b}
+    delta_a, delta_b = ctx.delta_a, ctx.delta_b
     log = ResolutionLog()
-    halvings: dict[tuple[object, str], int] = {}
+    halvings: Counter[tuple[object, str]] = Counter()
     base_params = {"A": params_a, "B": params_b}
     analyzed_layers = [row.layer for row in profile.rows]
-
-    def current_ctx() -> AnalysisContext:
-        theta_g = _assemble(ctx, state["A"], state["B"])
-        return dataclasses.replace(
-            ctx, delta_a=state["A"], delta_b=state["B"], theta_g=theta_g
-        )
-
-    def keep_action(row, note):
-        return ResolutionAction(
-            layer=row.layer,
-            kind="KEEP",
-            case=ConflictCase.PARTIAL.value,
-            gamma_a=row.gamma_a,
-            gamma_b=row.gamma_b,
-            Gamma=row.Gamma,
-            note=note,
-        )
-
     try:
-        current = profile
+        pending = _above(profile.rows, policy.gamma_threshold)
         for pass_idx in range(policy.max_passes):
-            if pass_idx > 0:
-                current = conflict_profile(current_ctx(), layers=analyzed_layers)
-            pending = [r for r in current.rows if r.Gamma > policy.gamma_threshold]
-            if not pending:
-                break
-            pending.sort(key=lambda r: -r.Gamma)
-            while pending:
+            # The layers to profile again before the next decision: all of
+            # them when a later pass starts, and under --recompute the ones
+            # still pending after an action.
+            layers = analyzed_layers if pass_idx else None
+            acted = False
+            while True:
+                if layers is not None:
+                    pending = _reprofile(ctx, delta_a, delta_b, layers, policy.gamma_threshold)
+                if not pending:
+                    break
                 row = pending.pop(0)
-                layer = row.layer
                 layer_params = {}
-                for model_id in ("A", "B"):
-                    visits = halvings.get((layer, model_id), 0)
+                for model_id, params in base_params.items():
+                    visits = halvings[row.layer, model_id]
                     step = 1 if policy.single_halving else visits + 1
-                    params = base_params[model_id]
-                    layer_params[model_id] = (params.p / 2**step, params.s / 2**step)
-                case = classify_layer(row.gamma_a, row.gamma_b)
-                if case is ConflictCase.PARTIAL:
-                    aggressor = "A" if row.gamma_a < 0 else "B"
-                    if halvings.get((layer, aggressor), 0) + 1 > policy.max_halvings:
-                        log.actions.append(
-                            keep_action(
-                                row,
-                                f"halving cap ({policy.max_halvings}) reached "
-                                f"for model {aggressor}",
-                            )
-                        )
-                        continue
-                state["A"], state["B"], action = resolve_layer(
-                    layer, row, state["A"], state["B"], ctx.partition, layer_params
+                    layer_params[model_id] = (
+                        f"halving cap ({policy.max_halvings}) reached for model {model_id}"
+                        if visits >= policy.max_halvings
+                        else (params.p / 2**step, params.s / 2**step)
+                    )
+                delta_a, delta_b, action = resolve_layer(
+                    row.layer, row, delta_a, delta_b, ctx.partition, layer_params
                 )
                 if action.kind == "REPRUNE":
-                    key = (layer, action.model)
-                    halvings[key] = halvings.get(key, 0) + 1
+                    halvings[row.layer, action.model] += 1
                 log.actions.append(action)
-                if policy.recompute and pending and action.kind != "KEEP":
-                    remaining = [r.layer for r in pending]
-                    refreshed = conflict_profile(current_ctx(), layers=remaining)
-                    pending = [
-                        r for r in refreshed.rows if r.Gamma > policy.gamma_threshold
-                    ]
-                    pending.sort(key=lambda r: -r.Gamma)
+                acted = True
+                stale = policy.recompute and pending and action.kind != "KEEP"
+                layers = [r.layer for r in pending] if stale else None
+            if not acted:  # the deltas are unchanged, so the next pass would be too
+                break
     except EvaluatorError as exc:
         # Completed evaluations are already in the cache; expose the
         # decisions made so far for persistence by the caller.
         exc.partial_log = log
         raise
-    return state["A"], state["B"], log
+    return delta_a, delta_b, log
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 import contextlib
 import os
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from himerge import Checkpoint, TensorRecord
+from himerge import Checkpoint, TensorRecord, load_checkpoint
 from himerge.checkpoint import encode_from_f32
 
 
@@ -20,6 +21,15 @@ def checkpoint_from_arrays(arrays, dtype="f32", metadata=None):
     """Checkpoint from {name: arraylike}, all tensors in one dtype."""
     records = [record_from_array(name, arr, dtype) for name, arr in arrays.items()]
     return Checkpoint(records, metadata)
+
+
+def load_bytes(tmp_path, blob):
+    """``load_checkpoint`` of container bytes, written to a fresh file under
+    ``tmp_path`` (the file stays in place while the checkpoint is used)."""
+    fd, path = tempfile.mkstemp(suffix=".safetensors", dir=tmp_path)
+    with os.fdopen(fd, "wb") as fh:
+        fh.write(blob)
+    return load_checkpoint(path)
 
 
 def backdate(path):

@@ -171,7 +171,8 @@ def test_synthetic_conflict_detection():
         )
         result = hi_merge(base, ma, mb, config, bridge=bridge)
         profile = result.profile
-        detected = profile.argmax_gamma() == k and profile.row_for(k).Gamma > 0
+        top = max(profile.rows, key=lambda r: r.Gamma)
+        detected = top.layer == k and top.Gamma > 0
         if not detected:
             continue
         detections += 1

@@ -29,7 +29,6 @@ from himerge import (
 )
 from himerge.checkpoint import (
     FileRecord,
-    checkpoint_from_bytes,
     checkpoint_to_bytes,
     decode_f32,
     element_size,
@@ -44,6 +43,7 @@ import reference_checkpoint
 from conftest import (
     backdate,
     checkpoint_from_arrays,
+    load_bytes,
     random_checkpoint,
     rewrite_in_place,
     truncate_by_one,
@@ -56,31 +56,31 @@ def make_file_bytes(header: dict, data: bytes) -> bytes:
 
 
 class TestContainerFormat:
-    def test_minimal_wellformed_file(self):
+    def test_minimal_wellformed_file(self, tmp_path):
         header = {"w": {"dtype": "F32", "shape": [2, 2], "data_offsets": [0, 16]}}
-        cp = checkpoint_from_bytes(make_file_bytes(header, b"\x00" * 16))
+        cp = load_bytes(tmp_path, make_file_bytes(header, b"\x00" * 16))
         assert cp.names == ["w"]
         assert cp.num_params == 4
         assert cp.record("w").dtype == "f32"
 
-    def test_out_of_bounds_offsets(self):
+    def test_out_of_bounds_offsets(self, tmp_path):
         header = {"w": {"dtype": "F32", "shape": [2, 2], "data_offsets": [0, 16]}}
         with pytest.raises(FormatError, match="out-of-bounds"):
-            checkpoint_from_bytes(make_file_bytes(header, b"\x00" * 8))
+            load_bytes(tmp_path, make_file_bytes(header, b"\x00" * 8))
 
-    def test_overlapping_regions(self):
+    def test_overlapping_regions(self, tmp_path):
         header = {
             "a": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
             "b": {"dtype": "F32", "shape": [2], "data_offsets": [4, 12]},
         }
         with pytest.raises(FormatError, match="overlapping"):
-            checkpoint_from_bytes(make_file_bytes(header, b"\x00" * 12))
+            load_bytes(tmp_path, make_file_bytes(header, b"\x00" * 12))
 
-    def test_duplicate_header_key(self):
+    def test_duplicate_header_key(self, tmp_path):
         entry = '{"dtype":"F32","shape":[1],"data_offsets":[0,4]}'
         blob = ('{"w":%s,"w":%s}' % (entry, entry)).encode()
         with pytest.raises(FormatError, match="duplicate header key 'w'"):
-            checkpoint_from_bytes(struct.pack("<Q", len(blob)) + blob + b"\x00" * 4)
+            load_bytes(tmp_path, struct.pack("<Q", len(blob)) + blob + b"\x00" * 4)
 
     @pytest.mark.parametrize(
         "offsets, size, problem",
@@ -90,53 +90,53 @@ class TestContainerFormat:
             ([[0, 4], [4, 8]], 9, "trailing"),
         ],
     )
-    def test_data_regions_must_tile_the_data_block(self, offsets, size, problem):
+    def test_data_regions_must_tile_the_data_block(self, tmp_path, offsets, size, problem):
         header = {
             name: {"dtype": "F32", "shape": [1], "data_offsets": region}
             for name, region in zip("ab", offsets)
         }
         with pytest.raises(FormatError, match=problem):
-            checkpoint_from_bytes(make_file_bytes(header, b"\x00" * size))
+            load_bytes(tmp_path, make_file_bytes(header, b"\x00" * size))
 
-    def test_header_length_beyond_file(self):
+    def test_header_length_beyond_file(self, tmp_path):
         blob = struct.pack("<Q", 1000) + b"{}"
         with pytest.raises(FormatError, match="header length"):
-            checkpoint_from_bytes(blob)
+            load_bytes(tmp_path, blob)
 
-    def test_truncated_length_field(self):
+    def test_truncated_length_field(self, tmp_path):
         with pytest.raises(FormatError, match="too short"):
-            checkpoint_from_bytes(b"\x01\x02")
+            load_bytes(tmp_path, b"\x01\x02")
 
-    def test_invalid_header_json(self):
+    def test_invalid_header_json(self, tmp_path):
         blob = struct.pack("<Q", 4) + b"nope"
         with pytest.raises(FormatError, match="invalid header JSON"):
-            checkpoint_from_bytes(blob)
+            load_bytes(tmp_path, blob)
 
-    def test_unsupported_dtype_tag(self):
+    def test_unsupported_dtype_tag(self, tmp_path):
         header = {"w": {"dtype": "I8", "shape": [4], "data_offsets": [0, 4]}}
         with pytest.raises(FormatError, match="'w'.*unsupported dtype"):
-            checkpoint_from_bytes(make_file_bytes(header, b"\x00" * 4))
+            load_bytes(tmp_path, make_file_bytes(header, b"\x00" * 4))
 
-    def test_size_mismatch_reports_tensor(self):
+    def test_size_mismatch_reports_tensor(self, tmp_path):
         header = {"w": {"dtype": "F32", "shape": [3], "data_offsets": [0, 8]}}
         with pytest.raises(FormatError, match="'w'"):
-            checkpoint_from_bytes(make_file_bytes(header, b"\x00" * 8))
+            load_bytes(tmp_path, make_file_bytes(header, b"\x00" * 8))
 
-    def test_metadata_must_be_string_map(self):
+    def test_metadata_must_be_string_map(self, tmp_path):
         header = {"__metadata__": {"k": 3}}
         with pytest.raises(FormatError, match="__metadata__"):
-            checkpoint_from_bytes(make_file_bytes(header, b""))
+            load_bytes(tmp_path, make_file_bytes(header, b""))
 
-    def test_zero_extent_tensor(self):
+    def test_zero_extent_tensor(self, tmp_path):
         cp = checkpoint_from_arrays({"w": np.zeros((0, 3), dtype=np.float32)})
         assert cp.num_params == 0
-        again = checkpoint_from_bytes(checkpoint_to_bytes(cp))
+        again = load_bytes(tmp_path, checkpoint_to_bytes(cp))
         assert again.record("w").shape == (0, 3)
 
-    def test_empty_checkpoint_roundtrip(self):
+    def test_empty_checkpoint_roundtrip(self, tmp_path):
         cp = Checkpoint([])
         blob = checkpoint_to_bytes(cp)
-        assert checkpoint_from_bytes(blob).names == []
+        assert load_bytes(tmp_path, blob).names == []
 
     def test_canonical_order_on_save(self):
         cp = checkpoint_from_arrays({"b": [1.0], "a": [2.0]})
@@ -161,17 +161,17 @@ class TestContainerFormat:
             save_checkpoint(load_checkpoint(path), path)
             assert path.read_bytes() == first
 
-    def test_load_noncanonical_order_then_save_is_canonical(self):
+    def test_load_noncanonical_order_then_save_is_canonical(self, tmp_path):
         # Data regions deliberately stored in reverse name order.
         header = {
             "b": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
             "a": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]},
         }
         data = np.array([2.0, 1.0], dtype="<f4").tobytes()
-        cp = checkpoint_from_bytes(make_file_bytes(header, data))
+        cp = load_bytes(tmp_path, make_file_bytes(header, data))
         assert cp.names == ["a", "b"]
         assert cp.as_f32("a")[0] == 1.0
-        canon = checkpoint_from_bytes(checkpoint_to_bytes(cp))
+        canon = load_bytes(tmp_path, checkpoint_to_bytes(cp))
         assert canon.as_f32("b")[0] == 2.0
 
     def test_duplicate_name_rejected(self):
@@ -568,7 +568,8 @@ def test_encode_record_accepts_exactly_the_values_that_encode_finite(dtype):
 @st.composite
 def container_files(draw):
     """Container bytes with drawn records and metadata, the data regions laid
-    out in a drawn order (so not always the canonical one)."""
+    out in a drawn order (so not always the canonical one); and the in-memory
+    checkpoint of those records."""
     names = draw(st.lists(st.sampled_from(NAMES), max_size=3, unique=True))
     records = draw(st.permutations([_draw_record(draw, name) for name in names]))
     metadata = draw(st.sampled_from(METADATA))
@@ -579,17 +580,18 @@ def container_files(draw):
         header[rec.name] = {"dtype": wire, "shape": list(rec.shape),
                             "data_offsets": [offset, offset + len(rec.data)]}
         offset += len(rec.data)
-    return make_file_bytes(header, b"".join(rec.data for rec in records))
+    blob = make_file_bytes(header, b"".join(rec.data for rec in records))
+    return blob, Checkpoint(records, metadata)
 
 
 @settings(max_examples=200, deadline=None)
 @given(container_files())
-def test_loaded_records_equal_the_parsed_bytes(blob):
+def test_loaded_records_equal_the_written_ones(drawn):
+    blob, parsed = drawn
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cp.safetensors"
         path.write_bytes(blob)
         loaded = load_checkpoint(path)
-        parsed = checkpoint_from_bytes(path.read_bytes())
         assert loaded.names == parsed.names
         assert dict(loaded.metadata) == dict(parsed.metadata)
         for ours, theirs in zip(loaded, parsed):
@@ -605,27 +607,44 @@ def test_loaded_records_equal_the_parsed_bytes(blob):
         assert again.read_bytes() == checkpoint_to_bytes(parsed)
 
 
+# id -> (container bytes, the parse error load_checkpoint reports after the path)
 MALFORMED = {
-    "too-short": b"\x01\x00",
-    "header-length": struct.pack("<Q", 99) + b"{}",
-    "json": struct.pack("<Q", 2) + b"{]",
-    "duplicate-key": struct.pack("<Q", 17) + b'{"a":"1","a":"2"}',
-    "out-of-bounds": make_file_bytes({"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}}, bytes(4)),
-    "shape-size": make_file_bytes({"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 4]}}, bytes(4)),
-    "gap": make_file_bytes({"w": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]}}, bytes(8)),
-    "trailing": make_file_bytes({"w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}}, bytes(6)),
+    "too-short": (b"\x01\x00", "file too short for header length field (2 bytes)"),
+    "header-length": (
+        struct.pack("<Q", 99) + b"{}", "malformed header length 99 exceeds file size 10"
+    ),
+    "json": (
+        struct.pack("<Q", 2) + b"{]",
+        "invalid header JSON: Expecting property name enclosed in double quotes: "
+        "line 1 column 2 (char 1)",
+    ),
+    "duplicate-key": (struct.pack("<Q", 17) + b'{"a":"1","a":"2"}', "duplicate header key 'a'"),
+    "out-of-bounds": (
+        make_file_bytes({"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}}, bytes(4)),
+        "tensor 'w': out-of-bounds data region [0, 8) in 4-byte data block",
+    ),
+    "shape-size": (
+        make_file_bytes({"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 4]}}, bytes(4)),
+        "tensor 'w': shape (2,) needs 8 bytes, got 4",
+    ),
+    "gap": (
+        make_file_bytes({"w": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]}}, bytes(8)),
+        "gap in data block: bytes [0, 4) belong to no tensor",
+    ),
+    "trailing": (
+        make_file_bytes({"w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}}, bytes(6)),
+        "2 trailing bytes after the last data region",
+    ),
 }
 
 
-@pytest.mark.parametrize("blob", MALFORMED.values(), ids=MALFORMED.keys())
-def test_load_checkpoint_reports_what_checkpoint_from_bytes_reports(tmp_path, blob):
+@pytest.mark.parametrize("blob, problem", MALFORMED.values(), ids=MALFORMED.keys())
+def test_load_checkpoint_reports_the_parse_error_after_the_path(tmp_path, blob, problem):
     path = tmp_path / "bad.safetensors"
     path.write_bytes(blob)
-    with pytest.raises(FormatError) as parsed:
-        checkpoint_from_bytes(blob)
     with pytest.raises(FormatError) as loaded:
         load_checkpoint(path)
-    assert str(loaded.value) == f"{path}: {parsed.value}"
+    assert str(loaded.value) == f"{path}: {problem}"
 
 
 def _saved(tmp_path):

@@ -846,6 +846,30 @@ class TestTornCache:
         assert rc == 2
         assert err.startswith("data error:") and "line 1" in err
 
+    @pytest.mark.parametrize("torn", [False, True], ids=["before the last line", "torn last line"])
+    def test_a_line_nested_too_deeply_is_corruption(self, workdir, capsys, torn):
+        paths = _one_layer_inputs(workdir)
+        out = workdir / "out"
+        cache = out / "cache" / "eval_cache.jsonl"
+        cache.parent.mkdir(parents=True)
+        deep = "[" * 60_000 + "]" * 60_000
+        other = '{"v": 1}\n'  # an old-format line, skipped on load
+        cache.write_text(other + deep if torn else deep + "\n" + other)
+        argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
+                "--eval-a", json.dumps(LINEAR), "--p-values", "0.5", "--s-values", "1",
+                "--out", str(out)]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if torn:
+            assert rc == 0
+            lines = cache.read_text().splitlines(True)
+            assert lines[0] == other and len(lines) == 2
+        else:
+            assert rc == 2
+            assert err.startswith("data error:") and "line 1" in err
+            assert cache.read_text() == deep + "\n" + other
+
 
 def _one_layer_inputs(workdir):
     """Checkpoints with one 1-D layer tensor, which the builtin specs below score."""

@@ -1,5 +1,6 @@
 import json
 import math
+import tempfile
 import threading
 import time
 import weakref
@@ -381,19 +382,35 @@ class TestExternalProtocol:
         with pytest.raises(ConfigError, match="placeholder"):
             EvalTask("A", "python eval.py")
 
-    def test_keep_candidates(self, script_evaluator, tmp_path):
-        cmd = script_evaluator("""print('{"score": 1.0}')""")
-        scratch = tmp_path / "scratch"
-        bridge = EvaluationBridge(scratch_dir=scratch, keep_candidates=True)
-        bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
-        assert list(scratch.glob("cand-*.safetensors"))
+    def _seen_candidate(self, script_evaluator, tmp_path):
+        """An evaluator that records the candidate path it was given."""
+        seen = tmp_path / "seen.txt"
+        cmd = script_evaluator(
+            f"""
+            import sys
+            open({str(seen)!r}, "w").write(sys.argv[1])
+            print('{{"score": 1.0}}')
+            """
+        )
+        return cmd, seen
 
-    def test_candidates_deleted_by_default(self, script_evaluator, tmp_path):
-        cmd = script_evaluator("""print('{"score": 1.0}')""")
-        scratch = tmp_path / "scratch"
-        bridge = EvaluationBridge(scratch_dir=scratch)
+    def test_keep_candidates(self, script_evaluator, tmp_path):
+        cmd, seen = self._seen_candidate(script_evaluator, tmp_path)
+        keep = tmp_path / "keep"
+        bridge = EvaluationBridge(keep_dir=keep)
         bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
-        assert not list(scratch.glob("cand-*.safetensors"))
+        assert list(keep.glob("cand-*.safetensors")) == [Path(seen.read_text())]
+
+    def test_candidates_deleted_by_default(self, script_evaluator, tmp_path, monkeypatch):
+        cmd, seen = self._seen_candidate(script_evaluator, tmp_path)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        bridge = EvaluationBridge()
+        bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
+        # Written to tempfile's directory, and removed once scored.
+        assert Path(seen.read_text()).parent == scratch
+        assert not list(scratch.iterdir())
 
     def test_parallel_evaluate_many(self, script_evaluator):
         cmd = script_evaluator(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,9 +30,15 @@ from himerge import (
     partition_layers,
     resolve_layer,
 )
-from himerge.analysis import LayerConflictRow, conflict_profile
+from himerge.analysis import (
+    AnalysisContext,
+    ConflictProfile,
+    LayerConflictRow,
+    conflict_profile,
+)
 from himerge.checkpoint import checkpoint_to_bytes
 
+import reference_resolver
 from conftest import checkpoint_from_arrays
 from instances import conflict_instance, make_context, single_signal_instance
 
@@ -148,6 +155,20 @@ class TestResolveLayer:
             assert np.array_equal(da.deltas[name], fx.delta_a.deltas[name])
             assert np.array_equal(db.deltas[name], fx.delta_b.deltas[name])
 
+    def test_partial_aggressor_at_its_halving_cap_is_kept(self):
+        fx = TwoLayerFixture()
+        params = {"A": "halving cap (0) reached for model A", "B": (0.5, 0.5)}
+        row = make_row(0, -0.2, 0.4)
+        da, db, action = resolve_layer(0, row, fx.delta_a, fx.delta_b, fx.partition, params)
+        assert (action.kind, action.case, action.model) == ("KEEP", "PARTIAL", None)
+        assert action.note == params["A"]
+        assert (action.p_layer, action.s_layer) == (None, None)
+        assert da is fx.delta_a and db is fx.delta_b
+        # Only the aggressor's entry matters: B's cap does not stop A's re-prune.
+        params = {"A": (0.5, 0.5), "B": "halving cap (0) reached for model B"}
+        _, _, action = resolve_layer(0, row, fx.delta_a, fx.delta_b, fx.partition, params)
+        assert (action.kind, action.model) == ("REPRUNE", "A")
+
     def test_reprune_support_nesting_and_shrinkage(self):
         fx = TwoLayerFixture()
         row = make_row(0, -0.2, 0.4)
@@ -161,8 +182,6 @@ class TestResolveLayer:
 def fixed_profile_factory(rows):
     def fake_conflict_profile(ctx, layers=None, full_matrix=False):
         wanted = set(layers) if layers is not None else None
-        from himerge.analysis import ConflictProfile
-
         picked = [r for r in rows if wanted is None or r.layer in wanted]
         return ConflictProfile(baselines={}, rows=picked)
 
@@ -177,8 +196,6 @@ class TestIterate:
 
     def test_no_conflicts_no_actions(self):
         ctx, fx = self._ctx()
-        from himerge.analysis import ConflictProfile
-
         profile = ConflictProfile(baselines={}, rows=[make_row(0, -0.1, 0.0), make_row(1, 0.0, 0.0)])
         da, db, log = iterate(
             ctx, profile, IterationPolicy(), PruneScaleParams(1, 1), PruneScaleParams(1, 1)
@@ -189,8 +206,6 @@ class TestIterate:
 
     def test_descending_gamma_order(self):
         ctx, fx = self._ctx()
-        from himerge.analysis import ConflictProfile
-
         profile = ConflictProfile(
             baselines={},
             rows=[make_row(0, 0.1, 0.05, 1.0, 0.0), make_row(1, 0.4, 0.2, 1.0, 0.0)],
@@ -230,6 +245,22 @@ class TestIterate:
         assert kinds == ["REPRUNE", "REPRUNE", "KEEP", "KEEP"]
         assert "halving cap" in log.actions[2].note
 
+    def test_halving_cap_keep_line_bytes(self, monkeypatch, tmp_path):
+        ctx, fx = self._ctx()
+        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
+        rows = [make_row(0, -0.25, 0.5)]
+        monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
+        profile = fixed_profile_factory(rows)(ctx)
+        policy = IterationPolicy(max_passes=2, max_halvings=1)
+        _, _, log = iterate(ctx, profile, policy, PruneScaleParams(1.0, 1.0), PruneScaleParams(1.0, 1.0))
+        log.write_jsonl(tmp_path / "log.jsonl")
+        lines = (tmp_path / "log.jsonl").read_bytes().splitlines()
+        assert lines[1] == (
+            b'{"Gamma": 0.25, "case": "PARTIAL", "gamma_a": -0.25, "gamma_b": 0.5, '
+            b'"kind": "KEEP", "layer": 0, "model": null, '
+            b'"note": "halving cap (1) reached for model A", "p_layer": null, "s_layer": null}'
+        )
+
     def test_partial_log_attached_on_failure(self, monkeypatch):
         ctx, fx = self._ctx()
         ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
@@ -256,6 +287,105 @@ class TestIterate:
         _, _, log = iterate(ctx, profile, policy, PruneScaleParams(1.0, 0.8), PruneScaleParams(1.0, 0.8))
         reprunes = [a for a in log.actions if a.kind == "REPRUNE"]
         assert [(a.p_layer, a.s_layer) for a in reprunes] == [(0.5, 0.4), (0.5, 0.4)]
+
+
+# Conflict values the stand-in profiler draws from: zeros, both signs and
+# repeats, so Gamma ties, boundary keeps and c_AA == c_BB ties are common.
+GAMMAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+OWN = (0.0, 0.5, 1.0)
+
+
+class SeededProfiler:
+    """A stand-in for ``conflict_profile`` whose rows are a seeded function
+    of the call index and the layer, whatever the deltas: two runs that ask
+    for the same layers in the same order see the same profiles."""
+
+    def __init__(self, seed):
+        self.seed = seed
+        self.calls = []
+
+    def rows(self, layers):
+        index = len(self.calls)
+        self.calls.append(list(layers))
+        rows = []
+        for layer in layers:
+            rng = np.random.default_rng([self.seed, index, layer])
+            ga, gb = (float(g) for g in rng.choice(GAMMAS, 2))
+            if rng.random() < 0.25:
+                gb = -ga  # an opposite-sign pair, Gamma == 0
+            c_aa, c_bb = (float(c) for c in rng.choice(OWN, 2))
+            rows.append(make_row(layer, ga, gb, c_aa, c_bb))
+        return rows
+
+    def conflict_profile(self, ctx, layers=None, full_matrix=False):
+        return ConflictProfile(baselines={}, rows=self.rows(layers))
+
+
+class TestAgainstReference:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_layers=st.integers(1, 5),
+        gamma_threshold=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.5]),
+        recompute=st.booleans(),
+        max_passes=st.integers(1, 4),
+        max_halvings=st.integers(0, 3),
+        single_halving=st.booleans(),
+        p=st.sampled_from([0.25, 0.5, 1.0]),
+        s=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_iterate_matches_the_serial_reference(
+        self, seed, n_layers, gamma_threshold, recompute, max_passes, max_halvings,
+        single_halving, p, s,
+    ):
+        rng = np.random.default_rng(seed)
+        arrays = {}
+        for layer in range(n_layers):
+            arrays[f"m.layers.{layer}.a"] = np.zeros(3, np.float32)
+            arrays[f"m.layers.{layer}.b"] = np.zeros((2, 2), np.float32)
+        base = checkpoint_from_arrays(arrays)
+        partition = partition_layers(base)
+        fp = fingerprint(base)
+        # Quarter steps in [-1, 1]: equal magnitudes make Top_p ties.
+        da, db = (
+            DeltaVector(fp, {n: rng.integers(-4, 5, a.shape).astype(np.float32) / 4
+                             for n, a in arrays.items()}, model)
+            for model in ("A", "B")
+        )
+        task = EvalTask("A", ConstantTask())
+        ctx = AnalysisContext(
+            base, base, base, da, db, assemble_final(base, da, db), partition,
+            task, task, EvaluationBridge(),
+        )
+        policy = IterationPolicy(
+            gamma_threshold=gamma_threshold,
+            recompute=recompute,
+            max_passes=max_passes,
+            max_halvings=max_halvings,
+            single_halving=single_halving,
+        )
+        params = PruneScaleParams(p, s)
+        layers = partition.transformer_layers()
+
+        lib = SeededProfiler(seed)
+        profile = lib.conflict_profile(ctx, layers=layers)
+        with mock.patch.object(resolver_mod, "conflict_profile", lib.conflict_profile):
+            final_a, final_b, log = iterate(ctx, profile, policy, params, params)
+
+        ref = SeededProfiler(seed)
+        ref_a, ref_b, actions = reference_resolver.iterate(
+            ref.rows(layers), lambda a, b, wanted: ref.rows(wanted), partition,
+            da, db, policy, params, params,
+        )
+        assert [json.dumps(a.to_dict(), sort_keys=True) for a in log.actions] == [
+            json.dumps(a, sort_keys=True) for a in actions
+        ]
+        assert lib.calls == ref.calls
+        for got, want in ((final_a, ref_a), (final_b, ref_b)):
+            assert got.names == want.names
+            for name in got.names:
+                assert got.deltas[name].dtype == np.float32
+                assert got.deltas[name].tobytes() == want.deltas[name].tobytes(), name
 
 
 class TestHiMerge:
