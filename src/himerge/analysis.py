@@ -37,7 +37,7 @@ import numpy as np
 
 from .checkpoint import Checkpoint, LayerPartition, atomic_open
 from .delta import DeltaVector, combine, layer_arrays
-from .errors import ConfigError, EvaluatorError
+from .errors import EvaluatorError
 from .evaluation import EvalTask, EvaluationBridge
 
 CAPABILITIES = ("A", "B")
@@ -49,36 +49,25 @@ CORE_PAIRS = (("A", "A"), ("B", "B"), ("A", "G"), ("B", "G"))
 
 @dataclass
 class AnalysisContext:
-    """Everything the impact operations need: models, processed deltas,
-    the pre-merged model, the layer partition, tasks, and the bridge."""
+    """Everything the impact operations need: the base, the fine-tuned
+    models, their processed deltas and their tasks keyed by model id, the
+    pre-merged model, the layer partition, and the bridge."""
 
     base: Checkpoint
-    model_a: Checkpoint
-    model_b: Checkpoint
-    delta_a: DeltaVector
-    delta_b: DeltaVector
+    models: dict[str, Checkpoint]
+    deltas: dict[str, DeltaVector]
     theta_g: Checkpoint
     partition: LayerPartition
-    task_a: EvalTask
-    task_b: EvalTask
+    tasks: dict[str, EvalTask]
     bridge: EvaluationBridge
 
-    def task(self, capability: str) -> EvalTask:
-        if capability == "A":
-            return self.task_a
-        if capability == "B":
-            return self.task_b
-        raise ConfigError(f"unknown capability {capability!r}")
-
     def reference(self, source: str) -> Checkpoint:
-        """The checkpoint of model A, model B, the pre-merge G or the base F."""
-        return {"A": self.model_a, "B": self.model_b, "G": self.theta_g, "F": self.base}[source]
+        """The checkpoint of a model, the pre-merge G or the base F."""
+        return {**self.models, "G": self.theta_g, "F": self.base}[source]
 
     def source_layer_arrays(self, source: str, layer) -> list[dict[str, np.ndarray]]:
-        deltas = {"A": [self.delta_a], "B": [self.delta_b], "G": [self.delta_a, self.delta_b]}
-        if source not in deltas:
-            raise ConfigError(f"unknown source {source!r}")
-        return [layer_arrays(delta, self.partition, layer) for delta in deltas[source]]
+        deltas = self.deltas.values() if source == "G" else [self.deltas[source]]
+        return [layer_arrays(delta, self.partition, layer) for delta in deltas]
 
 
 def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
@@ -107,7 +96,7 @@ def _score(ctx: AnalysisContext, job) -> float:
     a failed baseline (kind None) is raised as it is."""
     kind, capability, source, layer, cp = job
     try:
-        return ctx.bridge.evaluate(cp, ctx.task(capability)).value
+        return ctx.bridge.evaluate(cp, ctx.tasks[capability]).value
     except EvaluatorError as exc:
         if kind is None:
             raise

@@ -114,10 +114,11 @@ class RunConfig:
 
     def hi_config(self, out: Path) -> HiMergeConfig:
         return HiMergeConfig(
-            params_a=PruneScaleParams(self.p_a, self.s_a),
-            params_b=PruneScaleParams(self.p_b, self.s_b),
-            task_a=self.task("a"),
-            task_b=self.task("b"),
+            params={
+                "A": PruneScaleParams(self.p_a, self.s_a),
+                "B": PruneScaleParams(self.p_b, self.s_b),
+            },
+            tasks={"A": self.task("a"), "B": self.task("b")},
             layer_rule=self.layer_rule,
             policy=self.policy(),
             full_matrix=self.full_matrix,

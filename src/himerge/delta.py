@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -73,12 +74,9 @@ class PruneScaleParams:
 
 
 def _retain_count(p: float, n: int) -> int:
-    """ceil(p * n), guarding against float noise when p * n is integral."""
-    t = p * n
-    nearest = round(t)
-    if abs(t - nearest) <= 1e-9 + 1e-12 * n:
-        return int(nearest)
-    return int(math.ceil(t))
+    """ceil(p * n) exactly, with p read as the decimal it prints as (so 0.1
+    is one tenth, not the nearest binary float)."""
+    return math.ceil(Fraction(str(p)) * n)
 
 
 def _require_finite(deltas: dict[str, np.ndarray], what: str) -> None:

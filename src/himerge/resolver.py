@@ -37,6 +37,7 @@ from .delta import (
     DeltaVector,
     PruneScaleParams,
     compute_delta,
+    layer_arrays,
     model_wise_process,
     prune_topp,
     save_delta,
@@ -142,19 +143,20 @@ def reprune_layer(
 def resolve_layer(
     layer,
     row,
-    delta_a: DeltaVector,
-    delta_b: DeltaVector,
+    deltas: dict[str, DeltaVector],
     partition: LayerPartition,
     layer_params: dict[str, tuple[float, float] | str],
-) -> tuple[DeltaVector, DeltaVector, ResolutionAction]:
-    """Apply the three-case rule to one layer.
+) -> tuple[dict[str, DeltaVector], ResolutionAction]:
+    """Apply the three-case rule to one layer; returns the deltas by model
+    id, with the one the action changed replaced, and the action.
 
     ``layer_params`` maps model id to the (p, s) to use if this layer turns
     out to be a partial conflict with that model as the aggressor, or to the
     reason it may not be re-pruned again (the halving cap): the layer is
-    then kept.
+    then kept.  A severe layer whose loser's layer delta is already zero is
+    kept too, since dropping it would change nothing.
     """
-    deltas = {"A": delta_a, "B": delta_b}
+    deltas = dict(deltas)
     case = classify_layer(row.gamma_a, row.gamma_b)
     common = dict(
         layer=layer,
@@ -167,11 +169,15 @@ def resolve_layer(
         own_a, own_b = row.c["AA"], row.c["BB"]
         # Retain the larger own contribution; ties keep model A.
         loser = "B" if own_a >= own_b else "A"
-        note = f"own contributions c_AA={own_a!r} c_BB={own_b!r}"
-        if own_a == own_b:
-            note += " (tie: kept A)"
-        deltas[loser] = drop_layer(deltas[loser], partition, layer)
-        action = ResolutionAction(kind="DROP", model=loser, note=note, **common)
+        if not any(arr.any() for arr in layer_arrays(deltas[loser], partition, layer).values()):
+            note = f"layer delta of model {loser} is already zero"
+            action = ResolutionAction(kind="KEEP", note=note, **common)
+        else:
+            note = f"own contributions c_AA={own_a!r} c_BB={own_b!r}"
+            if own_a == own_b:
+                note += " (tie: kept A)"
+            deltas[loser] = drop_layer(deltas[loser], partition, layer)
+            action = ResolutionAction(kind="DROP", model=loser, note=note, **common)
     elif case is ConflictCase.PARTIAL:
         aggressor = "A" if row.gamma_a < 0 else "B"
         params = layer_params[aggressor]
@@ -188,7 +194,7 @@ def resolve_layer(
         if (row.gamma_a == 0) != (row.gamma_b == 0) and max(row.gamma_a, row.gamma_b) > 0:
             note = "boundary: one conflict is exactly zero; kept without action"
         action = ResolutionAction(kind="KEEP", note=note, **common)
-    return deltas["A"], deltas["B"], action
+    return deltas, action
 
 
 def _above(rows, threshold: float) -> list:
@@ -198,13 +204,11 @@ def _above(rows, threshold: float) -> list:
 
 
 def _reprofile(
-    ctx: AnalysisContext, delta_a: DeltaVector, delta_b: DeltaVector, layers, threshold: float
+    ctx: AnalysisContext, deltas: dict[str, DeltaVector], layers, threshold: float
 ) -> list:
     """Profile ``layers`` against the current deltas and their theta_G; the
     rows to resolve next, as ``_above`` orders them."""
-    current = dataclasses.replace(
-        ctx, delta_a=delta_a, delta_b=delta_b, theta_g=_assemble(ctx, delta_a, delta_b)
-    )
+    current = dataclasses.replace(ctx, deltas=deltas, theta_g=_assemble(ctx, deltas))
     return _above(conflict_profile(current, layers=layers).rows, threshold)
 
 
@@ -212,63 +216,61 @@ def iterate(
     ctx: AnalysisContext,
     profile: ConflictProfile,
     policy: IterationPolicy,
-    params_a: PruneScaleParams,
-    params_b: PruneScaleParams,
+    params: dict[str, PruneScaleParams],
 ) -> tuple[DeltaVector, DeltaVector, ResolutionLog]:
     """Resolve conflicted layers in descending-Gamma order.
 
     Default is a single pass over the initial profile.  With
     ``policy.recompute`` the profile of the remaining layers is recomputed
-    after each action; additional passes always recompute, and a pass with
-    nothing above the threshold ends the run.  Layer-wise (p, s) start at
-    half the model-wise values and halve again per partial revisit of the
-    same layer, up to ``max_halvings``.
+    after each action that changed a delta; additional passes always
+    recompute, and a pass that changes no delta ends the run.  Layer-wise
+    (p, s) start at half the model-wise values ``params`` and halve again
+    per partial revisit of the same layer, up to ``max_halvings``.  Returns
+    the final deltas in model order, then the log.
     """
-    delta_a, delta_b = ctx.delta_a, ctx.delta_b
+    deltas = ctx.deltas
     log = ResolutionLog()
     halvings: Counter[tuple[object, str]] = Counter()
-    base_params = {"A": params_a, "B": params_b}
     analyzed_layers = [row.layer for row in profile.rows]
     try:
         pending = _above(profile.rows, policy.gamma_threshold)
         for pass_idx in range(policy.max_passes):
             # The layers to profile again before the next decision: all of
             # them when a later pass starts, and under --recompute the ones
-            # still pending after an action.
+            # still pending after an action that changed a delta.
             layers = analyzed_layers if pass_idx else None
-            acted = False
+            changed = False
             while True:
                 if layers is not None:
-                    pending = _reprofile(ctx, delta_a, delta_b, layers, policy.gamma_threshold)
+                    pending = _reprofile(ctx, deltas, layers, policy.gamma_threshold)
                 if not pending:
                     break
                 row = pending.pop(0)
                 layer_params = {}
-                for model_id, params in base_params.items():
+                for model_id, model_params in params.items():
                     visits = halvings[row.layer, model_id]
                     step = 1 if policy.single_halving else visits + 1
                     layer_params[model_id] = (
                         f"halving cap ({policy.max_halvings}) reached for model {model_id}"
                         if visits >= policy.max_halvings
-                        else (params.p / 2**step, params.s / 2**step)
+                        else (model_params.p / 2**step, model_params.s / 2**step)
                     )
-                delta_a, delta_b, action = resolve_layer(
-                    row.layer, row, delta_a, delta_b, ctx.partition, layer_params
-                )
+                deltas, action = resolve_layer(row.layer, row, deltas, ctx.partition, layer_params)
                 if action.kind == "REPRUNE":
                     halvings[row.layer, action.model] += 1
                 log.actions.append(action)
-                acted = True
-                stale = policy.recompute and pending and action.kind != "KEEP"
+                acted = action.kind != "KEEP"
+                changed = changed or acted
+                stale = policy.recompute and pending and acted
                 layers = [r.layer for r in pending] if stale else None
-            if not acted:  # the deltas are unchanged, so the next pass would be too
+            if not changed:  # the next pass would see the same profile and decide the same
                 break
     except EvaluatorError as exc:
         # Completed evaluations are already in the cache; expose the
         # decisions made so far for persistence by the caller.
         exc.partial_log = log
         raise
-    return delta_a, delta_b, log
+    return (*deltas.values(), log)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +280,19 @@ def iterate(
 
 @dataclass
 class HiMergeConfig:
-    params_a: PruneScaleParams
-    params_b: PruneScaleParams
-    task_a: EvalTask
-    task_b: EvalTask
+    """Model-wise (p, s) and evaluation task, each keyed by model id."""
+
+    params: dict[str, PruneScaleParams]
+    tasks: dict[str, EvalTask]
     layer_rule: str = DEFAULT_LAYER_RULE
     policy: IterationPolicy = field(default_factory=IterationPolicy)
     full_matrix: bool = False
     out_dir: Path | None = None
+
+    def __post_init__(self):
+        for name in ("params", "tasks"):
+            if set(getattr(self, name)) != {"A", "B"}:
+                raise ConfigError(f"{name} must be keyed by model ids A and B")
 
 
 @dataclass
@@ -294,8 +301,7 @@ class HiMergeResult:
     log: ResolutionLog
     profile: ConflictProfile
     theta_g: Checkpoint
-    delta_a: DeltaVector
-    delta_b: DeltaVector
+    deltas: dict[str, DeltaVector]
 
 
 @contextmanager
@@ -319,31 +325,19 @@ def prepare(
     """The pipeline up to the conflict analysis: compat check, deltas,
     model-wise processing, layer partition and pre-merge.  Returns the
     analysis context and the layers to analyze."""
+    models = {"A": model_a, "B": model_b}
     with _stage("compat"):
-        validate_compat(base, model_a)
-        validate_compat(base, model_b)
+        for model in models.values():
+            validate_compat(base, model)
     with _stage("delta"):
-        delta_a = compute_delta(model_a, base, provenance="A")
-        delta_b = compute_delta(model_b, base, provenance="B")
+        deltas = {m: compute_delta(model, base, provenance=m) for m, model in models.items()}
     with _stage("model-wise"):
-        delta_a = model_wise_process(delta_a, config.params_a)
-        delta_b = model_wise_process(delta_b, config.params_b)
+        deltas = {m: model_wise_process(delta, config.params[m]) for m, delta in deltas.items()}
     with _stage("partition"):
         partition = partition_layers(base, config.layer_rule)
     with _stage("pre-merge"):
-        theta_g = assemble_final(base, delta_a, delta_b)
-    ctx = AnalysisContext(
-        base=base,
-        model_a=model_a,
-        model_b=model_b,
-        delta_a=delta_a,
-        delta_b=delta_b,
-        theta_g=theta_g,
-        partition=partition,
-        task_a=config.task_a,
-        task_b=config.task_b,
-        bridge=bridge,
-    )
+        theta_g = assemble_final(base, *deltas.values())
+    ctx = AnalysisContext(base, models, deltas, theta_g, partition, config.tasks, bridge)
     layers = (
         partition.all_layers()
         if config.policy.include_pre_post
@@ -364,61 +358,48 @@ def hi_merge(
     if bridge is None:
         bridge = EvaluationBridge()
     ctx, layers = prepare(base, model_a, model_b, config, bridge)
-    if config.out_dir is not None:
-        out = Path(config.out_dir)
+    out = None if config.out_dir is None else Path(config.out_dir)
+    if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        save_delta(ctx.delta_a, out / "delta_a_processed.safetensors")
-        save_delta(ctx.delta_b, out / "delta_b_processed.safetensors")
+        for model_id, delta in ctx.deltas.items():
+            save_delta(delta, out / f"delta_{model_id.lower()}_processed.safetensors")
     with _stage("analysis"):
         profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
     with _stage("resolution"):
         try:
-            final_a, final_b, log = iterate(
-                ctx, profile, config.policy, config.params_a, config.params_b
-            )
+            *finals, log = iterate(ctx, profile, config.policy, config.params)
         except EvaluatorError as exc:
             partial = getattr(exc, "partial_log", None)
-            if config.out_dir is not None and partial is not None:
-                out = Path(config.out_dir)
-                out.mkdir(parents=True, exist_ok=True)
+            if out is not None and partial is not None:
                 partial.write_jsonl(out / "resolution_log.partial.jsonl")
             raise
+    finals = dict(zip(ctx.deltas, finals))
     with _stage("assembly"):
-        merged = _assemble(ctx, final_a, final_b)
-    result = HiMergeResult(
-        merged=merged,
-        log=log,
-        profile=profile,
-        theta_g=ctx.theta_g,
-        delta_a=final_a,
-        delta_b=final_b,
-    )
-    if config.out_dir is not None:
+        merged = _assemble(ctx, finals)
+    result = HiMergeResult(merged, log, profile, ctx.theta_g, finals)
+    if out is not None:
         with _stage("persist"):
-            _persist(result, config.out_dir)
+            _persist(result, out)
     return result
 
 
-def _assemble(ctx: AnalysisContext, final_a: DeltaVector, final_b: DeltaVector) -> Checkpoint:
-    """theta_F + delta_A + delta_B, sharing theta_G's record wherever neither
+def _assemble(ctx: AnalysisContext, finals: dict[str, DeltaVector]) -> Checkpoint:
+    """theta_F plus every final delta, sharing theta_G's record wherever no
     final delta holds a new array: theta_G is the same sum over the same
     arrays, so those records are equal."""
     changed = [
         name
         for name in ctx.base.names
-        if final_a.deltas.get(name) is not ctx.delta_a.deltas[name]
-        or final_b.deltas.get(name) is not ctx.delta_b.deltas[name]
+        if any(finals[m].deltas.get(name) is not ctx.deltas[m].deltas[name] for m in finals)
     ]
-    return assemble_final(ctx.base, final_a, final_b, like=ctx.theta_g, names=changed)
+    return assemble_final(ctx.base, *finals.values(), like=ctx.theta_g, names=changed)
 
 
-def _persist(result: HiMergeResult, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+def _persist(result: HiMergeResult, out: Path) -> None:
     save_checkpoint(result.merged, out / "merged.safetensors")
     save_checkpoint(result.theta_g, out / "theta_g.safetensors")
-    save_delta(result.delta_a, out / "delta_a_final.safetensors")
-    save_delta(result.delta_b, out / "delta_b_final.safetensors")
+    for model_id, delta in result.deltas.items():
+        save_delta(delta, out / f"delta_{model_id.lower()}_final.safetensors")
     result.profile.write_json(out / "profile.json")
     result.profile.write_csv(out / "profile.csv")
     result.log.write_jsonl(out / "resolution_log.jsonl")

@@ -42,7 +42,7 @@ def make_context(
     bridge=None,
 ):
     """Assemble an AnalysisContext the way the pipeline does."""
-    config = HiMergeConfig(params_a, params_b, task_a, task_b)
+    config = HiMergeConfig({"A": params_a, "B": params_b}, {"A": task_a, "B": task_b})
     bridge = bridge if bridge is not None else EvaluationBridge()
     ctx, _ = prepare(base, model_a, model_b, config, bridge)
     return ctx

@@ -16,19 +16,20 @@ from himerge.delta import layer_arrays
 
 
 def _source_arrays(ctx, source, layer):
-    deltas = {"A": [ctx.delta_a], "B": [ctx.delta_b], "G": [ctx.delta_a, ctx.delta_b]}
+    a, b = ctx.deltas["A"], ctx.deltas["B"]
+    deltas = {"A": [a], "B": [b], "G": [a, b]}
     return [layer_arrays(delta, ctx.partition, layer) for delta in deltas[source]]
 
 
 def _impact(capability, source, layer, ctx, ref, sign):
-    task = {"A": ctx.task_a, "B": ctx.task_b}[capability]
+    task = ctx.tasks[capability]
     candidate = shifted_checkpoint(ref, _source_arrays(ctx, source, layer), sign)
     shifted = ctx.bridge.evaluate(candidate, task).value
     return shifted - ctx.bridge.evaluate(ref, task).value
 
 
 def deletion_impact(capability, source, layer, ctx):
-    ref = {"A": ctx.model_a, "B": ctx.model_b, "G": ctx.theta_g}[source]
+    ref = {"A": ctx.models["A"], "B": ctx.models["B"], "G": ctx.theta_g}[source]
     return _impact(capability, source, layer, ctx, ref, -1.0)
 
 
@@ -37,16 +38,17 @@ def addition_impact(capability, source, layer, ctx):
 
 
 def _baselines(ctx, full_matrix):
+    (model_a, model_b), (task_a, task_b) = ctx.models.values(), ctx.tasks.values()
     jobs = [
-        ("A:A", ctx.model_a, ctx.task_a),
-        ("B:B", ctx.model_b, ctx.task_b),
-        ("A:G", ctx.theta_g, ctx.task_a),
-        ("B:G", ctx.theta_g, ctx.task_b),
-        ("A:F", ctx.base, ctx.task_a),
-        ("B:F", ctx.base, ctx.task_b),
+        ("A:A", model_a, task_a),
+        ("B:B", model_b, task_b),
+        ("A:G", ctx.theta_g, task_a),
+        ("B:G", ctx.theta_g, task_b),
+        ("A:F", ctx.base, task_a),
+        ("B:F", ctx.base, task_b),
     ]
     if full_matrix:
-        jobs += [("A:B", ctx.model_b, ctx.task_a), ("B:A", ctx.model_a, ctx.task_b)]
+        jobs += [("A:B", model_b, task_a), ("B:A", model_a, task_b)]
     return {key: ctx.bridge.evaluate(cp, task).value for key, cp, task in jobs}
 
 

@@ -3,9 +3,15 @@ descending magnitude, the library's implementation before threshold
 selection.  The differential tests require byte-equal output from the
 library."""
 
+from decimal import Decimal
+
 import numpy as np
 
-from himerge.delta import _retain_count
+
+def retain_count(p, n):
+    """ceil(p * n) in integers, with p read as the decimal it prints as."""
+    num, den = Decimal(str(p)).as_integer_ratio()
+    return -(-num * n // den)
 
 
 def prune_topp(delta, p, *, partition=None, layers=None):
@@ -19,7 +25,7 @@ def prune_topp(delta, p, *, partition=None, layers=None):
 
     flats = [delta.deltas[name].reshape(-1) for name in scope]
     joined = np.concatenate(flats) if len(flats) > 1 else flats[0].copy()
-    k = _retain_count(p, joined.size)
+    k = retain_count(p, joined.size)
 
     if k >= joined.size:
         return delta.replace({})

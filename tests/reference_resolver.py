@@ -3,6 +3,8 @@ one plain serial loop, with the case, the SEVERE loser, the PARTIAL
 aggressor and the halving cap all decided inline.  The differential test in
 test_resolver.py requires ``resolver.iterate`` to take the same actions,
 re-profile the same layers in the same order and end with byte-equal deltas.
+A SEVERE layer whose loser's layer delta is already all zero is kept, and a
+pass that drops or re-prunes nothing is the last.
 
 ``reprofile(delta_a, delta_b, layers)`` returns the rows of a new profile of
 ``layers``; the reference never builds a context of its own.
@@ -47,6 +49,7 @@ def iterate(rows, reprofile, partition, delta_a, delta_b, policy, params_a, para
         pending = _pending(current, policy.gamma_threshold)
         if not pending:
             break
+        changed = False
         while pending:
             row = pending.pop(0)
             ga, gb = row.gamma_a, row.gamma_b
@@ -57,11 +60,16 @@ def iterate(rows, reprofile, partition, delta_a, delta_b, policy, params_a, para
             if ga > 0 and gb > 0:
                 own_a, own_b = row.c["AA"], row.c["BB"]
                 loser = "B" if own_a >= own_b else "A"
-                note = f"own contributions c_AA={own_a!r} c_BB={own_b!r}"
-                if own_a == own_b:
-                    note += " (tie: kept A)"
-                deltas[loser] = _drop(deltas[loser], partition, row.layer)
-                action.update(kind="DROP", case="SEVERE", model=loser, note=note)
+                names = _layer_names(deltas[loser], partition, row.layer)
+                if all(not deltas[loser].deltas[n].any() for n in names):
+                    note = f"layer delta of model {loser} is already zero"
+                    action.update(kind="KEEP", case="SEVERE", note=note)
+                else:
+                    note = f"own contributions c_AA={own_a!r} c_BB={own_b!r}"
+                    if own_a == own_b:
+                        note += " (tie: kept A)"
+                    deltas[loser] = _drop(deltas[loser], partition, row.layer)
+                    action.update(kind="DROP", case="SEVERE", model=loser, note=note)
             elif ga * gb < 0:
                 model = "A" if ga < 0 else "B"
                 visits = halvings.get((row.layer, model), 0)
@@ -80,7 +88,11 @@ def iterate(rows, reprofile, partition, delta_a, delta_b, policy, params_a, para
                 if (ga == 0) != (gb == 0) and max(ga, gb) > 0:
                     action["note"] = "boundary: one conflict is exactly zero; kept without action"
             actions.append(action)
-            if policy.recompute and pending and action["kind"] != "KEEP":
-                fresh = reprofile(deltas["A"], deltas["B"], [r.layer for r in pending])
-                pending = _pending(fresh, policy.gamma_threshold)
+            if action["kind"] != "KEEP":
+                changed = True
+                if policy.recompute and pending:
+                    fresh = reprofile(deltas["A"], deltas["B"], [r.layer for r in pending])
+                    pending = _pending(fresh, policy.gamma_threshold)
+        if not changed:
+            break
     return deltas["A"], deltas["B"], actions

@@ -144,7 +144,7 @@ def test_contribution_arithmetic():
         assert row.gamma_a == 0.0 and row.gamma_b == 0.0 and row.Gamma == 0.0
 
     config = HiMergeConfig(
-        params_a=params, params_b=params, task_a=const_a, task_b=const_b
+        params={"A": params, "B": params}, tasks={"A": const_a, "B": const_b}
     )
     result = hi_merge(base, ma, mb, config)
     da = model_wise_process(compute_delta(ma, base, "A"), params)
@@ -164,10 +164,8 @@ def test_synthetic_conflict_detection():
         base, ma, mb, ta, tb, k = conflict_instance(seed=seed)
         bridge = EvaluationBridge()
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 0.5),
-            params_b=PruneScaleParams(1.0, 0.5),
-            task_a=ta,
-            task_b=tb,
+            params={"A": PruneScaleParams(1.0, 0.5), "B": PruneScaleParams(1.0, 0.5)},
+            tasks={"A": ta, "B": tb},
         )
         result = hi_merge(base, ma, mb, config, bridge=bridge)
         profile = result.profile
@@ -200,10 +198,8 @@ def test_synthetic_multi_task_retention():
     spec_a = bridge.evaluate(ma, ta).value
     spec_b = bridge.evaluate(mb, tb).value
     config = HiMergeConfig(
-        params_a=PruneScaleParams(1.0, 1.0),
-        params_b=PruneScaleParams(1.0, 1.0),
-        task_a=ta,
-        task_b=tb,
+        params={"A": PruneScaleParams(1.0, 1.0), "B": PruneScaleParams(1.0, 1.0)},
+        tasks={"A": ta, "B": tb},
     )
     result = hi_merge(base, ma, mb, config, bridge=bridge)
     merged_a = bridge.evaluate(result.merged, ta).value

@@ -279,10 +279,8 @@ class TestAgainstReference:
     ):
         base, ma, mb, ta, tb, _ = conflict_instance(seed=6, dim=48, n_eval=300)
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 0.5),
-            params_b=PruneScaleParams(1.0, 0.5),
-            task_a=ta,
-            task_b=tb,
+            params={"A": PruneScaleParams(1.0, 0.5), "B": PruneScaleParams(1.0, 0.5)},
+            tasks={"A": ta, "B": tb},
             policy=IterationPolicy(recompute=True, max_passes=2),
         )
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,7 +44,7 @@ def delta_from_vector(values) -> DeltaVector:
 
 class TestRetainCount:
     def test_exact_grid_products(self):
-        # 0.1 * 30 floats to 3.0000000000000004; the guard must still give 3.
+        # 0.1 * 30 floats to 3.0000000000000004; the decimal 0.1 gives 3.
         assert _retain_count(0.1, 30) == 3
         assert _retain_count(0.3, 10) == 3
         assert _retain_count(1 / 3, 3) == 1
@@ -52,6 +54,22 @@ class TestRetainCount:
     def test_fractional_rounds_up(self):
         assert _retain_count(0.25, 10) == 3
         assert _retain_count(0.101, 10) == 2
+
+    def test_large_scope_is_exact(self):
+        # 0.001 * 7_000_000_001 is 7_000_000.001, which a float tolerance
+        # scaled by n would round down.
+        assert _retain_count(0.001, 7_000_000_001) == 7_000_001
+
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_decimal_p_matches_integer_ceil(self, data):
+        # p has at most six decimal places, so ceil(p * n) is an integer
+        # ceil.  n is a multiple of the period after which p * n is whole,
+        # plus at most 3, so p * n often lies just above an integer.
+        micros = data.draw(st.integers(0, 10**6))
+        period = 10**6 // math.gcd(micros, 10**6)
+        n = data.draw(st.integers(0, 10**11 // period)) * period + data.draw(st.integers(0, 3))
+        assert _retain_count(micros / 10**6, n) == -(-micros * n // 10**6)
 
 
 class TestPruneTopp:

@@ -104,7 +104,7 @@ def test_hi_merge_holds_no_copy_of_its_inputs(tmp_path):
         save_checkpoint(checkpoint_from_arrays(arrays), paths[-1])
     task_a, task_b = (EvalTask(t, ConstantTask(0.5)) for t in "AB")
     params = PruneScaleParams(0.5, 0.5)
-    config = HiMergeConfig(params, params, task_a, task_b)
+    config = HiMergeConfig({"A": params, "B": params}, {"A": task_a, "B": task_b})
     with traced_peak() as peak:
         result = hi_merge(*(load_checkpoint(path) for path in paths), config)
     assert len(result.merged) == N_TENSORS

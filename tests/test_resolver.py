@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import himerge.resolver as resolver_mod
 from himerge import (
+    ConfigError,
     ConflictCase,
     ConstantTask,
     DeltaVector,
@@ -19,6 +20,7 @@ from himerge import (
     IterationPolicy,
     MergeWeights,
     PruneScaleParams,
+    ResolutionLog,
     assemble_final,
     classify_layer,
     compute_delta,
@@ -54,6 +56,11 @@ def make_row(layer, gamma_a, gamma_b, c_aa=0.0, c_bb=0.0):
         gamma_b=gamma_b,
         Gamma=gamma_a + gamma_b,
     )
+
+
+def both(p, s):
+    """The same model-wise (p, s) for models A and B."""
+    return {"A": PruneScaleParams(p, s), "B": PruneScaleParams(p, s)}
 
 
 class TestClassify:
@@ -112,16 +119,21 @@ class TwoLayerFixture:
             },
             "B",
         )
+        self.deltas = {"A": self.delta_a, "B": self.delta_b}
         self.params = {"A": (0.5, 0.5), "B": (0.5, 0.5)}
+
+
+def resolve(fx, row, params=None):
+    """``resolve_layer`` on the fixture's layer 0: (delta A, delta B, action)."""
+    out, action = resolve_layer(0, row, fx.deltas, fx.partition, params or fx.params)
+    return out["A"], out["B"], action
 
 
 class TestResolveLayer:
     def test_severe_drops_smaller_contribution(self):
         fx = TwoLayerFixture()
         row = make_row(0, 0.3, 0.2, c_aa=0.5, c_bb=0.2)
-        da, db, action = resolve_layer(
-            0, row, fx.delta_a, fx.delta_b, fx.partition, fx.params
-        )
+        da, db, action = resolve(fx, row)
         assert action.kind == "DROP" and action.model == "B"
         assert not db.deltas["m.layers.0.w"].any()
         # Other layers and the other model untouched bitwise.
@@ -131,7 +143,7 @@ class TestResolveLayer:
     def test_severe_tie_keeps_model_a(self):
         fx = TwoLayerFixture()
         row = make_row(0, 0.3, 0.2, c_aa=0.4, c_bb=0.4)
-        _, db, action = resolve_layer(0, row, fx.delta_a, fx.delta_b, fx.partition, fx.params)
+        _, db, action = resolve(fx, row)
         assert action.model == "B"
         assert "tie" in action.note
         assert not db.deltas["m.layers.0.w"].any()
@@ -139,7 +151,7 @@ class TestResolveLayer:
     def test_partial_reprunes_negative_gamma_model(self):
         fx = TwoLayerFixture()
         row = make_row(0, -0.2, 0.4)
-        da, db, action = resolve_layer(0, row, fx.delta_a, fx.delta_b, fx.partition, fx.params)
+        da, db, action = resolve(fx, row)
         assert action.kind == "REPRUNE" and action.model == "A"
         assert action.p_layer == 0.5 and action.s_layer == 0.5
         assert da.deltas["m.layers.0.w"].tolist() == [1.5, 0.0, 1.0, 0.0]
@@ -149,7 +161,7 @@ class TestResolveLayer:
     def test_mutual_keeps_everything_bitwise(self):
         fx = TwoLayerFixture()
         row = make_row(0, -0.1, -0.3)
-        da, db, action = resolve_layer(0, row, fx.delta_a, fx.delta_b, fx.partition, fx.params)
+        da, db, action = resolve(fx, row)
         assert action.kind == "KEEP"
         for name in da.names:
             assert np.array_equal(da.deltas[name], fx.delta_a.deltas[name])
@@ -159,20 +171,34 @@ class TestResolveLayer:
         fx = TwoLayerFixture()
         params = {"A": "halving cap (0) reached for model A", "B": (0.5, 0.5)}
         row = make_row(0, -0.2, 0.4)
-        da, db, action = resolve_layer(0, row, fx.delta_a, fx.delta_b, fx.partition, params)
+        da, db, action = resolve(fx, row, params)
         assert (action.kind, action.case, action.model) == ("KEEP", "PARTIAL", None)
         assert action.note == params["A"]
         assert (action.p_layer, action.s_layer) == (None, None)
         assert da is fx.delta_a and db is fx.delta_b
         # Only the aggressor's entry matters: B's cap does not stop A's re-prune.
         params = {"A": (0.5, 0.5), "B": "halving cap (0) reached for model B"}
-        _, _, action = resolve_layer(0, row, fx.delta_a, fx.delta_b, fx.partition, params)
+        _, _, action = resolve(fx, row, params)
         assert (action.kind, action.model) == ("REPRUNE", "A")
+
+    def test_severe_loser_already_zero_is_kept(self, tmp_path):
+        fx = TwoLayerFixture()
+        row = make_row(0, 0.25, 0.5, c_aa=0.5, c_bb=0.25)
+        _, fx.deltas["B"], _ = resolve(fx, row)
+        deltas, action = resolve_layer(0, row, fx.deltas, fx.partition, fx.params)
+        assert deltas == fx.deltas
+        assert all(deltas[m] is fx.deltas[m] for m in "AB")
+        ResolutionLog([action]).write_jsonl(tmp_path / "log.jsonl")
+        assert (tmp_path / "log.jsonl").read_bytes() == (
+            b'{"Gamma": 0.75, "case": "SEVERE", "gamma_a": 0.25, "gamma_b": 0.5, '
+            b'"kind": "KEEP", "layer": 0, "model": null, '
+            b'"note": "layer delta of model B is already zero", "p_layer": null, "s_layer": null}\n'
+        )
 
     def test_reprune_support_nesting_and_shrinkage(self):
         fx = TwoLayerFixture()
         row = make_row(0, -0.2, 0.4)
-        da, _, action = resolve_layer(0, row, fx.delta_a, fx.delta_b, fx.partition, fx.params)
+        da, _, action = resolve(fx, row)
         before = fx.delta_a.deltas["m.layers.0.w"]
         after = da.deltas["m.layers.0.w"]
         assert np.all((after != 0) <= (before != 0))
@@ -197,12 +223,10 @@ class TestIterate:
     def test_no_conflicts_no_actions(self):
         ctx, fx = self._ctx()
         profile = ConflictProfile(baselines={}, rows=[make_row(0, -0.1, 0.0), make_row(1, 0.0, 0.0)])
-        da, db, log = iterate(
-            ctx, profile, IterationPolicy(), PruneScaleParams(1, 1), PruneScaleParams(1, 1)
-        )
+        da, db, log = iterate(ctx, profile, IterationPolicy(), both(1, 1))
         assert log.actions == []
         for name in da.names:
-            assert np.array_equal(da.deltas[name], ctx.delta_a.deltas[name])
+            assert np.array_equal(da.deltas[name], ctx.deltas["A"].deltas[name])
 
     def test_descending_gamma_order(self):
         ctx, fx = self._ctx()
@@ -210,9 +234,7 @@ class TestIterate:
             baselines={},
             rows=[make_row(0, 0.1, 0.05, 1.0, 0.0), make_row(1, 0.4, 0.2, 1.0, 0.0)],
         )
-        _, _, log = iterate(
-            ctx, profile, IterationPolicy(), PruneScaleParams(1, 1), PruneScaleParams(1, 1)
-        )
+        _, _, log = iterate(ctx, profile, IterationPolicy(), both(1, 1))
         assert [a.layer for a in log.actions] == [1, 0]
         assert [a.Gamma for a in log.actions] == sorted(
             (a.Gamma for a in log.actions), reverse=True
@@ -220,12 +242,12 @@ class TestIterate:
 
     def test_halving_schedule_across_passes(self, monkeypatch):
         ctx, fx = self._ctx()
-        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
+        ctx = dataclasses.replace(ctx, deltas=fx.deltas)
         rows = [make_row(0, -0.2, 0.4)]
         monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
         profile = fixed_profile_factory(rows)(ctx)
         policy = IterationPolicy(max_passes=3, max_halvings=3)
-        _, _, log = iterate(ctx, profile, policy, PruneScaleParams(1.0, 1.0), PruneScaleParams(1.0, 1.0))
+        _, _, log = iterate(ctx, profile, policy, both(1.0, 1.0))
         reprunes = [a for a in log.actions if a.kind == "REPRUNE"]
         assert [(a.p_layer, a.s_layer) for a in reprunes] == [
             (0.5, 0.5),
@@ -235,24 +257,25 @@ class TestIterate:
 
     def test_halving_cap_keeps_layer(self, monkeypatch):
         ctx, fx = self._ctx()
-        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
+        ctx = dataclasses.replace(ctx, deltas=fx.deltas)
         rows = [make_row(0, -0.2, 0.4)]
         monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
         profile = fixed_profile_factory(rows)(ctx)
         policy = IterationPolicy(max_passes=4, max_halvings=2)
-        _, _, log = iterate(ctx, profile, policy, PruneScaleParams(1.0, 1.0), PruneScaleParams(1.0, 1.0))
+        _, _, log = iterate(ctx, profile, policy, both(1.0, 1.0))
         kinds = [a.kind for a in log.actions]
-        assert kinds == ["REPRUNE", "REPRUNE", "KEEP", "KEEP"]
+        # The third pass only keeps, so it changes no delta and is the last.
+        assert kinds == ["REPRUNE", "REPRUNE", "KEEP"]
         assert "halving cap" in log.actions[2].note
 
     def test_halving_cap_keep_line_bytes(self, monkeypatch, tmp_path):
         ctx, fx = self._ctx()
-        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
+        ctx = dataclasses.replace(ctx, deltas=fx.deltas)
         rows = [make_row(0, -0.25, 0.5)]
         monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
         profile = fixed_profile_factory(rows)(ctx)
         policy = IterationPolicy(max_passes=2, max_halvings=1)
-        _, _, log = iterate(ctx, profile, policy, PruneScaleParams(1.0, 1.0), PruneScaleParams(1.0, 1.0))
+        _, _, log = iterate(ctx, profile, policy, both(1.0, 1.0))
         log.write_jsonl(tmp_path / "log.jsonl")
         lines = (tmp_path / "log.jsonl").read_bytes().splitlines()
         assert lines[1] == (
@@ -261,9 +284,40 @@ class TestIterate:
             b'"note": "halving cap (1) reached for model A", "p_layer": null, "s_layer": null}'
         )
 
+    def test_a_severe_layer_is_dropped_once(self, monkeypatch):
+        ctx, fx = self._ctx()
+        ctx = dataclasses.replace(ctx, deltas=fx.deltas)
+        rows = [make_row(0, 0.25, 0.5, c_aa=0.5, c_bb=0.25)]
+        monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
+        profile = fixed_profile_factory(rows)(ctx)
+        _, db, log = iterate(ctx, profile, IterationPolicy(max_passes=4), both(1.0, 1.0))
+        # The second pass finds B's layer already zero, keeps it and ends the run.
+        assert [(a.kind, a.case, a.model) for a in log.actions] == [
+            ("DROP", "SEVERE", "B"),
+            ("KEEP", "SEVERE", None),
+        ]
+        assert log.actions[1].note == "layer delta of model B is already zero"
+        assert not db.deltas["m.layers.0.w"].any()
+
+    def test_a_pass_that_changes_no_delta_ends_the_run(self, monkeypatch):
+        ctx, fx = self._ctx()
+        rows = [make_row(0, 0.0, 0.4)]  # a boundary keep whose Gamma is above 0
+        profiled = []
+
+        def recording(ctx, layers=None, full_matrix=False):
+            profiled.append(list(layers))
+            return fixed_profile_factory(rows)(ctx, layers=layers)
+
+        monkeypatch.setattr(resolver_mod, "conflict_profile", recording)
+        profile = fixed_profile_factory(rows)(ctx)
+        policy = IterationPolicy(recompute=True, max_passes=4)
+        _, _, log = iterate(ctx, profile, policy, both(1.0, 1.0))
+        assert [a.kind for a in log.actions] == ["KEEP"]
+        assert profiled == []
+
     def test_partial_log_attached_on_failure(self, monkeypatch):
         ctx, fx = self._ctx()
-        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
+        ctx = dataclasses.replace(ctx, deltas=fx.deltas)
         rows = [make_row(0, -0.2, 0.4)]
 
         def failing_profile(*args, **kwargs):
@@ -273,18 +327,18 @@ class TestIterate:
         profile = fixed_profile_factory(rows)(ctx)
         policy = IterationPolicy(max_passes=2)
         with pytest.raises(EvaluatorError) as excinfo:
-            iterate(ctx, profile, policy, PruneScaleParams(1, 1), PruneScaleParams(1, 1))
+            iterate(ctx, profile, policy, both(1, 1))
         partial = excinfo.value.partial_log
         assert [a.kind for a in partial.actions] == ["REPRUNE"]
 
     def test_single_halving_mode(self, monkeypatch):
         ctx, fx = self._ctx()
-        ctx = dataclasses.replace(ctx, delta_a=fx.delta_a, delta_b=fx.delta_b)
+        ctx = dataclasses.replace(ctx, deltas=fx.deltas)
         rows = [make_row(0, -0.2, 0.4)]
         monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
         profile = fixed_profile_factory(rows)(ctx)
         policy = IterationPolicy(max_passes=2, max_halvings=3, single_halving=True)
-        _, _, log = iterate(ctx, profile, policy, PruneScaleParams(1.0, 0.8), PruneScaleParams(1.0, 0.8))
+        _, _, log = iterate(ctx, profile, policy, both(1.0, 0.8))
         reprunes = [a for a in log.actions if a.kind == "REPRUNE"]
         assert [(a.p_layer, a.s_layer) for a in reprunes] == [(0.5, 0.4), (0.5, 0.4)]
 
@@ -321,6 +375,29 @@ class SeededProfiler:
         return ConflictProfile(baselines={}, rows=self.rows(layers))
 
 
+def random_context(seed, n_layers):
+    """A context of ``n_layers`` two-tensor layers whose deltas hold quarter
+    steps in [-1, 1] (equal magnitudes make Top_p ties), scored by a
+    constant task."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for layer in range(n_layers):
+        arrays[f"m.layers.{layer}.a"] = np.zeros(3, np.float32)
+        arrays[f"m.layers.{layer}.b"] = np.zeros((2, 2), np.float32)
+    base = checkpoint_from_arrays(arrays)
+    fp = fingerprint(base)
+    da, db = (
+        DeltaVector(fp, {n: rng.integers(-4, 5, a.shape).astype(np.float32) / 4
+                         for n, a in arrays.items()}, model)
+        for model in ("A", "B")
+    )
+    task = EvalTask("A", ConstantTask())
+    return AnalysisContext(
+        base, {"A": base, "B": base}, {"A": da, "B": db}, assemble_final(base, da, db),
+        partition_layers(base), {"A": task, "B": task}, EvaluationBridge(),
+    )
+
+
 class TestAgainstReference:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -338,25 +415,8 @@ class TestAgainstReference:
         self, seed, n_layers, gamma_threshold, recompute, max_passes, max_halvings,
         single_halving, p, s,
     ):
-        rng = np.random.default_rng(seed)
-        arrays = {}
-        for layer in range(n_layers):
-            arrays[f"m.layers.{layer}.a"] = np.zeros(3, np.float32)
-            arrays[f"m.layers.{layer}.b"] = np.zeros((2, 2), np.float32)
-        base = checkpoint_from_arrays(arrays)
-        partition = partition_layers(base)
-        fp = fingerprint(base)
-        # Quarter steps in [-1, 1]: equal magnitudes make Top_p ties.
-        da, db = (
-            DeltaVector(fp, {n: rng.integers(-4, 5, a.shape).astype(np.float32) / 4
-                             for n, a in arrays.items()}, model)
-            for model in ("A", "B")
-        )
-        task = EvalTask("A", ConstantTask())
-        ctx = AnalysisContext(
-            base, base, base, da, db, assemble_final(base, da, db), partition,
-            task, task, EvaluationBridge(),
-        )
+        ctx = random_context(seed, n_layers)
+        partition = ctx.partition
         policy = IterationPolicy(
             gamma_threshold=gamma_threshold,
             recompute=recompute,
@@ -370,12 +430,12 @@ class TestAgainstReference:
         lib = SeededProfiler(seed)
         profile = lib.conflict_profile(ctx, layers=layers)
         with mock.patch.object(resolver_mod, "conflict_profile", lib.conflict_profile):
-            final_a, final_b, log = iterate(ctx, profile, policy, params, params)
+            final_a, final_b, log = iterate(ctx, profile, policy, {"A": params, "B": params})
 
         ref = SeededProfiler(seed)
         ref_a, ref_b, actions = reference_resolver.iterate(
             ref.rows(layers), lambda a, b, wanted: ref.rows(wanted), partition,
-            da, db, policy, params, params,
+            ctx.deltas["A"], ctx.deltas["B"], policy, params, params,
         )
         assert [json.dumps(a.to_dict(), sort_keys=True) for a in log.actions] == [
             json.dumps(a, sort_keys=True) for a in actions
@@ -388,14 +448,59 @@ class TestAgainstReference:
                 assert got.deltas[name].tobytes() == want.deltas[name].tobytes(), name
 
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_layers=st.integers(1, 5),
+        recompute=st.booleans(),
+        max_passes=st.integers(2, 6),
+        max_halvings=st.integers(0, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_no_layer_is_dropped_twice_and_a_keep_only_pass_is_the_last(
+        self, seed, n_layers, recompute, max_passes, max_halvings
+    ):
+        ctx = random_context(seed, n_layers)
+        layers = ctx.partition.transformer_layers()
+        policy = IterationPolicy(
+            recompute=recompute, max_passes=max_passes, max_halvings=max_halvings
+        )
+        # One event per profile and per action, in the order they happen.
+        events = []
+        profiler = SeededProfiler(seed)
+
+        def profile(ctx, layers=None, full_matrix=False):
+            events.append(("profile", list(layers)))
+            return profiler.conflict_profile(ctx, layers=layers)
+
+        def recording_resolve(*args):
+            deltas, action = resolve_layer(*args)
+            events.append((action.kind, action.layer, action.model))
+            return deltas, action
+
+        first = profiler.conflict_profile(ctx, layers=layers)
+        with mock.patch.object(resolver_mod, "conflict_profile", profile), \
+                mock.patch.object(resolver_mod, "resolve_layer", recording_resolve):
+            iterate(ctx, first, policy, both(0.5, 0.5))
+        drops = [event[1:] for event in events if event[0] == "DROP"]
+        assert len(drops) == len(set(drops))
+        # A later pass starts with a profile of every analyzed layer; a
+        # --recompute profile after an action covers only the pending ones.
+        passes = [[]]
+        for event in events:
+            if event == ("profile", layers):
+                passes.append([])
+            else:
+                passes[-1].append(event[0])
+        for kinds in passes[:-1]:
+            assert any(kind in ("DROP", "REPRUNE") for kind in kinds)
+
+
 class TestHiMerge:
     def test_identical_models_give_base(self):
         base, *_ , ta, tb = single_signal_instance(n_eval=200)
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 1.0),
-            params_b=PruneScaleParams(1.0, 1.0),
-            task_a=ta,
-            task_b=tb,
+            params=both(1.0, 1.0),
+            tasks={"A": ta, "B": tb},
         )
         result = hi_merge(base, base, base, config)
         assert checkpoint_to_bytes(result.merged) == checkpoint_to_bytes(base)
@@ -405,10 +510,8 @@ class TestHiMerge:
         base, ma, mb, _, _ = single_signal_instance(n_eval=200)
         params = PruneScaleParams(0.6, 0.7)
         config = HiMergeConfig(
-            params_a=params,
-            params_b=params,
-            task_a=EvalTask("A", ConstantTask()),
-            task_b=EvalTask("B", ConstantTask()),
+            params={"A": params, "B": params},
+            tasks={"A": EvalTask("A", ConstantTask()), "B": EvalTask("B", ConstantTask())},
         )
         result = hi_merge(base, ma, mb, config)
         da = model_wise_process(compute_delta(ma, base, "A"), params)
@@ -422,10 +525,8 @@ class TestHiMerge:
         # pipeline must collapse to the plain unit-weight delta merge.
         base, ma, mb, _, _ = single_signal_instance(n_eval=200)
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 1.0),
-            params_b=PruneScaleParams(1.0, 1.0),
-            task_a=EvalTask("A", ConstantTask()),
-            task_b=EvalTask("B", ConstantTask()),
+            params=both(1.0, 1.0),
+            tasks={"A": EvalTask("A", ConstantTask()), "B": EvalTask("B", ConstantTask())},
         )
         result = hi_merge(base, ma, mb, config)
         ref = delta_weighted_merge(
@@ -439,10 +540,8 @@ class TestHiMerge:
         base, ma, mb, ta, tb, k = conflict_instance(seed=4)
         bridge = EvaluationBridge()
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 0.5),
-            params_b=PruneScaleParams(1.0, 0.5),
-            task_a=ta,
-            task_b=tb,
+            params=both(1.0, 0.5),
+            tasks={"A": ta, "B": tb},
         )
         result = hi_merge(base, ma, mb, config, bridge=bridge)
         acted = [a for a in result.log.actions if a.kind != "KEEP"]
@@ -457,10 +556,8 @@ class TestHiMerge:
     def test_assembly_shares_theta_g_records_of_layers_left_alone(self):
         base, ma, mb, ta, tb, k = conflict_instance(seed=4)
         config = HiMergeConfig(
-            params_a=PruneScaleParams(0.5, 0.5),
-            params_b=PruneScaleParams(0.5, 0.5),
-            task_a=ta,
-            task_b=tb,
+            params=both(0.5, 0.5),
+            tasks={"A": ta, "B": tb},
             policy=IterationPolicy(gamma_threshold=-1.0),
         )
         result = hi_merge(base, ma, mb, config)
@@ -470,7 +567,7 @@ class TestHiMerge:
         for rec in result.merged:
             shared = rec is result.theta_g.record(rec.name)
             assert shared == (partition.layer_of(rec.name) not in acted)
-        full = assemble_final(base, result.delta_a, result.delta_b)
+        full = assemble_final(base, *result.deltas.values())
         assert checkpoint_to_bytes(result.merged) == checkpoint_to_bytes(full)
 
     def test_reprofile_theta_g_shares_the_records_no_action_touched(self, monkeypatch):
@@ -484,10 +581,8 @@ class TestHiMerge:
 
         monkeypatch.setattr(resolver_mod, "conflict_profile", recording)
         config = HiMergeConfig(
-            params_a=PruneScaleParams(0.5, 0.5),
-            params_b=PruneScaleParams(0.5, 0.5),
-            task_a=ta,
-            task_b=tb,
+            params=both(0.5, 0.5),
+            tasks={"A": ta, "B": tb},
             policy=IterationPolicy(gamma_threshold=-1.0, recompute=True, max_passes=2),
         )
         hi_merge(base, ma, mb, config)
@@ -497,12 +592,12 @@ class TestHiMerge:
         for ctx in reprofiles:
             for rec in ctx.theta_g:
                 untouched = (
-                    ctx.delta_a.deltas[rec.name] is first.delta_a.deltas[rec.name]
-                    and ctx.delta_b.deltas[rec.name] is first.delta_b.deltas[rec.name]
+                    ctx.deltas["A"].deltas[rec.name] is first.deltas["A"].deltas[rec.name]
+                    and ctx.deltas["B"].deltas[rec.name] is first.deltas["B"].deltas[rec.name]
                 )
                 assert (rec is first.theta_g.record(rec.name)) == untouched, rec.name
                 shared.append(untouched)
-            full = assemble_final(base, ctx.delta_a, ctx.delta_b)
+            full = assemble_final(base, *ctx.deltas.values())
             assert checkpoint_to_bytes(ctx.theta_g) == checkpoint_to_bytes(full)
         assert any(shared) and not all(shared)
 
@@ -521,10 +616,8 @@ class TestHiMerge:
             dtype="f16",
         )
         config = HiMergeConfig(
-            params_a=PruneScaleParams(0.5, 0.5),
-            params_b=PruneScaleParams(0.5, 0.5),
-            task_a=EvalTask("A", ConstantTask()),
-            task_b=EvalTask("B", ConstantTask()),
+            params=both(0.5, 0.5),
+            tasks={"A": EvalTask("A", ConstantTask()), "B": EvalTask("B", ConstantTask())},
         )
         result = hi_merge(base, ma, mb, config)
         assert all(rec.dtype == "f16" for rec in result.merged)
@@ -532,10 +625,8 @@ class TestHiMerge:
     def test_determinism(self):
         base, ma, mb, ta, tb, _ = conflict_instance(seed=5, dim=64, n_eval=400)
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 0.5),
-            params_b=PruneScaleParams(1.0, 0.5),
-            task_a=ta,
-            task_b=tb,
+            params=both(1.0, 0.5),
+            tasks={"A": ta, "B": tb},
         )
         r1 = hi_merge(base, ma, mb, config)
         r2 = hi_merge(base, ma, mb, config)
@@ -545,10 +636,8 @@ class TestHiMerge:
     def test_recompute_mode_reprofiles_only_pending_layers(self, monkeypatch):
         base, ma, mb, ta, tb, _ = conflict_instance(seed=6, dim=48, n_eval=300)
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 0.5),
-            params_b=PruneScaleParams(1.0, 0.5),
-            task_a=ta,
-            task_b=tb,
+            params=both(1.0, 0.5),
+            tasks={"A": ta, "B": tb},
             policy=IterationPolicy(recompute=True),
         )
         profiled = []
@@ -571,10 +660,8 @@ class TestHiMerge:
         base, ma, mb, ta, tb, _ = conflict_instance(seed=7, dim=48, n_eval=200)
         out = tmp_path / "run"
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 0.5),
-            params_b=PruneScaleParams(1.0, 0.5),
-            task_a=ta,
-            task_b=tb,
+            params=both(1.0, 0.5),
+            tasks={"A": ta, "B": tb},
             out_dir=out,
         )
         hi_merge(base, ma, mb, config)
@@ -614,10 +701,8 @@ class TestHiMerge:
         monkeypatch.setattr(resolver_mod, "conflict_profile", flaky_profile)
         out = tmp_path / "run"
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 1.0),
-            params_b=PruneScaleParams(1.0, 1.0),
-            task_a=EvalTask("A", ConstantTask()),
-            task_b=EvalTask("B", ConstantTask()),
+            params=both(1.0, 1.0),
+            tasks={"A": EvalTask("A", ConstantTask()), "B": EvalTask("B", ConstantTask())},
             policy=IterationPolicy(recompute=True),
             out_dir=out,
         )
@@ -636,24 +721,32 @@ class TestHiMerge:
         ma = checkpoint_from_arrays({n: rng.standard_normal(8).astype(np.float32) for n in names})
         mb = checkpoint_from_arrays({n: rng.standard_normal(8).astype(np.float32) for n in names})
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 1.0),
-            params_b=PruneScaleParams(1.0, 1.0),
-            task_a=EvalTask("A", ConstantTask()),
-            task_b=EvalTask("B", ConstantTask()),
+            params=both(1.0, 1.0),
+            tasks={"A": EvalTask("A", ConstantTask()), "B": EvalTask("B", ConstantTask())},
         )
         result = hi_merge(base, ma, mb, config)
         assert result.profile.rows == []
         assert result.log.actions == []
         assert checkpoint_to_bytes(result.merged) == checkpoint_to_bytes(result.theta_g)
 
+    @pytest.mark.parametrize("field", ["params", "tasks"])
+    @pytest.mark.parametrize("keys", [["A"], ["A", "B", "C"], ["a", "b"], ["A", 2]])
+    def test_config_tables_are_keyed_by_a_and_b(self, field, keys):
+        tables = {
+            "params": {"A": PruneScaleParams(1.0, 1.0), "B": PruneScaleParams(1.0, 1.0)},
+            "tasks": {m: EvalTask(m, ConstantTask()) for m in "AB"},
+        }
+        value = next(iter(tables[field].values()))
+        tables[field] = {key: value for key in keys}
+        with pytest.raises(ConfigError, match=f"{field} must be keyed by model ids A and B"):
+            HiMergeConfig(**tables)
+
     def test_stage_labels_on_failure(self):
         base, ma, mb, ta, tb = single_signal_instance(n_eval=100)
         bad = checkpoint_from_arrays({"other": [1.0]})
         config = HiMergeConfig(
-            params_a=PruneScaleParams(1.0, 1.0),
-            params_b=PruneScaleParams(1.0, 1.0),
-            task_a=ta,
-            task_b=tb,
+            params=both(1.0, 1.0),
+            tasks={"A": ta, "B": tb},
         )
         with pytest.raises(Exception, match="stage compat"):
             hi_merge(base, bad, mb, config)
