@@ -42,7 +42,6 @@ from .evaluation import (
     SyntheticCompositeTask,
     SyntheticLinearTask,
     hidden_optimum,
-    synthetic_linear_eval,
 )
 from .analysis import (
     AnalysisContext,

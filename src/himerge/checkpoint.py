@@ -472,12 +472,12 @@ def load_checkpoint(path) -> Checkpoint:
 
 @contextlib.contextmanager
 def atomic_open(path, mode: str = "w", **kwargs):
-    """Open a fresh temp file next to ``path`` for writing.  When the block
-    ends normally it replaces ``path`` (``os.replace``); when it raises, it is
-    removed.  So ``path`` holds either its old contents or the complete new
-    ones, never a partial write."""
+    """Open a fresh temp file next to ``path`` for writing, named in a form
+    no other tool writes (``_TEMP_NAME``).  When the block ends normally it
+    replaces ``path`` (``os.replace``); when it raises, it is removed.  So
+    ``path`` never holds a partial write."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")  # _TEMP_NAME matches it
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.himerge-tmp")
     fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with open(fd, mode, **kwargs) as fh:
@@ -489,20 +489,17 @@ def atomic_open(path, mode: str = "w", **kwargs):
         raise
 
 
-_TEMP_NAME = re.compile(r"\.(.+)\.[0-9a-f]{8}\.tmp")
+_TEMP_NAME = re.compile(r"\..+\.[0-9a-f]{8}\.himerge-tmp")
 
 
-def remove_stale_temps(directory, names) -> None:
-    """Remove the temp files that an ``atomic_open`` of one of ``names`` in
-    ``directory`` left behind when its process was killed.  Only call this
-    while no other process can be writing those names."""
-    names = set(names)
-    with os.scandir(directory) as entries:
-        for entry in entries:
-            match = _TEMP_NAME.fullmatch(entry.name)
-            if match and match.group(1) in names:
-                with contextlib.suppress(OSError):  # gone already, or not ours to remove
-                    os.unlink(entry.path)
+def remove_stale_temps(directory) -> None:
+    """Remove the temp files that an ``atomic_open`` in ``directory`` left
+    behind when its process was killed.  Only call this while no other
+    process can be writing into ``directory``."""
+    for name in os.listdir(directory):
+        if _TEMP_NAME.fullmatch(name):
+            with contextlib.suppress(OSError):  # gone already, or not ours to remove
+                os.unlink(os.path.join(directory, name))
 
 
 def save_checkpoint(cp: Checkpoint, path) -> None:

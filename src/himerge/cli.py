@@ -52,22 +52,6 @@ from .resolver import HiMergeConfig, IterationPolicy, _stage, hi_merge, prepare
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 LOCK_NAME = ".himerge.lock"
-# Every file a command writes into --out, each through atomic_open.
-OUTPUT_NAMES = (
-    "delta.safetensors",
-    "merged.safetensors",
-    "theta_g.safetensors",
-    "delta_a_processed.safetensors",
-    "delta_b_processed.safetensors",
-    "delta_a_final.safetensors",
-    "delta_b_final.safetensors",
-    "profile.json",
-    "profile.csv",
-    "resolution_log.jsonl",
-    "resolution_log.partial.jsonl",
-    "resolution_summary.txt",
-    "sweep.csv",
-)
 _POLICY = IterationPolicy()  # the resolution-policy defaults
 
 
@@ -166,7 +150,9 @@ def parse_eval_spec(spec, task_id: str, timeout: float) -> EvalTask:
         kind = spec.get("builtin")
         if not isinstance(kind, str) or kind not in BUILTIN_TASKS:
             raise ConfigError(f"unknown builtin evaluator {kind!r} for task {task_id}")
-        hints = {"builtin": str, **get_type_hints(BUILTIN_TASKS[kind])}
+        cls = BUILTIN_TASKS[kind]
+        annotated = get_type_hints(cls)  # fields() leaves out the ClassVar kind: no spec key
+        hints = {"builtin": str, **{f.name: annotated[f.name] for f in fields(cls)}}
     leaves = _flatten(spec, {name: name for name in hints}, f"eval_{task_id.lower()}.")
     values = {name: _typed(value, hints[name], path) for name, path, value in leaves}
     if "command" in values:
@@ -318,8 +304,8 @@ def output_dir(cfg: RunConfig):
     """Create the output directory and hold an exclusive lock file in it.
 
     The lock holds ``pid host``.  A lock left by a process of this host that
-    no longer exists is taken over.  Under the lock, the temp files of
-    outputs whose writer was killed are removed.
+    no longer exists is taken over.  Under the lock, the temp files that a
+    killed writer left are removed.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -336,7 +322,7 @@ def output_dir(cfg: RunConfig):
     try:
         with open(fd, "w") as fh:
             fh.write(f"{os.getpid()} {socket.gethostname()}\n")
-        remove_stale_temps(out, OUTPUT_NAMES)
+        remove_stale_temps(out)
         yield out
     finally:
         with contextlib.suppress(OSError):

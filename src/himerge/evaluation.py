@@ -33,6 +33,7 @@ import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,7 +46,8 @@ MAX_TIMEOUT = 2147483.0
 
 
 # ---------------------------------------------------------------------------
-# Builtin synthetic evaluators
+# Builtin synthetic evaluators: frozen dataclasses whose fields are the spec,
+# whose ``kind`` names them in a spec, and whose ``score(cp)`` scores.
 # ---------------------------------------------------------------------------
 
 
@@ -59,6 +61,7 @@ def _require_at_least(low: int, **values) -> None:
 class SyntheticLinearTask:
     """Sign-agreement accuracy of one tensor against a seeded hidden optimum."""
 
+    kind: ClassVar[str] = "synthetic_linear"
     seed: int
     dim: int
     n_eval: int
@@ -67,6 +70,19 @@ class SyntheticLinearTask:
     def __post_init__(self):
         _require_at_least(0, seed=self.seed)
         _require_at_least(1, dim=self.dim, n_eval=self.n_eval)
+
+    def score(self, cp: Checkpoint) -> float:
+        """Mean agreement of sign(<w, x>) with sign(<w*, x>) over seeded probes."""
+        if self.target not in cp:
+            raise EvaluatorError(f"synthetic task target tensor {self.target!r} not found")
+        rec = cp.record(self.target)
+        if len(rec.shape) != 1 or rec.shape[0] != self.dim:
+            raise EvaluatorError(
+                f"synthetic task target {self.target!r} must be 1-D of length "
+                f"{self.dim}, got shape {rec.shape}"
+            )
+        probes, star_signs = _linear_fixture(self.seed, self.dim, self.n_eval)
+        return _sign_agreement(rec.as_f32().astype(np.float64), probes, star_signs)
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,7 @@ class SyntheticCompositeTask:
     from ``probe_seed``.
     """
 
+    kind: ClassVar[str] = "synthetic_composite"
     probe_seed: int
     n_eval: int
     targets: tuple[tuple[str, int], ...]
@@ -90,16 +107,32 @@ class SyntheticCompositeTask:
         _require_at_least(0, probe_seed=self.probe_seed, target_seed=target_seed)
         _require_at_least(1, n_eval=self.n_eval)
 
+    def score(self, cp: Checkpoint) -> float:
+        parts = []
+        dims = []
+        for name, _ in self.targets:
+            if name not in cp:
+                raise EvaluatorError(f"synthetic task target tensor {name!r} not found")
+            arr = cp.as_f32(name).reshape(-1).astype(np.float64)
+            parts.append(arr)
+            dims.append(arr.size)
+        probes, star_signs = _composite_fixture(self, tuple(dims))
+        return _sign_agreement(np.concatenate(parts), probes, star_signs)
+
 
 @dataclass(frozen=True)
 class ConstantTask:
     """Always returns the same score; useful as a degenerate oracle."""
 
+    kind: ClassVar[str] = "constant"
     value: float = 0.5
 
     def __post_init__(self):
         if not math.isfinite(self.value):
             raise ConfigError(f"constant evaluator value must be finite, got {self.value}")
+
+    def score(self, cp: Checkpoint) -> float:
+        return float(self.value)
 
 
 def hidden_optimum(seed: int, dim: int) -> np.ndarray:
@@ -134,48 +167,9 @@ def _sign_agreement(w: np.ndarray, probes: np.ndarray, star_signs: np.ndarray) -
     return float(np.mean(np.sign(probes @ w) == star_signs))
 
 
-def synthetic_linear_eval(cp: Checkpoint, task: SyntheticLinearTask) -> float:
-    """Mean agreement of sign(<w, x>) with sign(<w*, x>) over seeded probes."""
-    if task.target not in cp:
-        raise EvaluatorError(f"synthetic task target tensor {task.target!r} not found")
-    rec = cp.record(task.target)
-    if len(rec.shape) != 1 or rec.shape[0] != task.dim:
-        raise EvaluatorError(
-            f"synthetic task target {task.target!r} must be 1-D of length "
-            f"{task.dim}, got shape {rec.shape}"
-        )
-    probes, star_signs = _linear_fixture(task.seed, task.dim, task.n_eval)
-    return _sign_agreement(rec.as_f32().astype(np.float64), probes, star_signs)
-
-
-def synthetic_composite_eval(cp: Checkpoint, task: SyntheticCompositeTask) -> float:
-    parts = []
-    dims = []
-    for name, _ in task.targets:
-        if name not in cp:
-            raise EvaluatorError(f"synthetic task target tensor {name!r} not found")
-        arr = cp.as_f32(name).reshape(-1).astype(np.float64)
-        parts.append(arr)
-        dims.append(arr.size)
-    probes, star_signs = _composite_fixture(task, tuple(dims))
-    return _sign_agreement(np.concatenate(parts), probes, star_signs)
-
-
 BUILTIN_TASKS = {
-    "synthetic_linear": SyntheticLinearTask,
-    "synthetic_composite": SyntheticCompositeTask,
-    "constant": ConstantTask,
+    cls.kind: cls for cls in (SyntheticLinearTask, SyntheticCompositeTask, ConstantTask)
 }
-
-
-def run_builtin(cp: Checkpoint, spec) -> float:
-    if isinstance(spec, SyntheticLinearTask):
-        return synthetic_linear_eval(cp, spec)
-    if isinstance(spec, SyntheticCompositeTask):
-        return synthetic_composite_eval(cp, spec)
-    if isinstance(spec, ConstantTask):
-        return float(spec.value)
-    raise ConfigError(f"unknown builtin evaluator spec {spec!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +196,13 @@ class EvalTask:
                     "{checkpoint} placeholder"
                 )
             text = self.evaluator
-        else:
-            kind = next(
-                (k for k, cls in BUILTIN_TASKS.items() if isinstance(self.evaluator, cls)), None
-            )
-            if kind is None:
-                raise ConfigError(f"unsupported evaluator {self.evaluator!r}")
+        elif isinstance(self.evaluator, tuple(BUILTIN_TASKS.values())):
             text = json.dumps(
-                {"builtin": kind, **asdict(self.evaluator)}, sort_keys=True, separators=(",", ":")
+                {"builtin": self.evaluator.kind, **asdict(self.evaluator)},
+                sort_keys=True, separators=(",", ":"),
             )
+        else:
+            raise ConfigError(f"unsupported evaluator {self.evaluator!r}")
         if not 0 < self.timeout <= MAX_TIMEOUT:
             raise ConfigError(
                 f"timeout for task {self.task_id!r} must be > 0 and <= {MAX_TIMEOUT:.0f}, "
@@ -368,7 +360,7 @@ class EvaluationBridge:
             if isinstance(task.evaluator, str):
                 score = self._run_external(cp, key, task)
             else:
-                score = float(run_builtin(cp, task.evaluator))
+                score = task.evaluator.score(cp)
             if not math.isfinite(score):
                 raise EvaluatorError(
                     f"task {task.task_id!r} returned non-finite score {score!r}"
@@ -482,7 +474,7 @@ def _parse_score(stdout: str, task_id: str, stderr: str = "") -> float:
     text = stdout.strip()
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not JSON, an over-long integer, or too deep
         raise EvaluatorError(
             f"task {task_id!r}: stdout is not a single JSON object "
             f"({exc}); stdout: {text[:500]!r}; stderr: {stderr.strip()[-500:]}"
@@ -494,6 +486,10 @@ def _parse_score(stdout: str, task_id: str, stderr: str = "") -> float:
     score = payload["score"]
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         raise EvaluatorError(f"task {task_id!r}: 'score' is not a number: {score!r}")
-    if not math.isfinite(float(score)):
+    try:
+        value = float(score)
+    except OverflowError:  # an integer beyond the float range
+        raise EvaluatorError(f"task {task_id!r}: score {score!r} is out of range") from None
+    if not math.isfinite(value):
         raise EvaluatorError(f"task {task_id!r}: non-finite score {score!r}")
-    return float(score)
+    return value

@@ -38,7 +38,7 @@ from himerge import (
 from himerge.checkpoint import checkpoint_to_bytes
 from himerge.cli import main
 from himerge.delta import DeltaVector, _retain_count
-from himerge.evaluation import SyntheticLinearTask, synthetic_linear_eval
+from himerge.evaluation import SyntheticLinearTask
 
 from conftest import checkpoint_from_arrays, dyadic_random, random_checkpoint
 from instances import (
@@ -254,7 +254,7 @@ def test_sweep_completeness(tmp_path):
     assert len(rows) == 100
     assert len({(r["p"], r["s"]) for r in rows}) == 100
     by_cell = {(float(r["p"]), float(r["s"])): float(r["score"]) for r in rows}
-    assert by_cell[(1.0, 1.0)] == synthetic_linear_eval(model_cp, spec)
+    assert by_cell[(1.0, 1.0)] == spec.score(model_cp)
 
     out_zero = tmp_path / "zero"
     rc = main(
@@ -277,7 +277,7 @@ def test_sweep_completeness(tmp_path):
     assert rc == 0
     with open(out_zero / "sweep.csv") as fh:
         zero_rows = {(float(r["p"]), float(r["s"])): float(r["score"]) for r in csv.DictReader(fh)}
-    base_score = synthetic_linear_eval(base_cp, spec)
+    base_score = spec.score(base_cp)
     for p in (0.0, 0.3, 1.0):
         assert zero_rows[(p, 0.0)] == base_score
     assert zero_rows[(0.0, 1.0)] == base_score

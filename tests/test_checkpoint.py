@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import hashlib
 import io
@@ -678,22 +679,30 @@ def test_a_file_replaced_by_rename_keeps_the_loaded_contents(tmp_path):
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
 def test_the_file_closes_with_the_last_record_that_uses_it(tmp_path):
-    def open_descriptors():
-        return len(os.listdir("/proc/self/fd"))
-
     cp, path = _saved(tmp_path)
-    before = open_descriptors()
+    target = os.path.realpath(path)
+
+    def open_descriptors():
+        """Descriptors open on this test's file.  Counting all of them would
+        also count those of earlier tests that garbage collection closes
+        during the loop."""
+        count = 0
+        for fd in os.listdir("/proc/self/fd"):
+            with contextlib.suppress(OSError):  # closed since the listing
+                count += os.readlink(f"/proc/self/fd/{fd}") == target
+        return count
+
     for _ in range(200):
         loaded = load_checkpoint(path)
         assert fingerprint(loaded) == fingerprint(cp)
         del loaded
-    assert open_descriptors() == before
+    assert open_descriptors() == 0
 
     # A record can outlive its checkpoint; the file stays open until it goes.
     loaded = load_checkpoint(path)
     rec = loaded.record(cp.names[0])
     del loaded
-    assert open_descriptors() == before + 1
+    assert open_descriptors() == 1
     assert bytes(rec.data) == bytes(cp.record(rec.name).data)
     del rec
-    assert open_descriptors() == before
+    assert open_descriptors() == 0

@@ -17,7 +17,6 @@ import pytest
 import himerge.checkpoint
 import himerge.cli
 import himerge.delta
-import himerge.evaluation
 import himerge.resolver
 from himerge import (
     ConfigError,
@@ -33,7 +32,7 @@ from himerge import (
 )
 from himerge.checkpoint import checkpoint_to_bytes
 from himerge.cli import _GROUPS, RunConfig, build_parser, load_run_config, main, output_dir
-from himerge.evaluation import SyntheticCompositeTask, SyntheticLinearTask, synthetic_linear_eval
+from himerge.evaluation import SyntheticCompositeTask, SyntheticLinearTask
 
 import reference_delta
 from conftest import (
@@ -613,8 +612,8 @@ class TestSweepCommand:
         assert rc == 0
         with open(out / "sweep.csv") as fh:
             rows = {(float(r["p"]), float(r["s"])): r["score"] for r in csv.DictReader(fh)}
-        direct_model = synthetic_linear_eval(model_cp, spec)
-        direct_base = synthetic_linear_eval(base_cp, spec)
+        direct_model = spec.score(model_cp)
+        direct_base = spec.score(base_cp)
         assert float(rows[(1.0, 1.0)]) == direct_model
         for p in (0.0, 0.5, 1.0):
             assert float(rows[(p, 0.0)]) == direct_base
@@ -972,6 +971,7 @@ BAD_BUILTIN_SPECS = [
     {**LINEAR, "dim": "32"},
     {**LINEAR, "seed": True},
     {**LINEAR, "bogus": 1},
+    {**LINEAR, "kind": "synthetic_linear"},  # the class names its kind; a spec cannot
     {"builtin": "synthetic_composite", "probe_seed": 1, "n_eval": 50, "targets": [[layer_name(0), 1.5]]},
     {"builtin": "constant", "value": "0.5"},
 ]
@@ -1145,13 +1145,13 @@ def _invocations(err: str) -> int:
 
 def test_parallel_sweep_evaluates_each_distinct_candidate_once(workdir, monkeypatch, capsys):
     _, _, (base, model), _, spec = _sweep_inputs(workdir)
-    original = himerge.evaluation.run_builtin
+    original = SyntheticCompositeTask.score
 
-    def slow(cp, task_spec):  # slow enough for cells of one candidate to overlap
+    def slow(task_spec, cp):  # slow enough for cells of one candidate to overlap
         time.sleep(0.01)
-        return original(cp, task_spec)
+        return original(task_spec, cp)
 
-    monkeypatch.setattr(himerge.evaluation, "run_builtin", slow)
+    monkeypatch.setattr(SyntheticCompositeTask, "score", slow)
 
     def sweep(out, parallel):
         argv = ["sweep", "--base", base, "--model-a", model, "--eval-a", json.dumps(spec),
@@ -1314,36 +1314,22 @@ def test_an_input_replaced_by_rename_during_the_run_changes_nothing(workdir, mon
     assert load_checkpoint(paths["model_a"]).names != load_checkpoint(paths["base"]).names
 
 
-def test_stale_temp_files_of_outputs_are_removed(workdir):
+def test_stale_temp_files_are_removed_and_other_files_kept(workdir):
+    """A temp file names itself: any .<name>.<8 hex>.himerge-tmp goes, even
+    of a name no command writes, and every other file stays, including the
+    .<name>.<8 hex>.tmp that versions before the himerge-tmp form left."""
     paths, argv = _hi_run(workdir, workdir / "out")
     out = workdir / "out"
     out.mkdir()
-    stale = out / ".merged.safetensors.deadbeef.tmp"
-    unrelated = out / ".notes.tmp"
-    stale.write_bytes(b"half a file")
-    unrelated.write_text("keep me")
+    stale = [out / ".merged.safetensors.deadbeef.himerge-tmp",
+             out / ".extra.safetensors.0123abcd.himerge-tmp"]
+    kept = [out / ".notes.tmp", out / ".x.deadbeef.tmp", out / ".merged.safetensors.deadbeef.tmp",
+            out / "notes.himerge-tmp"]
+    for path in stale + kept:
+        path.write_text("half a file")
     assert main(argv) == 0
-    assert not stale.exists()
-    assert unrelated.read_text() == "keep me"
-
-
-def test_every_output_a_command_writes_is_a_known_output_name(workdir):
-    """The stale temp files removed are those of OUTPUT_NAMES, so the table
-    must name every file a command writes into --out."""
-    paths, argv = _hi_run(workdir, workdir / "hi")
-    assert main(argv) == 0
-    inputs = ["--base", str(paths["base"]), "--model-a", str(paths["model_a"])]
-    evals = argv[argv.index("--eval-a") : argv.index("--eval-b") + 2]
-    assert main(["delta", *inputs, "--out", str(workdir / "delta")]) == 0
-    assert main(["analyze", *inputs, "--model-b", str(paths["model_b"]), *evals,
-                 "--out", str(workdir / "analyze")]) == 0
-    assert main(["sweep", *inputs, *evals[:2], "--p-values", "0.5", "--s-values", "1",
-                 "--out", str(workdir / "sweep")]) == 0
-    written = set()
-    for verb in ("hi", "delta", "analyze", "sweep"):
-        out = workdir / verb
-        written |= {p.name for p in out.iterdir() if p.is_file()}
-    assert written and written <= set(himerge.cli.OUTPUT_NAMES)
+    assert not any(path.exists() for path in stale)
+    assert all(path.read_text() == "half a file" for path in kept)
 
 
 def _hi_args(paths, eval_a, eval_b=None):
@@ -1411,6 +1397,28 @@ def test_hi_reads_evaluator_output_that_is_not_utf8(workdir, capsys, script_eval
     err = capsys.readouterr().err
     assert err.startswith("evaluator error: stage analysis: task 'A': stdout is not a single JSON")
     assert "\ufffd" in err
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["""print('{"score": ' + '9' * 400 + '}')""", """print('[' * 100_000 + ']' * 100_000)"""],
+    ids=["400-digit score", "100000-deep stdout"],
+)
+def test_stdout_that_yields_no_float_is_an_evaluator_error(workdir, capsys, script_evaluator, body):
+    paths = _one_layer_inputs(workdir)
+    cmd = script_evaluator(body)
+    argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"], "--eval-a", cmd,
+            "--p-values", "1", "--s-values", "1", "--out", str(workdir / "sweep")]
+    assert main(argv) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    with open(workdir / "sweep" / "sweep.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["score"] == "" and row["error"].startswith("task 'A': ")
+    for verb in (["analyze"], ["merge", "--method", "hi"]):
+        assert main([*verb, *_hi_args(paths, cmd), "--out", str(workdir / verb[0])]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("evaluator error: stage analysis: task 'A': ")
+        assert "Traceback" not in err
 
 
 def test_timeout_at_the_cap_runs_an_external_evaluator(workdir, capsys, script_evaluator):

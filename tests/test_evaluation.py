@@ -21,10 +21,8 @@ from himerge import (
     SyntheticCompositeTask,
     SyntheticLinearTask,
     hidden_optimum,
-    synthetic_linear_eval,
 )
 from himerge.checkpoint import fingerprint
-from himerge.evaluation import synthetic_composite_eval
 
 from conftest import checkpoint_from_arrays
 
@@ -40,12 +38,12 @@ class TestSyntheticLinear:
     def test_optimum_scores_one(self):
         task = SyntheticLinearTask(seed=5, dim=DIM, n_eval=500, target="head.w")
         w_star = hidden_optimum(5, DIM)
-        assert synthetic_linear_eval(cp_with_target(w_star), task) == 1.0
+        assert task.score(cp_with_target(w_star)) == 1.0
 
     def test_negated_optimum_scores_zero(self):
         task = SyntheticLinearTask(seed=5, dim=DIM, n_eval=500, target="head.w")
         w_star = hidden_optimum(5, DIM)
-        assert synthetic_linear_eval(cp_with_target(-w_star), task) == 0.0
+        assert task.score(cp_with_target(-w_star)) == 0.0
 
     def test_orthogonal_scores_near_half(self):
         task = SyntheticLinearTask(seed=9, dim=256, n_eval=4000, target="head.w")
@@ -53,32 +51,32 @@ class TestSyntheticLinear:
         rng = np.random.default_rng(123)
         v = rng.standard_normal(256)
         v -= (v @ w_star) / (w_star @ w_star) * w_star
-        score = synthetic_linear_eval(cp_with_target(v), task)
+        score = task.score(cp_with_target(v))
         assert abs(score - 0.5) <= 3 / np.sqrt(4000)
 
     def test_determinism_bitwise(self):
         task = SyntheticLinearTask(seed=11, dim=DIM, n_eval=777, target="head.w")
         cp = cp_with_target(np.linspace(-1, 1, DIM))
-        assert synthetic_linear_eval(cp, task) == synthetic_linear_eval(cp, task)
+        assert task.score(cp) == task.score(cp)
 
     def test_missing_target(self):
         task = SyntheticLinearTask(seed=1, dim=DIM, n_eval=10, target="nope")
         with pytest.raises(EvaluatorError, match="nope"):
-            synthetic_linear_eval(cp_with_target(np.zeros(DIM)), task)
+            task.score(cp_with_target(np.zeros(DIM)))
 
     def test_ill_shaped_target(self):
         task = SyntheticLinearTask(seed=1, dim=DIM, n_eval=10, target="head.w")
         bad = checkpoint_from_arrays({"head.w": np.zeros((8, 8), dtype=np.float32)})
         with pytest.raises(EvaluatorError, match="1-D"):
-            synthetic_linear_eval(bad, task)
+            task.score(bad)
 
     def test_optimum_beats_perturbed_copy(self):
         task = SyntheticLinearTask(seed=21, dim=DIM, n_eval=2000, target="head.w")
         w_star = hidden_optimum(21, DIM)
         rng = np.random.default_rng(0)
         perturbed = w_star + rng.standard_normal(DIM) * 2.0
-        good = synthetic_linear_eval(cp_with_target(w_star), task)
-        worse = synthetic_linear_eval(cp_with_target(perturbed), task)
+        good = task.score(cp_with_target(w_star))
+        worse = task.score(cp_with_target(perturbed))
         assert good > worse
 
 
@@ -90,7 +88,7 @@ class TestSyntheticComposite:
         w_star = hidden_optimum(33, DIM)
         cp = cp_with_target(w_star)
         task = SyntheticCompositeTask(probe_seed=1, n_eval=300, targets=(("head.w", 33),))
-        assert synthetic_composite_eval(cp, task) == 1.0
+        assert task.score(cp) == 1.0
 
     def test_concatenation_order_matters(self):
         cp = checkpoint_from_arrays(
@@ -98,7 +96,7 @@ class TestSyntheticComposite:
         )
         t1 = SyntheticCompositeTask(probe_seed=2, n_eval=500, targets=(("a", 1), ("b", 2)))
         t2 = SyntheticCompositeTask(probe_seed=2, n_eval=500, targets=(("b", 1), ("a", 2)))
-        assert synthetic_composite_eval(cp, t1) != synthetic_composite_eval(cp, t2)
+        assert t1.score(cp) != t2.score(cp)
 
     def test_full_optimum_scores_one(self):
         arrays = {
@@ -111,7 +109,7 @@ class TestSyntheticComposite:
             n_eval=400,
             targets=tuple((f"m.layers.{l}.w", 100 + l) for l in range(4)),
         )
-        assert synthetic_composite_eval(cp, task) == 1.0
+        assert task.score(cp) == 1.0
 
 
 def two_matvec_score(w, w_star, probes):
@@ -135,7 +133,7 @@ def test_builtin_scores_equal_the_two_matvec_formula(seed):
     probes = fixture.standard_normal((257, dims[0]))
     w = cp.as_f32(names[0]).astype(np.float64)
     for _ in range(2):  # the first call builds the fixture, the second reuses it
-        assert synthetic_linear_eval(cp, linear) == two_matvec_score(w, w_star, probes)
+        assert linear.score(cp) == two_matvec_score(w, w_star, probes)
 
     targets = tuple((name, 10 + i) for i, name in enumerate(names))
     composite = SyntheticCompositeTask(probe_seed=seed, n_eval=300, targets=targets)
@@ -143,7 +141,32 @@ def test_builtin_scores_equal_the_two_matvec_formula(seed):
     probes = np.random.default_rng(seed).standard_normal((300, w_star.size))
     w = np.concatenate([cp.as_f32(name).astype(np.float64) for name in names])
     for _ in range(2):
-        assert synthetic_composite_eval(cp, composite) == two_matvec_score(w, w_star, probes)
+        assert composite.score(cp) == two_matvec_score(w, w_star, probes)
+
+
+class TestBuiltinKinds:
+    # Evaluator identities key the cache, so a cache written by an earlier
+    # version stays valid only while these hex values hold.
+    IDENTITIES = {
+        SyntheticLinearTask(seed=7, dim=32, n_eval=50, target="model.layers.0.w"):
+            "358ec0b987246826562825b8b9355cfe5368215c5b44cf230a9492b49db3ff85",
+        SyntheticCompositeTask(
+            probe_seed=1, n_eval=50, targets=(("model.layers.0.w", 3), ("model.layers.1.w", 4))
+        ): "4ebd75c69baa8218ba36dc129dbf3f7ca325cb001511f8e631697450263ceff8",
+        ConstantTask(0.25): "414a134f0d9be36fe29e6eb1d46ab825f6d506205ed183f2290cac663168064a",
+    }
+
+    @pytest.mark.parametrize("spec", list(IDENTITIES), ids=lambda spec: spec.kind)
+    def test_identity_is_pinned(self, spec):
+        assert EvalTask("A", spec).identity == self.IDENTITIES[spec]
+
+    @pytest.mark.parametrize("cls", [SyntheticLinearTask, SyntheticCompositeTask, ConstantTask])
+    def test_each_kind_names_its_class(self, cls):
+        assert evaluation.BUILTIN_TASKS[cls.kind] is cls
+
+    def test_an_object_of_no_builtin_kind_is_unsupported(self):
+        with pytest.raises(ConfigError, match="unsupported evaluator"):
+            EvalTask("A", 0.5)
 
 
 class TestBridgeBuiltin:
@@ -201,12 +224,12 @@ class TestBridgeBuiltin:
     def test_concurrent_callers_share_one_evaluation(self, monkeypatch):
         runs = []
 
-        def slow_failure(cp, spec):
+        def slow_failure(spec, cp):
             runs.append(spec)
             time.sleep(0.3)
             raise EvaluatorError("evaluator crashed")
 
-        monkeypatch.setattr(evaluation, "run_builtin", slow_failure)
+        monkeypatch.setattr(ConstantTask, "score", slow_failure)
         bridge = EvaluationBridge(parallel=4)
         task = EvalTask("A", ConstantTask(0.5))
         cps = [cp_with_target(np.ones(4)) for _ in range(4)]  # equal, not shared
@@ -230,7 +253,7 @@ class TestBridgeBuiltin:
         cp = cp_with_target(np.linspace(-2, 2, DIM))
         bridge = EvaluationBridge()
         cached = bridge.evaluate(cp, EvalTask("A", task_spec)).value
-        assert cached == synthetic_linear_eval(cp, task_spec)
+        assert cached == task_spec.score(cp)
         assert bridge.evaluate(cp, EvalTask("A", task_spec)).value == cached
 
 
@@ -288,6 +311,23 @@ class TestExternalProtocol:
         cmd = script_evaluator("""print('{"score": "high"}')""")
         bridge = EvaluationBridge()
         with pytest.raises(EvaluatorError, match="not a number"):
+            bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("""print('{"score": ' + '9' * 400 + '}')""", "out of range"),
+            ("""print('{"score": ' + '9' * 5000 + '}')""", "not a single JSON object"),
+            ("""print('[' * 100_000 + ']' * 100_000)""", "not a single JSON object"),
+        ],
+        ids=["400-digit score", "5000-digit score", "100000-deep stdout"],
+    )
+    def test_stdout_a_float_or_the_parser_cannot_hold_is_rejected(
+        self, script_evaluator, body, message
+    ):
+        cmd = script_evaluator(body)
+        bridge = EvaluationBridge()
+        with pytest.raises(EvaluatorError, match=message):
             bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
 
     def test_non_finite_score_rejected(self, script_evaluator):

@@ -9,8 +9,8 @@ stderr, at ``--parallel`` 1 and 2.  The evaluation cache is pinned at
 completion order.  Scores come from the builtin evaluators.
 
 A change that alters an output on purpose regenerates the file with
-``python tests/test_golden.py`` (from the repository root) and names each
-changed digest and the reason in ``CHANGES.md``.
+``PYTHONPATH=src python tests/test_golden.py`` from the repository root,
+and names each changed digest and the reason in ``CHANGES.md``.
 """
 
 from __future__ import annotations
