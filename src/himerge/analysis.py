@@ -65,9 +65,10 @@ class AnalysisContext:
         """The checkpoint of a model, the pre-merge G or the base F."""
         return {**self.models, "G": self.theta_g, "F": self.base}[source]
 
-    def source_layer_arrays(self, source: str, layer) -> list[dict[str, np.ndarray]]:
-        deltas = self.deltas.values() if source == "G" else [self.deltas[source]]
-        return [layer_arrays(delta, self.partition, layer) for delta in deltas]
+    def layer_deltas(self, layer) -> dict[str, dict[str, np.ndarray]]:
+        """Each model's delta on one layer, read once: model id -> tensor
+        name -> float32 array."""
+        return {m: layer_arrays(delta, self.partition, layer) for m, delta in self.deltas.items()}
 
 
 def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
@@ -83,11 +84,12 @@ def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
     return combine(ref, terms, [sign] * len(terms), names=sorted(touched))
 
 
-def _candidate(kind: str, source: str, layer, ctx: AnalysisContext) -> Checkpoint:
+def _candidate(kind: str, source: str, ctx: AnalysisContext, layer_deltas) -> Checkpoint:
     """The checkpoint an impact scores: for a deletion, the source model
-    minus its layer delta; for an addition, the base plus it."""
+    minus its layer delta; for an addition, the base plus it.  G's layer
+    delta is every model's; ``layer_deltas`` is ``ctx.layer_deltas(layer)``."""
     ref_source, sign = (source, -1.0) if kind == "deletion" else ("F", +1.0)
-    arrays = ctx.source_layer_arrays(source, layer)
+    arrays = list(layer_deltas.values()) if source == "G" else [layer_deltas[source]]
     return shifted_checkpoint(ctx.reference(ref_source), arrays, sign)
 
 
@@ -109,7 +111,8 @@ def _impact(kind: str, capability: str, source: str, layer, ctx: AnalysisContext
     """P(candidate) - P(its reference), each scored as a ``conflict_profile``
     job; the reference is a cache hit after its first score."""
     ref_source = source if kind == "deletion" else "F"
-    job = (kind, capability, source, layer, _candidate(kind, source, layer, ctx))
+    candidate = _candidate(kind, source, ctx, ctx.layer_deltas(layer))
+    job = (kind, capability, source, layer, candidate)
     reference = (None, capability, ref_source, None, ctx.reference(ref_source))
     return _score(ctx, job) - _score(ctx, reference)
 
@@ -195,15 +198,17 @@ def _jobs(ctx: AnalysisContext, layers, pairs, keys):
     pair the deletion and the addition candidate.  A generator, so each
     candidate is built on the consuming thread when its first turn comes.
     Pairs of one source share its layer candidates: the (A, G) and (B, G)
-    jobs score the same two G candidate objects."""
+    jobs score the same two G candidate objects.  Each model's layer delta
+    is read once per layer, before the layer's first candidate."""
     for capability, source in keys:
         yield None, capability, source, None, ctx.reference(source)
     for layer in layers:
+        layer_deltas = ctx.layer_deltas(layer)
         built: dict[tuple[str, str], Checkpoint] = {}
         for capability, source in pairs:
             for kind in ("deletion", "addition"):
                 if (kind, source) not in built:
-                    built[kind, source] = _candidate(kind, source, layer, ctx)
+                    built[kind, source] = _candidate(kind, source, ctx, layer_deltas)
                 yield kind, capability, source, layer, built[kind, source]
 
 

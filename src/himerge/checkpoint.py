@@ -13,7 +13,8 @@ through ``atomic_open``, so a failed save leaves no partial file.
 ``load_checkpoint`` reads and checks only the header and keeps the file
 open: each of its records holds a byte range of the file, and each use of
 its ``data`` reads that range again (from the page cache, not the
-process's own memory).  A file changed in place after the load is a
+process's own memory); an f32 record's ``as_f32`` reads it straight into
+the fresh array.  A file changed in place after the load is a
 FormatError at the next read; one replaced by a rename is harmless, since
 the open descriptor keeps the old contents.
 
@@ -157,7 +158,7 @@ class TensorRecord:
         object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
         if any(s < 0 for s in self.shape):
             raise FormatError(f"tensor {self.name!r}: negative shape extent {self.shape}")
-        object.__setattr__(self, "nbytes", self.numel * element_size(self.dtype))
+        object.__setattr__(self, "nbytes", self.size * element_size(self.dtype))
         if self.nbytes != len(self.data):
             raise FormatError(
                 f"tensor {self.name!r}: shape {self.shape} needs {self.nbytes} bytes, "
@@ -165,7 +166,9 @@ class TensorRecord:
             )
 
     @property
-    def numel(self) -> int:
+    def size(self) -> int:
+        """The element count, under numpy's name: a delta tensor is an array
+        or a record, and both answer ``shape`` and ``size``."""
         return math.prod(self.shape)
 
     @property
@@ -208,26 +211,40 @@ class _FileSource:
         self._stamp = (st.st_size, st.st_mtime_ns)
 
     def read(self, offset: int, length: int) -> bytes:
-        """``length`` bytes at ``offset``, read afresh.  A file whose size or
-        mtime differs from the load's, a short read or an OSError is a
-        FormatError naming the file."""
+        """``length`` bytes at ``offset``, read afresh."""
         chunks = []
+
+        def step(done: int) -> int:
+            chunks.append(os.pread(self.fd, length - done, offset + done))
+            return len(chunks[-1])
+
+        self._read(offset, length, step)
+        return b"".join(chunks)  # a single chunk is returned as it is, not copied
+
+    def read_into(self, buf: memoryview, offset: int) -> None:
+        """Fill the writable byte view ``buf`` with the bytes at ``offset``,
+        read afresh, with no intermediate copy."""
+        self._read(offset, len(buf), lambda done: os.preadv(self.fd, [buf[done:]], offset + done))
+
+    def _read(self, offset: int, length: int, step) -> None:
+        """Call ``step(done)``, which reads from ``offset + done`` and
+        returns the byte count, until ``length`` bytes are read.  A file
+        whose size or mtime differs from the load's, a short read or an
+        OSError is a FormatError naming the file."""
         done = 0
         try:
             st = os.fstat(self.fd)
             if (st.st_size, st.st_mtime_ns) != self._stamp:
                 raise FormatError(f"{self.path}: the file changed after it was loaded")
             while done < length:  # one read returns at most about 2 GiB
-                chunk = os.pread(self.fd, length - done, offset + done)
-                if not chunk:
+                count = step(done)
+                if not count:
                     raise FormatError(
                         f"{self.path}: short read: {done} of {length} bytes at offset {offset}"
                     )
-                chunks.append(chunk)
-                done += len(chunk)
+                done += count
         except OSError as exc:
             raise FormatError(f"cannot read {self.path}: {exc}") from exc
-        return b"".join(chunks)  # a single chunk is returned as it is, not copied
 
 
 class FileRecord(TensorRecord):
@@ -246,6 +263,15 @@ class FileRecord(TensorRecord):
     @property
     def data(self) -> bytes:
         return self._source.read(self._offset, self.nbytes)
+
+    def as_f32(self) -> np.ndarray:
+        """As ``TensorRecord.as_f32``; an f32 tensor is read straight into
+        the fresh array."""
+        if self.dtype != "f32":
+            return super().as_f32()
+        arr = np.empty(self.shape, dtype="<f4")
+        self._source.read_into(memoryview(arr.reshape(-1).view(np.uint8)), self._offset)
+        return arr
 
     def __repr__(self) -> str:
         return (f"FileRecord(name={self.name!r}, dtype={self.dtype!r}, shape={self.shape}, "
@@ -295,7 +321,7 @@ class Checkpoint:
 
     @property
     def num_params(self) -> int:
-        return sum(rec.numel for rec in self)
+        return sum(rec.size for rec in self)
 
 
 def encode_record(ref: TensorRecord, arr: np.ndarray) -> TensorRecord:
@@ -349,9 +375,11 @@ def _chunks(cp: Checkpoint):
 
 
 def write_checkpoint(cp: Checkpoint, fh) -> None:
-    """Write the canonical container to a binary file, chunk by chunk."""
+    """Write the canonical container to a binary file, chunk by chunk.  A
+    chunk read from a file is freed before the next one is read."""
     for chunk in _chunks(cp):
         fh.write(chunk)
+        del chunk
 
 
 def checkpoint_to_bytes(cp: Checkpoint) -> bytes:
@@ -514,6 +542,7 @@ def fingerprint(cp: Checkpoint) -> str:
         h = hashlib.sha256()
         for chunk in _chunks(cp):
             h.update(chunk)
+            del chunk  # as in write_checkpoint
         cp._fingerprint = h.hexdigest()
     return cp._fingerprint
 

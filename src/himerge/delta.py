@@ -32,10 +32,15 @@ from .errors import CompatError, ConfigError, FormatError
 
 @dataclass
 class DeltaVector:
-    """Per-tensor float32 parameter differences against a base checkpoint."""
+    """Per-tensor float32 parameter differences against a base checkpoint.
+
+    Each tensor in ``deltas`` is a float32 array held in memory, or an f32
+    ``TensorRecord``: a ``FileRecord`` of a delta file is read from the file
+    on each use.  ``array`` gives either as an array.
+    """
 
     base_fingerprint: str
-    deltas: dict[str, np.ndarray]
+    deltas: dict[str, np.ndarray | TensorRecord]
     provenance: str = ""
 
     def __post_init__(self):
@@ -47,10 +52,17 @@ class DeltaVector:
 
     @property
     def num_params(self) -> int:
-        return sum(arr.size for arr in self.deltas.values())
+        return sum(entry.size for entry in self.deltas.values())
+
+    def array(self, name: str) -> np.ndarray:
+        """Tensor ``name`` as a float32 array: the held array itself, which
+        must not be changed, or a fresh one read from the record."""
+        entry = self.deltas[name]
+        return entry if isinstance(entry, np.ndarray) else entry.as_f32()
 
     def replace(self, arrays: dict[str, np.ndarray]) -> "DeltaVector":
-        """New DeltaVector with some tensors replaced (others shared)."""
+        """New DeltaVector with some tensors replaced by arrays (the others
+        shared, in memory or in their file)."""
         merged = dict(self.deltas)
         for name, arr in arrays.items():
             if name not in merged:
@@ -133,17 +145,19 @@ def prune_topp(
     else:
         wanted = set(layers)
         scope = [n for n in delta.names if partition.layer_of(n) in wanted]
-    flats = [delta.deltas[name].reshape(-1) for name in scope]
-    n = sum(flat.size for flat in flats)
+    n = sum(delta.deltas[name].size for name in scope)
     k = _retain_count(p, n)
+    if k >= n and s == 1.0:
+        return delta
+    shapes = {name: delta.deltas[name].shape for name in scope}
+    if k == 0:
+        return delta.replace({name: np.zeros(shape, np.float32) for name, shape in shapes.items()})
+    flats = [delta.array(name).reshape(-1) for name in scope]
     factor = np.float32(s)
     if k >= n:
-        if s == 1.0:
-            return delta
-        return delta.replace({name: delta.deltas[name] * factor for name in scope})
+        scaled = {name: (flat * factor).reshape(shapes[name]) for name, flat in zip(scope, flats)}
+        return delta.replace(scaled)
 
-    if k == 0:
-        return delta.replace({name: np.zeros(delta.deltas[name].shape, np.float32) for name in scope})
     # Threshold selection: t is the k-th largest magnitude.  Keep every
     # entry above it, then fill the remaining ``need`` slots with the
     # entries equal to t in ascending canonical-flattened-index order.
@@ -165,7 +179,7 @@ def prune_topp(
             ties = np.flatnonzero(mag == t)[:need]
             keep[ties] = True
             need -= ties.size
-        kept[name] = np.where(keep, flat, np.float32(0.0)).reshape(delta.deltas[name].shape)
+        kept[name] = np.where(keep, flat, np.float32(0.0)).reshape(shapes[name])
         if s != 1.0:
             kept[name] *= factor
     return delta.replace(kept)
@@ -178,7 +192,7 @@ def scale(delta: DeltaVector, s: float) -> DeltaVector:
     if s == 1.0:
         return delta.replace({})
     factor = np.float32(s)
-    return delta.replace({name: arr * factor for name, arr in delta.deltas.items()})
+    return delta.replace({name: delta.array(name) * factor for name in delta.names})
 
 
 def model_wise_process(delta: DeltaVector, params: PruneScaleParams) -> DeltaVector:
@@ -264,14 +278,14 @@ def _sum(ref: Checkpoint | None, rec: TensorRecord, terms, weights) -> np.ndarra
 def apply_delta(base: Checkpoint, deltas: list[DeltaVector]) -> Checkpoint:
     """base + sum of deltas; float64 accumulation, rounded once to float32."""
     _check_delta_compat(base, deltas)
-    return combine(base, [dv.deltas.get for dv in deltas])
+    return combine(base, [dv.array for dv in deltas])
 
 
 def layer_arrays(
     delta: DeltaVector, partition: LayerPartition, layer
 ) -> dict[str, np.ndarray]:
     """The sub-delta for one layer: tensor name -> float32 array."""
-    return {name: delta.deltas[name] for name in partition.names_in(layer)}
+    return {name: delta.array(name) for name in partition.names_in(layer)}
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +294,12 @@ def layer_arrays(
 
 
 def save_delta(delta: DeltaVector, path) -> None:
-    """Write a delta file; its records view the float32 arrays, unencoded."""
+    """Write a delta file, one tensor at a time: an array is written
+    unencoded through a view of it, a record is read from its file."""
     records = [
-        TensorRecord(name, "f32", arr.shape, array_bytes(np.ascontiguousarray(arr, "<f4")))
-        for name, arr in delta.deltas.items()
+        entry if isinstance(entry, TensorRecord) else
+        TensorRecord(name, "f32", entry.shape, array_bytes(np.ascontiguousarray(entry, "<f4")))
+        for name, entry in delta.deltas.items()
     ]
     meta = {
         "kind": "delta",

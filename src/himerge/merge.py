@@ -60,7 +60,7 @@ def delta_weighted_merge(
     """theta_F + sum of w_m * delta_m."""
     weights = w.ordered([dv.provenance or str(i) for i, dv in enumerate(deltas)])
     _check_delta_compat(base, deltas)
-    return combine(base, [dv.deltas.get for dv in deltas], weights)
+    return combine(base, [dv.array for dv in deltas], weights)
 
 
 def assemble_final(
@@ -75,4 +75,4 @@ def assemble_final(
     ``combine``, only ``names`` are recomputed and the other tensors are
     taken from ``like``."""
     _check_delta_compat(base, [delta_a, delta_b])
-    return combine(base, [delta_a.deltas.get, delta_b.deltas.get], like=like, names=names)
+    return combine(base, [delta_a.array, delta_b.array], like=like, names=names)

@@ -29,6 +29,7 @@ from .checkpoint import (
     Checkpoint,
     LayerPartition,
     atomic_open,
+    load_checkpoint,
     partition_layers,
     save_checkpoint,
     validate_compat,
@@ -128,7 +129,7 @@ class IterationPolicy:
 
 def drop_layer(delta: DeltaVector, partition: LayerPartition, layer) -> DeltaVector:
     zeros = {
-        name: np.zeros_like(delta.deltas[name]) for name in partition.names_in(layer)
+        name: np.zeros(delta.deltas[name].shape, np.float32) for name in partition.names_in(layer)
     }
     return delta.replace(zeros)
 
@@ -321,18 +322,31 @@ def prepare(
     model_b: Checkpoint,
     config: HiMergeConfig,
     bridge: EvaluationBridge,
+    out: Path | None = None,
 ) -> tuple[AnalysisContext, list]:
     """The pipeline up to the conflict analysis: compat check, deltas,
     model-wise processing, layer partition and pre-merge.  Returns the
-    analysis context and the layers to analyze."""
+    analysis context and the layers to analyze.
+
+    Each model's delta is computed and model-wise processed before the next
+    model's.  With ``out``, the processed delta is saved there as
+    ``delta_<id>_processed.safetensors`` and its arrays are dropped before
+    the next delta is computed: the context's deltas read their tensors
+    from those files on each use.
+    """
     models = {"A": model_a, "B": model_b}
     with _stage("compat"):
         for model in models.values():
             validate_compat(base, model)
-    with _stage("delta"):
-        deltas = {m: compute_delta(model, base, provenance=m) for m, model in models.items()}
-    with _stage("model-wise"):
-        deltas = {m: model_wise_process(delta, config.params[m]) for m, delta in deltas.items()}
+    deltas = {}
+    for m, model in models.items():
+        with _stage("delta"):
+            delta = compute_delta(model, base, provenance=m)
+        with _stage("model-wise"):
+            delta = model_wise_process(delta, config.params[m])
+        if out is not None:
+            delta = _keep_in_file(delta, out / f"delta_{m.lower()}_processed.safetensors")
+        deltas[m] = delta
     with _stage("partition"):
         partition = partition_layers(base, config.layer_rule)
     with _stage("pre-merge"):
@@ -346,6 +360,14 @@ def prepare(
     return ctx, layers
 
 
+def _keep_in_file(delta: DeltaVector, path: Path) -> DeltaVector:
+    """Save ``delta`` to ``path`` and return it backed by that file: its
+    tensors are the file's records, read on each use."""
+    save_delta(delta, path)
+    records = {rec.name: rec for rec in load_checkpoint(path)}
+    return DeltaVector(delta.base_fingerprint, records, delta.provenance)
+
+
 def hi_merge(
     base: Checkpoint,
     model_a: Checkpoint,
@@ -354,15 +376,15 @@ def hi_merge(
     bridge: EvaluationBridge | None = None,
 ) -> HiMergeResult:
     """Full pipeline: deltas, model-wise processing, pre-merge, conflict
-    analysis, iterative resolution, and final assembly."""
+    analysis, iterative resolution, and final assembly.  With
+    ``config.out_dir`` the processed deltas stay in their files there
+    (``prepare``), and so do the final deltas' untouched tensors."""
     if bridge is None:
         bridge = EvaluationBridge()
-    ctx, layers = prepare(base, model_a, model_b, config, bridge)
     out = None if config.out_dir is None else Path(config.out_dir)
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
-        for model_id, delta in ctx.deltas.items():
-            save_delta(delta, out / f"delta_{model_id.lower()}_processed.safetensors")
+    ctx, layers = prepare(base, model_a, model_b, config, bridge, out)
     with _stage("analysis"):
         profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
     with _stage("resolution"):
@@ -385,12 +407,13 @@ def hi_merge(
 
 def _assemble(ctx: AnalysisContext, finals: dict[str, DeltaVector]) -> Checkpoint:
     """theta_F plus every final delta, sharing theta_G's record wherever no
-    final delta holds a new array: theta_G is the same sum over the same
-    arrays, so those records are equal."""
+    final delta holds a new tensor (array or record) in place of its
+    processed one: theta_G is the same sum over the same tensors, so those
+    records are equal."""
     changed = [
         name
         for name in ctx.base.names
-        if any(finals[m].deltas.get(name) is not ctx.deltas[m].deltas[name] for m in finals)
+        if any(finals[m].deltas[name] is not ctx.deltas[m].deltas[name] for m in finals)
     ]
     return assemble_final(ctx.base, *finals.values(), like=ctx.theta_g, names=changed)
 

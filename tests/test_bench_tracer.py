@@ -14,6 +14,7 @@ import pytest
 from himerge import save_checkpoint
 
 from instances import single_signal_instance
+from test_golden import write_inputs, _spec
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "bench" / "trace_cli.py"
@@ -91,3 +92,37 @@ def test_sweep_prunes_once_per_p_inside_the_model_wise_stage(tmp_path, inputs):
     model_wise = [span for span in spans if span["name"] == "model_wise_process"]
     assert len(model_wise) == 3 + 6
     assert all(spans[span["parent"]]["name"] == "cmd_sweep" for span in model_wise)
+
+
+def test_each_model_is_processed_and_saved_before_the_next_one(tmp_path):
+    """bench/layer_metrics.py maps the direct children of ``hi_merge`` to
+    stages, and trace_cli's prune extractor reads ``num_params`` and
+    ``deltas`` of the delta it prunes.  A hi merge computes, model-wise
+    processes and saves model A's delta, then model B's; the layer
+    re-prunes work on deltas read back from those files."""
+    write_inputs(tmp_path)
+    spans = traced_spans(tmp_path, [
+        "merge", "--method", "hi", "--p-a", "0.5", "--p-b", "0.5",
+        "--base", str(tmp_path / "base.safetensors"),
+        "--model-a", str(tmp_path / "model_a.safetensors"),
+        "--model-b", str(tmp_path / "model_b.safetensors"),
+        "--eval-a", _spec("A"), "--eval-b", _spec("B"),
+    ])
+    (pipeline,) = [span for span in spans if span["name"] == "hi_merge"]
+    steps = ("compute_delta", "model_wise_process", "save_delta")
+    children = sorted(
+        (span for span in spans if span["parent"] == pipeline["id"] and span["name"] in steps),
+        key=lambda span: span["start"],
+    )
+    assert [span["name"] for span in children[:6]] == [*steps, *steps]
+    assert all(span["name"] == "save_delta" for span in children[6:])
+    out = tmp_path / "out"
+    mtimes = [(out / f"delta_{m}_processed.safetensors").stat().st_mtime_ns for m in "ab"]
+    assert mtimes[0] <= mtimes[1]
+
+    prunes = [span for span in spans if span["name"] == "prune_topp"]
+    callers = [spans[span["parent"]]["name"] for span in prunes]
+    assert callers.count("model_wise_process") == 2 and "reprune_layer" in callers
+    layer_size = 4 * 32 * 32  # four 32x32 matrices per layer
+    for span, caller in zip(prunes, callers):
+        assert span["entries"] == (26 * 32 * 32 if caller == "model_wise_process" else layer_size)

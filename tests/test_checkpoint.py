@@ -405,9 +405,9 @@ def _variant(draw, rec: TensorRecord, free_names: list[str]):
         dtype = draw(st.sampled_from([d for d in ("f32", "f16", "bf16")
                                       if element_size(d) == element_size(dtype)]))
     elif how == "reshape":  # the same bytes under another shape
-        shape = draw(st.sampled_from([s for s in SHAPES if math.prod(s) == rec.numel]))
-    elif how == "word" and rec.numel:
-        i = draw(st.integers(0, rec.numel - 1))
+        shape = draw(st.sampled_from([s for s in SHAPES if math.prod(s) == rec.size]))
+    elif how == "word" and rec.size:
+        i = draw(st.integers(0, rec.size - 1))
         size = element_size(dtype)
         word = draw(st.sampled_from(WORDS[size]))
         data = data[: i * size] + word + data[(i + 1) * size :]

@@ -1297,6 +1297,25 @@ def test_an_input_changed_during_the_run_is_exit_2_naming_it(
     assert not (workdir / "out" / "merged.safetensors").exists()
 
 
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_a_processed_delta_changed_during_the_run_is_exit_2_naming_it(
+    workdir, capsys, monkeypatch, parallel
+):
+    """The run reads the processed deltas back from their files on use, so
+    those are checked like the inputs.  A truncation changes the size, which
+    a rewrite this soon after the save might not do to the mtime."""
+    out = workdir / "out"
+    _, argv = _hi_run(workdir, out, parallel)
+    processed = out / "delta_b_processed.safetensors"
+    _disturb_at_analysis(monkeypatch, processed, truncate_by_one)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: stage analysis: ")
+    assert f"{processed}: the file changed after it was loaded" in err
+    assert "Traceback" not in err
+    assert not (out / "merged.safetensors").exists()
+
+
 def test_an_input_replaced_by_rename_during_the_run_changes_nothing(workdir, monkeypatch):
     paths, argv = _hi_run(workdir, workdir / "calm")
     assert main(argv) == 0

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -28,6 +30,7 @@ from himerge import (
     fingerprint,
     hi_merge,
     iterate,
+    load_delta,
     model_wise_process,
     partition_layers,
     resolve_layer,
@@ -38,7 +41,7 @@ from himerge.analysis import (
     LayerConflictRow,
     conflict_profile,
 )
-from himerge.checkpoint import checkpoint_to_bytes
+from himerge.checkpoint import FileRecord, checkpoint_to_bytes
 
 import reference_resolver
 from conftest import checkpoint_from_arrays
@@ -750,3 +753,64 @@ class TestHiMerge:
         )
         with pytest.raises(Exception, match="stage compat"):
             hi_merge(base, bad, mb, config)
+
+
+class TestFileBackedDeltas:
+    """With ``out_dir`` the processed deltas stay in their files and are
+    read back on use; without it they are held in memory.  Both runs must
+    decide and write the same bytes."""
+
+    @given(
+        seed=st.integers(0, 20),
+        p=st.sampled_from([0.25, 0.5, 1.0]),
+        s=st.sampled_from([0.5, 1.0]),
+        gamma_threshold=st.sampled_from([-1.0, 0.0]),
+        recompute=st.booleans(),
+        max_passes=st.integers(1, 3),
+        max_halvings=st.integers(0, 2),
+        full_matrix=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_in_memory_and_file_backed_runs_agree_bitwise(
+        self, seed, p, s, gamma_threshold, recompute, max_passes, max_halvings, full_matrix
+    ):
+        base, ma, mb, ta, tb, _ = conflict_instance(seed=seed, dim=24, n_eval=300)
+        policy = IterationPolicy(
+            gamma_threshold=gamma_threshold, recompute=recompute, max_passes=max_passes,
+            max_halvings=max_halvings,
+        )
+        config = HiMergeConfig(
+            params=both(p, s), tasks={"A": ta, "B": tb}, policy=policy, full_matrix=full_matrix
+        )
+        in_memory = hi_merge(base, ma, mb, config)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            on_disk = hi_merge(base, ma, mb, dataclasses.replace(config, out_dir=out))
+            for model_id, delta in on_disk.deltas.items():
+                saved = load_delta(out / f"delta_{model_id.lower()}_final.safetensors")
+                for name in saved.names:
+                    assert saved.array(name).tobytes() == delta.array(name).tobytes(), name
+
+            assert checkpoint_to_bytes(on_disk.merged) == checkpoint_to_bytes(in_memory.merged)
+            assert checkpoint_to_bytes(on_disk.theta_g) == checkpoint_to_bytes(in_memory.theta_g)
+            assert on_disk.profile.to_json_dict() == in_memory.profile.to_json_dict()
+            assert [a.to_dict() for a in on_disk.log.actions] == [
+                a.to_dict() for a in in_memory.log.actions
+            ]
+            for model_id, delta in in_memory.deltas.items():
+                other = on_disk.deltas[model_id]
+                assert other.names == delta.names
+                for name in delta.names:
+                    assert other.array(name).tobytes() == delta.array(name).tobytes(), name
+
+            # The layers no action touched stay in the files, and the final
+            # assembly shares theta_G's records there, as in memory.
+            acted = {a.layer for a in on_disk.log.actions if a.kind != "KEEP"}
+            partition = partition_layers(base)
+            untouched = {n for n in base.names if partition.layer_of(n) not in acted}
+            for run in (in_memory, on_disk):
+                shared = {rec.name for rec in run.merged if rec is run.theta_g.record(rec.name)}
+                assert shared == untouched
+            for delta in on_disk.deltas.values():
+                in_file = {n for n, entry in delta.deltas.items() if isinstance(entry, FileRecord)}
+                assert untouched <= in_file
