@@ -594,7 +594,6 @@ def validate_compat(a: Checkpoint, b: Checkpoint) -> None:
 class LayerPartition:
     """Total assignment of tensor names to layer ids (PRE, 0..L-1, POST)."""
 
-    rule: str
     assignment: dict[str, object]
     num_layers: int
     _by_layer: dict[object, list[str]] = field(default_factory=dict, repr=False)
@@ -662,4 +661,4 @@ def partition_layers(cp: Checkpoint, rule: str = DEFAULT_LAYER_RULE) -> LayerPar
         else:
             assignment[name] = POST
     num_layers = 1 + max(captured.values()) if captured else 0
-    return LayerPartition(rule=rule, assignment=assignment, num_layers=num_layers)
+    return LayerPartition(assignment=assignment, num_layers=num_layers)

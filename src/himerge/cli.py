@@ -16,7 +16,6 @@ import csv
 import fcntl
 import json
 import os
-import socket
 import sys
 import types
 from dataclasses import dataclass, field, fields
@@ -258,75 +257,34 @@ def _typed(value, kind, path: str):
     raise ConfigError(f"config key {path!r} must be {name}, got {value!r}")
 
 
-def _owner_is_gone(text: str) -> bool:
-    """Whether a lock's ``pid host`` names a process on this host that no
-    longer exists.  Anything else (unreadable, a live pid, another host)
-    keeps the lock."""
-    parts = text.split()
-    if len(parts) != 2 or not parts[0].isdecimal() or parts[1] != socket.gethostname():
-        return False
-    try:
-        os.kill(int(parts[0]), 0)  # pid 0 names our own process group: alive
-    except ProcessLookupError:
-        return True
-    except (PermissionError, OverflowError):  # another user's live process, or no pid at all
-        pass
-    return False
-
-
-def _remove_stale_lock(lock: Path) -> bool:
-    """Unlink ``lock`` if its owner is gone; return whether it was removed
-    (or vanished meanwhile), so that creating it may be tried once more.
-
-    Racing reruns ``flock`` the old lock file, so they take it over one at a
-    time; each checks, under the flock, that the path still names that file
-    before it unlinks it, so none can remove a lock another has just made.
-    """
-    try:
-        fd = os.open(lock, os.O_RDONLY)
-    except FileNotFoundError:
-        return True
-    with open(fd, "rb") as fh:
-        fcntl.flock(fh, fcntl.LOCK_EX)
-        try:
-            if os.stat(lock).st_ino != os.fstat(fh.fileno()).st_ino:
-                return True
-        except FileNotFoundError:
-            return True
-        if not _owner_is_gone(fh.read().decode("utf-8", "replace")):
-            return False
-        os.unlink(lock)
-        return True
-
-
 @contextlib.contextmanager
 def output_dir(cfg: RunConfig):
-    """Create the output directory and hold an exclusive lock file in it.
-
-    The lock holds ``pid host``.  A lock left by a process of this host that
-    no longer exists is taken over.  Under the lock, the temp files that a
+    """Create the output directory and hold an exclusive ``flock`` on a lock
+    file in it for the whole block.  Under the lock, the temp files that a
     killed writer left are removed.
+
+    The kernel releases the lock when the run ends or dies, so a lock file
+    that no run holds never blocks.  The lock file is unlinked while still
+    held, so a rerun may lock a file that is no longer at the lock path; such
+    a lock could not exclude the next run, so it counts as locked.
     """
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     lock = out / LOCK_NAME
-    for retry in (False, True):
+    with open(lock, "a") as fh:  # not inherited by evaluator processes
         try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-            break
-        except FileExistsError:
-            if retry or not _remove_stale_lock(lock):
-                raise ConfigError(
-                    f"output directory {out} is locked by another run (remove {lock} if stale)"
-                ) from None
-    try:
-        with open(fd, "w") as fh:
-            fh.write(f"{os.getpid()} {socket.gethostname()}\n")
-        remove_stale_temps(out)
-        yield out
-    finally:
-        with contextlib.suppress(OSError):
-            os.unlink(lock)
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            held = os.stat(lock).st_ino == os.fstat(fh.fileno()).st_ino
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            raise ConfigError(f"output directory {out} is locked by another run")
+        try:
+            remove_stale_temps(out)
+            yield out
+        finally:
+            with contextlib.suppress(OSError):
+                os.unlink(lock)
 
 
 def make_bridge(cfg: RunConfig, out: Path) -> EvaluationBridge:

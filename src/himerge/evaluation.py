@@ -232,12 +232,14 @@ class EvalCache:
     Each line is ``{"v": 2, "key", "task_id", "evaluator", "score"}``.
     Lines of an older format (no ``"v": 2``) hold keys computed another
     way; they are skipped, so those candidates are evaluated again.
+
+    Not thread-safe: ``EvaluationBridge`` serializes every ``get`` and
+    ``put`` under its own lock.
     """
 
     def __init__(self, path=None):
         self.path = Path(path) if path else None
         self._scores: dict[tuple[str, str, str], float] = {}
-        self._lock = threading.Lock()
         if self.path and self.path.exists():
             self._load()
 
@@ -271,20 +273,18 @@ class EvalCache:
                 fh.write(b"\n")
 
     def get(self, key: str, task_id: str, evaluator: str):
-        with self._lock:
-            return self._scores.get((key, task_id, evaluator))
+        return self._scores.get((key, task_id, evaluator))
 
     def put(self, key: str, task_id: str, evaluator: str, score: float) -> None:
         line = json.dumps(
             {"v": CACHE_VERSION, "key": key, "task_id": task_id, "evaluator": evaluator,
              "score": score}
         )
-        with self._lock:
-            self._scores[(key, task_id, evaluator)] = score
-            if self.path:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                with open(self.path, "a") as fh:
-                    fh.write(line + "\n")
+        self._scores[(key, task_id, evaluator)] = score
+        if self.path:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            with open(self.path, "a") as fh:
+                fh.write(line + "\n")
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -369,7 +369,7 @@ class EvaluationBridge:
             with self._lock:
                 self.invocations += 1
                 self.evaluated_keys.add(key)
-            self.cache.put(*slot, score)
+                self.cache.put(*slot, score)
             pending.score = score
         except BaseException as exc:
             pending.error = exc

@@ -1,19 +1,24 @@
+import contextlib
 import csv
 import errno
+import fcntl
 import json
 import math
 import os
+import signal
 import socket
 import subprocess
 import sys
 import threading
 import time
 from dataclasses import fields
+from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
 import pytest
 
+import himerge
 import himerge.checkpoint
 import himerge.cli
 import himerge.delta
@@ -56,6 +61,16 @@ def exited_pid() -> int:
     child = subprocess.Popen([sys.executable, "-c", "pass"])
     child.wait()
     return child.pid
+
+
+# Holds an exclusive flock on the file named by argv[1] until stdin closes.
+LOCK_HOLDER = """
+import fcntl, sys
+fh = open(sys.argv[1], "a")
+fcntl.flock(fh, fcntl.LOCK_EX)
+print("locked", flush=True)
+sys.stdin.read()
+"""
 
 
 def write_cp(path, cp):
@@ -336,64 +351,73 @@ class TestMergeCommand:
     def test_unknown_flag_usage_error(self, capsys):
         assert main(["merge", "--frobnicate"]) == 1
 
-    def test_locked_output_dir(self, workdir):
-        rng = np.random.default_rng(5)
-        cp = random_checkpoint(rng)
-        a = write_cp(workdir / "a.safetensors", cp)
-        b = write_cp(workdir / "b.safetensors", cp)
-        out = workdir / "out"
-        out.mkdir()
-        (out / ".himerge.lock").touch()
-        rc = main(
-            ["merge", "--method", "soups", "--model-a", a, "--model-b", b, "--out", str(out)]
-        )
-        assert rc == 1
-
     def _soups(self, workdir):
         cp = random_checkpoint(np.random.default_rng(5))
         a = write_cp(workdir / "a.safetensors", cp)
         b = write_cp(workdir / "b.safetensors", cp)
         return ["merge", "--method", "soups", "--model-a", a, "--model-b", b]
 
-    def test_lock_of_an_exited_process_is_taken_over(self, workdir, monkeypatch):
-        argv = self._soups(workdir)
-        out = workdir / "out"
-        out.mkdir()
-        (out / ".himerge.lock").write_text(f"{exited_pid()} {socket.gethostname()}\n")
-        seen = []
-        real_merge = himerge.cli.weighted_average_merge
-
-        def merge_and_read_lock(*args):
-            seen.append((out / ".himerge.lock").read_text())
-            return real_merge(*args)
-
-        monkeypatch.setattr(himerge.cli, "weighted_average_merge", merge_and_read_lock)
-        assert main([*argv, "--out", str(out)]) == 0
-        assert seen == [f"{os.getpid()} {socket.gethostname()}\n"]
-        assert (out / "merged.safetensors").exists()
-        assert not (out / ".himerge.lock").exists()
+    def test_a_live_lock_holder_blocks_the_run_until_it_is_killed(self, workdir, capsys):
+        argv = [*self._soups(workdir), "--out", str(workdir / "out")]
+        lock = workdir / "out" / ".himerge.lock"
+        lock.parent.mkdir()
+        lock.write_text("held\n")
+        with subprocess.Popen(
+            [sys.executable, "-c", LOCK_HOLDER, str(lock)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+        ) as holder:
+            try:
+                assert holder.stdout.readline() == "locked\n"
+                before = os.stat(lock)
+                assert main(argv) == 1
+                assert "locked by another run" in capsys.readouterr().err
+                after = os.stat(lock)
+                assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+                assert lock.read_text() == "held\n"
+                assert not (lock.parent / "merged.safetensors").exists()
+            finally:
+                holder.kill()
+        # The kernel released the killed holder's lock: no manual step.
+        assert main(argv) == 0
+        assert (lock.parent / "merged.safetensors").exists()
+        assert not lock.exists()
 
     @pytest.mark.parametrize(
         "owner",
         [
             lambda: f"{os.getppid()} {socket.gethostname()}",  # alive
             lambda: f"{os.getpid()} {socket.gethostname()}",  # alive: this process
+            lambda: f"{exited_pid()} {socket.gethostname()}",
             lambda: f"{exited_pid()} other-host",
             lambda: "not-a-pid",
             lambda: f"0 {socket.gethostname()}",
+            lambda: "",
         ],
-        ids=["parent", "self", "other-host", "garbage", "pid-0"],
+        ids=["parent", "self", "exited", "other-host", "garbage", "pid-0", "empty"],
     )
-    def test_lock_of_a_live_or_unknown_owner_is_kept(self, workdir, capsys, owner):
+    def test_a_lock_file_no_run_holds_does_not_block(self, workdir, monkeypatch, owner):
+        """Whatever a lock file says, only a process holding its flock keeps
+        the directory; the run holds that flock until it ends."""
         argv = self._soups(workdir)
         out = workdir / "out"
         out.mkdir()
-        text = owner()
-        (out / ".himerge.lock").write_text(text)
-        assert main([*argv, "--out", str(out)]) == 1
-        assert "locked by another run" in capsys.readouterr().err
-        assert (out / ".himerge.lock").read_text() == text
-        assert not (out / "merged.safetensors").exists()
+        (out / ".himerge.lock").write_text(owner())
+        held = []
+        real_merge = himerge.cli.weighted_average_merge
+
+        def merge_and_try_the_lock(*args):
+            with open(out / ".himerge.lock", "a") as fh:
+                try:
+                    fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+                except BlockingIOError:
+                    held.append(True)
+            return real_merge(*args)
+
+        monkeypatch.setattr(himerge.cli, "weighted_average_merge", merge_and_try_the_lock)
+        assert main([*argv, "--out", str(out)]) == 0
+        assert held == [True]
+        assert (out / "merged.safetensors").exists()
+        assert not (out / ".himerge.lock").exists()
 
     def test_racing_reruns_take_over_a_stale_lock_once(self, workdir):
         out = workdir / "out"
@@ -1349,6 +1373,113 @@ def test_stale_temp_files_are_removed_and_other_files_kept(workdir):
     assert main(argv) == 0
     assert not any(path.exists() for path in stale)
     assert all(path.read_text() == "half a file" for path in kept)
+
+
+# A stdlib-only evaluator (starting numpy would take most of the test's
+# time): -(Σ_t c_t·sum(tensor t) − 1)², c_t fixed per task and tensor name,
+# so layers interact and the resolver acts.  argv: checkpoint, task, state
+# directory.  Each call appends a byte to <state>/calls; the call whose
+# count is in <state>/kill_at writes its pid to <state>/stalled and sleeps.
+CRASH_EVALUATOR = """
+import array, json, os, sys, time, zlib
+path, task, state = sys.argv[1:4]
+with open(os.path.join(state, "calls"), "ab") as fh:
+    fh.write(b"x")
+    calls = fh.tell()
+kill_at = os.path.join(state, "kill_at")
+if os.path.exists(kill_at) and int(open(kill_at).read()) == calls:
+    with open(os.path.join(state, "stalled.tmp"), "w") as fh:
+        fh.write(str(os.getpid()))
+    os.replace(os.path.join(state, "stalled.tmp"), os.path.join(state, "stalled"))
+    time.sleep(60)
+with open(path, "rb") as fh:
+    blob = fh.read()
+n = int.from_bytes(blob[:8], "little")
+header = json.loads(blob[8:8 + n])
+total = 0.0
+for name, info in sorted(header.items()):
+    if name != "__metadata__":
+        start, end = info["data_offsets"]
+        weight = zlib.crc32(f"{task}/{name}".encode()) / 2**31 - 1
+        total += weight * sum(array.array("f", blob[8 + n + start:8 + n + end]))
+print(json.dumps({"score": -(total - 1.0) ** 2}))
+"""
+
+
+def test_a_run_killed_in_resolution_is_resumed_by_a_plain_rerun(workdir, monkeypatch, capsys):
+    """SIGKILL a ``--recompute`` hi merge while its evaluator is busy in
+    the resolution stage, then rerun it in the same --out: the rerun takes
+    the lock by itself, evaluates only what the killed run did not commit
+    to the cache, and writes what an uninterrupted run writes."""
+    rng = np.random.default_rng(0)
+    names = [f"model.layers.{layer}.{m}" for layer in range(2) for m in ("k", "v")]
+    base = {name: dyadic_random(rng, (8, 8)) for name in names}
+    for model in ("model_a", "model_b"):
+        noisy = {name: w + dyadic_random(rng, (8, 8), span=512) for name, w in base.items()}
+        save_checkpoint(checkpoint_from_arrays(noisy), workdir / f"{model}.safetensors")
+    save_checkpoint(checkpoint_from_arrays(base), workdir / "base.safetensors")
+    state = workdir / "state"
+    state.mkdir()
+    script = workdir / "evaluator.py"
+    script.write_text(CRASH_EVALUATOR)
+
+    def argv(out):
+        paths = {m: str(workdir / f"{m}.safetensors") for m in ("base", "model_a", "model_b")}
+        a, b = (f"{sys.executable} -S {script} {{checkpoint}} {task} {state}" for task in "AB")
+        return ["merge", "--method", "hi", "--recompute", *_hi_args(paths, a, b), "--out", str(out)]
+
+    def calls():
+        return os.path.getsize(state / "calls")
+
+    # Uninterrupted, counting the calls made before the resolution stage.
+    before_resolution = []
+    real_iterate = himerge.resolver.iterate
+
+    def counted_iterate(*args, **kwargs):
+        before_resolution.append(calls())
+        return real_iterate(*args, **kwargs)
+
+    monkeypatch.setattr(himerge.resolver, "iterate", counted_iterate)
+    assert main(argv(workdir / "whole")) == 0
+    monkeypatch.undo()
+    uninterrupted = calls()
+    assert uninterrupted >= before_resolution[0] + 2, "the resolver must evaluate twice"
+    kill_at = before_resolution[0] + 2
+
+    (state / "calls").unlink()
+    (state / "kill_at").write_text(str(kill_at))
+    out = workdir / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(himerge.__file__).parents[1]), TMPDIR=str(state))
+    run = subprocess.Popen(
+        [sys.executable, "-m", "himerge.cli", *argv(out)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not (state / "stalled").exists():
+            assert run.poll() is None, run.communicate()
+            assert time.monotonic() < deadline, "the evaluator never stalled"
+            time.sleep(0.01)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.communicate()
+        # The evaluator leads its own process group.
+        with contextlib.suppress(FileNotFoundError, ProcessLookupError):
+            os.killpg(int((state / "stalled").read_text()), signal.SIGKILL)
+    assert (out / ".himerge.lock").exists()
+    committed = len((out / "cache" / "eval_cache.jsonl").read_text().splitlines())
+    assert committed == kill_at - 1
+
+    (state / "calls").unlink()
+    (state / "kill_at").unlink()
+    capsys.readouterr()
+    assert main(argv(out)) == 0
+    assert calls() == uninterrupted - committed
+    assert f"evaluator invocations: {uninterrupted - committed} " in capsys.readouterr().err
+    assert _tree(out) == _tree(workdir / "whole")  # merged.safetensors and the cache too
+    assert not list(out.rglob("*.himerge-tmp"))
+    assert not (out / ".himerge.lock").exists()
 
 
 def _hi_args(paths, eval_a, eval_b=None):
