@@ -12,11 +12,12 @@ then each tensor's data, with no joined copy.  ``save_checkpoint`` writes
 through ``atomic_open``, so a failed save leaves no partial file.
 ``load_checkpoint`` reads and checks only the header and keeps the file
 open: each of its records holds a byte range of the file, and each use of
-its ``data`` reads that range again (from the page cache, not the
-process's own memory); an f32 record's ``as_f32`` reads it straight into
-the fresh array.  A file changed in place after the load is a
-FormatError at the next read; one replaced by a rename is harmless, since
-the open descriptor keeps the old contents.
+its ``data`` reads that range again into a fresh buffer (from the page
+cache, not the process's own memory); an f32 record's ``as_f32`` reads it
+straight into the fresh array.  Both go through one read loop.  A file
+changed in place after the load is a FormatError at the next read; one
+replaced by a rename is harmless, since the open descriptor keeps the old
+contents.
 
 Two content hashes are defined on the canonical form.  ``fingerprint`` is
 the sha256 of the canonical bytes; delta files record it to name their
@@ -144,7 +145,7 @@ class TensorRecord:
 
     ``data`` is ``bytes`` or a read-only byte ``memoryview`` (an encoded
     record views its fresh array).  ``FileRecord``, a loaded record, reads
-    it from its file as ``bytes`` on each use instead.
+    it from its file into a fresh buffer on each use instead.
     """
 
     name: str
@@ -196,8 +197,8 @@ class _FileSource:
     """An input file held open for the records loaded from it.
 
     The descriptor is closed when the last record that uses it is gone:
-    records can outlive their ``Checkpoint``.  ``read`` is ``os.pread``,
-    so pool threads may read at once.
+    records can outlive their ``Checkpoint``.  Reads are ``os.preadv`` at
+    an offset, so pool threads may read at once.
     """
 
     def __init__(self, path: Path):
@@ -210,34 +211,25 @@ class _FileSource:
         self.size = st.st_size
         self._stamp = (st.st_size, st.st_mtime_ns)
 
-    def read(self, offset: int, length: int) -> bytes:
-        """``length`` bytes at ``offset``, read afresh."""
-        chunks = []
-
-        def step(done: int) -> int:
-            chunks.append(os.pread(self.fd, length - done, offset + done))
-            return len(chunks[-1])
-
-        self._read(offset, length, step)
-        return b"".join(chunks)  # a single chunk is returned as it is, not copied
+    def read(self, offset: int, length: int) -> memoryview:
+        """``length`` bytes at ``offset``, read afresh into a new buffer: a
+        read-only view of it."""
+        buf = np.empty(length, np.uint8)  # not bytearray, which zero-fills
+        self.read_into(memoryview(buf), offset)
+        return memoryview(buf).toreadonly()
 
     def read_into(self, buf: memoryview, offset: int) -> None:
         """Fill the writable byte view ``buf`` with the bytes at ``offset``,
-        read afresh, with no intermediate copy."""
-        self._read(offset, len(buf), lambda done: os.preadv(self.fd, [buf[done:]], offset + done))
-
-    def _read(self, offset: int, length: int, step) -> None:
-        """Call ``step(done)``, which reads from ``offset + done`` and
-        returns the byte count, until ``length`` bytes are read.  A file
-        whose size or mtime differs from the load's, a short read or an
-        OSError is a FormatError naming the file."""
-        done = 0
+        read afresh, with no intermediate copy.  A file whose size or mtime
+        differs from the load's, a short read or an OSError is a FormatError
+        naming the file."""
+        done, length = 0, len(buf)
         try:
             st = os.fstat(self.fd)
             if (st.st_size, st.st_mtime_ns) != self._stamp:
                 raise FormatError(f"{self.path}: the file changed after it was loaded")
             while done < length:  # one read returns at most about 2 GiB
-                count = step(done)
+                count = os.preadv(self.fd, [buf[done:]], offset + done)
                 if not count:
                     raise FormatError(
                         f"{self.path}: short read: {done} of {length} bytes at offset {offset}"
@@ -249,7 +241,8 @@ class _FileSource:
 
 class FileRecord(TensorRecord):
     """A loaded tensor: it holds its file and byte offset, not the bytes,
-    and each use of ``data`` reads them from the file again.  Its size
+    and each use of ``data`` reads them from the file again, into a fresh
+    buffer that it returns as a read-only ``memoryview``.  Its size
     comes from the shape, which the loader checked against the header's
     data offsets."""
 
@@ -261,7 +254,7 @@ class FileRecord(TensorRecord):
             object.__setattr__(self, attr, value)
 
     @property
-    def data(self) -> bytes:
+    def data(self) -> memoryview:
         return self._source.read(self._offset, self.nbytes)
 
     def as_f32(self) -> np.ndarray:

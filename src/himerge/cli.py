@@ -22,7 +22,6 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
-from .analysis import conflict_profile
 from .checkpoint import (
     DEFAULT_LAYER_RULE,
     atomic_open,
@@ -47,7 +46,7 @@ from .evaluation import (
     EvaluationBridge,
 )
 from .merge import MergeWeights, delta_weighted_merge, weighted_average_merge
-from .resolver import HiMergeConfig, IterationPolicy, _stage, hi_merge, prepare
+from .resolver import HiMergeConfig, IterationPolicy, analyze, hi_merge, prepare
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 LOCK_NAME = ".himerge.lock"
@@ -95,7 +94,7 @@ class RunConfig:
         names = [f.name for f in fields(IterationPolicy)]
         return IterationPolicy(**{name: getattr(self, name) for name in names})
 
-    def hi_config(self, out: Path) -> HiMergeConfig:
+    def hi_config(self, out: Path | None) -> HiMergeConfig:
         return HiMergeConfig(
             params={
                 "A": PruneScaleParams(self.p_a, self.s_a),
@@ -357,12 +356,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     base = cfg.checkpoint("base")
     a = cfg.checkpoint("model_a")
     b = cfg.checkpoint("model_b")
-    config = cfg.hi_config(Path(cfg.out))
+    config = cfg.hi_config(None)  # no out_dir: the deltas stay in memory
     with output_dir(cfg) as out:
         bridge = make_bridge(cfg, out)
-        ctx, layers = prepare(base, a, b, config, bridge)
-        with _stage("analysis"):  # the stage hi_merge runs it in, so errors read the same
-            profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
+        profile = analyze(prepare(base, a, b, config, bridge), config)
         profile.write_json(out / "profile.json")
         profile.write_csv(out / "profile.csv")
         _report_stats(bridge)

@@ -133,10 +133,7 @@ def prune_topp(
     partitioned in place and freed before the kept tensors are built one at
     a time, so no joined copy of the scope is made.
     """
-    if not (0.0 <= p <= 1.0):
-        raise ConfigError(f"pruning threshold p={p} outside [0, 1]")
-    if not (0.0 <= s <= 1.0):
-        raise ConfigError(f"scaling factor s={s} outside [0, 1]")
+    PruneScaleParams(p, s)  # the domain check
     if layers is not None and partition is None:
         raise ConfigError("layer-scoped pruning requires a partition")
 
@@ -187,8 +184,7 @@ def prune_topp(
 
 def scale(delta: DeltaVector, s: float) -> DeltaVector:
     """Multiply every entry by s in float32; at s = 1 the arrays are shared."""
-    if not (0.0 <= s <= 1.0):
-        raise ConfigError(f"scaling factor s={s} outside [0, 1]")
+    PruneScaleParams(1.0, s)  # the domain check
     if s == 1.0:
         return delta.replace({})
     factor = np.float32(s)

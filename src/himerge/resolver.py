@@ -8,6 +8,13 @@ model-wise hyperparameters (halved again on each revisit, capped).  Layers
 where both conflicts are non-positive are mutual enhancement and are kept
 unchanged; a zero gamma paired with a positive one is treated as a
 boundary keep rather than pruning on zero evidence.
+
+The pipeline's front half is ``prepare`` (deltas, model-wise processing,
+pre-merge) and ``analyze`` (the conflict profile); ``hi_merge`` and the
+CLI's ``analyze`` verb both call them, so the two run the same stages.
+``hi_merge`` owns the resolution log: ``iterate`` appends each action to it
+as it is taken, and an evaluator failure during resolution leaves the
+actions so far in ``resolution_log.partial.jsonl``.
 """
 
 from __future__ import annotations
@@ -20,8 +27,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from math import isfinite
 from pathlib import Path
-
-import numpy as np
 
 from .analysis import AnalysisContext, ConflictProfile, conflict_profile
 from .checkpoint import (
@@ -128,10 +133,8 @@ class IterationPolicy:
 
 
 def drop_layer(delta: DeltaVector, partition: LayerPartition, layer) -> DeltaVector:
-    zeros = {
-        name: np.zeros(delta.deltas[name].shape, np.float32) for name in partition.names_in(layer)
-    }
-    return delta.replace(zeros)
+    """Zero one layer: Top_p at p = 0 keeps no entry of the layer."""
+    return prune_topp(delta, 0.0, partition=partition, layers={layer})
 
 
 def reprune_layer(
@@ -218,6 +221,7 @@ def iterate(
     profile: ConflictProfile,
     policy: IterationPolicy,
     params: dict[str, PruneScaleParams],
+    log: ResolutionLog | None = None,
 ) -> tuple[DeltaVector, DeltaVector, ResolutionLog]:
     """Resolve conflicted layers in descending-Gamma order.
 
@@ -226,51 +230,47 @@ def iterate(
     after each action that changed a delta; additional passes always
     recompute, and a pass that changes no delta ends the run.  Layer-wise
     (p, s) start at half the model-wise values ``params`` and halve again
-    per partial revisit of the same layer, up to ``max_halvings``.  Returns
-    the final deltas in model order, then the log.
+    per partial revisit of the same layer, up to ``max_halvings``.  Each
+    action is appended to ``log`` (a new one by default) as it is taken, so
+    after a failure it holds the decisions made so far.  Returns the final
+    deltas in model order, then the log.
     """
     deltas = ctx.deltas
-    log = ResolutionLog()
+    log = ResolutionLog() if log is None else log
     halvings: Counter[tuple[object, str]] = Counter()
     analyzed_layers = [row.layer for row in profile.rows]
-    try:
-        pending = _above(profile.rows, policy.gamma_threshold)
-        for pass_idx in range(policy.max_passes):
-            # The layers to profile again before the next decision: all of
-            # them when a later pass starts, and under --recompute the ones
-            # still pending after an action that changed a delta.
-            layers = analyzed_layers if pass_idx else None
-            changed = False
-            while True:
-                if layers is not None:
-                    pending = _reprofile(ctx, deltas, layers, policy.gamma_threshold)
-                if not pending:
-                    break
-                row = pending.pop(0)
-                layer_params = {}
-                for model_id, model_params in params.items():
-                    visits = halvings[row.layer, model_id]
-                    step = 1 if policy.single_halving else visits + 1
-                    layer_params[model_id] = (
-                        f"halving cap ({policy.max_halvings}) reached for model {model_id}"
-                        if visits >= policy.max_halvings
-                        else (model_params.p / 2**step, model_params.s / 2**step)
-                    )
-                deltas, action = resolve_layer(row.layer, row, deltas, ctx.partition, layer_params)
-                if action.kind == "REPRUNE":
-                    halvings[row.layer, action.model] += 1
-                log.actions.append(action)
-                acted = action.kind != "KEEP"
-                changed = changed or acted
-                stale = policy.recompute and pending and acted
-                layers = [r.layer for r in pending] if stale else None
-            if not changed:  # the next pass would see the same profile and decide the same
+    pending = _above(profile.rows, policy.gamma_threshold)
+    for pass_idx in range(policy.max_passes):
+        # The layers to profile again before the next decision: all of
+        # them when a later pass starts, and under --recompute the ones
+        # still pending after an action that changed a delta.
+        layers = analyzed_layers if pass_idx else None
+        changed = False
+        while True:
+            if layers is not None:
+                pending = _reprofile(ctx, deltas, layers, policy.gamma_threshold)
+            if not pending:
                 break
-    except EvaluatorError as exc:
-        # Completed evaluations are already in the cache; expose the
-        # decisions made so far for persistence by the caller.
-        exc.partial_log = log
-        raise
+            row = pending.pop(0)
+            layer_params = {}
+            for model_id, model_params in params.items():
+                visits = halvings[row.layer, model_id]
+                step = 1 if policy.single_halving else visits + 1
+                layer_params[model_id] = (
+                    f"halving cap ({policy.max_halvings}) reached for model {model_id}"
+                    if visits >= policy.max_halvings
+                    else (model_params.p / 2**step, model_params.s / 2**step)
+                )
+            deltas, action = resolve_layer(row.layer, row, deltas, ctx.partition, layer_params)
+            if action.kind == "REPRUNE":
+                halvings[row.layer, action.model] += 1
+            log.actions.append(action)
+            acted = action.kind != "KEEP"
+            changed = changed or acted
+            stale = policy.recompute and pending and acted
+            layers = [r.layer for r in pending] if stale else None
+        if not changed:  # the next pass would see the same profile and decide the same
+            break
     return (*deltas.values(), log)
 
 
@@ -291,6 +291,8 @@ class HiMergeConfig:
     out_dir: Path | None = None
 
     def __post_init__(self):
+        if self.out_dir is not None:
+            self.out_dir = Path(self.out_dir)
         for name in ("params", "tasks"):
             if set(getattr(self, name)) != {"A", "B"}:
                 raise ConfigError(f"{name} must be keyed by model ids A and B")
@@ -310,10 +312,7 @@ def _stage(name: str):
     try:
         yield
     except HiMergeError as exc:
-        wrapped = type(exc)(f"stage {name}: {exc}")
-        if hasattr(exc, "partial_log"):
-            wrapped.partial_log = exc.partial_log
-        raise wrapped from exc
+        raise type(exc)(f"stage {name}: {exc}") from exc
 
 
 def prepare(
@@ -322,18 +321,20 @@ def prepare(
     model_b: Checkpoint,
     config: HiMergeConfig,
     bridge: EvaluationBridge,
-    out: Path | None = None,
-) -> tuple[AnalysisContext, list]:
+) -> AnalysisContext:
     """The pipeline up to the conflict analysis: compat check, deltas,
     model-wise processing, layer partition and pre-merge.  Returns the
-    analysis context and the layers to analyze.
+    analysis context.
 
     Each model's delta is computed and model-wise processed before the next
-    model's.  With ``out``, the processed delta is saved there as
-    ``delta_<id>_processed.safetensors`` and its arrays are dropped before
-    the next delta is computed: the context's deltas read their tensors
-    from those files on each use.
+    model's.  With ``config.out_dir``, which is created if missing, the
+    processed delta is saved there as ``delta_<id>_processed.safetensors``
+    and its arrays are dropped before the next delta is computed: the
+    context's deltas read their tensors from those files on each use.
     """
+    out = config.out_dir
+    if out is not None:
+        out.mkdir(parents=True, exist_ok=True)
     models = {"A": model_a, "B": model_b}
     with _stage("compat"):
         for model in models.values():
@@ -351,13 +352,7 @@ def prepare(
         partition = partition_layers(base, config.layer_rule)
     with _stage("pre-merge"):
         theta_g = assemble_final(base, *deltas.values())
-    ctx = AnalysisContext(base, models, deltas, theta_g, partition, config.tasks, bridge)
-    layers = (
-        partition.all_layers()
-        if config.policy.include_pre_post
-        else partition.transformer_layers()
-    )
-    return ctx, layers
+    return AnalysisContext(base, models, deltas, theta_g, partition, config.tasks, bridge)
 
 
 def _keep_in_file(delta: DeltaVector, path: Path) -> DeltaVector:
@@ -366,6 +361,15 @@ def _keep_in_file(delta: DeltaVector, path: Path) -> DeltaVector:
     save_delta(delta, path)
     records = {rec.name: rec for rec in load_checkpoint(path)}
     return DeltaVector(delta.base_fingerprint, records, delta.provenance)
+
+
+def analyze(ctx: AnalysisContext, config: HiMergeConfig) -> ConflictProfile:
+    """The analysis stage: the conflict profile of the transformer layers,
+    and of PRE/POST too under ``include_pre_post``."""
+    part = ctx.partition
+    layers = part.all_layers() if config.policy.include_pre_post else part.transformer_layers()
+    with _stage("analysis"):
+        return conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
 
 
 def hi_merge(
@@ -378,22 +382,23 @@ def hi_merge(
     """Full pipeline: deltas, model-wise processing, pre-merge, conflict
     analysis, iterative resolution, and final assembly.  With
     ``config.out_dir`` the processed deltas stay in their files there
-    (``prepare``), and so do the final deltas' untouched tensors."""
+    (``prepare``), and so do the final deltas' untouched tensors.  If an
+    evaluator fails during resolution, the actions taken so far are written
+    to ``resolution_log.partial.jsonl`` there; a later successful run
+    removes that file."""
     if bridge is None:
         bridge = EvaluationBridge()
-    out = None if config.out_dir is None else Path(config.out_dir)
-    if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-    ctx, layers = prepare(base, model_a, model_b, config, bridge, out)
-    with _stage("analysis"):
-        profile = conflict_profile(ctx, layers=layers, full_matrix=config.full_matrix)
+    out = config.out_dir
+    ctx = prepare(base, model_a, model_b, config, bridge)
+    profile = analyze(ctx, config)
+    log = ResolutionLog()
     with _stage("resolution"):
         try:
-            *finals, log = iterate(ctx, profile, config.policy, config.params)
-        except EvaluatorError as exc:
-            partial = getattr(exc, "partial_log", None)
-            if out is not None and partial is not None:
-                partial.write_jsonl(out / "resolution_log.partial.jsonl")
+            *finals, _ = iterate(ctx, profile, config.policy, config.params, log)
+        except EvaluatorError:
+            # Completed evaluations are already in the cache.
+            if out is not None:
+                log.write_jsonl(out / "resolution_log.partial.jsonl")
             raise
     finals = dict(zip(ctx.deltas, finals))
     with _stage("assembly"):
@@ -428,3 +433,4 @@ def _persist(result: HiMergeResult, out: Path) -> None:
     result.log.write_jsonl(out / "resolution_log.jsonl")
     with atomic_open(out / "resolution_summary.txt") as fh:
         fh.write(result.log.summary() + "\n")
+    (out / "resolution_log.partial.jsonl").unlink(missing_ok=True)  # a resumed failure's

@@ -44,8 +44,7 @@ def make_context(
     """Assemble an AnalysisContext the way the pipeline does."""
     config = HiMergeConfig({"A": params_a, "B": params_b}, {"A": task_a, "B": task_b})
     bridge = bridge if bridge is not None else EvaluationBridge()
-    ctx, _ = prepare(base, model_a, model_b, config, bridge)
-    return ctx
+    return prepare(base, model_a, model_b, config, bridge)
 
 
 def single_signal_instance(seed=0, dim=128, amp=3.0, n_eval=2000):

@@ -1380,8 +1380,10 @@ def test_stale_temp_files_are_removed_and_other_files_kept(workdir):
 # so layers interact and the resolver acts.  argv: checkpoint, task, state
 # directory.  Each call appends a byte to <state>/calls; the call whose
 # count is in <state>/kill_at writes its pid to <state>/stalled and sleeps.
+# <state>/die_at holds a count and "exit" or "kill": the call with that
+# count removes the file, so it fires once, and exits 1 or SIGKILLs itself.
 CRASH_EVALUATOR = """
-import array, json, os, sys, time, zlib
+import array, json, os, signal, sys, time, zlib
 path, task, state = sys.argv[1:4]
 with open(os.path.join(state, "calls"), "ab") as fh:
     fh.write(b"x")
@@ -1392,6 +1394,14 @@ if os.path.exists(kill_at) and int(open(kill_at).read()) == calls:
         fh.write(str(os.getpid()))
     os.replace(os.path.join(state, "stalled.tmp"), os.path.join(state, "stalled"))
     time.sleep(60)
+die_at = os.path.join(state, "die_at")
+if os.path.exists(die_at):
+    at, how = open(die_at).read().split()
+    if int(at) == calls:
+        os.unlink(die_at)
+        if how == "kill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        sys.exit("the evaluator failed on purpose")
 with open(path, "rb") as fh:
     blob = fh.read()
 n = int.from_bytes(blob[:8], "little")
@@ -1406,52 +1416,77 @@ print(json.dumps({"score": -(total - 1.0) ** 2}))
 """
 
 
+class _CrashRun:
+    """A ``--recompute`` hi merge scored by CRASH_EVALUATOR, run once
+    uninterrupted into <workdir>/whole.  ``in_resolution`` is the count of
+    the evaluator's second call in the resolution stage."""
+
+    def __init__(self, workdir, monkeypatch):
+        rng = np.random.default_rng(0)
+        names = [f"model.layers.{layer}.{m}" for layer in range(2) for m in ("k", "v")]
+        base = {name: dyadic_random(rng, (8, 8)) for name in names}
+        for model in ("model_a", "model_b"):
+            noisy = {name: w + dyadic_random(rng, (8, 8), span=512) for name, w in base.items()}
+            save_checkpoint(checkpoint_from_arrays(noisy), workdir / f"{model}.safetensors")
+        save_checkpoint(checkpoint_from_arrays(base), workdir / "base.safetensors")
+        self.workdir, self.state = workdir, workdir / "state"
+        self.state.mkdir()
+        self.script = workdir / "evaluator.py"
+        self.script.write_text(CRASH_EVALUATOR)
+
+        # Uninterrupted, counting the calls made before the resolution stage.
+        before_resolution = []
+        real_iterate = himerge.resolver.iterate
+
+        def counted_iterate(*args, **kwargs):
+            before_resolution.append(self.calls())
+            return real_iterate(*args, **kwargs)
+
+        monkeypatch.setattr(himerge.resolver, "iterate", counted_iterate)
+        assert main(self.argv(workdir / "whole")) == 0
+        monkeypatch.undo()
+        self.uninterrupted = self.calls()
+        self.in_resolution = before_resolution[0] + 2
+        assert self.uninterrupted >= self.in_resolution, "the resolver must evaluate twice"
+        (self.state / "calls").unlink()
+
+    def argv(self, out):
+        paths = {m: str(self.workdir / f"{m}.safetensors") for m in ("base", "model_a", "model_b")}
+        a, b = (
+            f"{sys.executable} -S {self.script} {{checkpoint}} {task} {self.state}" for task in "AB"
+        )
+        return ["merge", "--method", "hi", "--recompute", *_hi_args(paths, a, b), "--out", str(out)]
+
+    def calls(self):
+        return os.path.getsize(self.state / "calls")
+
+    def assert_resumed(self, out, capsys):
+        """A plain rerun in ``out`` evaluates only what the cache lacks and
+        writes what the uninterrupted run wrote, and nothing else."""
+        committed = len((out / "cache" / "eval_cache.jsonl").read_text().splitlines())
+        (self.state / "calls").unlink()
+        capsys.readouterr()
+        assert main(self.argv(out)) == 0
+        assert self.calls() == self.uninterrupted - committed
+        assert f"evaluator invocations: {self.uninterrupted - committed} " in capsys.readouterr().err
+        assert _tree(out) == _tree(self.workdir / "whole")  # merged.safetensors and the cache too
+        assert not list(out.rglob("*.himerge-tmp"))
+        assert not (out / ".himerge.lock").exists()
+        return committed
+
+
 def test_a_run_killed_in_resolution_is_resumed_by_a_plain_rerun(workdir, monkeypatch, capsys):
     """SIGKILL a ``--recompute`` hi merge while its evaluator is busy in
     the resolution stage, then rerun it in the same --out: the rerun takes
     the lock by itself, evaluates only what the killed run did not commit
     to the cache, and writes what an uninterrupted run writes."""
-    rng = np.random.default_rng(0)
-    names = [f"model.layers.{layer}.{m}" for layer in range(2) for m in ("k", "v")]
-    base = {name: dyadic_random(rng, (8, 8)) for name in names}
-    for model in ("model_a", "model_b"):
-        noisy = {name: w + dyadic_random(rng, (8, 8), span=512) for name, w in base.items()}
-        save_checkpoint(checkpoint_from_arrays(noisy), workdir / f"{model}.safetensors")
-    save_checkpoint(checkpoint_from_arrays(base), workdir / "base.safetensors")
-    state = workdir / "state"
-    state.mkdir()
-    script = workdir / "evaluator.py"
-    script.write_text(CRASH_EVALUATOR)
-
-    def argv(out):
-        paths = {m: str(workdir / f"{m}.safetensors") for m in ("base", "model_a", "model_b")}
-        a, b = (f"{sys.executable} -S {script} {{checkpoint}} {task} {state}" for task in "AB")
-        return ["merge", "--method", "hi", "--recompute", *_hi_args(paths, a, b), "--out", str(out)]
-
-    def calls():
-        return os.path.getsize(state / "calls")
-
-    # Uninterrupted, counting the calls made before the resolution stage.
-    before_resolution = []
-    real_iterate = himerge.resolver.iterate
-
-    def counted_iterate(*args, **kwargs):
-        before_resolution.append(calls())
-        return real_iterate(*args, **kwargs)
-
-    monkeypatch.setattr(himerge.resolver, "iterate", counted_iterate)
-    assert main(argv(workdir / "whole")) == 0
-    monkeypatch.undo()
-    uninterrupted = calls()
-    assert uninterrupted >= before_resolution[0] + 2, "the resolver must evaluate twice"
-    kill_at = before_resolution[0] + 2
-
-    (state / "calls").unlink()
-    (state / "kill_at").write_text(str(kill_at))
+    crash = _CrashRun(workdir, monkeypatch)
+    state = crash.state
+    (state / "kill_at").write_text(str(crash.in_resolution))
     out = workdir / "out"
     env = dict(os.environ, PYTHONPATH=str(Path(himerge.__file__).parents[1]), TMPDIR=str(state))
     run = subprocess.Popen(
-        [sys.executable, "-m", "himerge.cli", *argv(out)],
+        [sys.executable, "-m", "himerge.cli", *crash.argv(out)],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
     )
     try:
@@ -1468,18 +1503,35 @@ def test_a_run_killed_in_resolution_is_resumed_by_a_plain_rerun(workdir, monkeyp
         with contextlib.suppress(FileNotFoundError, ProcessLookupError):
             os.killpg(int((state / "stalled").read_text()), signal.SIGKILL)
     assert (out / ".himerge.lock").exists()
-    committed = len((out / "cache" / "eval_cache.jsonl").read_text().splitlines())
-    assert committed == kill_at - 1
-
-    (state / "calls").unlink()
     (state / "kill_at").unlink()
+    assert crash.assert_resumed(out, capsys) == crash.in_resolution - 1
+
+
+@pytest.mark.parametrize("how", ["exit", "kill"])
+def test_an_evaluator_that_dies_in_resolution_is_resumed_by_a_plain_rerun(
+    workdir, monkeypatch, capsys, how
+):
+    """The evaluator exits 1, or SIGKILLs itself, once, in the resolution
+    stage of a ``--recompute`` hi merge: the run is exit 3 and leaves the
+    actions taken so far in resolution_log.partial.jsonl.  A plain rerun,
+    with the same evaluator command, resumes from the cache, and its
+    --out then matches an uninterrupted run's: the partial log is gone."""
+    crash = _CrashRun(workdir, monkeypatch)
+    (crash.state / "die_at").write_text(f"{crash.in_resolution} {how}")
+    out = workdir / "out"
     capsys.readouterr()
-    assert main(argv(out)) == 0
-    assert calls() == uninterrupted - committed
-    assert f"evaluator invocations: {uninterrupted - committed} " in capsys.readouterr().err
-    assert _tree(out) == _tree(workdir / "whole")  # merged.safetensors and the cache too
-    assert not list(out.rglob("*.himerge-tmp"))
-    assert not (out / ".himerge.lock").exists()
+    assert main(crash.argv(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("evaluator error: stage resolution: task ")
+    assert ("the evaluator failed on purpose" in err) == (how == "exit")
+    assert "Traceback" not in err
+    assert not (crash.state / "die_at").exists()
+    partial = (out / "resolution_log.partial.jsonl").read_text().splitlines()
+    whole = (workdir / "whole" / "resolution_log.jsonl").read_text().splitlines()
+    assert partial and partial == whole[: len(partial)]
+    assert not (out / "merged.safetensors").exists()
+    assert crash.assert_resumed(out, capsys) == crash.in_resolution - 1
+    assert not (out / "resolution_log.partial.jsonl").exists()
 
 
 def _hi_args(paths, eval_a, eval_b=None):

@@ -318,7 +318,7 @@ class TestIterate:
         assert [a.kind for a in log.actions] == ["KEEP"]
         assert profiled == []
 
-    def test_partial_log_attached_on_failure(self, monkeypatch):
+    def test_the_log_holds_the_actions_taken_before_a_failure(self, monkeypatch):
         ctx, fx = self._ctx()
         ctx = dataclasses.replace(ctx, deltas=fx.deltas)
         rows = [make_row(0, -0.2, 0.4)]
@@ -329,10 +329,10 @@ class TestIterate:
         monkeypatch.setattr(resolver_mod, "conflict_profile", failing_profile)
         profile = fixed_profile_factory(rows)(ctx)
         policy = IterationPolicy(max_passes=2)
-        with pytest.raises(EvaluatorError) as excinfo:
-            iterate(ctx, profile, policy, both(1, 1))
-        partial = excinfo.value.partial_log
-        assert [a.kind for a in partial.actions] == ["REPRUNE"]
+        log = ResolutionLog()
+        with pytest.raises(EvaluatorError, match="oracle went away"):
+            iterate(ctx, profile, policy, both(1, 1), log)
+        assert [a.kind for a in log.actions] == ["REPRUNE"]
 
     def test_single_halving_mode(self, monkeypatch):
         ctx, fx = self._ctx()
