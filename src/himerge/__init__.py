@@ -24,7 +24,6 @@ from .delta import (
     model_wise_process,
     prune_topp,
     save_delta,
-    scale,
 )
 from .errors import (
     CompatError,

@@ -104,24 +104,6 @@ def decode_f32(dtype: str, data) -> np.ndarray:
     raise FormatError(f"unsupported dtype tag {dtype!r}")
 
 
-def encode_from_f32(dtype: str, arr: np.ndarray) -> memoryview:
-    """Cast a float32 array to the target dtype (round-to-nearest-even), as
-    a read-only byte view of a fresh array.
-
-    A value beyond the target's range becomes inf; ``encode_record``
-    rejects that.
-    """
-    flat = np.ascontiguousarray(arr, dtype="<f4").reshape(-1)
-    if dtype == "f32":
-        return array_bytes(flat.astype("<f4"))  # a copy: the bytes must not alias arr
-    if dtype == "f16":
-        with np.errstate(over="ignore"):
-            return array_bytes(flat.astype("<f2"))
-    if dtype == "bf16":
-        return array_bytes(_f32_to_bf16(flat))
-    raise FormatError(f"unsupported dtype tag {dtype!r}")
-
-
 # dtype tag -> the least float32 magnitude that encodes to inf in that
 # dtype (the midpoint above its largest finite value, which rounds up, to
 # even), from its bit pattern.
@@ -332,7 +314,13 @@ def encode_record(ref: TensorRecord, arr: np.ndarray) -> TensorRecord:
         raise CompatError(
             f"tensor {ref.name!r}: a value is NaN, inf or beyond the {ref.dtype} range"
         )
-    return TensorRecord(ref.name, ref.dtype, ref.shape, encode_from_f32(ref.dtype, flat))
+    if ref.dtype == "f32":
+        data = flat.astype("<f4")  # a copy: the bytes must not alias arr
+    elif ref.dtype == "f16":
+        data = flat.astype("<f2")
+    else:
+        data = _f32_to_bf16(flat)
+    return TensorRecord(ref.name, ref.dtype, ref.shape, array_bytes(data))
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +479,22 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(records, metadata)
 
 
-@contextlib.contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
-    """Open a fresh temp file next to ``path`` for writing, named in a form
-    no other tool writes (``_TEMP_NAME``).  When the block ends normally it
-    replaces ``path`` (``os.replace``); when it raises, it is removed.  So
-    ``path`` never holds a partial write."""
+def create_temp(path, mode: int = 0o666) -> tuple[int, Path]:
+    """Create a fresh file next to ``path``, named in a form no other tool
+    writes (``_TEMP_NAME``: ``.<name>.<8 hex>.himerge-tmp``), so that
+    ``remove_stale_temps`` removes it if its writer is killed.  Returns its
+    write-only descriptor and its path."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.himerge-tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    return os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, mode), tmp
+
+
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open a fresh temp file next to ``path`` for writing (``create_temp``).
+    When the block ends normally it replaces ``path`` (``os.replace``); when
+    it raises, it is removed.  So ``path`` never holds a partial write."""
+    fd, tmp = create_temp(path)
     try:
         with open(fd, mode, **kwargs) as fh:
             yield fh
@@ -514,8 +509,8 @@ _TEMP_NAME = re.compile(r"\..+\.[0-9a-f]{8}\.himerge-tmp")
 
 
 def remove_stale_temps(directory) -> None:
-    """Remove the temp files that an ``atomic_open`` in ``directory`` left
-    behind when its process was killed.  Only call this while no other
+    """Remove the temp files (``create_temp``) in ``directory`` that a
+    killed process left behind.  Only call this while no other
     process can be writing into ``directory``."""
     for name in os.listdir(directory):
         if _TEMP_NAME.fullmatch(name):

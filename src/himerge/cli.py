@@ -292,6 +292,7 @@ def make_bridge(cfg: RunConfig, out: Path) -> EvaluationBridge:
     return EvaluationBridge(
         EvalCache(cache_dir / "eval_cache.jsonl"),
         keep_dir=out / "candidates" if cfg.keep_candidates else None,
+        scratch_dir=out,
         parallel=cfg.parallel,
     )
 

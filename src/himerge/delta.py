@@ -182,20 +182,8 @@ def prune_topp(
     return delta.replace(kept)
 
 
-def scale(delta: DeltaVector, s: float) -> DeltaVector:
-    """Multiply every entry by s in float32; at s = 1 the arrays are shared."""
-    PruneScaleParams(1.0, s)  # the domain check
-    if s == 1.0:
-        return delta.replace({})
-    factor = np.float32(s)
-    return delta.replace({name: delta.array(name) * factor for name in delta.names})
-
-
 def model_wise_process(delta: DeltaVector, params: PruneScaleParams) -> DeltaVector:
-    """Global prune-then-scale: s * Top_p(delta).  At p = 1 Top_p keeps
-    every entry, so only the scale runs."""
-    if params.p == 1.0:
-        return scale(delta, params.s)
+    """Global prune-then-scale: s * Top_p(delta)."""
     return prune_topp(delta, params.p, params.s)
 
 

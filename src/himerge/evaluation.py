@@ -37,7 +37,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .checkpoint import Checkpoint, tree_key, write_checkpoint
+from .checkpoint import Checkpoint, create_temp, tree_key, write_checkpoint
 from .errors import ConfigError, EvaluatorError, FormatError
 
 DEFAULT_TIMEOUT = 600.0
@@ -313,18 +313,23 @@ class EvaluationBridge:
     """Evaluates checkpoints against tasks with caching and call accounting.
 
     An external evaluator reads each candidate from a file: written to
-    ``keep_dir`` and kept there, or without one to ``tempfile``'s directory
-    and removed once scored."""
+    ``keep_dir`` and kept there, or without one to ``scratch_dir``
+    (default: ``tempfile``'s directory) as a temp file
+    ``.cand-<key>.<8 hex>.himerge-tmp`` that is removed once scored.  A
+    killed run's temp file is removed by ``remove_stale_temps`` on that
+    directory."""
 
     def __init__(
         self,
         cache: EvalCache | None = None,
         *,
         keep_dir: Path | None = None,
+        scratch_dir: Path | None = None,
         parallel: int = 1,
     ):
         self.cache = cache if cache is not None else EvalCache()
         self.keep_dir = Path(keep_dir) if keep_dir is not None else None
+        self.scratch_dir = Path(scratch_dir) if scratch_dir is not None else None
         if parallel < 1:
             raise ConfigError(f"parallel must be >= 1, got {parallel}")
         self.parallel = parallel
@@ -427,14 +432,17 @@ class EvaluationBridge:
     def _run_external(self, cp: Checkpoint, key: str, task: EvalTask) -> float:
         if self.keep_dir is not None:
             self.keep_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp_path = tempfile.mkstemp(
-            prefix=f"cand-{key[:12]}-", suffix=".safetensors", dir=self.keep_dir
-        )
+            fd, path = tempfile.mkstemp(
+                prefix=f"cand-{key[:12]}-", suffix=".safetensors", dir=self.keep_dir
+            )
+        else:
+            scratch = self.scratch_dir or Path(tempfile.gettempdir())
+            fd, path = create_temp(scratch / f"cand-{key[:12]}", mode=0o600)
         try:
             with os.fdopen(fd, "wb") as fh:
                 write_checkpoint(cp, fh)
             argv = [
-                token.replace("{checkpoint}", tmp_path)
+                token.replace("{checkpoint}", str(path))
                 for token in shlex.split(task.evaluator)
             ]
             # The evaluator leads its own process group, so a timeout also
@@ -467,7 +475,7 @@ class EvaluationBridge:
         finally:
             if self.keep_dir is None:
                 with contextlib.suppress(OSError):
-                    os.unlink(tmp_path)
+                    os.unlink(path)
 
 
 def _parse_score(stdout: str, task_id: str, stderr: str = "") -> float:

@@ -9,12 +9,15 @@ import numpy as np
 import pytest
 
 from himerge import Checkpoint, TensorRecord, load_checkpoint
-from himerge.checkpoint import encode_from_f32
+
+import reference_checkpoint
 
 
 def record_from_array(name, arr, dtype="f32"):
+    """A record of ``arr`` in ``dtype``, with no range check, so a test can
+    build an input that holds a NaN or inf."""
     arr = np.asarray(arr, dtype=np.float32)
-    return TensorRecord(name, dtype, arr.shape, encode_from_f32(dtype, arr))
+    return TensorRecord(name, dtype, arr.shape, reference_checkpoint.encode(dtype, arr))
 
 
 def checkpoint_from_arrays(arrays, dtype="f32", metadata=None):

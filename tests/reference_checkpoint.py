@@ -1,6 +1,10 @@
-"""Slow references for the bf16 codec in ``checkpoint``: the library's
+"""Slow references for the codecs in ``checkpoint``: the library's
 formulas before decoding and rounding were done in place.  The
-differential tests require bit-equal output from the library."""
+differential tests require bit-equal output from the library.
+
+``encode`` has no range check: a value beyond the dtype's range becomes
+inf, and a NaN is rounded like any other bit pattern.  Tests build input
+checkpoints with it, including ones that hold a NaN or inf on purpose."""
 
 import numpy as np
 
@@ -15,3 +19,15 @@ def f32_to_bf16(arr: np.ndarray) -> bytes:
     bits = np.ascontiguousarray(arr, dtype="<f4").view(np.uint32)
     rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
     return rounded.astype("<u2").tobytes()
+
+
+def encode(dtype: str, arr) -> bytes:
+    """Float32 values in the dtype's little-endian encoding, rounded to
+    nearest even."""
+    arr = np.ascontiguousarray(arr, dtype="<f4")
+    if dtype == "f32":
+        return arr.tobytes()
+    if dtype == "f16":
+        with np.errstate(over="ignore"):
+            return arr.astype("<f2").tobytes()
+    return f32_to_bf16(arr)

@@ -85,13 +85,13 @@ def test_sweep_prunes_once_per_p_inside_the_model_wise_stage(tmp_path, inputs):
         "sweep", "--base", inputs["base"], "--model-a", inputs["model_a"],
         "--eval-a", inputs["eval"], "--p-values", "0.2,0.5,0.8", "--s-values", "0.5,1.0",
     ])
-    prunes = [span for span in spans if span["name"] == "prune_topp"]
-    assert len(prunes) == 3
-    assert all(spans[span["parent"]]["name"] == "model_wise_process" for span in prunes)
-    # Plus one scale-only model-wise step per cell, all in the model-wise stage.
+    # One Top_p per p, plus one scale-only step (Top_p at p = 1) per cell,
+    # each the one prune of a model-wise step in the model-wise stage.
     model_wise = [span for span in spans if span["name"] == "model_wise_process"]
     assert len(model_wise) == 3 + 6
     assert all(spans[span["parent"]]["name"] == "cmd_sweep" for span in model_wise)
+    prunes = [span for span in spans if span["name"] == "prune_topp"]
+    assert sorted(spans[span["parent"]]["id"] for span in prunes) == [s["id"] for s in model_wise]
 
 
 def test_each_model_is_processed_and_saved_before_the_next_one(tmp_path):

@@ -33,7 +33,6 @@ from himerge.checkpoint import (
     checkpoint_to_bytes,
     decode_f32,
     element_size,
-    encode_from_f32,
     encode_record,
     fingerprint,
     tree_key,
@@ -202,18 +201,41 @@ BF16_EDGE_MAGNITUDES = [
 ]
 
 
+def encode(dtype: str, values: np.ndarray) -> memoryview:
+    """Flat float32 ``values`` encoded in ``dtype`` by ``encode_record``."""
+    ref = TensorRecord("w", dtype, values.shape, bytes(values.size * element_size(dtype)))
+    return encode_record(ref, values).data
+
+
+def encodes_finite(dtype: str, values: np.ndarray) -> np.ndarray:
+    """Per value: not NaN, and finite once the reference encodes it."""
+    encoded = decode_f32(dtype, reference_checkpoint.encode(dtype, values))
+    return ~np.isnan(values) & np.isfinite(encoded)
+
+
+def assert_bf16_encoding_matches_the_reference(values: np.ndarray) -> None:
+    """The values that encode finite encode as the reference does; each
+    other one is rejected."""
+    finite = encodes_finite("bf16", values)
+    ours = encode("bf16", values[finite])
+    assert bytes(ours) == reference_checkpoint.f32_to_bf16(values[finite])
+    for value in values[~finite]:
+        with pytest.raises(CompatError):
+            encode("bf16", np.array([value]))
+
+
 class TestDtypes:
     @pytest.mark.parametrize("dtype", ["f16", "bf16"])
     def test_widen_narrow_roundtrip(self, dtype):
         rng = np.random.default_rng(3)
         values = rng.standard_normal(257).astype(np.float32)
-        once = decode_f32(dtype, encode_from_f32(dtype, values))
-        twice = decode_f32(dtype, encode_from_f32(dtype, once))
+        once = decode_f32(dtype, encode(dtype, values))
+        twice = decode_f32(dtype, encode(dtype, once))
         assert np.array_equal(once, twice)
 
     def test_f16_matches_numpy_rounding(self):
         values = np.array([1.0, 1.0009766, 3.14159, -65504.0, 1e-8], dtype=np.float32)
-        ours = decode_f32("f16", encode_from_f32("f16", values))
+        ours = decode_f32("f16", encode("f16", values))
         numpy_ref = values.astype(np.float16).astype(np.float32)
         assert np.array_equal(ours, numpy_ref)
 
@@ -225,7 +247,7 @@ class TestDtypes:
         values = np.array(
             [1.0 + 2.0**-8, 1.0 + 3 * 2.0**-8, 1.0 + 3 * 2.0**-9], dtype=np.float32
         )
-        out = decode_f32("bf16", encode_from_f32("bf16", values))
+        out = decode_f32("bf16", encode("bf16", values))
         assert out.tolist() == [1.0, 1.0 + 2.0**-6, 1.0 + 2.0**-7]
 
     def test_bf16_widening_is_exact(self):
@@ -247,18 +269,19 @@ class TestDtypes:
                     if 0 <= magnitude + step <= 0x7F800000:
                         edges.append(sign | (magnitude + step))
         values = np.array(edges, dtype=np.uint32).view(np.float32)
-        assert bytes(encode_from_f32("bf16", values)) == reference_checkpoint.f32_to_bf16(values)
+        assert not encodes_finite("bf16", values).all()  # the edges past the range are here
+        assert_bf16_encoding_matches_the_reference(values)
 
     @given(st.lists(st.integers(0, 0xFFFFFFFF), max_size=64))
     @settings(max_examples=200, deadline=None)
     def test_bf16_encode_of_any_bit_pattern_matches_the_reference(self, words):
         values = np.array(words, dtype=np.uint32).view(np.float32)
-        assert bytes(encode_from_f32("bf16", values)) == reference_checkpoint.f32_to_bf16(values)
+        assert_bf16_encoding_matches_the_reference(values)
 
     def test_encoding_leaves_its_input_alone_and_does_not_alias_it(self):
         values = np.array([1.0 + 2.0**-8, -3.5, 0.0], dtype=np.float32)
         before = values.tobytes()
-        encoded = {dtype: encode_from_f32(dtype, values) for dtype in ("f32", "f16", "bf16")}
+        encoded = {dtype: encode(dtype, values) for dtype in ("f32", "f16", "bf16")}
         assert values.tobytes() == before
         snapshot = {dtype: bytes(data) for dtype, data in encoded.items()}
         values[:] = 7.0
@@ -553,9 +576,8 @@ def test_encode_record_accepts_exactly_the_values_that_encode_finite(dtype):
             value = np.array([sign | magnitude], dtype=np.uint32).view(np.float32)
             if np.isnan(value).any():
                 continue
-            encodes_finite = np.isfinite(decode_f32(dtype, encode_from_f32(dtype, value))).all()
-            if encodes_finite:
-                assert bytes(encode_record(ref, value).data) == bytes(encode_from_f32(dtype, value))
+            if encodes_finite(dtype, value).all():
+                assert bytes(encode_record(ref, value).data) == reference_checkpoint.encode(dtype, value)
             else:
                 with pytest.raises(CompatError):
                     encode_record(ref, value)

@@ -33,7 +33,6 @@ from himerge import (
     load_checkpoint,
     load_delta,
     save_checkpoint,
-    scale,
 )
 from himerge.checkpoint import checkpoint_to_bytes
 from himerge.cli import _GROUPS, RunConfig, build_parser, load_run_config, main, output_dir
@@ -1122,7 +1121,7 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
         writer.writerow(["p", "s", "score", "error"])
         for p in p_values:
             for s in s_values:
-                processed = scale(reference_delta.prune_topp(delta, p), s)
+                processed = reference_delta.scale(reference_delta.prune_topp(delta, p), s)
                 candidate = apply_delta(base_cp, [processed])
                 writer.writerow([p, s, repr(bridge.evaluate(candidate, task).value), ""])
 
@@ -1152,7 +1151,10 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
     finally:
         sys.setswitchinterval(interval)
     assert rc == 0
-    assert sorted(calls) == [p for p in p_values if p < 1.0]  # p = 1 keeps every entry
+    # Each p < 1 is pruned once.  Every other call is at p = 1, which keeps
+    # every entry and only scales: the p = 1 row's Top_p, then each cell's s.
+    cells = len(p_values) * len(s_values)
+    assert sorted(calls) == [p for p in p_values if p < 1.0] + [1.0] * (1 + cells)
     # Candidates are built on the calling thread; pool threads only evaluate.
     assert len(threads) == len(p_values) * len(s_values)
     assert all(thread is threading.main_thread() for thread in threads)
@@ -1478,8 +1480,9 @@ class _CrashRun:
 def test_a_run_killed_in_resolution_is_resumed_by_a_plain_rerun(workdir, monkeypatch, capsys):
     """SIGKILL a ``--recompute`` hi merge while its evaluator is busy in
     the resolution stage, then rerun it in the same --out: the rerun takes
-    the lock by itself, evaluates only what the killed run did not commit
-    to the cache, and writes what an uninterrupted run writes."""
+    the lock by itself, removes the candidate file the killed run left,
+    evaluates only what the killed run did not commit to the cache, and
+    writes what an uninterrupted run writes."""
     crash = _CrashRun(workdir, monkeypatch)
     state = crash.state
     (state / "kill_at").write_text(str(crash.in_resolution))
@@ -1503,8 +1506,11 @@ def test_a_run_killed_in_resolution_is_resumed_by_a_plain_rerun(workdir, monkeyp
         with contextlib.suppress(FileNotFoundError, ProcessLookupError):
             os.killpg(int((state / "stalled").read_text()), signal.SIGKILL)
     assert (out / ".himerge.lock").exists()
+    assert list(out.glob(".cand-*.himerge-tmp"))  # the candidate its evaluator had open
     (state / "kill_at").unlink()
     assert crash.assert_resumed(out, capsys) == crash.in_resolution - 1
+    # The rerun removed it, and the killed run left none in its $TMPDIR.
+    assert not list(state.rglob("*cand-*")) and not list(out.rglob("*cand-*"))
 
 
 @pytest.mark.parametrize("how", ["exit", "kill"])

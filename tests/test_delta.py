@@ -16,7 +16,6 @@ from himerge import (
     model_wise_process,
     prune_topp,
     save_delta,
-    scale,
 )
 from himerge.checkpoint import fingerprint, partition_layers
 from himerge.delta import _retain_count
@@ -325,16 +324,16 @@ class TestAgainstReference:
 class TestScaleAndProcess:
     def test_scale_identity_and_zero(self):
         delta = delta_from_vector([2.0, -4.0])
-        assert np.array_equal(scale(delta, 1.0).deltas["w"], delta.deltas["w"])
-        assert not scale(delta, 0.0).deltas["w"].any()
+        assert np.array_equal(prune_topp(delta, 1.0, 1.0).deltas["w"], delta.deltas["w"])
+        assert not prune_topp(delta, 1.0, 0.0).deltas["w"].any()
 
     def test_scale_elementwise(self):
         delta = delta_from_vector([2.0, -4.0])
-        assert scale(delta, 0.5).deltas["w"].tolist() == [1.0, -2.0]
+        assert prune_topp(delta, 1.0, 0.5).deltas["w"].tolist() == [1.0, -2.0]
 
     def test_scale_range_checked(self):
         with pytest.raises(ConfigError):
-            scale(delta_from_vector([1.0]), 1.5)
+            prune_topp(delta_from_vector([1.0]), 1.0, 1.5)
         with pytest.raises(ConfigError):
             PruneScaleParams(p=-0.1, s=0.5)
 
@@ -354,8 +353,8 @@ class TestScaleAndProcess:
         arr = rng.standard_normal(200).astype(np.float32)
         delta = delta_from_vector(arr)
         for s in (0.25, 0.5, 1.0):
-            a = scale(prune_topp(delta, 0.3), s).deltas["w"]
-            b = prune_topp(scale(delta, s), 0.3).deltas["w"]
+            a = prune_topp(prune_topp(delta, 0.3), 1.0, s).deltas["w"]
+            b = prune_topp(prune_topp(delta, 1.0, s), 0.3).deltas["w"]
             assert np.array_equal(a, b)
 
 
@@ -453,7 +452,7 @@ class TestComputeApply:
         )
         delta = compute_delta(model, base)
         s = 0.37
-        scaled = scale(delta, s)
+        scaled = prune_topp(delta, 1.0, s)
         out = apply_delta(base, [scaled])
         for name in base.names:
             expected = base.as_f32(name) + scaled.deltas[name]

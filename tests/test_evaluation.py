@@ -22,7 +22,7 @@ from himerge import (
     SyntheticLinearTask,
     hidden_optimum,
 )
-from himerge.checkpoint import fingerprint
+from himerge.checkpoint import _TEMP_NAME, fingerprint
 
 from conftest import checkpoint_from_arrays
 
@@ -450,6 +450,19 @@ class TestExternalProtocol:
         bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
         # Written to tempfile's directory, and removed once scored.
         assert Path(seen.read_text()).parent == scratch
+        assert not list(scratch.iterdir())
+
+    def test_candidates_written_to_the_scratch_dir_as_temp_files(self, script_evaluator, tmp_path):
+        cmd, seen = self._seen_candidate(script_evaluator, tmp_path)
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        bridge = EvaluationBridge(scratch_dir=scratch)
+        bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
+        # Named so that remove_stale_temps removes one a killed run left.
+        (key,) = bridge.evaluated_keys
+        path = Path(seen.read_text())
+        assert path.parent == scratch and path.name.startswith(f".cand-{key[:12]}.")
+        assert _TEMP_NAME.fullmatch(path.name)
         assert not list(scratch.iterdir())
 
     def test_parallel_evaluate_many(self, script_evaluator):
