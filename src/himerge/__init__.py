@@ -12,7 +12,6 @@ from .checkpoint import (
     load_checkpoint,
     partition_layers,
     save_checkpoint,
-    tree_key,
     validate_compat,
 )
 from .delta import (
@@ -20,7 +19,6 @@ from .delta import (
     PruneScaleParams,
     apply_delta,
     compute_delta,
-    load_delta,
     model_wise_process,
     prune_topp,
     save_delta,

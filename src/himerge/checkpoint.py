@@ -19,16 +19,16 @@ changed in place after the load is a FormatError at the next read; one
 replaced by a rename is harmless, since the open descriptor keeps the old
 contents.
 
-Two content hashes are defined on the canonical form.  ``fingerprint`` is
-the sha256 of the canonical bytes; delta files record it to name their
-base.  ``tree_key`` is, like a git tree, the sha256 of the canonical
-header followed by each tensor's own sha256 (``TensorRecord.digest``,
-computed once per record).  Checkpoints that share records therefore share
-their hashing: a candidate that differs from its reference in one layer
-hashes only that layer's tensors.  Both are equal for two checkpoints
-exactly when their canonical bytes are, and both are memoized on the
-immutable ``Checkpoint``: a reference or a candidate scored many times is
-hashed once.
+One content hash names a checkpoint: ``fingerprint`` is, like a git tree,
+the sha256 of the canonical header followed by each tensor's own sha256
+(``TensorRecord.digest``, computed once per record).  It keys the
+evaluation cache, and delta files record their base's.  Checkpoints that
+share records therefore share their hashing: a candidate that differs from
+its reference in one layer hashes only that layer's tensors, and a base
+whose delta was computed is not hashed again when it is scored.  Two
+checkpoints' fingerprints are equal exactly when their canonical bytes
+are, and it is memoized on the immutable ``Checkpoint``: a reference or a
+candidate scored many times is hashed once.
 """
 
 from __future__ import annotations
@@ -265,7 +265,6 @@ class Checkpoint:
         self._records = {name: by_name[name] for name in sorted(by_name)}
         self._metadata = types.MappingProxyType(dict(metadata) if metadata else {})
         self._fingerprint: str | None = None  # set by fingerprint()
-        self._tree_key: str | None = None  # set by tree_key()
 
     @property
     def metadata(self) -> types.MappingProxyType:
@@ -524,26 +523,14 @@ def save_checkpoint(cp: Checkpoint, path) -> None:
 
 
 def fingerprint(cp: Checkpoint) -> str:
-    """sha256 of the canonical serialized bytes, hashed as a stream on the
-    first call and then kept on the (immutable) checkpoint."""
-    if cp._fingerprint is None:
-        h = hashlib.sha256()
-        for chunk in _chunks(cp):
-            h.update(chunk)
-            del chunk  # as in write_checkpoint
-        cp._fingerprint = h.hexdigest()
-    return cp._fingerprint
-
-
-def tree_key(cp: Checkpoint) -> str:
     """sha256 of the canonical header followed by every record's digest,
-    computed on the first call and then kept on the checkpoint."""
-    if cp._tree_key is None:
+    computed on the first call and then kept on the (immutable) checkpoint."""
+    if cp._fingerprint is None:
         h = hashlib.sha256(_header_bytes(cp))
         for rec in cp:
             h.update(rec.digest)
-        cp._tree_key = h.hexdigest()
-    return cp._tree_key
+        cp._fingerprint = h.hexdigest()
+    return cp._fingerprint
 
 
 # ---------------------------------------------------------------------------

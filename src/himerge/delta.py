@@ -23,11 +23,10 @@ from .checkpoint import (
     array_bytes,
     encode_record,
     fingerprint,
-    load_checkpoint,
     save_checkpoint,
     validate_compat,
 )
-from .errors import CompatError, ConfigError, FormatError
+from .errors import CompatError, ConfigError
 
 
 @dataclass
@@ -279,7 +278,10 @@ def layer_arrays(
 
 def save_delta(delta: DeltaVector, path) -> None:
     """Write a delta file, one tensor at a time: an array is written
-    unencoded through a view of it, a record is read from its file."""
+    unencoded through a view of it, a record is read from its file.  Its
+    metadata holds ``kind=delta``, the provenance, and the base's
+    ``fingerprint`` under ``base_fingerprint``: the key of the base's lines
+    in the evaluation cache."""
     records = [
         entry if isinstance(entry, TensorRecord) else
         TensorRecord(name, "f32", entry.shape, array_bytes(np.ascontiguousarray(entry, "<f4")))
@@ -291,13 +293,3 @@ def save_delta(delta: DeltaVector, path) -> None:
         "provenance": delta.provenance,
     }
     save_checkpoint(Checkpoint(records, meta), path)
-
-
-def load_delta(path) -> DeltaVector:
-    cp = load_checkpoint(path)
-    meta = cp.metadata
-    if meta.get("kind") != "delta":
-        raise FormatError(f"{path}: not a delta file (missing kind=delta metadata)")
-    deltas = {name: cp.as_f32(name) for name in cp.names}
-    _require_finite(deltas, str(path))
-    return DeltaVector(meta.get("base_fingerprint", ""), deltas, meta.get("provenance", ""))

@@ -9,10 +9,12 @@ of its stdout or stderr that are not UTF-8 are read as U+FFFD.
 
 Scores are cached in a JSON-lines file so reruns and restarts skip
 completed evaluations.  A cache entry is keyed by the candidate's
-``tree_key`` (which hashes only the tensors it does not share with
-checkpoints hashed before), the task id, and the evaluator's identity: the
-sha256 of the command template or of the builtin spec's canonical JSON.
-A candidate is serialized only when an external evaluator needs its file.
+``fingerprint``, the content hash of ``checkpoint`` (which hashes only the
+tensors it does not share with checkpoints hashed before), the task id,
+and the evaluator's identity: the sha256 of the command template or of the
+builtin spec's canonical JSON.  A candidate is serialized only when an
+external evaluator needs its file: to a temp file in ``scratch_dir``, or
+to ``keep_dir`` when it is kept.
 Concurrent evaluations of one entry run the evaluator once; the other
 callers wait for that result and count as cache hits.
 """
@@ -37,7 +39,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .checkpoint import Checkpoint, create_temp, tree_key, write_checkpoint
+from .checkpoint import Checkpoint, create_temp, fingerprint, write_checkpoint
 from .errors import ConfigError, EvaluatorError, FormatError
 
 DEFAULT_TIMEOUT = 600.0
@@ -226,7 +228,7 @@ CACHE_VERSION = 2
 
 
 class EvalCache:
-    """(tree key, task id, evaluator identity) -> score map backed by an
+    """(fingerprint, task id, evaluator identity) -> score map backed by an
     append-only JSONL file.
 
     Each line is ``{"v": 2, "key", "task_id", "evaluator", "score"}``.
@@ -345,7 +347,7 @@ class EvaluationBridge:
         return len(self.evaluated_keys)
 
     def evaluate(self, cp: Checkpoint, task: EvalTask) -> EvalResult:
-        key = tree_key(cp)
+        key = fingerprint(cp)
         slot = (key, task.task_id, task.identity)
         with self._lock:
             score = self.cache.get(*slot)

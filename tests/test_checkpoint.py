@@ -35,7 +35,6 @@ from himerge.checkpoint import (
     element_size,
     encode_record,
     fingerprint,
-    tree_key,
     write_checkpoint,
 )
 
@@ -455,19 +454,18 @@ def checkpoint_pairs(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(checkpoint_pairs())
-def test_tree_key_equal_exactly_when_bytes_equal(pair):
+def test_fingerprint_equal_exactly_when_bytes_equal(pair):
     a, b = pair
     same_bytes = checkpoint_to_bytes(a) == checkpoint_to_bytes(b)
     event(f"same bytes: {same_bytes}")
-    assert (tree_key(a) == tree_key(b)) == same_bytes
     assert (fingerprint(a) == fingerprint(b)) == same_bytes
 
 
 @settings(max_examples=200, deadline=None)
 @given(checkpoint_pairs())
-def test_fingerprint_hashes_the_canonical_bytes(pair):
+def test_fingerprint_equals_the_reference_tree_hash_of_the_canonical_bytes(pair):
     for cp in pair:
-        assert fingerprint(cp) == hashlib.sha256(checkpoint_to_bytes(cp)).hexdigest()
+        assert fingerprint(cp) == reference_checkpoint.tree_hash(checkpoint_to_bytes(cp))
 
 
 @pytest.mark.parametrize(
@@ -481,11 +479,11 @@ def test_fingerprint_hashes_the_canonical_bytes(pair):
     ],
     ids=["f16-vs-bf16", "2x3-vs-3x2", "moved-boundary"],
 )
-def test_tree_key_separates_equal_data_under_another_header(first, second):
+def test_fingerprint_separates_equal_data_under_another_header(first, second):
     a = Checkpoint([TensorRecord(*r) for r in first])
     b = Checkpoint([TensorRecord(*r) for r in second])
     assert b"".join(r.data for r in a) == b"".join(r.data for r in b)
-    assert tree_key(a) != tree_key(b)
+    assert fingerprint(a) != fingerprint(b)
 
 
 def test_tensor_record_is_immutable_and_digests_its_data():
@@ -500,8 +498,9 @@ def test_tensor_record_is_immutable_and_digests_its_data():
 def test_fingerprint_is_hashed_once_per_checkpoint(monkeypatch):
     cp = checkpoint_from_arrays({"w": [1.0, 2.0]}, metadata={"m": "1"})
     first = fingerprint(cp)
-    # A second call reads the memo; it hashes nothing.
+    # A second call reads the memo: no header is built and nothing is hashed.
     monkeypatch.setattr(hashlib, "sha256", None)
+    monkeypatch.setattr(checkpoint_mod, "_header_bytes", None)
     assert fingerprint(cp) == first
     # The memo cannot go stale: the metadata is read-only.
     with pytest.raises(TypeError):
@@ -509,15 +508,6 @@ def test_fingerprint_is_hashed_once_per_checkpoint(monkeypatch):
     with pytest.raises(AttributeError):
         cp.metadata = {"m": "2"}
     assert dict(cp.metadata) == {"m": "1"}
-
-
-def test_tree_key_is_hashed_once_per_checkpoint(monkeypatch):
-    cp = checkpoint_from_arrays({"w": [1.0, 2.0]}, metadata={"m": "1"})
-    first = tree_key(cp)
-    # A second call reads the memo: no header is built and nothing is hashed.
-    monkeypatch.setattr(hashlib, "sha256", None)
-    monkeypatch.setattr(checkpoint_mod, "_header_bytes", None)
-    assert tree_key(cp) == first
 
 
 @settings(max_examples=100, deadline=None)
@@ -623,7 +613,6 @@ def test_loaded_records_equal_the_written_ones(drawn):
             assert bytes(ours.data) == bytes(theirs.data)
             assert ours.digest == theirs.digest
             assert ours.as_f32().tobytes() == theirs.as_f32().tobytes()
-        assert tree_key(loaded) == tree_key(parsed)
         assert fingerprint(loaded) == fingerprint(parsed)
         again = Path(tmp) / "again.safetensors"
         save_checkpoint(loaded, again)

@@ -25,16 +25,16 @@ import himerge.delta
 import himerge.resolver
 from himerge import (
     ConfigError,
+    DeltaVector,
     EvalCache,
     EvalTask,
     EvaluationBridge,
     apply_delta,
     compute_delta,
     load_checkpoint,
-    load_delta,
     save_checkpoint,
 )
-from himerge.checkpoint import checkpoint_to_bytes
+from himerge.checkpoint import checkpoint_to_bytes, fingerprint
 from himerge.cli import _GROUPS, RunConfig, build_parser, load_run_config, main, output_dir
 from himerge.evaluation import SyntheticCompositeTask, SyntheticLinearTask
 
@@ -107,8 +107,8 @@ class TestDeltaCommand:
         model = write_cp(workdir / "model.safetensors", cp)
         out = workdir / "out"
         assert main(["delta", "--base", base, "--model-a", model, "--out", str(out)]) == 0
-        delta = load_delta(out / "delta.safetensors")
-        assert all(not arr.any() for arr in delta.deltas.values())
+        delta = load_checkpoint(out / "delta.safetensors")
+        assert all(not rec.as_f32().any() for rec in delta)
 
     def test_roundtrip_through_files(self, workdir):
         rng = np.random.default_rng(1)
@@ -120,7 +120,9 @@ class TestDeltaCommand:
         model = write_cp(workdir / "model.safetensors", model_cp)
         out = workdir / "out"
         assert main(["delta", "--base", base, "--model-a", model, "--out", str(out)]) == 0
-        delta = load_delta(out / "delta.safetensors")
+        saved = load_checkpoint(out / "delta.safetensors")
+        # apply_delta checks the base the file names.
+        delta = DeltaVector(saved.metadata["base_fingerprint"], {rec.name: rec for rec in saved})
         rebuilt = apply_delta(base_cp, [delta])
         for name in base_cp.names:
             assert np.array_equal(rebuilt.as_f32(name), model_cp.as_f32(name))
@@ -1293,6 +1295,27 @@ def _hi_run(workdir, out, parallel=1):
 
 def _tree(out):
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def test_every_delta_file_names_its_base_by_the_key_of_its_cache_lines(workdir, monkeypatch):
+    """hi's processed and final deltas, and the delta verb's, record their
+    base's fingerprint: the content hash that keys the base's (F's) lines in
+    the evaluation cache, one per task."""
+    monkeypatch.delenv("HIMERGE_CACHE_DIR", raising=False)
+    paths, argv = _hi_run(workdir, workdir / "hi")
+    assert main(argv) == 0
+    assert main(["delta", "--base", str(paths["base"]), "--model-a", str(paths["model_a"]),
+                 "--out", str(workdir / "delta")]) == 0
+    base_fp = fingerprint(load_checkpoint(paths["base"]))
+    written = sorted((workdir / "hi").glob("delta_*.safetensors"))
+    assert [path.name for path in written] == [
+        f"delta_{m}_{stage}.safetensors" for m in "ab" for stage in ("final", "processed")
+    ]
+    for path in [*written, workdir / "delta" / "delta.safetensors"]:
+        assert load_checkpoint(path).metadata["base_fingerprint"] == base_fp, path
+    lines = (workdir / "hi" / "cache" / "eval_cache.jsonl").read_text().splitlines()
+    tasks = sorted(entry["task_id"] for entry in map(json.loads, lines) if entry["key"] == base_fp)
+    assert tasks == ["A", "B"]
 
 
 def _disturb_at_analysis(monkeypatch, path, disturb):

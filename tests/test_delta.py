@@ -12,7 +12,7 @@ from himerge import (
     PruneScaleParams,
     apply_delta,
     compute_delta,
-    load_delta,
+    load_checkpoint,
     model_wise_process,
     prune_topp,
     save_delta,
@@ -372,12 +372,6 @@ class TestNonFiniteDeltas:
         with pytest.raises(CompatError, match="tensor 'w'"):
             compute_delta(model, base)
 
-    def test_load_delta_rejects_non_finite(self, tmp_path):
-        delta = DeltaVector("fp", {"v": np.zeros(2, np.float32), "w": np.array([np.inf], np.float32)})
-        save_delta(delta, tmp_path / "d.safetensors")
-        with pytest.raises(CompatError, match="tensor 'w'"):
-            load_delta(tmp_path / "d.safetensors")
-
 
 class TestComputeApply:
     def test_identical_models_zero_delta(self):
@@ -486,8 +480,11 @@ def test_delta_file_roundtrip(tmp_path):
     delta = compute_delta(model, base, provenance="model-a")
     path = tmp_path / "delta.safetensors"
     save_delta(delta, path)
-    loaded = load_delta(path)
-    assert loaded.provenance == "model-a"
-    assert loaded.base_fingerprint == delta.base_fingerprint
-    for name in delta.names:
-        assert np.array_equal(loaded.deltas[name], delta.deltas[name])
+    loaded = load_checkpoint(path)
+    assert dict(loaded.metadata) == {
+        "kind": "delta", "base_fingerprint": fingerprint(base), "provenance": "model-a"
+    }
+    assert loaded.names == delta.names
+    for rec in loaded:
+        assert rec.dtype == "f32"
+        assert rec.as_f32().tobytes() == delta.deltas[rec.name].tobytes()

@@ -30,7 +30,7 @@ from himerge import (
     fingerprint,
     hi_merge,
     iterate,
-    load_delta,
+    load_checkpoint,
     model_wise_process,
     partition_layers,
     resolve_layer,
@@ -787,9 +787,10 @@ class TestFileBackedDeltas:
             out = Path(tmp)
             on_disk = hi_merge(base, ma, mb, dataclasses.replace(config, out_dir=out))
             for model_id, delta in on_disk.deltas.items():
-                saved = load_delta(out / f"delta_{model_id.lower()}_final.safetensors")
-                for name in saved.names:
-                    assert saved.array(name).tobytes() == delta.array(name).tobytes(), name
+                saved = load_checkpoint(out / f"delta_{model_id.lower()}_final.safetensors")
+                assert saved.names == delta.names
+                for rec in saved:
+                    assert rec.as_f32().tobytes() == delta.array(rec.name).tobytes(), rec.name
 
             assert checkpoint_to_bytes(on_disk.merged) == checkpoint_to_bytes(in_memory.merged)
             assert checkpoint_to_bytes(on_disk.theta_g) == checkpoint_to_bytes(in_memory.theta_g)
