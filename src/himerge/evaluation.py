@@ -317,7 +317,7 @@ class EvaluationBridge:
     An external evaluator reads each candidate from a file: written to
     ``keep_dir`` and kept there, or without one to ``scratch_dir``
     (default: ``tempfile``'s directory) as a temp file
-    ``.cand-<key>.<8 hex>.himerge-tmp`` that is removed once scored.  A
+    ``.cand-<12 hex of its key>.<8 hex>.himerge-tmp``, removed once scored.  A
     killed run's temp file is removed by ``remove_stale_temps`` on that
     directory."""
 
