@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
+import numpy as np
+
 from .checkpoint import (
     DEFAULT_LAYER_RULE,
     atomic_open,
@@ -29,13 +31,7 @@ from .checkpoint import (
     remove_stale_temps,
     save_checkpoint,
 )
-from .delta import (
-    PruneScaleParams,
-    compute_delta,
-    model_wise_process,
-    apply_delta,
-    save_delta,
-)
+from .delta import PruneScaleParams, combine, compute_delta, model_wise_process, save_delta
 from .errors import CompatError, ConfigError, EvaluatorError, FormatError, HiMergeError
 from .evaluation import (
     BUILTIN_TASKS,
@@ -50,6 +46,7 @@ from .resolver import HiMergeConfig, IterationPolicy, analyze, hi_merge, prepare
 
 DEFAULT_GRID = [round(0.1 * i, 1) for i in range(1, 11)]
 LOCK_NAME = ".himerge.lock"
+CANDIDATES_NAME = "candidates"  # the --keep-candidates directory in --out
 _POLICY = IterationPolicy()  # the resolution-policy defaults
 
 
@@ -260,7 +257,7 @@ def _typed(value, kind, path: str):
 def output_dir(cfg: RunConfig):
     """Create the output directory and hold an exclusive ``flock`` on a lock
     file in it for the whole block.  Under the lock, the temp files that a
-    killed writer left are removed.
+    killed writer left in it, or in its candidates directory, are removed.
 
     The kernel releases the lock when the run ends or dies, so a lock file
     that no run holds never blocks.  The lock file is unlinked while still
@@ -279,7 +276,9 @@ def output_dir(cfg: RunConfig):
         if not held:
             raise ConfigError(f"output directory {out} is locked by another run")
         try:
-            remove_stale_temps(out)
+            for directory in (out, out / CANDIDATES_NAME):
+                if directory.is_dir():
+                    remove_stale_temps(directory)
             yield out
         finally:
             with contextlib.suppress(OSError):
@@ -291,7 +290,7 @@ def make_bridge(cfg: RunConfig, out: Path) -> EvaluationBridge:
     cache_dir = Path(cache_dir) if cache_dir else out / "cache"
     return EvaluationBridge(
         EvalCache(cache_dir / "eval_cache.jsonl"),
-        keep_dir=out / "candidates" if cfg.keep_candidates else None,
+        keep_dir=out / CANDIDATES_NAME if cfg.keep_candidates else None,
         scratch_dir=out,
         parallel=cfg.parallel,
     )
@@ -378,18 +377,16 @@ def cmd_sweep(cfg: RunConfig) -> int:
         delta = compute_delta(model, base, provenance="A")
 
         def candidates():
-            # The kept set depends on p alone, and s * Top_p = s * Top_1(Top_p):
-            # prune once per p, then only scale per cell.  A generator, so
-            # bridge.map builds each candidate on this thread and keeps at
-            # most ``parallel`` of them alive.  A cell's scaled delta lives
-            # only during its apply_delta, and the last p's Top_p is dropped
-            # before the next p is pruned.
+            # The kept set depends on p alone: prune once per p, then scale
+            # per cell inside combine, one tensor at a time.  A generator,
+            # so bridge.map builds each candidate on this thread and keeps
+            # at most ``parallel`` of them alive.  The last p's Top_p is
+            # dropped before the next p is pruned.
             for p in cfg.p_values:
                 top_p = model_wise_process(delta, PruneScaleParams(p, 1.0))
                 for s in cfg.s_values:
-                    yield p, s, apply_delta(
-                        base, [model_wise_process(top_p, PruneScaleParams(1.0, s))]
-                    )
+                    factor = np.float32(s)
+                    yield p, s, combine(base, [lambda name: top_p.array(name) * factor])
                 del top_p
 
         def score(cell):

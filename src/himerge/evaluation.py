@@ -13,8 +13,8 @@ completed evaluations.  A cache entry is keyed by the candidate's
 tensors it does not share with checkpoints hashed before), the task id,
 and the evaluator's identity: the sha256 of the command template or of the
 builtin spec's canonical JSON.  A candidate is serialized only when an
-external evaluator needs its file: to a temp file in ``scratch_dir``, or
-to ``keep_dir`` when it is kept.
+external evaluator needs its file, always to a ``create_temp`` file; a
+kept one is then renamed to its fingerprint's name in ``keep_dir``.
 Concurrent evaluations of one entry run the evaluator once; the other
 callers wait for that result and count as cache hits.
 """
@@ -314,12 +314,12 @@ class _Flight:
 class EvaluationBridge:
     """Evaluates checkpoints against tasks with caching and call accounting.
 
-    An external evaluator reads each candidate from a file: written to
-    ``keep_dir`` and kept there, or without one to ``scratch_dir``
-    (default: ``tempfile``'s directory) as a temp file
-    ``.cand-<12 hex of its key>.<8 hex>.himerge-tmp``, removed once scored.  A
-    killed run's temp file is removed by ``remove_stale_temps`` on that
-    directory."""
+    An external evaluator reads each candidate from a ``create_temp`` file
+    written where it ends: in ``keep_dir``, renamed whole to one
+    ``cand-<key>.safetensors`` per candidate before the evaluator runs, or
+    else in ``scratch_dir`` (default: ``tempfile``'s directory), removed
+    once scored.  A killed run's temp file is removed by
+    ``remove_stale_temps`` on that directory."""
 
     def __init__(
         self,
@@ -434,15 +434,16 @@ class EvaluationBridge:
     def _run_external(self, cp: Checkpoint, key: str, task: EvalTask) -> float:
         if self.keep_dir is not None:
             self.keep_dir.mkdir(parents=True, exist_ok=True)
-            fd, path = tempfile.mkstemp(
-                prefix=f"cand-{key[:12]}-", suffix=".safetensors", dir=self.keep_dir
-            )
+            target = self.keep_dir / f"cand-{key}.safetensors"
         else:
-            scratch = self.scratch_dir or Path(tempfile.gettempdir())
-            fd, path = create_temp(scratch / f"cand-{key[:12]}", mode=0o600)
+            target = (self.scratch_dir or Path(tempfile.gettempdir())) / f"cand-{key[:12]}"
+        fd, path = create_temp(target, mode=0o600)
         try:
             with os.fdopen(fd, "wb") as fh:
                 write_checkpoint(cp, fh)
+            if self.keep_dir is not None:
+                os.replace(path, target)  # whole, before the evaluator opens it
+                path = target
             argv = [
                 token.replace("{checkpoint}", str(path))
                 for token in shlex.split(task.evaluator)
@@ -475,7 +476,7 @@ class EvaluationBridge:
                 )
             return _parse_score(stdout, task.task_id, stderr)
         finally:
-            if self.keep_dir is None:
+            if path != target:  # not kept
                 with contextlib.suppress(OSError):
                     os.unlink(path)
 

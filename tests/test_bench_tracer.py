@@ -77,7 +77,9 @@ def test_sweep_spans(tmp_path, inputs):
         "sweep", "--base", inputs["base"], "--model-a", inputs["model_a"],
         "--eval-a", inputs["eval"], "--p-values", "0.5,1.0", "--s-values", "1.0",
     ])
-    assert {"cmd_sweep", "apply_delta"} <= names
+    # A cell scales Top_p inside its own sum, with no apply_delta.
+    assert {"cmd_sweep", "compute_delta", "model_wise_process", "prune_topp"} <= names
+    assert "apply_delta" not in names
 
 
 def test_sweep_prunes_once_per_p_inside_the_model_wise_stage(tmp_path, inputs):
@@ -85,10 +87,10 @@ def test_sweep_prunes_once_per_p_inside_the_model_wise_stage(tmp_path, inputs):
         "sweep", "--base", inputs["base"], "--model-a", inputs["model_a"],
         "--eval-a", inputs["eval"], "--p-values", "0.2,0.5,0.8", "--s-values", "0.5,1.0",
     ])
-    # One Top_p per p, plus one scale-only step (Top_p at p = 1) per cell,
-    # each the one prune of a model-wise step in the model-wise stage.
+    # One Top_p per p, the one prune of a model-wise step in the
+    # model-wise stage; a cell only scales, inside its sum.
     model_wise = [span for span in spans if span["name"] == "model_wise_process"]
-    assert len(model_wise) == 3 + 6
+    assert len(model_wise) == 3
     assert all(spans[span["parent"]]["name"] == "cmd_sweep" for span in model_wise)
     prunes = [span for span in spans if span["name"] == "prune_topp"]
     assert sorted(spans[span["parent"]]["id"] for span in prunes) == [s["id"] for s in model_wise]

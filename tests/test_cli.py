@@ -1136,13 +1136,14 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
 
     monkeypatch.setattr(himerge.delta, "prune_topp", counting)
     threads = []
-    original_apply = himerge.cli.apply_delta
+    original_combine = himerge.cli.combine
 
-    def recording(*args, **kwargs):
+    def recording(ref, terms, *args, **kwargs):
+        assert ref is not None and len(terms) == 1 and not args and not kwargs
         threads.append(threading.current_thread())
-        return original_apply(*args, **kwargs)
+        return original_combine(ref, terms)
 
-    monkeypatch.setattr(himerge.cli, "apply_delta", recording)
+    monkeypatch.setattr(himerge.cli, "combine", recording)
     out = workdir / "out"
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads often, so cells of several p overlap
@@ -1153,10 +1154,9 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
     finally:
         sys.setswitchinterval(interval)
     assert rc == 0
-    # Each p < 1 is pruned once.  Every other call is at p = 1, which keeps
-    # every entry and only scales: the p = 1 row's Top_p, then each cell's s.
-    cells = len(p_values) * len(s_values)
-    assert sorted(calls) == [p for p in p_values if p < 1.0] + [1.0] * (1 + cells)
+    # Each p is pruned once, and no cell prunes: a cell scales Top_p
+    # inside its one-term combine.
+    assert sorted(calls) == sorted(p_values)
     # Candidates are built on the calling thread; pool threads only evaluate.
     assert len(threads) == len(p_values) * len(s_values)
     assert all(thread is threading.main_thread() for thread in threads)
@@ -1441,12 +1441,11 @@ print(json.dumps({"score": -(total - 1.0) ** 2}))
 """
 
 
-class _CrashRun:
-    """A ``--recompute`` hi merge scored by CRASH_EVALUATOR, run once
-    uninterrupted into <workdir>/whole.  ``in_resolution`` is the count of
-    the evaluator's second call in the resolution stage."""
+class _CrashInputs:
+    """Two layers of inputs, and the argv of a ``--recompute`` hi merge on
+    them scored by CRASH_EVALUATOR with its state in <workdir>/state."""
 
-    def __init__(self, workdir, monkeypatch):
+    def __init__(self, workdir):
         rng = np.random.default_rng(0)
         names = [f"model.layers.{layer}.{m}" for layer in range(2) for m in ("k", "v")]
         base = {name: dyadic_random(rng, (8, 8)) for name in names}
@@ -1459,6 +1458,24 @@ class _CrashRun:
         self.script = workdir / "evaluator.py"
         self.script.write_text(CRASH_EVALUATOR)
 
+    def argv(self, out):
+        paths = {m: str(self.workdir / f"{m}.safetensors") for m in ("base", "model_a", "model_b")}
+        a, b = (
+            f"{sys.executable} -S {self.script} {{checkpoint}} {task} {self.state}" for task in "AB"
+        )
+        return ["merge", "--method", "hi", "--recompute", *_hi_args(paths, a, b), "--out", str(out)]
+
+    def calls(self):
+        return os.path.getsize(self.state / "calls")
+
+
+class _CrashRun(_CrashInputs):
+    """The _CrashInputs merge, run once uninterrupted into <workdir>/whole.
+    ``in_resolution`` is the count of the evaluator's second call in the
+    resolution stage."""
+
+    def __init__(self, workdir, monkeypatch):
+        super().__init__(workdir)
         # Uninterrupted, counting the calls made before the resolution stage.
         before_resolution = []
         real_iterate = himerge.resolver.iterate
@@ -1474,16 +1491,6 @@ class _CrashRun:
         self.in_resolution = before_resolution[0] + 2
         assert self.uninterrupted >= self.in_resolution, "the resolver must evaluate twice"
         (self.state / "calls").unlink()
-
-    def argv(self, out):
-        paths = {m: str(self.workdir / f"{m}.safetensors") for m in ("base", "model_a", "model_b")}
-        a, b = (
-            f"{sys.executable} -S {self.script} {{checkpoint}} {task} {self.state}" for task in "AB"
-        )
-        return ["merge", "--method", "hi", "--recompute", *_hi_args(paths, a, b), "--out", str(out)]
-
-    def calls(self):
-        return os.path.getsize(self.state / "calls")
 
     def assert_resumed(self, out, capsys):
         """A plain rerun in ``out`` evaluates only what the cache lacks and
@@ -1561,6 +1568,68 @@ def test_an_evaluator_that_dies_in_resolution_is_resumed_by_a_plain_rerun(
     assert not (out / "merged.safetensors").exists()
     assert crash.assert_resumed(out, capsys) == crash.in_resolution - 1
     assert not (out / "resolution_log.partial.jsonl").exists()
+
+
+def _kept_candidates(out):
+    """The files in <out>/candidates, each checked to be a whole checkpoint
+    named by its fingerprint."""
+    kept = sorted((out / "candidates").iterdir())
+    for path in kept:
+        assert path.name == f"cand-{fingerprint(load_checkpoint(path))}.safetensors"
+    return kept
+
+
+def _distinct(err: str) -> int:
+    return int(err.split("distinct checkpoints: ")[1].split(")")[0])
+
+
+def test_keep_candidates_keeps_each_distinct_candidate_once(workdir, capsys):
+    """A candidate that both tasks score (the references, G's layer
+    candidates) is kept once, under its fingerprint's name."""
+    out = workdir / "out"
+    capsys.readouterr()
+    assert main(_CrashInputs(workdir).argv(out) + ["--keep-candidates"]) == 0
+    err = capsys.readouterr().err
+    assert _invocations(err) > _distinct(err)
+    assert len(_kept_candidates(out)) == _distinct(err)
+    assert not list(out.rglob("*.himerge-tmp"))
+
+
+# Runs cli.main with argv[1:], but the first candidate file written gets
+# only half its bytes, and then the process exits at once.
+HALF_WRITER = """
+import os, sys
+import himerge.evaluation
+from himerge.checkpoint import checkpoint_to_bytes
+from himerge.cli import main
+
+def write_half_and_exit(cp, fh):
+    blob = checkpoint_to_bytes(cp)
+    fh.write(blob[: len(blob) // 2])
+    fh.flush()
+    os._exit(9)
+
+himerge.evaluation.write_checkpoint = write_half_and_exit
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_run_killed_writing_a_kept_candidate_leaves_no_partial_one(workdir, capsys):
+    """A kept candidate is whole or absent: the killed run leaves only its
+    temp file, and a plain rerun removes that and keeps every candidate."""
+    out = workdir / "out"
+    argv = _CrashInputs(workdir).argv(out) + ["--keep-candidates"]
+    env = dict(os.environ, PYTHONPATH=str(Path(himerge.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", HALF_WRITER, *argv], env=env, capture_output=True, timeout=60
+    )
+    assert run.returncode == 9, run.stderr
+    assert not list(out.rglob("cand-*.safetensors"))
+    assert list((out / "candidates").glob(".cand-*.himerge-tmp"))  # the half-written one
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert not list(out.rglob("*.himerge-tmp"))
+    assert len(_kept_candidates(out)) == _distinct(capsys.readouterr().err)
 
 
 def _hi_args(paths, eval_a, eval_b=None):

@@ -22,7 +22,7 @@ from himerge import (
     SyntheticLinearTask,
     hidden_optimum,
 )
-from himerge.checkpoint import _TEMP_NAME, fingerprint
+from himerge.checkpoint import _TEMP_NAME, checkpoint_to_bytes, fingerprint
 
 from conftest import checkpoint_from_arrays
 
@@ -440,6 +440,18 @@ class TestExternalProtocol:
         bridge = EvaluationBridge(keep_dir=keep)
         bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
         assert list(keep.glob("cand-*.safetensors")) == [Path(seen.read_text())]
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_a_candidate_scored_by_two_tasks_is_kept_once(self, script_evaluator, tmp_path, parallel):
+        cmd, _ = self._seen_candidate(script_evaluator, tmp_path)
+        keep = tmp_path / "keep"
+        bridge = EvaluationBridge(keep_dir=keep, parallel=parallel)
+        cp = cp_with_target(np.ones(3))
+        bridge.map(lambda task_id: bridge.evaluate(cp, EvalTask(task_id, cmd)), "AB")
+        assert bridge.invocations == 2
+        (kept,) = keep.iterdir()
+        assert kept.name == f"cand-{fingerprint(cp)}.safetensors"
+        assert kept.read_bytes() == checkpoint_to_bytes(cp)
 
     def test_candidates_deleted_by_default(self, script_evaluator, tmp_path, monkeypatch):
         cmd, seen = self._seen_candidate(script_evaluator, tmp_path)

@@ -25,6 +25,7 @@ from himerge import (
 )
 from himerge.delta import combine
 from himerge.checkpoint import decode_f32
+from himerge.cli import main
 
 from conftest import checkpoint_from_arrays, traced_peak
 
@@ -168,3 +169,17 @@ def test_bf16_decode_makes_one_array():
         arr = decode_f32("bf16", rec.data)
     assert arr.flags.writeable and arr.nbytes == F32_TENSOR
     assert peak[0] <= F32_TENSOR + SLACK // 16
+
+
+def test_a_sweep_cell_scales_top_p_one_tensor_at_a_time(tmp_path):
+    """A sweep holds the delta and one Top_p, and builds each cell's
+    candidate with the scaling inside its sum: the peak is those two and
+    the candidate, three float32 models, plus a few tensors.  A whole
+    scaled delta per cell would add a fourth model."""
+    base, model, _ = _three_f32_models(tmp_path)
+    argv = ["sweep", "--base", str(base), "--model-a", str(model),
+            "--eval-a", '{"builtin": "constant"}', "--p-values", "0.5", "--s-values", "0.5",
+            "--out", str(tmp_path / "out")]
+    with traced_peak() as peak:
+        assert main(argv) == 0
+    assert peak[0] <= 3 * N_TENSORS * F32_TENSOR + 4 * F32_TENSOR + SLACK
