@@ -31,7 +31,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -146,35 +147,20 @@ class ConflictProfile:
     rows: list[LayerConflictRow] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "baselines": dict(self.baselines),
-            "layers": [
-                {
-                    "layer": row.layer,
-                    "alpha": dict(row.alpha),
-                    "beta": dict(row.beta),
-                    "c": dict(row.c),
-                    "gamma_a": row.gamma_a,
-                    "gamma_b": row.gamma_b,
-                    "Gamma": row.Gamma,
-                }
-                for row in self.rows
-            ],
-        }
+        return {"baselines": dict(self.baselines), "layers": [asdict(row) for row in self.rows]}
 
-    def write_json(self, path) -> None:
+    def write(self, out: Path) -> Path:
+        """Write ``profile.json`` and ``profile.csv`` into ``out``; returns
+        the JSON file's path."""
+        path = out / "profile.json"
         with atomic_open(path) as fh:
             fh.write(json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n")
-
-    def write_csv(self, path) -> None:
         header = (
             ["layer"]
-            + [f"alpha_{k}" for k in PAIR_KEYS]
-            + [f"beta_{k}" for k in PAIR_KEYS]
-            + [f"c_{k}" for k in PAIR_KEYS]
+            + [f"{table}_{k}" for table in ("alpha", "beta", "c") for k in PAIR_KEYS]
             + ["gamma_a", "gamma_b", "Gamma"]
         )
-        with atomic_open(path, newline="") as fh:
+        with atomic_open(out / "profile.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             for row in self.rows:
@@ -183,6 +169,7 @@ class ConflictProfile:
                     cells += [repr(table[k]) if k in table else "" for k in PAIR_KEYS]
                 cells += [repr(row.gamma_a), repr(row.gamma_b), repr(row.Gamma)]
                 writer.writerow(cells)
+        return path
 
 
 def _baseline_keys(pairs) -> list[tuple[str, str]]:

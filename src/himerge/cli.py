@@ -322,8 +322,6 @@ def cmd_delta(cfg: RunConfig) -> int:
 
 
 def cmd_merge(cfg: RunConfig, method: str) -> int:
-    if method not in ("soups", "arithmetic", "hi"):
-        raise ConfigError(f"unknown merge method {method!r}")
     cfg.require(*(() if method == "soups" else ("base",)), "model_a", "model_b", "out")
     base = None if method == "soups" else cfg.checkpoint("base")
     a = cfg.checkpoint("model_a")
@@ -360,10 +358,9 @@ def cmd_analyze(cfg: RunConfig) -> int:
     with output_dir(cfg) as out:
         bridge = make_bridge(cfg, out)
         profile = analyze(prepare(base, a, b, config, bridge), config)
-        profile.write_json(out / "profile.json")
-        profile.write_csv(out / "profile.csv")
+        path = profile.write(out)
         _report_stats(bridge)
-        print(out / "profile.json")
+        print(path)
     return 0
 
 
@@ -469,9 +466,7 @@ def main(argv=None) -> int:
             return cmd_merge(cfg, args.method)
         if args.command == "analyze":
             return cmd_analyze(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep(cfg)  # the parser accepts no other command
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -296,7 +296,8 @@ class _Flight:
     """One evaluation in progress; callers of the same entry wait for it.
 
     Not a ``concurrent.futures.Future``: importing that module loads
-    ``logging``, which adds about 0.5 MB to the peak RSS of every run.
+    ``logging``, which raised the peak RSS of a hi merge (the hi-engine
+    benchmark workload) by 0.96 MB.
     """
 
     def __init__(self):
@@ -319,7 +320,9 @@ class EvaluationBridge:
     ``cand-<key>.safetensors`` per candidate before the evaluator runs, or
     else in ``scratch_dir`` (default: ``tempfile``'s directory), removed
     once scored.  A killed run's temp file is removed by
-    ``remove_stale_temps`` on that directory."""
+    ``remove_stale_temps`` on that directory.  A kept candidate is written
+    once, however many tasks score it.  The process group of each running
+    evaluator is recorded, so ``map`` can kill them all on Ctrl-C."""
 
     def __init__(
         self,
@@ -340,6 +343,7 @@ class EvaluationBridge:
         self.evaluated_keys: set[str] = set()
         self._lock = threading.Lock()
         self._in_flight: dict[tuple[str, str, str], _Flight] = {}
+        self._groups: set[int] = set()  # process group ids of the running evaluators
 
     @property
     def distinct_checkpoints(self) -> int:
@@ -397,7 +401,15 @@ class EvaluationBridge:
         most ``parallel`` items are alive at once.  On the first failure in
         item order, of a call or of taking an item, no further item is
         taken, the calls already running finish, and that failure is
-        raised, as the serial loop would raise it.
+        raised, as the serial loop would raise it.  On Ctrl-C (any
+        ``BaseException`` that is not an ``Exception``) the running external
+        evaluators are killed instead, as at ``parallel == 1``, and no call
+        that has not started runs.
+
+        At ``parallel == 1`` it is the plain loop on the calling thread: a
+        one-thread pool there raised the peak RSS of a 16-layer hi merge by
+        0.9 MB (91.9 to 92.8 MB), since its import loads ``logging`` (see
+        ``_Flight``), and made the default 10 x 10 sweep no faster.
         """
         if self.parallel == 1:
             results = []
@@ -412,18 +424,25 @@ class EvaluationBridge:
         stopped = None
         with ThreadPoolExecutor(max_workers=self.parallel) as pool:
             try:
-                for item in items:
-                    futures.append(pool.submit(fn, item))
-                    del item  # only the pool holds it now
-                    running.add(futures[-1])
-                    # Block only while every slot is taken.
-                    timeout = None if len(running) == self.parallel else 0
-                    done, running = wait(running, timeout, return_when=FIRST_COMPLETED)
-                    if any(f.exception() is not None for f in done):
-                        break
-            except Exception as exc:  # taking an item failed
-                stopped = exc
-            wait(running)
+                try:
+                    for item in items:
+                        futures.append(pool.submit(fn, item))
+                        del item  # only the pool holds it now
+                        running.add(futures[-1])
+                        # Block only while every slot is taken.
+                        timeout = None if len(running) == self.parallel else 0
+                        done, running = wait(running, timeout, return_when=FIRST_COMPLETED)
+                        if any(f.exception() is not None for f in done):
+                            break
+                except Exception as exc:  # taking an item failed
+                    stopped = exc
+                wait(running)
+            except BaseException:  # Ctrl-C: end the running evaluators before the pool joins
+                pool.shutdown(wait=False, cancel_futures=True)
+                # A call that had not yet started its evaluator is caught on a later round.
+                while wait(futures, 0.05).not_done:
+                    self._kill_evaluators()
+                raise
         results = [f.result() for f in futures]  # raises the first failed call
         if stopped is not None:
             raise stopped
@@ -431,19 +450,34 @@ class EvaluationBridge:
 
     # -- external protocol ---------------------------------------------------
 
-    def _run_external(self, cp: Checkpoint, key: str, task: EvalTask) -> float:
-        if self.keep_dir is not None:
+    def _write_candidate(self, cp: Checkpoint, key: str) -> Path:
+        """The file an external evaluator reads the candidate from: a fresh
+        temp file, or its kept file in ``keep_dir``.  A kept file is written
+        once: whole, since ``os.replace`` put it there, and named by its
+        content hash, so a later evaluation reads it as it is."""
+        if self.keep_dir is None:
+            target = (self.scratch_dir or Path(tempfile.gettempdir())) / f"cand-{key[:12]}"
+        else:
             self.keep_dir.mkdir(parents=True, exist_ok=True)
             target = self.keep_dir / f"cand-{key}.safetensors"
-        else:
-            target = (self.scratch_dir or Path(tempfile.gettempdir())) / f"cand-{key[:12]}"
+            if target.exists():
+                return target
         fd, path = create_temp(target, mode=0o600)
         try:
             with os.fdopen(fd, "wb") as fh:
                 write_checkpoint(cp, fh)
-            if self.keep_dir is not None:
-                os.replace(path, target)  # whole, before the evaluator opens it
-                path = target
+            if self.keep_dir is None:
+                return path
+            os.replace(path, target)  # whole, before the evaluator opens it
+            return target
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(path)
+            raise
+
+    def _run_external(self, cp: Checkpoint, key: str, task: EvalTask) -> float:
+        path = self._write_candidate(cp, key)
+        try:
             argv = [
                 token.replace("{checkpoint}", str(path))
                 for token in shlex.split(task.evaluator)
@@ -455,12 +489,17 @@ class EvaluationBridge:
                     argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                     encoding="utf-8", errors="replace", start_new_session=True,
                 ) as proc:
+                    with self._lock:
+                        self._groups.add(proc.pid)
                     try:
                         stdout, stderr = proc.communicate(timeout=task.timeout)
                     except BaseException:
                         with contextlib.suppress(ProcessLookupError):
                             os.killpg(proc.pid, signal.SIGKILL)
                         raise
+                    finally:
+                        with self._lock:
+                            self._groups.discard(proc.pid)
             except subprocess.TimeoutExpired as exc:
                 raise EvaluatorError(
                     f"task {task.task_id!r}: evaluator timed out after {task.timeout}s"
@@ -476,9 +515,17 @@ class EvaluationBridge:
                 )
             return _parse_score(stdout, task.task_id, stderr)
         finally:
-            if path != target:  # not kept
+            if self.keep_dir is None:
                 with contextlib.suppress(OSError):
                     os.unlink(path)
+
+    def _kill_evaluators(self) -> None:
+        """SIGKILL the process group of every running external evaluator."""
+        with self._lock:
+            groups = list(self._groups)
+        for group in groups:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(group, signal.SIGKILL)
 
 
 def _parse_score(stdout: str, task_id: str, stderr: str = "") -> float:

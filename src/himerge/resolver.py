@@ -428,8 +428,7 @@ def _persist(result: HiMergeResult, out: Path) -> None:
     save_checkpoint(result.theta_g, out / "theta_g.safetensors")
     for model_id, delta in result.deltas.items():
         save_delta(delta, out / f"delta_{model_id.lower()}_final.safetensors")
-    result.profile.write_json(out / "profile.json")
-    result.profile.write_csv(out / "profile.csv")
+    result.profile.write(out)
     result.log.write_jsonl(out / "resolution_log.jsonl")
     with atomic_open(out / "resolution_summary.txt") as fh:
         fh.write(result.log.summary() + "\n")

@@ -324,8 +324,8 @@ class TestReports:
 
     def test_json_report(self, tmp_path):
         profile = self._profile()
+        profile.write(tmp_path)
         path = tmp_path / "profile.json"
-        profile.write_json(path)
         doc = json.loads(path.read_text())
         assert {"baselines", "layers"} <= set(doc)
         assert [row["layer"] for row in doc["layers"]] == [0, 1]
@@ -334,8 +334,8 @@ class TestReports:
 
     def test_csv_report_schema(self, tmp_path):
         profile = self._profile()
+        profile.write(tmp_path)
         path = tmp_path / "profile.csv"
-        profile.write_csv(path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         header = rows[0]

@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import fcntl
+import io
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import signal
 import socket
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import fields
@@ -17,6 +19,8 @@ from typing import get_type_hints
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import himerge
 import himerge.checkpoint
@@ -24,6 +28,7 @@ import himerge.cli
 import himerge.delta
 import himerge.resolver
 from himerge import (
+    Checkpoint,
     ConfigError,
     DeltaVector,
     EvalCache,
@@ -44,6 +49,7 @@ from conftest import (
     checkpoint_from_arrays,
     dyadic_random,
     random_checkpoint,
+    record_from_array,
     rewrite_in_place,
     truncate_by_one,
 )
@@ -1740,3 +1746,145 @@ def test_analyze_reports_an_evaluator_failure_as_hi_does(workdir, capsys, script
         errors[verb[0]] = capsys.readouterr().err
     assert errors["analyze"] == errors["merge"]
     assert errors["analyze"].startswith("evaluator error: stage analysis: task 'A': evaluator exited 1")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[], ["bogus"], ["merge", "--method", "bogus"]],
+    ids=["no command", "unknown command", "unknown merge method"],
+)
+def test_a_missing_or_unknown_command_or_method_is_a_usage_error(workdir, capsys, argv):
+    paths = _one_layer_inputs(workdir)
+    out = workdir / "out"
+    if argv:
+        argv = [*argv, "--model-a", paths["model_a"], "--model-b", paths["model_b"], "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+# Records its pid as a file name in the directory argv[2], then sleeps.
+SLEEPING_EVALUATOR = """
+import os, sys, time
+open(os.path.join(sys.argv[2], str(os.getpid())), "w").close()
+time.sleep(60)
+"""
+
+# Runs cli.main with argv[1:] under Python's own SIGINT handler, which
+# Python leaves out when its parent ignores SIGINT (a shell's background job).
+INTERRUPTIBLE_MAIN = """
+import signal, sys
+signal.signal(signal.SIGINT, signal.default_int_handler)
+from himerge.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` runs: neither gone nor a zombie no one has reaped."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    with contextlib.suppress(FileNotFoundError):
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    return False
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_ctrl_c_kills_every_running_evaluator(workdir, parallel):
+    """SIGINT while every --parallel slot runs a 60 s evaluator: the run
+    ends within 5 s, and no evaluator it started outlives it."""
+    paths = _one_layer_inputs(workdir)
+    state = workdir / "state"
+    state.mkdir()
+    script = workdir / "sleeper.py"
+    script.write_text(SLEEPING_EVALUATOR)
+    argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
+            "--eval-a", f"{sys.executable} -S {script} {{checkpoint}} {state}",
+            "--p-values", "0,1", "--s-values", "1", "--parallel", str(parallel),
+            "--out", str(workdir / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(himerge.__file__).parents[1]))
+    run = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTIBLE_MAIN, *argv],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    pids = []
+    try:
+        deadline = time.monotonic() + 30
+        while len(pids) < parallel:
+            assert run.poll() is None, run.communicate()
+            assert time.monotonic() < deadline, "the evaluators never started"
+            time.sleep(0.01)
+            pids = [int(path.name) for path in state.iterdir()]
+        os.kill(run.pid, signal.SIGINT)
+        try:
+            _, err = run.communicate(timeout=5)
+        except subprocess.TimeoutExpired:
+            pytest.fail("the run outlived Ctrl-C by 5 s")
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(run.pid, signal.SIGKILL)
+        run.communicate()
+        survivors = [pid for pid in pids if _alive(pid)]
+        for pid in survivors:  # each leads its own process group
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(pid, signal.SIGKILL)
+    assert len(pids) == parallel
+    assert not survivors
+    assert b"KeyboardInterrupt" in err
+    assert not (workdir / "out" / "cache" / "eval_cache.jsonl").exists()
+
+
+def _edited(blob: bytes, edits) -> bytes:
+    """``blob`` with each (kind, position, byte) edit applied in turn; a
+    position is taken modulo the length it may edit."""
+    data = bytearray(blob)
+    for kind, at, byte in edits:
+        at %= len(data) + (kind == "insert")
+        if kind == "overwrite":
+            data[at] = byte
+        elif kind == "delete":
+            del data[at]
+        else:
+            data.insert(at, byte)
+    return bytes(data)
+
+
+def _small_container(rng) -> Checkpoint:
+    return Checkpoint([
+        record_from_array(layer_name(0), dyadic_random(rng, (4, 8)), "f32"),
+        record_from_array(layer_name(1), dyadic_random(rng, 16), "f16"),
+        record_from_array("head.w", dyadic_random(rng, 8), "bf16"),
+    ])
+
+
+FUZZ_BASE = _small_container(np.random.default_rng(21))
+FUZZ_MODEL = checkpoint_to_bytes(_small_container(np.random.default_rng(22)))
+BYTE_EDITS = st.lists(
+    st.tuples(st.sampled_from(["overwrite", "delete", "insert"]), st.integers(0, 1 << 16),
+              st.integers(0, 255)),
+    min_size=1, max_size=4,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(BYTE_EDITS)
+def test_a_damaged_model_file_gets_a_documented_exit_code(edits):
+    """``delta`` on a model file with 1-4 bytes overwritten, deleted or
+    inserted: main returns a documented exit code and raises nothing, and
+    exit 0 means a delta file of finite values."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        base = write_cp(tmp / "base.safetensors", FUZZ_BASE)
+        model = tmp / "model.safetensors"
+        model.write_bytes(_edited(FUZZ_MODEL, edits))
+        out = tmp / "out"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["delta", "--base", base, "--model-a", str(model), "--out", str(out)])
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            delta = load_checkpoint(out / "delta.safetensors")
+            for name in delta.names:
+                assert np.isfinite(delta.as_f32(name)).all(), name

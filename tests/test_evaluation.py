@@ -22,7 +22,7 @@ from himerge import (
     SyntheticLinearTask,
     hidden_optimum,
 )
-from himerge.checkpoint import _TEMP_NAME, checkpoint_to_bytes, fingerprint
+from himerge.checkpoint import _TEMP_NAME, checkpoint_to_bytes, fingerprint, write_checkpoint
 
 from conftest import checkpoint_from_arrays
 
@@ -442,13 +442,24 @@ class TestExternalProtocol:
         assert list(keep.glob("cand-*.safetensors")) == [Path(seen.read_text())]
 
     @pytest.mark.parametrize("parallel", [1, 2])
-    def test_a_candidate_scored_by_two_tasks_is_kept_once(self, script_evaluator, tmp_path, parallel):
+    def test_a_candidate_scored_by_two_tasks_is_kept_once(
+        self, script_evaluator, tmp_path, monkeypatch, parallel
+    ):
         cmd, _ = self._seen_candidate(script_evaluator, tmp_path)
+        writes = []
+
+        def counting(cp, fh):
+            writes.append(cp)
+            return write_checkpoint(cp, fh)
+
+        monkeypatch.setattr(evaluation, "write_checkpoint", counting)
         keep = tmp_path / "keep"
         bridge = EvaluationBridge(keep_dir=keep, parallel=parallel)
         cp = cp_with_target(np.ones(3))
         bridge.map(lambda task_id: bridge.evaluate(cp, EvalTask(task_id, cmd)), "AB")
         assert bridge.invocations == 2
+        # The second task reads the kept file; at 2, the tasks may race to write it.
+        assert len(writes) == 1 if parallel == 1 else 1 <= len(writes) <= 2
         (kept,) = keep.iterdir()
         assert kept.name == f"cand-{fingerprint(cp)}.safetensors"
         assert kept.read_bytes() == checkpoint_to_bytes(cp)
