@@ -517,9 +517,11 @@ def remove_stale_temps(directory) -> None:
                 os.unlink(os.path.join(directory, name))
 
 
-def save_checkpoint(cp: Checkpoint, path) -> None:
+def save_checkpoint(cp: Checkpoint, path) -> Checkpoint:
+    """Write ``cp`` to ``path``; return it re-opened from there (``load_checkpoint``)."""
     with atomic_open(path, "wb") as fh:
         write_checkpoint(cp, fh)
+    return load_checkpoint(path)
 
 
 def fingerprint(cp: Checkpoint) -> str:

@@ -276,12 +276,13 @@ def layer_arrays(
 # ---------------------------------------------------------------------------
 
 
-def save_delta(delta: DeltaVector, path) -> None:
+def save_delta(delta: DeltaVector, path) -> DeltaVector:
     """Write a delta file, one tensor at a time: an array is written
     unencoded through a view of it, a record is read from its file.  Its
     metadata holds ``kind=delta``, the provenance, and the base's
     ``fingerprint`` under ``base_fingerprint``: the key of the base's lines
-    in the evaluation cache."""
+    in the evaluation cache.  Returns the delta re-opened from the file: its
+    tensors are the file's records, read on each use."""
     records = [
         entry if isinstance(entry, TensorRecord) else
         TensorRecord(name, "f32", entry.shape, array_bytes(np.ascontiguousarray(entry, "<f4")))
@@ -292,4 +293,5 @@ def save_delta(delta: DeltaVector, path) -> None:
         "base_fingerprint": delta.base_fingerprint,
         "provenance": delta.provenance,
     }
-    save_checkpoint(Checkpoint(records, meta), path)
+    saved = save_checkpoint(Checkpoint(records, meta), path)
+    return DeltaVector(delta.base_fingerprint, {rec.name: rec for rec in saved}, delta.provenance)

@@ -247,7 +247,8 @@ class EvalCache:
 
     def _load(self) -> None:
         """Read the entries; a torn final line (a write cut short by a
-        crash) is truncated away, corruption anywhere else is an error."""
+        crash) is truncated away, corruption anywhere else is an error.  An
+        entry whose score is not a finite JSON number is corrupt."""
         data = self.path.read_bytes()
         lines = data.split(b"\n")
         offset = 0
@@ -259,8 +260,13 @@ class EvalCache:
                         raise TypeError("not a JSON object")
                     if entry.get("v") == CACHE_VERSION:
                         slot = (entry["key"], entry["task_id"], entry["evaluator"])
-                        self._scores[slot] = float(entry["score"])
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                        score = entry["score"]
+                        # json reads NaN, Infinity and 1e999 as numbers; isfinite
+                        # raises on a string and on an integer beyond the float range.
+                        if isinstance(score, bool) or not math.isfinite(score):
+                            raise ValueError(f"score is not a finite number: {score!r}")
+                        self._scores[slot] = float(score)
+            except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
                 if number < len(lines):
                     raise FormatError(
                         f"{self.path}: corrupt cache entry on line {number}: {exc}"
@@ -397,8 +403,10 @@ class EvaluationBridge:
 
         ``items`` is consumed lazily on the calling thread: the next item is
         taken only when fewer than ``parallel`` calls are outstanding, and
-        map drops its own reference to an item once the call has it, so at
-        most ``parallel`` items are alive at once.  On the first failure in
+        an item is held only by map until its call takes it and then by the
+        call until it returns, so at most ``parallel`` items are alive at
+        once.  (The pool's work item outlives the call; it holds the item in
+        a list that the call empties.)  On the first failure in
         item order, of a call or of taking an item, no further item is
         taken, the calls already running finish, and that failure is
         raised, as the serial loop would raise it.  On Ctrl-C (any
@@ -406,10 +414,13 @@ class EvaluationBridge:
         evaluators are killed instead, as at ``parallel == 1``, and no call
         that has not started runs.
 
-        At ``parallel == 1`` it is the plain loop on the calling thread: a
-        one-thread pool there raised the peak RSS of a 16-layer hi merge by
-        0.9 MB (91.9 to 92.8 MB), since its import loads ``logging`` (see
-        ``_Flight``), and made the default 10 x 10 sweep no faster.
+        At ``parallel == 1`` it is the plain loop on the calling thread.
+        Running it through a one-thread pool instead cost 4% more CPU on the
+        default 10 x 10 sweep of ``bench/gen.py 83 8 128`` inputs (median
+        1.122 s against 1.081 s over 20 alternating pairs on 2 vCPUs, the
+        plain loop lower in 18 of them), and 1.4 MB more peak RSS on a
+        16-layer hi merge of ``gen.py 83 16 256`` inputs (83.4 to 84.8 MB),
+        since the pool's import loads ``logging`` (see ``_Flight``).
         """
         if self.parallel == 1:
             results = []
@@ -426,8 +437,8 @@ class EvaluationBridge:
             try:
                 try:
                     for item in items:
-                        futures.append(pool.submit(fn, item))
-                        del item  # only the pool holds it now
+                        futures.append(pool.submit(lambda held: fn(held.pop()), [item]))
+                        del item  # only the pool holds it now, until the call takes it
                         running.add(futures[-1])
                         # Block only while every slot is taken.
                         timeout = None if len(running) == self.parallel else 0

@@ -34,7 +34,6 @@ from .checkpoint import (
     Checkpoint,
     LayerPartition,
     atomic_open,
-    load_checkpoint,
     partition_layers,
     save_checkpoint,
     validate_compat,
@@ -241,16 +240,10 @@ def iterate(
     analyzed_layers = [row.layer for row in profile.rows]
     pending = _above(profile.rows, policy.gamma_threshold)
     for pass_idx in range(policy.max_passes):
-        # The layers to profile again before the next decision: all of
-        # them when a later pass starts, and under --recompute the ones
-        # still pending after an action that changed a delta.
-        layers = analyzed_layers if pass_idx else None
+        if pass_idx:
+            pending = _reprofile(ctx, deltas, analyzed_layers, policy.gamma_threshold)
         changed = False
-        while True:
-            if layers is not None:
-                pending = _reprofile(ctx, deltas, layers, policy.gamma_threshold)
-            if not pending:
-                break
+        while pending:
             row = pending.pop(0)
             layer_params = {}
             for model_id, model_params in params.items():
@@ -267,8 +260,9 @@ def iterate(
             log.actions.append(action)
             acted = action.kind != "KEEP"
             changed = changed or acted
-            stale = policy.recompute and pending and acted
-            layers = [r.layer for r in pending] if stale else None
+            if policy.recompute and pending and acted:
+                layers = [r.layer for r in pending]
+                pending = _reprofile(ctx, deltas, layers, policy.gamma_threshold)
         if not changed:  # the next pass would see the same profile and decide the same
             break
     return (*deltas.values(), log)
@@ -329,8 +323,9 @@ def prepare(
     Each model's delta is computed and model-wise processed before the next
     model's.  With ``config.out_dir``, which is created if missing, the
     processed delta is saved there as ``delta_<id>_processed.safetensors``
-    and its arrays are dropped before the next delta is computed: the
-    context's deltas read their tensors from those files on each use.
+    and its arrays are dropped before the next delta is computed, and
+    theta_G is saved there as ``theta_g.safetensors``: the context's deltas
+    and theta_G read their tensors from those files on each use.
     """
     out = config.out_dir
     if out is not None:
@@ -346,21 +341,15 @@ def prepare(
         with _stage("model-wise"):
             delta = model_wise_process(delta, config.params[m])
         if out is not None:
-            delta = _keep_in_file(delta, out / f"delta_{m.lower()}_processed.safetensors")
+            delta = save_delta(delta, out / f"delta_{m.lower()}_processed.safetensors")
         deltas[m] = delta
     with _stage("partition"):
         partition = partition_layers(base, config.layer_rule)
     with _stage("pre-merge"):
         theta_g = assemble_final(base, *deltas.values())
+        if out is not None:
+            theta_g = save_checkpoint(theta_g, out / "theta_g.safetensors")
     return AnalysisContext(base, models, deltas, theta_g, partition, config.tasks, bridge)
-
-
-def _keep_in_file(delta: DeltaVector, path: Path) -> DeltaVector:
-    """Save ``delta`` to ``path`` and return it backed by that file: its
-    tensors are the file's records, read on each use."""
-    save_delta(delta, path)
-    records = {rec.name: rec for rec in load_checkpoint(path)}
-    return DeltaVector(delta.base_fingerprint, records, delta.provenance)
 
 
 def analyze(ctx: AnalysisContext, config: HiMergeConfig) -> ConflictProfile:
@@ -381,8 +370,9 @@ def hi_merge(
 ) -> HiMergeResult:
     """Full pipeline: deltas, model-wise processing, pre-merge, conflict
     analysis, iterative resolution, and final assembly.  With
-    ``config.out_dir`` the processed deltas stay in their files there
-    (``prepare``), and so do the final deltas' untouched tensors.  If an
+    ``config.out_dir`` the processed deltas and theta_G stay in their files
+    there (``prepare``), and so do the untouched tensors of the final deltas
+    and of the merged model.  If an
     evaluator fails during resolution, the actions taken so far are written
     to ``resolution_log.partial.jsonl`` there; a later successful run
     removes that file."""
@@ -425,7 +415,6 @@ def _assemble(ctx: AnalysisContext, finals: dict[str, DeltaVector]) -> Checkpoin
 
 def _persist(result: HiMergeResult, out: Path) -> None:
     save_checkpoint(result.merged, out / "merged.safetensors")
-    save_checkpoint(result.theta_g, out / "theta_g.safetensors")
     for model_id, delta in result.deltas.items():
         save_delta(delta, out / f"delta_{model_id.lower()}_final.safetensors")
     result.profile.write(out)

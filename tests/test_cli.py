@@ -2,6 +2,7 @@ import contextlib
 import csv
 import errno
 import fcntl
+import functools
 import io
 import json
 import math
@@ -1862,9 +1863,11 @@ def _small_container(rng) -> Checkpoint:
 
 FUZZ_BASE = _small_container(np.random.default_rng(21))
 FUZZ_MODEL = checkpoint_to_bytes(_small_container(np.random.default_rng(22)))
+# Half of the bytes written are digits, which reach the numbers in a JSON
+# header or cache line.
 BYTE_EDITS = st.lists(
     st.tuples(st.sampled_from(["overwrite", "delete", "insert"]), st.integers(0, 1 << 16),
-              st.integers(0, 255)),
+              st.integers(0, 255) | st.integers(ord("0"), ord("9"))),
     min_size=1, max_size=4,
 )
 
@@ -1888,3 +1891,53 @@ def test_a_damaged_model_file_gets_a_documented_exit_code(edits):
             delta = load_checkpoint(out / "delta.safetensors")
             for name in delta.names:
                 assert np.isfinite(delta.as_f32(name)).all(), name
+
+
+FUZZ_INPUTS = {"base": checkpoint_to_bytes(FUZZ_BASE), "model": FUZZ_MODEL}
+# Each score is the largest float, so a larger digit in it or one more
+# digit before its point or in its exponent makes it inf.
+FUZZ_SWEEP = ["--eval-a", json.dumps({"builtin": "constant", "value": sys.float_info.max}),
+              "--p-values", "0.5", "--s-values", "0.5,1"]
+
+
+def _fuzz_sweep(tmp: Path, cache: bytes | None = None) -> tuple[int, str]:
+    """``sweep`` on the fuzz inputs in ``tmp``, over ``cache`` if given, in
+    process; its exit code and stderr."""
+    paths = {}
+    for name, blob in FUZZ_INPUTS.items():
+        paths[name] = tmp / f"{name}.safetensors"
+        paths[name].write_bytes(blob)
+    if cache is not None:
+        (tmp / "out" / "cache").mkdir(parents=True)
+        (tmp / "out" / "cache" / "eval_cache.jsonl").write_bytes(cache)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["sweep", "--base", str(paths["base"]), "--model-a", str(paths["model"]),
+                     *FUZZ_SWEEP, "--out", str(tmp / "out")])
+    return code, err.getvalue()
+
+
+@functools.cache
+def _warm_sweep_cache() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _fuzz_sweep(Path(tmp))[0] == 0
+        return (Path(tmp) / "out" / "cache" / "eval_cache.jsonl").read_bytes()
+
+
+@settings(max_examples=120, deadline=None)
+@given(BYTE_EDITS)
+def test_a_damaged_cache_file_gets_a_documented_exit_code(edits):
+    """``sweep`` over its own warm cache with 1-4 bytes overwritten, deleted
+    or inserted: main returns a documented exit code, prints no traceback,
+    and exit 0 means a sweep.csv of finite scores.  (A torn last line is
+    truncated; other damage is a data error or a miss.)"""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        code, err = _fuzz_sweep(tmp, _edited(_warm_sweep_cache(), edits))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+        if code == 0:
+            with open(tmp / "out" / "sweep.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2
+            assert all(math.isfinite(float(row["score"])) for row in rows), rows

@@ -534,9 +534,21 @@ class TestMap:
         assert state["taken_by"] == {threading.get_ident()}
         assert state["most_outstanding"] == parallel
 
-    def test_serial_map_drops_each_item_before_taking_the_next(self):
+    @pytest.mark.parametrize("parallel", [1, 2, 4])
+    def test_map_drops_each_finished_item_before_taking_the_next(self, parallel, monkeypatch):
         """A generator of large items, such as sweep candidates, then holds
-        one of them at a time."""
+        at most ``parallel`` of them at a time: as the next one is built,
+        only the calls still running hold theirs.  A pool thread that is
+        slow to drop its work item after a call returns keeps no item."""
+        from concurrent.futures import thread
+
+        run = thread._WorkItem.run
+
+        def lingering_run(work_item):
+            run(work_item)
+            time.sleep(0.01)
+
+        monkeypatch.setattr(thread._WorkItem, "run", lingering_run)
 
         class Item:
             pass
@@ -549,12 +561,12 @@ class TestMap:
             return item
 
         def items():
-            for _ in range(5):
+            for _ in range(12):
                 seen.append(len(alive))  # items still referenced as the next is built
                 yield track(Item())
 
-        EvaluationBridge(parallel=1).map(lambda item: None, items())
-        assert seen == [0] * 5
+        EvaluationBridge(parallel=parallel).map(lambda item: None, items())
+        assert max(seen) <= parallel - 1
 
     @pytest.mark.parametrize("parallel", [1, 2, 4])
     def test_first_failure_in_item_order_stops_taking_items(self, parallel):
@@ -635,3 +647,23 @@ class TestCacheFile:
         with pytest.raises(FormatError, match="line 1"):
             EvalCache(path)
         assert path.read_text() == text
+
+    @pytest.mark.parametrize(
+        "score", ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400, "true", '"0.5"'],
+        ids=["NaN", "Infinity", "-Infinity", "1e999", "1e400 as an integer", "true", "string"],
+    )
+    def test_a_score_that_is_not_a_finite_number_is_corruption(self, tmp_path, score):
+        """json reads each of these scores; none may come back from the
+        cache.  Before the last line it is an error naming the line, and as
+        a torn last line it is truncated away, so the entry is evaluated
+        again."""
+        good = '{"v": 2, "key": "f1", "task_id": "A", "evaluator": "e1", "score": 0.5}\n'
+        bad = good.replace("f1", "f2").replace("0.5", score)
+        path = self._write(tmp_path, bad + good)
+        with pytest.raises(FormatError, match="line 1"):
+            EvalCache(path)
+        assert path.read_text() == bad + good
+        path.write_text(good + bad.rstrip("\n"))
+        cache = EvalCache(path)
+        assert len(cache) == 1 and cache.get("f2", "A", "e1") is None
+        assert path.read_text() == good

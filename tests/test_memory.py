@@ -8,6 +8,7 @@ float32 arrays, overshoots its bound several times over.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from himerge import (
     ConstantTask,
     DeltaVector,
     EvalTask,
+    EvaluationBridge,
     HiMergeConfig,
     PruneScaleParams,
     hi_merge,
@@ -26,6 +28,7 @@ from himerge import (
 from himerge.delta import combine
 from himerge.checkpoint import decode_f32
 from himerge.cli import main
+from himerge.resolver import prepare
 
 from conftest import checkpoint_from_arrays, traced_peak
 
@@ -102,8 +105,8 @@ def test_load_checkpoint_reads_only_the_header(tmp_path, dtype):
         assert bytes(rec.data) == bytes(cp.record(rec.name).data)
 
 
-def _three_f32_models(tmp_path):
-    """Paths of a base and two models near it, all f32."""
+def _three_models(tmp_path, dtype="f32"):
+    """Paths of a base and two models near it, all in ``dtype``."""
     paths = []
     for seed, scale in ((5, 1.0), (6, 0.01), (7, 0.01)):
         arrays = float32_arrays(seed, scale)
@@ -111,17 +114,19 @@ def _three_f32_models(tmp_path):
             base = float32_arrays(5)
             arrays = {name: base[name] + arr for name, arr in arrays.items()}
         paths.append(tmp_path / f"{seed}.safetensors")
-        save_checkpoint(checkpoint_from_arrays(arrays), paths[-1])
+        save_checkpoint(checkpoint_from_arrays(arrays, dtype), paths[-1])
     return paths
+
+
+def _config(out_dir=None) -> HiMergeConfig:
+    task_a, task_b = (EvalTask(t, ConstantTask(0.5)) for t in "AB")
+    params = PruneScaleParams(0.5, 0.5)
+    return HiMergeConfig({"A": params, "B": params}, {"A": task_a, "B": task_b}, out_dir=out_dir)
 
 
 def _traced_hi_merge(paths, out_dir=None):
     """The traced peak of loading the models and merging them."""
-    task_a, task_b = (EvalTask(t, ConstantTask(0.5)) for t in "AB")
-    params = PruneScaleParams(0.5, 0.5)
-    config = HiMergeConfig(
-        {"A": params, "B": params}, {"A": task_a, "B": task_b}, out_dir=out_dir
-    )
+    config = _config(out_dir)
     with traced_peak() as peak:
         result = hi_merge(*(load_checkpoint(path) for path in paths), config)
     assert len(result.merged) == N_TENSORS
@@ -136,18 +141,37 @@ def test_hi_merge_holds_no_copy_of_its_inputs(tmp_path):
     plus a few tensors.  Holding the three inputs too would add three
     models."""
     model = N_TENSORS * F32_TENSOR
-    assert _traced_hi_merge(_three_f32_models(tmp_path)) <= 4 * model + 4 * F32_TENSOR + SLACK
+    assert _traced_hi_merge(_three_models(tmp_path)) <= 4 * model + 4 * F32_TENSOR + SLACK
 
 
 def test_hi_merge_with_an_output_directory_keeps_the_deltas_in_their_files(tmp_path):
     """With ``out_dir`` each processed delta is saved and dropped before the
     next model's delta is computed, and read back from its file on use.
     The peak is then one model's raw delta and Top_p's magnitude buffer (or
-    its kept arrays) plus a few tensors; theta_G and the merged model,
-    which shares theta_G's records, come to one model."""
+    its kept arrays) plus a few tensors; theta_G is in its file too, and
+    the merged model shares its records and holds only the tensors that
+    resolution changed."""
     model = N_TENSORS * F32_TENSOR
-    peak = _traced_hi_merge(_three_f32_models(tmp_path), out_dir=tmp_path / "out")
+    peak = _traced_hi_merge(_three_models(tmp_path), out_dir=tmp_path / "out")
     assert peak <= 2 * model + 4 * F32_TENSOR + SLACK
+
+
+def test_prepare_with_an_output_directory_holds_under_a_byte_per_parameter(tmp_path):
+    """With ``out_dir`` the processed deltas and theta_G are in their files
+    once ``prepare`` returns: the context holds headers and records, not
+    tensors.  theta_G held in memory would be 2 bytes per parameter of
+    these bf16 models."""
+    paths = _three_models(tmp_path, "bf16")
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        ctx = prepare(*(load_checkpoint(path) for path in paths), _config(tmp_path / "out"),
+                      EvaluationBridge())
+        held = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert len(ctx.theta_g) == N_TENSORS
+    assert held < N_TENSORS * math.prod(SHAPE)
 
 
 def test_an_f32_tensor_is_read_into_its_array_with_no_other_copy(tmp_path):
@@ -176,7 +200,7 @@ def test_a_sweep_cell_scales_top_p_one_tensor_at_a_time(tmp_path):
     candidate with the scaling inside its sum: the peak is those two and
     the candidate, three float32 models, plus a few tensors.  A whole
     scaled delta per cell would add a fourth model."""
-    base, model, _ = _three_f32_models(tmp_path)
+    base, model, _ = _three_models(tmp_path)
     argv = ["sweep", "--base", str(base), "--model-a", str(model),
             "--eval-a", '{"builtin": "constant"}', "--p-values", "0.5", "--s-values", "0.5",
             "--out", str(tmp_path / "out")]

@@ -18,6 +18,7 @@ from himerge import (
     EvalTask,
     EvaluationBridge,
     EvaluatorError,
+    FormatError,
     HiMergeConfig,
     IterationPolicy,
     MergeWeights,
@@ -44,7 +45,7 @@ from himerge.analysis import (
 from himerge.checkpoint import FileRecord, checkpoint_to_bytes
 
 import reference_resolver
-from conftest import checkpoint_from_arrays
+from conftest import backdate, checkpoint_from_arrays
 from instances import conflict_instance, make_context, single_signal_instance
 
 
@@ -815,3 +816,35 @@ class TestFileBackedDeltas:
             for delta in on_disk.deltas.values():
                 in_file = {n for n, entry in delta.deltas.items() if isinstance(entry, FileRecord)}
                 assert untouched <= in_file
+
+    def test_theta_g_is_saved_once_at_pre_merge_and_read_from_its_file(
+        self, tmp_path, monkeypatch
+    ):
+        """With ``out_dir`` theta_G is written when it is made, before the
+        first evaluation, and persist does not write it again.  The result's
+        theta_G is that file: once the file changes, no record reads."""
+        base, ma, mb, ta, tb, _ = conflict_instance(seed=7, dim=48, n_eval=200)
+        out = tmp_path / "run"
+        events = []
+        save, evaluate = resolver_mod.save_checkpoint, EvaluationBridge.evaluate
+
+        def recording_save(cp, path):
+            events.append(Path(path).name)
+            return save(cp, path)
+
+        def recording_evaluate(bridge, cp, task):
+            events.append("evaluate")
+            return evaluate(bridge, cp, task)
+
+        monkeypatch.setattr(resolver_mod, "save_checkpoint", recording_save)
+        monkeypatch.setattr(EvaluationBridge, "evaluate", recording_evaluate)
+        config = HiMergeConfig(params=both(1.0, 0.5), tasks={"A": ta, "B": tb}, out_dir=out)
+        result = hi_merge(base, ma, mb, config)
+        assert events.count("theta_g.safetensors") == 1
+        assert events.index("theta_g.safetensors") < events.index("evaluate")
+        path = out / "theta_g.safetensors"
+        assert checkpoint_to_bytes(result.theta_g) == path.read_bytes()
+        backdate(path)
+        for rec in result.theta_g:
+            with pytest.raises(FormatError, match="theta_g.safetensors: the file changed"):
+                rec.data
