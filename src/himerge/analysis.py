@@ -21,10 +21,11 @@ evaluations at once, each candidate built on the calling thread just
 before its first turn.  A layer with the four core pairs makes 8
 evaluations of 6 distinct candidates: the deletion and the addition
 candidate of each source A, B and G, where the (A, G) and (B, G) pairs
-share G's two candidates, which are built and hashed once.  The rows are
-then a pure function of the score list.  A failed job is reported as the
-serial loop would report it: the first failure in job order, with the same
-message.
+share G's two candidates.  Five are built and hashed once; the
+G-addition candidate is theta_G's layer, so it shares theta_G's records
+and their hashes (``_candidate``).  The rows are then a pure function of
+the score list.  A failed job is reported as the serial loop would
+report it: the first failure in job order, with the same message.
 """
 
 from __future__ import annotations
@@ -52,7 +53,11 @@ CORE_PAIRS = (("A", "A"), ("B", "B"), ("A", "G"), ("B", "G"))
 class AnalysisContext:
     """Everything the impact operations need: the base, the fine-tuned
     models, their processed deltas and their tasks keyed by model id, the
-    pre-merged model, the layer partition, and the bridge."""
+    pre-merged model, the layer partition, and the bridge.
+
+    ``theta_g`` must be ``assemble_final(base, *deltas.values())`` (or hold
+    its bytes, as its file and ``resolver._assemble``'s result do): G's
+    addition candidates take their records from it."""
 
     base: Checkpoint
     models: dict[str, Checkpoint]
@@ -72,13 +77,14 @@ class AnalysisContext:
         return {m: layer_arrays(delta, self.partition, layer) for m, delta in self.deltas.items()}
 
 
+def _touched(arrays_list) -> set[str]:
+    """The names of the tensors where some array of ``arrays_list`` is nonzero."""
+    return {name for arrays in arrays_list for name, arr in arrays.items() if arr.any()}
+
+
 def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
     """ref + sign * sum(arrays); returns ref itself if the shift is zero."""
-    touched = set()
-    for arrays in arrays_list:
-        for name, arr in arrays.items():
-            if arr.any():
-                touched.add(name)
+    touched = _touched(arrays_list)
     if not touched:
         return ref
     terms = [arrays.get for arrays in arrays_list]
@@ -88,10 +94,24 @@ def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
 def _candidate(kind: str, source: str, ctx: AnalysisContext, layer_deltas) -> Checkpoint:
     """The checkpoint an impact scores: for a deletion, the source model
     minus its layer delta; for an addition, the base plus it.  G's layer
-    delta is every model's; ``layer_deltas`` is ``ctx.layer_deltas(layer)``."""
+    delta is every model's; ``layer_deltas`` is ``ctx.layer_deltas(layer)``.
+
+    G's addition candidate is theta_G's layer: the base with theta_G's
+    records for the tensors the layer deltas touch.  Each such record is
+    the float64 sum base + delta_A + delta_B, rounded once, that
+    ``shifted_checkpoint`` would take in the same term order; so the
+    candidate has the same bytes, and none of them is computed or hashed
+    again.  (An untouched tensor stays the base's: theta_G's may differ
+    from it in the sign of a zero.)"""
     ref_source, sign = (source, -1.0) if kind == "deletion" else ("F", +1.0)
     arrays = list(layer_deltas.values()) if source == "G" else [layer_deltas[source]]
-    return shifted_checkpoint(ctx.reference(ref_source), arrays, sign)
+    if (kind, source) != ("addition", "G"):
+        return shifted_checkpoint(ctx.reference(ref_source), arrays, sign)
+    touched = _touched(arrays)
+    if not touched:
+        return ctx.base
+    records = [ctx.theta_g.record(rec.name) if rec.name in touched else rec for rec in ctx.base]
+    return Checkpoint(records, {})  # no metadata, as combine's results have none
 
 
 def _score(ctx: AnalysisContext, job) -> float:

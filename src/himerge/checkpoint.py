@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import hashlib
 import json
 import math
@@ -328,16 +329,25 @@ def encode_record(ref: TensorRecord, arr: np.ndarray) -> TensorRecord:
 
 
 def _header_bytes(cp: Checkpoint) -> bytes:
-    """The canonical container prefix: header length, then header JSON."""
+    """The canonical container prefix: header length, then header JSON.  It
+    depends only on the layout (metadata, then each record's name, dtype
+    and shape), and the last 16 layouts' prefixes are kept: an analysis
+    candidate has its reference's layout."""
+    metadata = tuple((str(k), str(v)) for k, v in cp.metadata.items())
+    return _layout_header(metadata, tuple((rec.name, rec.dtype, rec.shape) for rec in cp))
+
+
+@functools.lru_cache(maxsize=16)
+def _layout_header(metadata: tuple, layout: tuple) -> bytes:
     header: dict[str, object] = {}
-    if cp.metadata:
-        header["__metadata__"] = {str(k): str(v) for k, v in cp.metadata.items()}
+    if metadata:
+        header["__metadata__"] = dict(metadata)
     offset = 0
-    for rec in cp:
-        end = offset + rec.nbytes
-        header[rec.name] = {
-            "dtype": _DTYPES[rec.dtype][0],
-            "shape": list(rec.shape),
+    for name, dtype, shape in layout:
+        end = offset + math.prod(shape) * element_size(dtype)
+        header[name] = {
+            "dtype": _DTYPES[dtype][0],
+            "shape": list(shape),
             "data_offsets": [offset, end],
         }
         offset = end

@@ -161,10 +161,11 @@ def parse_eval_spec(spec, task_id: str, timeout: float) -> EvalTask:
 
 def _load_json(text: str | bytes, what: str):
     """A JSON document the CLI reads, from text or UTF-8 bytes; one that is
-    not UTF-8, not JSON or nested too deeply to parse is a ConfigError."""
+    not UTF-8, not JSON, holds an integer too long to convert or is nested
+    too deeply to parse is a ConfigError."""
     try:
         return json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError are ValueErrors
         raise ConfigError(f"{what} is not valid JSON: {exc}") from None
     except RecursionError:
         raise ConfigError(f"{what} is nested too deeply to parse") from None
@@ -246,7 +247,10 @@ def _typed(value, kind, path: str):
         if len(args) == len(value):
             return origin(_typed(v, k, f"{path}[{i}]") for i, (v, k) in enumerate(zip(value, args)))
     elif kind is float and type(value) in (int, float):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise ConfigError(f"config key {path!r} is beyond the float range") from None
     elif kind in (int, bool, str) and type(value) is kind:
         return value
     name = str(kind) if origin else kind.__name__

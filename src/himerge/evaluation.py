@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -33,13 +34,14 @@ import subprocess
 import tempfile
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import ClassVar
 
 import numpy as np
 
-from .checkpoint import Checkpoint, create_temp, fingerprint, write_checkpoint
+from .checkpoint import Checkpoint, TensorRecord, create_temp, fingerprint, write_checkpoint
 from .errors import ConfigError, EvaluatorError, FormatError
 
 DEFAULT_TIMEOUT = 600.0
@@ -110,16 +112,14 @@ class SyntheticCompositeTask:
         _require_at_least(1, n_eval=self.n_eval)
 
     def score(self, cp: Checkpoint) -> float:
-        parts = []
-        dims = []
+        """The sign agreement of ``probes @ w``, with each target's block of
+        the product taken from the fixture's memo (``_CompositeFixture``)."""
+        records = []
         for name, _ in self.targets:
             if name not in cp:
                 raise EvaluatorError(f"synthetic task target tensor {name!r} not found")
-            arr = cp.as_f32(name).reshape(-1).astype(np.float64)
-            parts.append(arr)
-            dims.append(arr.size)
-        probes, star_signs = _composite_fixture(self, tuple(dims))
-        return _sign_agreement(np.concatenate(parts), probes, star_signs)
+            records.append(cp.record(name))
+        return _composite_fixture(self, tuple(rec.size for rec in records)).score(records)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,9 @@ def hidden_optimum(seed: int, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-# A fixture is (probes, sign(probes @ w_star)): the optimum's side of each
-# probe is a constant of the task, so it is computed once, not per call.
+# A fixture holds the probes and sign(probes @ w_star): the optimum's side
+# of each probe is a constant of the task, so it is computed once, not per
+# call.
 
 
 @functools.lru_cache(maxsize=8)
@@ -156,13 +157,82 @@ def _linear_fixture(seed: int, dim: int, n_eval: int):
 
 @functools.lru_cache(maxsize=8)
 def _composite_fixture(task: SyntheticCompositeTask, dims: tuple[int, ...]):
-    w_star = np.concatenate(
-        [hidden_optimum(seed, d) for (_, seed), d in zip(task.targets, dims)]
-    )
-    probes = np.random.default_rng(task.probe_seed).standard_normal(
-        (task.n_eval, w_star.size)
-    )
-    return probes, np.sign(probes @ w_star)
+    return _CompositeFixture(task, dims)
+
+
+# The most bytes of partial products one composite fixture keeps: 131
+# blocks at n_eval 2000.
+MEMO_BYTES = 2 << 20
+
+
+def _error_bound(n_terms: int, probe_max: float, w_l1: float) -> float:
+    """A float64 sum of products p_j * w_j, taken in any order and grouping
+    with ``n_terms`` roundings, lies within about n_terms * 2**-53 *
+    sum |p_j * w_j| <= n_terms * 2**-53 * probe_max * w_l1 of the exact
+    value (Higham, "Accuracy and Stability of Numerical Algorithms", 3.1).
+    A row of the block sum farther from zero than twice that has the exact
+    value's sign, and so has the whole product's row.  The factor is 4, not
+    2, to cover the roundings of the bound and of ``w_l1`` themselves."""
+    return 4 * n_terms * 2.0**-53 * probe_max * w_l1
+
+
+class _CompositeFixture:
+    """The probes of a ``SyntheticCompositeTask`` over targets of sizes
+    ``dims``, the optimum's signs, and a bounded LRU of partial products.
+
+    The product ``probes @ w`` of a candidate is summed from per-target
+    blocks ``probes[:, block] @ w_block``, each kept under (target index,
+    dtype, record digest), so a target a candidate shares with one scored
+    before is not read or multiplied again.  A sign of the sum equals the
+    sign of the full product once the sum is farther from zero than both
+    can be from the exact value (``_error_bound``).  So the memo is used
+    only when every row clears that bound, and the full product is taken
+    otherwise: the score is bit for bit the full product's.  Threads may
+    score at once; the memo is under a lock, the products are not.
+    """
+
+    def __init__(self, task: SyntheticCompositeTask, dims: tuple[int, ...]):
+        w_star = np.concatenate(
+            [hidden_optimum(seed, d) for (_, seed), d in zip(task.targets, dims)]
+        )
+        self.probes = np.random.default_rng(task.probe_seed).standard_normal(
+            (task.n_eval, w_star.size)
+        )
+        self.star_signs = np.sign(self.probes @ w_star)
+        self.bounds = [0, *itertools.accumulate(dims)]
+        self.probe_max = max(self.probes.max(initial=0.0), -self.probes.min(initial=0.0))
+        self.capacity = max(1, MEMO_BYTES // self.star_signs.nbytes)
+        self._partials: OrderedDict[tuple, tuple[np.ndarray, float]] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def partial(self, index: int, rec: TensorRecord) -> tuple[np.ndarray, float]:
+        """Target ``index``'s block of the product and the block's l1 norm."""
+        key = (index, rec.dtype, rec.digest)
+        with self._lock:
+            if key in self._partials:
+                self._partials.move_to_end(key)
+                return self._partials[key]
+        w = rec.as_f32().reshape(-1).astype(np.float64)
+        block = self.probes[:, self.bounds[index] : self.bounds[index + 1]]
+        entry = (block @ w, float(np.abs(w).sum()))
+        with self._lock:
+            self._partials[key] = entry
+            while len(self._partials) > self.capacity:
+                self._partials.popitem(last=False)
+        return entry
+
+    def score(self, records: list[TensorRecord]) -> float:
+        total = np.zeros(len(self.star_signs))
+        w_l1 = 0.0
+        for index, rec in enumerate(records):
+            part, norm = self.partial(index, rec)
+            total += part
+            w_l1 += norm
+        bound = _error_bound(self.bounds[-1] + len(records), self.probe_max, w_l1)
+        if np.abs(total).min() > bound:  # False for a NaN or inf bound
+            return float(np.mean(np.sign(total) == self.star_signs))
+        w = np.concatenate([rec.as_f32().reshape(-1).astype(np.float64) for rec in records])
+        return _sign_agreement(w, self.probes, self.star_signs)
 
 
 def _sign_agreement(w: np.ndarray, probes: np.ndarray, star_signs: np.ndarray) -> float:

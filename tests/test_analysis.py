@@ -1,9 +1,13 @@
 import csv
+import dataclasses
 import json
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from himerge import (
     ConstantTask,
@@ -21,7 +25,7 @@ from himerge import (
 from himerge import analysis as analysis_mod
 from himerge import resolver as resolver_mod
 from himerge.analysis import PAIR_KEYS
-from himerge.checkpoint import checkpoint_to_bytes
+from himerge.checkpoint import checkpoint_to_bytes, fingerprint
 
 import reference_analysis as ref
 
@@ -202,8 +206,10 @@ class TestConflictProfile:
 def test_each_layer_builds_six_candidates(monkeypatch, full_matrix):
     """A deletion and an addition candidate per source A, B and G: the
     (A, G) and (B, G) pairs, and with the full matrix every capability,
-    share them.  Each layer still makes 8 evaluations, or 12 with the full
-    matrix, and scores exactly the candidates it built."""
+    share them.  Five per layer are built; G's addition candidate is the
+    base holding theta_G's own records for the layer.  Each layer still
+    makes 8 evaluations, or 12 with the full matrix, and scores exactly its
+    six candidates."""
     rng = np.random.default_rng(16)
     layers = 16
 
@@ -220,7 +226,16 @@ def test_each_layer_builds_six_candidates(monkeypatch, full_matrix):
         built.append(original(ref, arrays_list, sign))
         return built[-1]
 
+    candidates = {}
+    original_candidate = analysis_mod._candidate
+
+    def recording_candidate(kind, source, ctx, layer_deltas):
+        cp = original_candidate(kind, source, ctx, layer_deltas)
+        candidates[kind, source, len(candidates) // 6] = cp  # six per layer, in layer order
+        return cp
+
     monkeypatch.setattr(analysis_mod, "shifted_checkpoint", counting)
+    monkeypatch.setattr(analysis_mod, "_candidate", recording_candidate)
     scored = []
     evaluate = ctx.bridge.evaluate
 
@@ -231,11 +246,80 @@ def test_each_layer_builds_six_candidates(monkeypatch, full_matrix):
     monkeypatch.setattr(ctx.bridge, "evaluate", recording)
     profile = conflict_profile(ctx, full_matrix=full_matrix)
     assert len(profile.rows) == layers
-    assert len(built) == 6 * layers
-    assert len({id(cp) for cp in built}) == 6 * layers
+    assert len(built) == 5 * layers
+    assert len({id(cp) for cp in built}) == 5 * layers
+    assert len({id(cp) for cp in candidates.values()}) == 6 * layers
+    for layer in range(layers):
+        g_addition = candidates["addition", "G", layer]
+        assert not any(g_addition is cp for cp in built)
+        for rec in g_addition:
+            want = ctx.theta_g if rec.name == layer_name(layer) else base
+            assert rec is want.record(rec.name)
     per_layer = 12 if full_matrix else 8
     assert len(scored) == len(profile.baselines) + per_layer * layers
-    assert {id(cp) for cp in scored[len(profile.baselines):]} == {id(cp) for cp in built}
+    assert {id(cp) for cp in scored[len(profile.baselines):]} == {
+        id(cp) for cp in candidates.values()
+    }
+
+
+G_ADDITION_NAMES = ["embed.w", *(f"model.layers.{l}.{t}" for l in range(3) for t in "ab"), "norm.w"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dtype=st.sampled_from(["f32", "f16", "bf16"]),
+    p=st.sampled_from([0.3, 1.0]),
+    in_file=st.booleans(),
+    data=st.data(),
+)
+def test_the_g_addition_candidate_equals_the_shifted_base(seed, dtype, p, in_file, data):
+    """G's addition candidate, built from theta_G's records, has the
+    fingerprint and the canonical bytes of ``shifted_checkpoint(F, [the
+    layer deltas of A and B], +1)``: for ``prepare``'s theta_G (in memory,
+    or read from its file) and for a re-profile's ``_assemble``d one after
+    a DROP and a REPRUNE.  The base holds -0.0s, some tensors are touched by
+    neither delta, and a model's pruned delta has zeros."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name in G_ADDITION_NAMES:
+        arr = rng.standard_normal(6).astype(np.float32)
+        arr[rng.random(6) < 0.3] = -0.0
+        arrays[name] = arr
+    base = checkpoint_from_arrays(arrays, dtype)
+
+    def fine_tuned():
+        moved = data.draw(st.sets(st.sampled_from(G_ADDITION_NAMES)))
+        return checkpoint_from_arrays(
+            {n: a + rng.standard_normal(6).astype(np.float32) if n in moved else a
+             for n, a in arrays.items()},
+            dtype,
+        )
+
+    ma, mb = fine_tuned(), fine_tuned()
+    ta, tb = constant_tasks()
+    with tempfile.TemporaryDirectory() as tmp:
+        config = HiMergeConfig(
+            {"A": PruneScaleParams(p, 1.0), "B": PruneScaleParams(p, 0.5)}, {"A": ta, "B": tb},
+            out_dir=tmp if in_file else None,
+        )
+        ctx = resolver_mod.prepare(base, ma, mb, config, EvaluationBridge())
+
+        def check(ctx):
+            for layer in ctx.partition.all_layers():
+                layer_deltas = ctx.layer_deltas(layer)
+                got = analysis_mod._candidate("addition", "G", ctx, layer_deltas)
+                want = analysis_mod.shifted_checkpoint(ctx.base, list(layer_deltas.values()), +1.0)
+                assert fingerprint(got) == fingerprint(want)
+                assert checkpoint_to_bytes(got) == checkpoint_to_bytes(want)
+
+        check(ctx)
+        layers = ctx.partition.transformer_layers()
+        deltas = dict(ctx.deltas)
+        deltas["A"] = resolver_mod.drop_layer(deltas["A"], ctx.partition, data.draw(st.sampled_from(layers)))
+        layer = data.draw(st.sampled_from(layers))
+        deltas["B"] = resolver_mod.reprune_layer(deltas["B"], ctx.partition, layer, 0.5, 0.25)
+        check(dataclasses.replace(ctx, deltas=deltas, theta_g=resolver_mod._assemble(ctx, deltas)))
 
 
 @pytest.fixture

@@ -16,11 +16,11 @@ import threading
 import time
 from dataclasses import fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import himerge
@@ -1941,3 +1941,140 @@ def test_a_damaged_cache_file_gets_a_documented_exit_code(edits):
                 rows = list(csv.DictReader(fh))
             assert len(rows) == 2
             assert all(math.isfinite(float(row["score"])) for row in rows), rows
+
+
+# -- config documents at the edges of each option's domain ---------------------
+
+# JSON values at the ends of a type's domain and just outside them; an
+# integer beyond the float range for a float.
+EDGE_VALUES = {
+    float: [0, 1, 0.0, -0.0, 1.0, 1.0000000000000002, -5e-324, -1, himerge.cli.MAX_TIMEOUT,
+            himerge.cli.MAX_TIMEOUT + 1, math.nan, math.inf, -math.inf, 10**400],
+    int: [0, 1, 2, -1],
+    bool: [False, True],
+    str: ["", "x"],
+}
+# Values of the wrong JSON type for most options, and a group as a scalar.
+WRONG_TYPES = [None, False, True, 0, 0.5, "0.5", [], [0.5], {}, {"x": 1}]
+FUZZ_TARGETS = [layer_name(0), layer_name(1), "head.w", "absent"]
+
+
+def _edge_value(kind, name: str = ""):
+    """A strategy of edge values for one option or evaluator spec key."""
+    wrong = st.sampled_from(WRONG_TYPES)
+    if name == "target":
+        return st.sampled_from(FUZZ_TARGETS) | wrong
+    if name == "dim":
+        return st.sampled_from([*EDGE_VALUES[int], 8, 16]) | wrong
+    if name == "targets":
+        pair = st.tuples(st.sampled_from(FUZZ_TARGETS), st.sampled_from(EDGE_VALUES[int]))
+        return st.lists(pair.map(list), max_size=2) | wrong
+    if kind is object:  # an evaluator: a builtin spec, or a command with no placeholder
+        return _builtin_specs() | st.sampled_from(["", "x", "{checkpoint"]) | wrong
+    if kind == list[float]:
+        return st.lists(st.sampled_from(EDGE_VALUES[float]), max_size=2) | wrong
+    kinds = [k for k in get_args(kind) if k is not type(None)] or [kind]
+    return st.sampled_from(EDGE_VALUES[kinds[0]] + [None] * (len(kinds) < len(get_args(kind)))) | wrong
+
+
+@st.composite
+def _builtin_specs(draw):
+    cls = draw(st.sampled_from(sorted(himerge.evaluation.BUILTIN_TASKS.values(), key=lambda c: c.kind)))
+    hints = get_type_hints(cls)
+    spec = {"builtin": cls.kind}
+    for f in fields(cls):
+        if draw(st.integers(0, 9)):  # a key is sometimes missing
+            spec[f.name] = draw(_edge_value(hints[f.name], f.name))
+    if not draw(st.integers(0, 9)):
+        spec["unknown"] = 1
+    return spec
+
+
+@st.composite
+def config_documents(draw):
+    """A config document over 0-4 ``RunConfig`` options, each at a top-level
+    key or under its ``_GROUPS`` path, and sometimes a group given as a
+    scalar.  Returns the document and the options it names."""
+    hints = get_type_hints(RunConfig)
+    grouped = dict(_grouped_keys(_GROUPS))
+    doc, named = {}, set()
+    for name in draw(st.lists(st.sampled_from(sorted(hints)), max_size=4, unique=True)):
+        path = grouped[name] if name in grouped and draw(st.booleans()) else (name,)
+        node = doc
+        for key in path[:-1]:
+            node = node.setdefault(key, {})
+        node[path[-1]] = draw(_edge_value(hints[name], name))
+        named.add(name)
+    if draw(st.integers(0, 3)) == 0:
+        group = draw(st.sampled_from([(g,) for g in _GROUPS] + [("prune_scale", "a"), ("eval", "b")]))
+        node = doc
+        for key in group[:-1]:
+            node = node.setdefault(key, {})
+        node[group[-1]] = draw(st.sampled_from([w for w in WRONG_TYPES if not isinstance(w, dict)]))
+    return doc, named
+
+
+@functools.cache
+def _config_fuzz_inputs() -> Path:
+    """The fuzz inputs, written once for every example of the slice."""
+    tmp = Path(tempfile.mkdtemp(prefix="himerge-config-fuzz-"))
+    for name, blob in FUZZ_INPUTS.items():
+        (tmp / f"{name}.safetensors").write_bytes(blob)
+    return tmp
+
+
+@settings(max_examples=150, deadline=None)
+@given(config_documents())
+def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(case):
+    """``sweep --config`` with a generated document: main returns a
+    documented exit code and prints no traceback.  Exit 0 means a sweep.csv
+    whose every row holds a finite score, or instead the evaluator error
+    that sweep records for that cell (a target that is absent or of another
+    length).  A grid the document does not set is one or two values on
+    the command line, and so is an evaluator."""
+    doc, named = case
+    inputs = _config_fuzz_inputs()
+    extra = []
+    if "eval_a" not in named:
+        extra += ["--eval-a", '{"builtin": "constant"}']
+    for grid, text in (("p_values", "0.5"), ("s_values", "0.5,1")):
+        if grid not in named:
+            extra += ["--" + grid.replace("_", "-"), text]
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "config.json").write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["sweep", "--config", str(tmp / "config.json"),
+                         "--base", str(inputs / "base.safetensors"),
+                         "--model-a", str(inputs / "model.safetensors"),
+                         "--out", str(tmp / "out"), *extra])
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            with open(tmp / "out" / "sweep.csv") as fh:
+                rows = list(csv.DictReader(fh))
+            assert rows
+            for row in rows:
+                assert (row["score"] == "") != (row["error"] == ""), row
+                assert row["error"] or math.isfinite(float(row["score"])), row
+
+
+@pytest.mark.parametrize("where", ["config", "eval"])
+def test_an_integer_too_long_to_convert_is_a_usage_error(workdir, capsys, where):
+    """json reads an integer of more than 4300 digits as a ValueError that
+    is not a JSONDecodeError; in a config file or an evaluator spec it is a
+    usage error."""
+    inputs = _config_fuzz_inputs()
+    digits = "1" * 5000
+    argv = ["sweep", "--base", str(inputs / "base.safetensors"),
+            "--model-a", str(inputs / "model.safetensors"), "--out", str(workdir / "out")]
+    if where == "config":
+        (workdir / "config.json").write_text('{"parallel": %s}' % digits)
+        argv += ["--config", str(workdir / "config.json"), "--eval-a", '{"builtin": "constant"}']
+    else:
+        argv += ["--eval-a", '{"builtin": "constant", "value": %s}' % digits]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and "Traceback" not in err

@@ -1,5 +1,8 @@
+import contextlib
+import importlib
 import json
 import math
+import sys
 import tempfile
 import threading
 import time
@@ -8,9 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from himerge import evaluation
 from himerge import (
+    Checkpoint,
     ConfigError,
     ConstantTask,
     EvalCache,
@@ -20,11 +26,13 @@ from himerge import (
     FormatError,
     SyntheticCompositeTask,
     SyntheticLinearTask,
+    TensorRecord,
     hidden_optimum,
 )
 from himerge.checkpoint import _TEMP_NAME, checkpoint_to_bytes, fingerprint, write_checkpoint
 
-from conftest import checkpoint_from_arrays
+import reference_evaluation
+from conftest import checkpoint_from_arrays, record_from_array
 
 
 DIM = 64
@@ -142,6 +150,215 @@ def test_builtin_scores_equal_the_two_matvec_formula(seed):
     w = np.concatenate([cp.as_f32(name).astype(np.float64) for name in names])
     for _ in range(2):
         assert composite.score(cp) == two_matvec_score(w, w_star, probes)
+
+
+# -- the composite scorer's memoized blocks against the whole product -------
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TARGET_DTYPES = ("f32", "f16", "bf16")
+
+
+def _bench_scorer():
+    """``bench/oracle_eval.py``, the external scorer of the benchmark, which
+    imports its sibling ``stio``: so ``bench/`` is on the path while it loads."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("oracle_eval")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+@contextlib.contextmanager
+def counted_fallbacks():
+    """Count the scores that took the whole product instead of the memo."""
+    count = [0]
+    whole = evaluation._sign_agreement
+
+    def counting(*args):
+        count[0] += 1
+        return whole(*args)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(evaluation, "_sign_agreement", counting)
+        yield count
+
+
+def _task(probe_seed, n_eval, target_seeds) -> SyntheticCompositeTask:
+    targets = tuple((f"m.layers.{i}.w", seed) for i, seed in enumerate(target_seeds))
+    return SyntheticCompositeTask(probe_seed=probe_seed, n_eval=n_eval, targets=targets)
+
+
+@st.composite
+def composite_cases(draw):
+    """A composite task and 2-5 candidates whose targets come from a pool
+    of two variants per target, each in a random dtype, so candidates share
+    targets: as the same record, or as an equal one.  A variant may be all
+    zero, or hold the other variant's bytes read as the other 16-bit dtype."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_targets = draw(st.integers(1, 4))
+    task = _task(draw(st.integers(0, 2**16)), draw(st.integers(1, 200)),
+                 [draw(st.integers(0, 2**16)) for _ in range(n_targets)])
+    pool = []
+    for name, _ in task.targets:
+        dim = draw(st.integers(0, 24))
+        variants = []
+        for _ in range(2):
+            zero = draw(st.booleans()) and draw(st.booleans())
+            arr = np.zeros(dim, np.float32) if zero else rng.standard_normal(dim).astype(np.float32)
+            variants.append(record_from_array(name, arr, draw(st.sampled_from(TARGET_DTYPES))))
+        first = variants[0]
+        if first.dtype != "f32" and draw(st.booleans()):
+            other = "bf16" if first.dtype == "f16" else "f16"
+            variants[1] = TensorRecord(name, other, first.shape, first.data)
+        pool.append(variants)
+    candidates = []
+    for _ in range(draw(st.integers(2, 5))):
+        records = []
+        for variants in pool:
+            rec = variants[draw(st.integers(0, 1))]
+            if draw(st.booleans()):  # an equal record, not the same object
+                rec = record_from_array(rec.name, rec.as_f32(), rec.dtype)
+            records.append(rec)
+        candidates.append(Checkpoint(records))
+    return task, candidates
+
+
+# Bytes read as the other 16-bit dtype may be inf or NaN.
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=150, deadline=None)
+@given(composite_cases())
+def test_composite_scores_equal_the_whole_product(case):
+    task, candidates = case
+    for cp in candidates:
+        assert task.score(cp) == reference_evaluation.composite_score(task, cp)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(composite_cases())
+def test_composite_scores_equal_the_whole_product_when_every_score_falls_back(case):
+    task, candidates = case
+    with pytest.MonkeyPatch.context() as m, counted_fallbacks() as fallbacks:
+        m.setattr(evaluation, "_error_bound", lambda *args: math.inf)
+        for cp in candidates:
+            assert task.score(cp) == reference_evaluation.composite_score(task, cp)
+    assert fallbacks[0] == len(candidates)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [0.0, math.inf, -math.inf, math.nan])
+def test_a_zero_or_non_finite_target_takes_the_whole_product(bad):
+    """A sum within the bound of zero (an all-zero target) or a non-finite
+    bound (an inf or NaN target) is not trusted: the whole product is taken."""
+    rng = np.random.default_rng(3)
+    task = _task(4, 300, [5, 6])
+    first, second = rng.standard_normal((2, 16)).astype(np.float32)
+    if bad == 0.0:
+        first[:] = second[:] = 0.0
+    else:
+        first[7] = bad
+    cp = Checkpoint([record_from_array("m.layers.0.w", first), record_from_array("m.layers.1.w", second)])
+    with counted_fallbacks() as fallbacks:
+        assert task.score(cp) == reference_evaluation.composite_score(task, cp)
+    assert fallbacks[0] == 1
+
+
+def test_a_row_within_rounding_error_of_zero_takes_the_whole_product():
+    """The second target cancels the first one's product on probe 0 down
+    to below the bound, one float32 step at a time; then the sum of the
+    blocks is not trusted for that row's sign."""
+    task = _task(12, 50, [1, 2])
+    probe = np.random.default_rng(12).standard_normal((50, 16))[0]
+    first = np.random.default_rng(13).standard_normal(8).astype(np.float32)
+    second = np.zeros(8, np.float32)
+    for j in range(4):
+        residual = probe[:8] @ first + probe[8:] @ second
+        second[j] = -residual / probe[8 + j]
+    cp = Checkpoint([record_from_array("m.layers.0.w", first),
+                     record_from_array("m.layers.1.w", second)])
+    w = np.concatenate([first, second]).astype(np.float64)
+    bound = evaluation._error_bound(18, np.abs(evaluation._composite_fixture(task, (8, 8)).probes).max(),
+                                    np.abs(w).sum())
+    assert abs(probe @ w) < bound
+    with counted_fallbacks() as fallbacks:
+        assert task.score(cp) == reference_evaluation.composite_score(task, cp)
+    assert fallbacks[0] == 1
+
+
+def test_threads_score_at_once_through_a_full_memo(monkeypatch):
+    """Four threads score twelve candidates that share targets, each in its
+    own order, through a memo of three blocks: every score is the whole
+    product's, and the memo stays within its bound."""
+    monkeypatch.setattr(evaluation, "MEMO_BYTES", 3 * 8 * 64)
+    rng = np.random.default_rng(8)
+    task = _task(91, 64, [1, 2, 3])
+    pool = [[record_from_array(name, rng.standard_normal(32), "bf16") for _ in range(3)]
+            for name, _ in task.targets]
+    candidates = [Checkpoint([variants[(i * (t + 1)) % 3] for t, variants in enumerate(pool)])
+                  for i in range(12)]
+    want = [reference_evaluation.composite_score(task, cp) for cp in candidates]
+    errors = []
+
+    def worker(order):
+        try:
+            for _ in range(5):
+                for i in order:
+                    assert task.score(candidates[i]) == want[i]
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    orders = [list(rng.permutation(12)) for _ in range(4)]
+    threads = [threading.Thread(target=worker, args=(order,)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    fixture = evaluation._composite_fixture(task, (32, 32, 32))
+    assert fixture.capacity == 3 and len(fixture._partials) <= 3
+
+
+def test_the_memo_holds_at_most_two_mebibytes_at_n_eval_2000():
+    task = _task(17, 2000, [1])
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        task.score(Checkpoint([record_from_array("m.layers.0.w", rng.standard_normal(8))]))
+    fixture = evaluation._composite_fixture(task, (8,))
+    assert len(fixture._partials) == 3
+    assert fixture.capacity * fixture.star_signs.nbytes <= 2 * 2**20 == evaluation.MEMO_BYTES
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.lists(st.sampled_from(["f32", "bf16", "zero"]), min_size=1,
+                                           max_size=4))
+def test_builtin_composite_scores_equal_the_bench_scorer(seed, kinds):
+    """The sweep-grid benchmark checks sweep.csv against
+    ``oracle_eval.composite_score`` by repr: the builtin score must equal it
+    exactly, for bf16 and f32 targets, and for an all-zero candidate, which
+    takes the whole product."""
+    composite_score = _bench_scorer().composite_score
+    rng = np.random.default_rng(seed)
+    task = _task(seed % 1000, int(rng.integers(1, 500)), [int(rng.integers(0, 1000)) for _ in kinds])
+    records = []
+    for (name, _), kind in zip(task.targets, kinds):
+        arr = rng.standard_normal(int(rng.integers(1, 40))).astype(np.float32)
+        if kind == "zero":
+            arr[:] = 0.0
+        records.append(record_from_array(name, arr, "f32" if kind == "zero" else kind))
+    cp = Checkpoint(records)
+    spec = {"probe_seed": task.probe_seed, "n_eval": task.n_eval,
+            "targets": [list(target) for target in task.targets]}
+    tensors = {rec.name: rec.as_f32() for rec in records}
+    with counted_fallbacks() as fallbacks:
+        assert task.score(cp) == composite_score(spec, tensors)
+    if all(kind == "zero" for kind in kinds):
+        assert fallbacks[0] == 1
 
 
 class TestBuiltinKinds:
