@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -157,6 +158,13 @@ class LayerConflictRow:
     gamma_a: float
     gamma_b: float
     Gamma: float
+
+    def __post_init__(self):
+        # Two finite scores can differ by more than the float range.
+        values = [*self.alpha.values(), *self.beta.values(), *self.c.values(),
+                  self.gamma_a, self.gamma_b, self.Gamma]
+        if not all(map(math.isfinite, values)):
+            raise EvaluatorError(f"layer {self.layer}: scores too far apart for a finite conflict")
 
 
 @dataclass

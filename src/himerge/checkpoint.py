@@ -114,12 +114,13 @@ _ENCODES_TO_INF = {
 }
 
 
-def _encodes_finite(dtype: str, flat: np.ndarray) -> bool:
+def _encodes_finite(dtype: str, arr: np.ndarray) -> bool:
     """Whether every value of a float32 array encodes to a finite value in
-    ``dtype``: a check of the input, so no NaN can slip through a wrapped
+    ``dtype``: the one finiteness rule, for encoded records and computed
+    deltas.  It checks the input, so no NaN can slip through a wrapped
     encoding.  A NaN fails both comparisons, and no temporary is made."""
     limit = _ENCODES_TO_INF[dtype]
-    return flat.size == 0 or bool(-limit < flat.min() and flat.max() < limit)
+    return arr.size == 0 or bool(-limit < arr.min() and arr.max() < limit)
 
 
 @dataclass(frozen=True)
@@ -293,10 +294,6 @@ class Checkpoint:
 
     def as_f32(self, name: str) -> np.ndarray:
         return self.record(name).as_f32()
-
-    @property
-    def num_params(self) -> int:
-        return sum(rec.size for rec in self)
 
 
 def encode_record(ref: TensorRecord, arr: np.ndarray) -> TensorRecord:

@@ -20,6 +20,7 @@ from .checkpoint import (
     Checkpoint,
     LayerPartition,
     TensorRecord,
+    _encodes_finite,
     array_bytes,
     encode_record,
     fingerprint,
@@ -90,23 +91,20 @@ def _retain_count(p: float, n: int) -> int:
     return math.ceil(Fraction(str(p)) * n)
 
 
-def _require_finite(deltas: dict[str, np.ndarray], what: str) -> None:
-    """Raise CompatError naming the first tensor with a NaN or inf."""
-    for name, arr in deltas.items():
-        if not np.isfinite(arr).all():
-            raise CompatError(f"{what}: tensor {name!r} holds a NaN or inf delta")
-
-
 def compute_delta(model: Checkpoint, base: Checkpoint, provenance: str = "") -> DeltaVector:
-    """Elementwise model - base in float32; every difference must be finite."""
+    """Elementwise model - base in float32.  Each difference is checked as
+    it is computed, by the rule ``encode_record`` applies to an f32 tensor:
+    the first one with a NaN or inf is a CompatError naming it."""
     validate_compat(model, base)
     deltas = {}
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         for name in base.names:
             diff = model.as_f32(name)  # a fresh array, so it can take the difference in place
             diff -= base.as_f32(name)
+            if not _encodes_finite("f32", diff):
+                raise CompatError(f"delta of {provenance or 'model'} against the base: "
+                                  f"tensor {name!r} holds a NaN or inf delta")
             deltas[name] = diff
-    _require_finite(deltas, f"delta of {provenance or 'model'} against the base")
     return DeltaVector(fingerprint(base), deltas, provenance)
 
 
@@ -126,58 +124,53 @@ def prune_topp(
     names onto them; tensors outside the scope are untouched (shared).
     When every entry in scope is kept (or the scope is empty) and s = 1,
     ``delta`` itself is returned; otherwise every array in scope is a fresh
-    one, and the kept arrays, fresh already, are scaled in place.
+    one.
 
-    The threshold comes from one float32 magnitude buffer over the scope,
-    partitioned in place and freed before the kept tensors are built one at
-    a time, so no joined copy of the scope is made.
+    An entry's key is its bit pattern without the sign, which sorts as |x|
+    does.  The threshold t is the k-th largest key, from one uint32 key
+    buffer over the scope partitioned in place (none for k = 0 or k = N).
+    Keys above t are kept, then ties at t in flat index order.  Each kept
+    tensor is its bits times its keep mask (a dropped entry is +0.0, a kept
+    -0.0 stays -0.0), scaled in place.
     """
     PruneScaleParams(p, s)  # the domain check
     if layers is not None and partition is None:
         raise ConfigError("layer-scoped pruning requires a partition")
 
-    if layers is None:
-        scope = delta.names
-    else:
-        wanted = set(layers)
-        scope = [n for n in delta.names if partition.layer_of(n) in wanted]
+    wanted = None if layers is None else set(layers)
+    scope = [n for n in delta.names if wanted is None or partition.layer_of(n) in wanted]
     n = sum(delta.deltas[name].size for name in scope)
     k = _retain_count(p, n)
     if k >= n and s == 1.0:
         return delta
-    shapes = {name: delta.deltas[name].shape for name in scope}
+    bits = [delta.array(name).reshape(-1).view(np.uint32) for name in scope]
     if k == 0:
-        return delta.replace({name: np.zeros(shape, np.float32) for name, shape in shapes.items()})
-    flats = [delta.array(name).reshape(-1) for name in scope]
-    factor = np.float32(s)
-    if k >= n:
-        scaled = {name: (flat * factor).reshape(shapes[name]) for name, flat in zip(scope, flats)}
-        return delta.replace(scaled)
-
-    # Threshold selection: t is the k-th largest magnitude.  Keep every
-    # entry above it, then fill the remaining ``need`` slots with the
-    # entries equal to t in ascending canonical-flattened-index order.
-    mag = np.empty(n, dtype=np.float32)
-    offset = 0
-    for flat in flats:
-        np.abs(flat, out=mag[offset : offset + flat.size])
-        offset += flat.size
-    mag.partition(n - k)
-    t = mag[n - k]
-    # After the partition every magnitude above t lies right of n - k.
-    need = k - int(np.count_nonzero(mag[n - k + 1 :] > t))
-    del mag
+        t, need = 0xFFFFFFFF, 0  # above every key
+    elif k >= n:
+        t, need = 0, n
+    else:
+        keys = np.empty(n, dtype=np.uint32)
+        offset = 0
+        for flat in bits:
+            np.bitwise_and(flat, 0x7FFFFFFF, out=keys[offset : offset + flat.size])
+            offset += flat.size
+        keys.partition(n - k)
+        t = int(keys[n - k])
+        # After the partition every key above t lies right of n - k.
+        need = k - int(np.count_nonzero(keys[n - k + 1 :] > t))
+        del keys
     kept = {}
-    for name, flat in zip(scope, flats):
-        mag = np.abs(flat)
-        keep = mag > t
+    for name, flat in zip(scope, bits):
+        key = flat & 0x7FFFFFFF
+        keep = key > t
         if need:
-            ties = np.flatnonzero(mag == t)[:need]
+            ties = np.flatnonzero(key == t)[:need]
             keep[ties] = True
             need -= ties.size
-        kept[name] = np.where(keep, flat, np.float32(0.0)).reshape(shapes[name])
+        out = np.multiply(flat, keep, dtype=np.uint32).view(np.float32)
         if s != 1.0:
-            kept[name] *= factor
+            out *= np.float32(s)
+        kept[name] = out.reshape(delta.deltas[name].shape)
     return delta.replace(kept)
 
 
@@ -240,22 +233,23 @@ def combine(
 
 def _sum(ref: Checkpoint | None, rec: TensorRecord, terms, weights) -> np.ndarray:
     """One tensor of ``combine``, as a fresh float32 array; its temporaries
-    are freed on return."""
-    if ref is None:
-        start = np.zeros(rec.shape, dtype=np.float32)
-    else:
-        start = ref.as_f32(rec.name)  # a fresh array, so it can take a sum in place
+    are freed on return.  A weight of -1 subtracts: the bits of adding the
+    negated term."""
+    # A fresh array, to take the sum in place; read before the terms for a lower peak RSS.
+    acc = np.zeros(rec.shape, dtype=np.float32) if ref is None else ref.as_f32(rec.name)
     parts = [(term(rec.name), weight) for term, weight in zip(terms, weights)]
     parts = [(arr, weight) for arr, weight in parts if arr is not None]
-    if len(parts) == 1 and parts[0][1] in (1.0, -1.0):
-        arr, weight = parts[0]
-        return (np.add if weight == 1.0 else np.subtract)(start, arr, out=start)
-    acc = start.astype(np.float64)
-    del start
+    if len(parts) != 1 or parts[0][1] not in (1.0, -1.0):
+        acc = acc.astype(np.float64)
     for arr, weight in parts:
         # A float32 term is widened to float64 chunk by chunk, not as a whole.
-        acc += arr if weight == 1.0 else np.multiply(arr, weight, dtype=np.float64)
-    return acc.astype(np.float32)
+        if weight == 1.0:
+            acc += arr
+        elif weight == -1.0:
+            acc -= arr
+        else:
+            acc += np.multiply(arr, weight, dtype=np.float64)
+    return acc.astype(np.float32, copy=False)
 
 
 def apply_delta(base: Checkpoint, deltas: list[DeltaVector]) -> Checkpoint:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import signal
 import socket
 import subprocess
@@ -20,7 +21,7 @@ from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import himerge
@@ -2014,10 +2015,10 @@ def config_documents(draw):
     return doc, named
 
 
-@functools.cache
-def _config_fuzz_inputs() -> Path:
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory) -> Path:
     """The fuzz inputs, written once for every example of the slice."""
-    tmp = Path(tempfile.mkdtemp(prefix="himerge-config-fuzz-"))
+    tmp = tmp_path_factory.mktemp("fuzz")
     for name, blob in FUZZ_INPUTS.items():
         (tmp / f"{name}.safetensors").write_bytes(blob)
     return tmp
@@ -2025,7 +2026,7 @@ def _config_fuzz_inputs() -> Path:
 
 @settings(max_examples=150, deadline=None)
 @given(config_documents())
-def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(case):
+def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(fuzz_inputs, case):
     """``sweep --config`` with a generated document: main returns a
     documented exit code and prints no traceback.  Exit 0 means a sweep.csv
     whose every row holds a finite score, or instead the evaluator error
@@ -2033,7 +2034,6 @@ def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(case)
     length).  A grid the document does not set is one or two values on
     the command line, and so is an evaluator."""
     doc, named = case
-    inputs = _config_fuzz_inputs()
     extra = []
     if "eval_a" not in named:
         extra += ["--eval-a", '{"builtin": "constant"}']
@@ -2046,8 +2046,8 @@ def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(case)
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(["sweep", "--config", str(tmp / "config.json"),
-                         "--base", str(inputs / "base.safetensors"),
-                         "--model-a", str(inputs / "model.safetensors"),
+                         "--base", str(fuzz_inputs / "base.safetensors"),
+                         "--model-a", str(fuzz_inputs / "model.safetensors"),
                          "--out", str(tmp / "out"), *extra])
         event(f"exit {code}")
         assert code in (0, 1, 2, 3)
@@ -2062,14 +2062,13 @@ def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(case)
 
 
 @pytest.mark.parametrize("where", ["config", "eval"])
-def test_an_integer_too_long_to_convert_is_a_usage_error(workdir, capsys, where):
+def test_an_integer_too_long_to_convert_is_a_usage_error(workdir, capsys, fuzz_inputs, where):
     """json reads an integer of more than 4300 digits as a ValueError that
     is not a JSONDecodeError; in a config file or an evaluator spec it is a
     usage error."""
-    inputs = _config_fuzz_inputs()
     digits = "1" * 5000
-    argv = ["sweep", "--base", str(inputs / "base.safetensors"),
-            "--model-a", str(inputs / "model.safetensors"), "--out", str(workdir / "out")]
+    argv = ["sweep", "--base", str(fuzz_inputs / "base.safetensors"),
+            "--model-a", str(fuzz_inputs / "model.safetensors"), "--out", str(workdir / "out")]
     if where == "config":
         (workdir / "config.json").write_text('{"parallel": %s}' % digits)
         argv += ["--config", str(workdir / "config.json"), "--eval-a", '{"builtin": "constant"}']
@@ -2078,3 +2077,118 @@ def test_an_integer_too_long_to_convert_is_a_usage_error(workdir, capsys, where)
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+# -- a stub evaluator's stdout, stderr and exit code ----------------------------
+
+# Stdout at the edges of what an evaluator's reply can hold: scores at the
+# float edges and beyond them, integers too long for a float or for json,
+# deep nesting, bytes that are not UTF-8, nothing, and extra lines.
+FINITE_EDGE_SCORES = ["0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308", "1e-400",
+                      "1.7976931348623157e308", "-1.7976931348623157e308", "-1e308"]
+STUB_STDOUT = st.sampled_from([
+    *(b'{"score": %s}\n' % score.encode() for score in [
+        *FINITE_EDGE_SCORES, "1e309", "-1e400", "NaN", "Infinity", "-Infinity",
+        "9" * 400, "-" + "9" * 400, "1" * 5000, "true", '"0.5"', "null"]),
+    b"[" * 50_000 + b"]" * 50_000,
+    b'{"score": ' + b"[" * 50_000 + b"]" * 50_000 + b"}",
+    b'{"score": 0.\xff5}\n',
+    b"\xff\xfe",
+    b"",
+    b'{"score": 0.5}\n{"score": 0.5}\n',
+    b'{"score": 0.5}\nan extra line\n',
+    b'\n\n{"score": 0.25}\n\n',
+    b"[0.5]\n",
+])
+STUB_STDERR = st.sampled_from([b"", b"a warning\n", b"\xff\xfe not UTF-8\n", b"x" * 5000])
+# A reply is stdout, stderr, and an exit code or "kill" (the stub SIGKILLs
+# itself).  Half the replies are a finite score and exit 0, so a run with
+# several evaluator calls often gets past them all.
+GOOD_REPLY = st.tuples(
+    st.sampled_from([b'{"score": %s}\n' % score.encode() for score in FINITE_EDGE_SCORES]),
+    STUB_STDERR, st.just(0),
+)
+ANY_REPLY = st.tuples(STUB_STDOUT, STUB_STDERR, st.sampled_from([0, 1, 2, 137, "kill"]))
+STUB_REPLIES = st.lists(GOOD_REPLY | ANY_REPLY, min_size=1, max_size=3)
+
+
+def _stub_evaluator(tmp: Path, replies) -> str:
+    """A /bin/sh evaluator command whose n-th call (from 0) replays reply
+    n mod len(replies): its stdout and stderr bytes, then its exit code or
+    a SIGKILL of itself."""
+    lines = ['d=$(dirname "$0")', 'n=$(cat "$d/calls" 2>/dev/null || echo 0)',
+             'echo $((n + 1)) > "$d/calls"', f"case $((n % {len(replies)})) in"]
+    for i, (stdout, stderr, end) in enumerate(replies):
+        (tmp / f"stdout{i}").write_bytes(stdout)
+        (tmp / f"stderr{i}").write_bytes(stderr)
+        end = "kill -KILL $$" if end == "kill" else f"exit {end}"
+        lines.append(f'{i}) cat "$d/stdout{i}"; cat "$d/stderr{i}" >&2; {end};;')
+    (tmp / "stub.sh").write_text("\n".join([*lines, "esac"]) + "\n")
+    return f"/bin/sh {shlex.quote(str(tmp / 'stub.sh'))} {{checkpoint}}"
+
+
+def _finite_json_number(text: str) -> float:
+    value = float(text)
+    assert math.isfinite(value), text
+    return value
+
+
+def _reject_constant(name: str):
+    raise AssertionError(f"{name} in a JSON output")
+
+
+def _assert_finite_outputs(out: Path) -> None:
+    """Every tensor, JSON number and CSV score or profile number under
+    ``out`` is finite."""
+    for path in sorted(out.rglob("*")):
+        if path.suffix == ".safetensors":
+            cp = load_checkpoint(path)
+            for name in cp.names:
+                assert np.isfinite(cp.as_f32(name)).all(), (path.name, name)
+        elif path.suffix in (".json", ".jsonl"):
+            text = path.read_text()
+            for doc in text.splitlines() if path.suffix == ".jsonl" else [text]:
+                json.loads(doc, parse_float=_finite_json_number, parse_constant=_reject_constant)
+        elif path.suffix == ".csv":
+            with open(path) as fh:
+                for row in csv.DictReader(fh):
+                    for key, cell in row.items():
+                        if key not in ("layer", "error") and cell:
+                            assert math.isfinite(float(cell)), (path.name, row)
+                    if "error" in row:
+                        assert (row["score"] == "") != (row["error"] == ""), row
+
+
+@pytest.fixture(scope="module")
+def stub_paths(tmp_path_factory) -> dict:
+    """One-layer inputs, written once for every example of the slice."""
+    return _one_layer_inputs(tmp_path_factory.mktemp("stub-fuzz"))
+
+
+@pytest.mark.parametrize("verb", ["sweep", "hi"])
+@settings(max_examples=40, deadline=None)
+@given(replies=STUB_REPLIES)
+# Finite scores whose differences overflow: A's deletion impact is inf.
+@example(replies=[(b'{"score": %s}' % score, b"", 0)
+                  for score in (b"-1.7976931348623157e308", b"1.7976931348623157e308", b"0")])
+@example(replies=[(b"", b"", "kill")])
+def test_a_stub_evaluators_reply_gets_a_documented_exit_code(stub_paths, verb, replies):
+    """A one-cell ``sweep`` or a one-layer ``merge --method hi`` whose
+    evaluator replays generated replies in turn: main returns a documented
+    exit code and prints no traceback, and exit 0 means finite outputs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        cmd = _stub_evaluator(tmp, replies)
+        if verb == "sweep":
+            argv = ["sweep", "--base", stub_paths["base"], "--model-a", stub_paths["model_a"],
+                    "--eval-a", cmd, "--p-values", "0.5", "--s-values", "1"]
+        else:
+            argv = ["merge", "--method", "hi", *_hi_args(stub_paths, cmd)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(tmp / "out")])
+        event(f"exit {code}")
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if code == 0:
+            _assert_finite_outputs(tmp / "out")

@@ -321,6 +321,79 @@ class TestAgainstReference:
             assert ours.tobytes() == reference_delta.prune_topp(delta, p).deltas["w"].tobytes(), p
 
 
+# Float32 bit patterns at the edges of Top_p's magnitude keys: +-0.0, the
+# smallest and largest subnormal, the smallest normal, the largest finite
+# value and +-inf.  Each magnitude appears at least twice in layer 0, and
+# again outside it, so that a cut can fall on a tie within a scope and
+# across tensors; layer 0 holds a 0-d and an empty tensor.
+_EDGE_BITS = {
+    "+0": 0x00000000, "-0": 0x80000000, "sub_min": 0x00000001, "-sub_max": 0x807FFFFF,
+    "normal_min": 0x00800000, "-max": 0xFF7FFFFF, "inf": 0x7F800000, "-inf": 0xFF800000,
+}
+
+
+def _edge(names) -> np.ndarray:
+    """The named edge values, in an array of the nesting of ``names``."""
+    if isinstance(names, str):
+        return np.uint32(_EDGE_BITS[names]).view(np.float32)
+    return np.array([_edge(name) for name in names], dtype=np.float32)
+
+
+EDGE_DELTA = DeltaVector("fp", {
+    "m.embed": np.array(_edge("-max")),  # 0-d, outside every layer
+    "m.layers.0.a": _edge(["+0", "sub_min", "-max", "inf", "-sub_max", "normal_min"]),
+    "m.layers.0.b": np.zeros((0, 2), dtype=np.float32),
+    "m.layers.0.c": np.array(_edge("-0")),  # 0-d
+    "m.layers.0.d": _edge([["-inf", "normal_min", "-sub_max"], ["-max", "-0", "sub_min"]]),
+    "m.layers.1.a": _edge(["normal_min", "-0", "inf", "sub_min"]),
+})
+EDGE_PARTITION = partition_layers(checkpoint_from_arrays(EDGE_DELTA.deltas))
+
+
+def _edge_scope(layers) -> list[str]:
+    return [n for n in EDGE_DELTA.names if layers is None or EDGE_PARTITION.layer_of(n) in layers]
+
+
+def _edge_cases():
+    """(layers, k, s): k = 0, each k whose cut splits a tie, k = N - 1 and
+    k = N, for the global scope and layer 0, each with s in {0, 0.5, 1}."""
+    for layers in (None, {0}):
+        flat = np.concatenate([EDGE_DELTA.deltas[n].reshape(-1) for n in _edge_scope(layers)])
+        mags = np.sort(np.abs(flat))[::-1]
+        n = mags.size
+        on_ties = [k for k in range(1, n) if mags[k - 1] == mags[k]]
+        for k in sorted({0, *on_ties, n - 1, n}):
+            for s in (0.0, 0.5, 1.0):
+                yield layers, k, s
+
+
+def _p_for(k: int, n: int) -> float:
+    """A p whose retain count on n entries is k."""
+    p = k / n
+    while _retain_count(p, n) > k:
+        p = math.nextafter(p, 0.0)
+    assert _retain_count(p, n) == k
+    return p
+
+
+@pytest.mark.parametrize("layers, k, s", list(_edge_cases()))
+def test_topp_at_the_bit_edges_is_byte_equal_to_the_reference(layers, k, s):
+    scope = _edge_scope(layers)
+    n = sum(EDGE_DELTA.deltas[name].size for name in scope)
+    p = _p_for(k, n)
+    with np.errstate(invalid="ignore"):  # inf * 0 in both
+        ours = prune_topp(EDGE_DELTA, p, s, partition=EDGE_PARTITION, layers=layers)
+        pruned = reference_delta.prune_topp(EDGE_DELTA, p, partition=EDGE_PARTITION, layers=layers)
+        expected = reference_delta.scale(pruned, s, names=scope)
+    assert (ours is EDGE_DELTA) == (k == n and s == 1.0)
+    for name in EDGE_DELTA.names:
+        got, want = ours.deltas[name], expected.deltas[name]
+        assert got.dtype == want.dtype and got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+        if name not in scope:
+            assert got is EDGE_DELTA.deltas[name], name
+
+
 class TestScaleAndProcess:
     def test_scale_identity_and_zero(self):
         delta = delta_from_vector([2.0, -4.0])
