@@ -400,7 +400,7 @@ def _parse_container(read, size: int):
         header = json.loads(
             bytes(read(8, header_len)).decode("utf-8"), object_pairs_hook=_unique_keys
         )
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too long an int or too deep
         raise FormatError(f"invalid header JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("header JSON is not an object")

@@ -1,11 +1,11 @@
 """Performance oracle bridge: external evaluator processes and builtin
 synthetic evaluators, with content-addressed caching.
 
-External protocol: the evaluator is a command template containing a
-``{checkpoint}`` placeholder.  The candidate is serialized to a scratch
-path, the command is invoked once, and it must print exactly one JSON
-object ``{"score": <number>}`` to stdout, in UTF-8, and exit 0.  Bytes
-of its stdout or stderr that are not UTF-8 are read as U+FFFD.
+External protocol: the evaluator is a command template, a POSIX shell word
+list (``shlex``) with a ``{checkpoint}`` placeholder and no NUL byte, run
+once per candidate on its serialized file.  It must print exactly one JSON
+object ``{"score": <number>}`` to stdout, in UTF-8, and exit 0; bytes of
+its stdout or stderr that are not UTF-8 are read as U+FFFD.
 
 Scores are cached in a JSON-lines file so reruns and restarts skip
 completed evaluations.  A cache entry is keyed by the candidate's
@@ -61,6 +61,12 @@ def _require_at_least(low: int, **values) -> None:
             raise ConfigError(f"builtin evaluator {name} must be >= {low}, got {value}")
 
 
+def _target(cp: Checkpoint, name: str) -> TensorRecord:
+    if name not in cp:
+        raise EvaluatorError(f"synthetic task target tensor {name!r} not found")
+    return cp.record(name)
+
+
 @dataclass(frozen=True)
 class SyntheticLinearTask:
     """Sign-agreement accuracy of one tensor against a seeded hidden optimum."""
@@ -77,16 +83,19 @@ class SyntheticLinearTask:
 
     def score(self, cp: Checkpoint) -> float:
         """Mean agreement of sign(<w, x>) with sign(<w*, x>) over seeded probes."""
-        if self.target not in cp:
-            raise EvaluatorError(f"synthetic task target tensor {self.target!r} not found")
-        rec = cp.record(self.target)
+        rec = _target(cp, self.target)
         if len(rec.shape) != 1 or rec.shape[0] != self.dim:
             raise EvaluatorError(
                 f"synthetic task target {self.target!r} must be 1-D of length "
                 f"{self.dim}, got shape {rec.shape}"
             )
-        probes, star_signs = _linear_fixture(self.seed, self.dim, self.n_eval)
-        return _sign_agreement(rec.as_f32().astype(np.float64), probes, star_signs)
+        return _fixture(self, (self.dim,)).score([rec])
+
+    def draw(self, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The probes and the optimum, drawn optimum first from one ``seed`` stream."""
+        rng = np.random.default_rng(self.seed)
+        w_star = rng.standard_normal(self.dim)
+        return rng.standard_normal((self.n_eval, self.dim)), w_star
 
 
 @dataclass(frozen=True)
@@ -112,14 +121,15 @@ class SyntheticCompositeTask:
         _require_at_least(1, n_eval=self.n_eval)
 
     def score(self, cp: Checkpoint) -> float:
-        """The sign agreement of ``probes @ w``, with each target's block of
-        the product taken from the fixture's memo (``_CompositeFixture``)."""
-        records = []
-        for name, _ in self.targets:
-            if name not in cp:
-                raise EvaluatorError(f"synthetic task target tensor {name!r} not found")
-            records.append(cp.record(name))
-        return _composite_fixture(self, tuple(rec.size for rec in records)).score(records)
+        """The sign agreement of ``probes @ w``, w the targets concatenated."""
+        records = [_target(cp, name) for name, _ in self.targets]
+        return _fixture(self, tuple(rec.size for rec in records)).score(records)
+
+    def draw(self, dims: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """The probes, from ``probe_seed``, and the targets' optima concatenated."""
+        w_star = np.concatenate([hidden_optimum(s, d) for (_, s), d in zip(self.targets, dims)])
+        probes = np.random.default_rng(self.probe_seed).standard_normal((self.n_eval, w_star.size))
+        return probes, w_star
 
 
 @dataclass(frozen=True)
@@ -142,26 +152,20 @@ def hidden_optimum(seed: int, dim: int) -> np.ndarray:
     return np.random.default_rng(seed).standard_normal(dim)
 
 
-# A fixture holds the probes and sign(probes @ w_star): the optimum's side
-# of each probe is a constant of the task, so it is computed once, not per
-# call.
-
-
 @functools.lru_cache(maxsize=8)
-def _linear_fixture(seed: int, dim: int, n_eval: int):
-    rng = np.random.default_rng(seed)
-    w_star = rng.standard_normal(dim)
-    probes = rng.standard_normal((n_eval, dim))
-    return probes, np.sign(probes @ w_star)
+def _fixture(task, dims: tuple[int, ...]) -> _SignFixture:
+    """The fixture of a sign-agreement ``task`` over targets of sizes ``dims``.  A probe
+    matrix numpy refuses to shape is an evaluator error; a failed allocation stays a MemoryError."""
+    try:
+        probes, w_star = task.draw(dims)
+    except ValueError as exc:
+        raise EvaluatorError(
+            f"{task.kind}: cannot draw a probe matrix of shape ({task.n_eval}, {sum(dims)}): {exc}"
+        ) from None
+    return _SignFixture(probes, w_star, dims)
 
 
-@functools.lru_cache(maxsize=8)
-def _composite_fixture(task: SyntheticCompositeTask, dims: tuple[int, ...]):
-    return _CompositeFixture(task, dims)
-
-
-# The most bytes of partial products one composite fixture keeps: 131
-# blocks at n_eval 2000.
+# The most bytes of partial products one fixture keeps: 131 blocks at n_eval 2000.
 MEMO_BYTES = 2 << 20
 
 
@@ -176,9 +180,10 @@ def _error_bound(n_terms: int, probe_max: float, w_l1: float) -> float:
     return 4 * n_terms * 2.0**-53 * probe_max * w_l1
 
 
-class _CompositeFixture:
-    """The probes of a ``SyntheticCompositeTask`` over targets of sizes
-    ``dims``, the optimum's signs, and a bounded LRU of partial products.
+class _SignFixture:
+    """The probes of a sign-agreement task over targets of sizes ``dims``,
+    the optimum's signs ``sign(probes @ w_star)`` (a constant of the task,
+    so taken once), and a bounded LRU of partial products.
 
     The product ``probes @ w`` of a candidate is summed from per-target
     blocks ``probes[:, block] @ w_block``, each kept under (target index,
@@ -187,20 +192,16 @@ class _CompositeFixture:
     sign of the full product once the sum is farther from zero than both
     can be from the exact value (``_error_bound``).  So the memo is used
     only when every row clears that bound, and the full product is taken
-    otherwise: the score is bit for bit the full product's.  Threads may
-    score at once; the memo is under a lock, the products are not.
+    otherwise: the score is bit for bit the full product's, which a single
+    target's block is.  Threads may score at once; the memo is under a
+    lock, the products are not.
     """
 
-    def __init__(self, task: SyntheticCompositeTask, dims: tuple[int, ...]):
-        w_star = np.concatenate(
-            [hidden_optimum(seed, d) for (_, seed), d in zip(task.targets, dims)]
-        )
-        self.probes = np.random.default_rng(task.probe_seed).standard_normal(
-            (task.n_eval, w_star.size)
-        )
-        self.star_signs = np.sign(self.probes @ w_star)
+    def __init__(self, probes: np.ndarray, w_star: np.ndarray, dims: tuple[int, ...]):
+        self.probes = probes
+        self.star_signs = np.sign(probes @ w_star)
         self.bounds = [0, *itertools.accumulate(dims)]
-        self.probe_max = max(self.probes.max(initial=0.0), -self.probes.min(initial=0.0))
+        self.probe_max = max(probes.max(initial=0.0), -probes.min(initial=0.0))
         self.capacity = max(1, MEMO_BYTES // self.star_signs.nbytes)
         self._partials: OrderedDict[tuple, tuple[np.ndarray, float]] = OrderedDict()
         self._lock = threading.Lock()
@@ -229,14 +230,13 @@ class _CompositeFixture:
             total += part
             w_l1 += norm
         bound = _error_bound(self.bounds[-1] + len(records), self.probe_max, w_l1)
-        if np.abs(total).min() > bound:  # False for a NaN or inf bound
-            return float(np.mean(np.sign(total) == self.star_signs))
-        w = np.concatenate([rec.as_f32().reshape(-1).astype(np.float64) for rec in records])
-        return _sign_agreement(w, self.probes, self.star_signs)
+        if not np.abs(total).min() > bound:  # True for a NaN or inf bound
+            total = _whole_product(self.probes, records)
+        return float(np.mean(np.sign(total) == self.star_signs))
 
 
-def _sign_agreement(w: np.ndarray, probes: np.ndarray, star_signs: np.ndarray) -> float:
-    return float(np.mean(np.sign(probes @ w) == star_signs))
+def _whole_product(probes: np.ndarray, records: list[TensorRecord]) -> np.ndarray:
+    return probes @ np.concatenate([rec.as_f32().reshape(-1).astype(np.float64) for rec in records])
 
 
 BUILTIN_TASKS = {
@@ -259,14 +259,20 @@ class EvalTask:
     # sha256 of the command template or of the builtin spec's canonical
     # JSON; the timeout does not change a score, so it is left out.
     identity: str = field(init=False, repr=False, compare=False)
+    # The command template split as a POSIX shell word list; () for a builtin.
+    argv: tuple[str, ...] = field(init=False, default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.evaluator, str):
+            what = f"evaluator command for task {self.task_id!r}"
             if "{checkpoint}" not in self.evaluator:
-                raise ConfigError(
-                    f"evaluator command for task {self.task_id!r} has no "
-                    "{checkpoint} placeholder"
-                )
+                raise ConfigError(f"{what} has no {{checkpoint}} placeholder")
+            if "\0" in self.evaluator:
+                raise ConfigError(f"{what} holds a NUL byte")
+            try:
+                object.__setattr__(self, "argv", tuple(shlex.split(self.evaluator)))
+            except ValueError as exc:  # an unclosed quote, or a trailing backslash
+                raise ConfigError(f"{what} does not split into words: {exc}") from None
             text = self.evaluator
         elif isinstance(self.evaluator, tuple(BUILTIN_TASKS.values())):
             text = json.dumps(
@@ -449,9 +455,7 @@ class EvaluationBridge:
             else:
                 score = task.evaluator.score(cp)
             if not math.isfinite(score):
-                raise EvaluatorError(
-                    f"task {task.task_id!r} returned non-finite score {score!r}"
-                )
+                raise EvaluatorError(f"task {task.task_id!r} returned non-finite score {score!r}")
             elapsed = time.monotonic() - start
             with self._lock:
                 self.invocations += 1
@@ -559,10 +563,7 @@ class EvaluationBridge:
     def _run_external(self, cp: Checkpoint, key: str, task: EvalTask) -> float:
         path = self._write_candidate(cp, key)
         try:
-            argv = [
-                token.replace("{checkpoint}", str(path))
-                for token in shlex.split(task.evaluator)
-            ]
+            argv = [token.replace("{checkpoint}", str(path)) for token in task.argv]
             # The evaluator leads its own process group, so a timeout also
             # kills any processes it started.
             try:
@@ -626,9 +627,6 @@ def _parse_score(stdout: str, task_id: str, stderr: str = "") -> float:
     if isinstance(score, bool) or not isinstance(score, (int, float)):
         raise EvaluatorError(f"task {task_id!r}: 'score' is not a number: {score!r}")
     try:
-        value = float(score)
+        return float(score)  # ``evaluate`` rejects a NaN or inf
     except OverflowError:  # an integer beyond the float range
         raise EvaluatorError(f"task {task_id!r}: score {score!r} is out of range") from None
-    if not math.isfinite(value):
-        raise EvaluatorError(f"task {task_id!r}: non-finite score {score!r}")
-    return value

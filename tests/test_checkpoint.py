@@ -619,6 +619,25 @@ def test_loaded_records_equal_the_written_ones(drawn):
         assert again.read_bytes() == checkpoint_to_bytes(parsed)
 
 
+def _raw_header(text: str, data: bytes = b"") -> bytes:
+    """A container of the header ``text``, which json.dumps may not write, and ``data``."""
+    return struct.pack("<Q", len(text)) + text.encode() + data
+
+
+def _json_error(text: str) -> str:
+    """What json says of ``text`` when it cannot parse it: its wording, and
+    the limits on digits and depth, move between Python versions."""
+    try:
+        json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        return str(exc)
+    raise AssertionError("the text parses")
+
+
+DEEP_HEADER = "[" * 100_000 + "]" * 100_000
+LONG_INTEGER_HEADER = '{"w": {"dtype": "F32", "shape": [%s], "data_offsets": [0, 4]}}' % (
+    "1" * 5000
+)
 # id -> (container bytes, the parse error load_checkpoint reports after the path)
 MALFORMED = {
     "too-short": (b"\x01\x00", "file too short for header length field (2 bytes)"),
@@ -631,6 +650,11 @@ MALFORMED = {
         "line 1 column 2 (char 1)",
     ),
     "duplicate-key": (struct.pack("<Q", 17) + b'{"a":"1","a":"2"}', "duplicate header key 'a'"),
+    "nested-deep": (_raw_header(DEEP_HEADER), f"invalid header JSON: {_json_error(DEEP_HEADER)}"),
+    "long-integer": (
+        _raw_header(LONG_INTEGER_HEADER, bytes(4)),
+        f"invalid header JSON: {_json_error(LONG_INTEGER_HEADER)}",
+    ),
     "out-of-bounds": (
         make_file_bytes({"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}}, bytes(4)),
         "tensor 'w': out-of-bounds data region [0, 8) in 4-byte data block",

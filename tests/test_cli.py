@@ -1955,6 +1955,10 @@ EDGE_VALUES = {
     bool: [False, True],
     str: ["", "x"],
 }
+# An n_eval beyond numpy's largest dimension.
+HUGE_N_EVAL = 10**30
+# Command templates that do not split into words, or hold a NUL byte.
+UNSPLITTABLE = ['/bin/sh "x {checkpoint}', "/bin/sh x {checkpoint} \\", "/bin/sh x\x00 {checkpoint}"]
 # Values of the wrong JSON type for most options, and a group as a scalar.
 WRONG_TYPES = [None, False, True, 0, 0.5, "0.5", [], [0.5], {}, {"x": 1}]
 FUZZ_TARGETS = [layer_name(0), layer_name(1), "head.w", "absent"]
@@ -1967,11 +1971,13 @@ def _edge_value(kind, name: str = ""):
         return st.sampled_from(FUZZ_TARGETS) | wrong
     if name == "dim":
         return st.sampled_from([*EDGE_VALUES[int], 8, 16]) | wrong
+    if name == "n_eval":  # and a count whose probe matrix numpy refuses to shape
+        return st.sampled_from([*EDGE_VALUES[int], HUGE_N_EVAL]) | wrong
     if name == "targets":
         pair = st.tuples(st.sampled_from(FUZZ_TARGETS), st.sampled_from(EDGE_VALUES[int]))
         return st.lists(pair.map(list), max_size=2) | wrong
-    if kind is object:  # an evaluator: a builtin spec, or a command with no placeholder
-        return _builtin_specs() | st.sampled_from(["", "x", "{checkpoint"]) | wrong
+    if kind is object:  # an evaluator: a builtin spec, or a command that cannot run
+        return _builtin_specs() | st.sampled_from(["", "x", "{checkpoint", *UNSPLITTABLE]) | wrong
     if kind == list[float]:
         return st.lists(st.sampled_from(EDGE_VALUES[float]), max_size=2) | wrong
     kinds = [k for k in get_args(kind) if k is not type(None)] or [kind]
@@ -2026,6 +2032,14 @@ def fuzz_inputs(tmp_path_factory) -> Path:
 
 @settings(max_examples=150, deadline=None)
 @given(config_documents())
+# Probe matrices numpy refuses: a dimension beyond its range, and a byte
+# size beyond it.  Each sweep cell records an evaluator error.
+@example(({"eval_a": {"builtin": "synthetic_linear", "seed": 0, "dim": 16, "n_eval": HUGE_N_EVAL,
+                      "target": layer_name(1)}}, {"eval_a"}))
+@example(({"eval_a": {"builtin": "synthetic_composite", "probe_seed": 0, "n_eval": 2**60,
+                      "targets": [[layer_name(1), 0]]}}, {"eval_a"}))
+@example(({"eval_a": UNSPLITTABLE[0]}, {"eval_a"}))
+@example(({"eval_a": UNSPLITTABLE[2]}, {"eval_a"}))
 def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(fuzz_inputs, case):
     """``sweep --config`` with a generated document: main returns a
     documented exit code and prints no traceback.  Exit 0 means a sweep.csv
@@ -2077,6 +2091,32 @@ def test_an_integer_too_long_to_convert_is_a_usage_error(workdir, capsys, fuzz_i
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("usage error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["sweep", "hi"])
+@pytest.mark.parametrize("n_eval", [HUGE_N_EVAL, 2**60])
+def test_a_probe_matrix_numpy_refuses_is_an_evaluator_error(workdir, capsys, verb, n_eval):
+    """A builtin whose probe matrix numpy refuses to shape fails its
+    evaluation: exit 3 for a hi merge, an error row in a sweep."""
+    paths = _one_layer_inputs(workdir)
+    spec = json.dumps({**LINEAR, "n_eval": n_eval})
+    out = workdir / "out"
+    if verb == "sweep":
+        argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"], "--eval-a", spec,
+                "--p-values", "0.5", "--s-values", "1"]
+    else:
+        argv = ["merge", "--method", "hi", *_hi_args(paths, spec)]
+    code = main([*argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    problem = f"synthetic_linear: cannot draw a probe matrix of shape ({n_eval}, 32)"
+    if verb == "sweep":
+        assert code == 0
+        with open(out / "sweep.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["score"] == "" and row["error"].startswith(problem)
+    else:
+        assert code == 3 and err.startswith("evaluator error: ") and problem in err
 
 
 # -- a stub evaluator's stdout, stderr and exit code ----------------------------
@@ -2192,3 +2232,21 @@ def test_a_stub_evaluators_reply_gets_a_documented_exit_code(stub_paths, verb, r
         assert "Traceback" not in err.getvalue()
         if code == 0:
             _assert_finite_outputs(tmp / "out")
+
+
+@pytest.mark.parametrize("verb", ["sweep", "hi"])
+@pytest.mark.parametrize("template", UNSPLITTABLE)
+def test_a_template_that_cannot_run_is_a_usage_error_before_out_exists(
+    stub_paths, capsys, tmp_path, verb, template
+):
+    """A command template with an unclosed quote, a trailing backslash or a
+    NUL byte fails config checking, so a hi merge writes no delta first."""
+    if verb == "sweep":
+        argv = ["sweep", "--base", stub_paths["base"], "--model-a", stub_paths["model_a"],
+                "--eval-a", template]
+    else:
+        argv = ["merge", "--method", "hi", *_hi_args(stub_paths, template)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: evaluator command for task 'A' ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()

@@ -28,6 +28,7 @@ from himerge import (
     SyntheticLinearTask,
     TensorRecord,
     hidden_optimum,
+    save_checkpoint,
 )
 from himerge.checkpoint import _TEMP_NAME, checkpoint_to_bytes, fingerprint, write_checkpoint
 
@@ -172,14 +173,14 @@ def _bench_scorer():
 def counted_fallbacks():
     """Count the scores that took the whole product instead of the memo."""
     count = [0]
-    whole = evaluation._sign_agreement
+    whole = evaluation._whole_product
 
     def counting(*args):
         count[0] += 1
         return whole(*args)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(evaluation, "_sign_agreement", counting)
+        m.setattr(evaluation, "_whole_product", counting)
         yield count
 
 
@@ -245,6 +246,57 @@ def test_composite_scores_equal_the_whole_product_when_every_score_falls_back(ca
     assert fallbacks[0] == len(candidates)
 
 
+@st.composite
+def linear_cases(draw):
+    """A linear task and a target for it in a random dtype: random, all
+    zero, or holding a NaN or an inf.  A target with a NaN or an inf, and
+    some others, is read back from a file."""
+    dim = draw(st.integers(1, 40))
+    task = SyntheticLinearTask(seed=draw(st.integers(0, 2**16)), dim=dim,
+                               n_eval=draw(st.integers(1, 300)), target="head.w")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w = rng.standard_normal(dim).astype(np.float32)
+    kind = draw(st.sampled_from(["random", "zero", "nan", "inf"]))
+    if kind == "zero":
+        w[:] = 0.0
+    elif kind != "random":
+        bad = math.nan if kind == "nan" else draw(st.sampled_from([-math.inf, math.inf]))
+        w[draw(st.integers(0, dim - 1))] = bad
+    cp = Checkpoint([record_from_array("head.w", w, draw(st.sampled_from(TARGET_DTYPES)))])
+    return task, cp, kind in ("nan", "inf") or draw(st.booleans())
+
+
+@contextlib.contextmanager
+def candidate_of(case):
+    """The case's checkpoint, from memory or read back from a file."""
+    _, cp, from_file = case
+    with tempfile.TemporaryDirectory() as tmp:
+        yield save_checkpoint(cp, Path(tmp) / "cp.safetensors") if from_file else cp
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # a product over an inf target may be NaN
+@settings(max_examples=150, deadline=None)
+@given(linear_cases())
+def test_linear_scores_equal_the_whole_product(case):
+    """Twice, so the second score comes from the fixture's memo."""
+    task = case[0]
+    with candidate_of(case) as cp:
+        want = reference_evaluation.linear_score(task, cp)
+        assert task.score(cp) == want and task.score(cp) == want
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(linear_cases())
+def test_linear_scores_equal_the_whole_product_when_every_score_falls_back(case):
+    task = case[0]
+    with candidate_of(case) as cp, counted_fallbacks() as fallbacks:
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(evaluation, "_error_bound", lambda *args: math.inf)
+            assert task.score(cp) == reference_evaluation.linear_score(task, cp)
+    assert fallbacks[0] == 1
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [0.0, math.inf, -math.inf, math.nan])
 def test_a_zero_or_non_finite_target_takes_the_whole_product(bad):
@@ -277,7 +329,7 @@ def test_a_row_within_rounding_error_of_zero_takes_the_whole_product():
     cp = Checkpoint([record_from_array("m.layers.0.w", first),
                      record_from_array("m.layers.1.w", second)])
     w = np.concatenate([first, second]).astype(np.float64)
-    bound = evaluation._error_bound(18, np.abs(evaluation._composite_fixture(task, (8, 8)).probes).max(),
+    bound = evaluation._error_bound(18, np.abs(evaluation._fixture(task, (8, 8)).probes).max(),
                                     np.abs(w).sum())
     assert abs(probe @ w) < bound
     with counted_fallbacks() as fallbacks:
@@ -320,7 +372,7 @@ def test_threads_score_at_once_through_a_full_memo(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    fixture = evaluation._composite_fixture(task, (32, 32, 32))
+    fixture = evaluation._fixture(task, (32, 32, 32))
     assert fixture.capacity == 3 and len(fixture._partials) <= 3
 
 
@@ -329,7 +381,7 @@ def test_the_memo_holds_at_most_two_mebibytes_at_n_eval_2000():
     rng = np.random.default_rng(17)
     for _ in range(3):
         task.score(Checkpoint([record_from_array("m.layers.0.w", rng.standard_normal(8))]))
-    fixture = evaluation._composite_fixture(task, (8,))
+    fixture = evaluation._fixture(task, (8,))
     assert len(fixture._partials) == 3
     assert fixture.capacity * fixture.star_signs.nbytes <= 2 * 2**20 == evaluation.MEMO_BYTES
 
