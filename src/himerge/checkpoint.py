@@ -607,27 +607,38 @@ class LayerPartition:
         return layers
 
 
-def partition_layers(cp: Checkpoint, rule: str = DEFAULT_LAYER_RULE) -> LayerPartition:
-    """Assign every tensor to a layer via the rule's single integer capture.
-
-    Non-matching names go to PRE if they sort before the first matching name
-    (or when nothing matches), else POST.
-    """
+def compile_layer_rule(rule: str) -> re.Pattern:
+    """The layer rule as a regex; a ConfigError unless it compiles with
+    exactly one capture group."""
     try:
         pattern = re.compile(rule)
-    except re.error as exc:
+    # re.error for bad syntax; OverflowError for a repeat count beyond its
+    # range; RecursionError for groups nested too deeply to parse.
+    except (re.error, OverflowError, RecursionError) as exc:
         raise ConfigError(f"invalid layer rule {rule!r}: {exc}") from exc
     if pattern.groups != 1:
         raise ConfigError(
             f"layer rule {rule!r} must have exactly one capture group, has {pattern.groups}"
         )
+    return pattern
 
+
+def partition_layers(cp: Checkpoint, rule: str = DEFAULT_LAYER_RULE) -> LayerPartition:
+    """Assign every tensor to a layer via the rule's single integer capture.
+
+    Non-matching names go to PRE if they sort before the first matching name
+    (or when nothing matches), else POST.  A match in which the capture
+    group takes no part is a ConfigError.
+    """
+    pattern = compile_layer_rule(rule)
     names = cp.names
     captured: dict[str, int] = {}
     for name in names:
         m = pattern.search(name)
         if m is None:
             continue
+        if m.group(1) is None:
+            raise ConfigError(f"layer rule {rule!r} matched {name!r} without its capture group")
         try:
             captured[name] = int(m.group(1))
         except ValueError:

@@ -5,7 +5,8 @@ External protocol: the evaluator is a command template, a POSIX shell word
 list (``shlex``) with a ``{checkpoint}`` placeholder and no NUL byte, run
 once per candidate on its serialized file.  It must print exactly one JSON
 object ``{"score": <number>}`` to stdout, in UTF-8, and exit 0; bytes of
-its stdout or stderr that are not UTF-8 are read as U+FFFD.
+its stdout or stderr that are not UTF-8 are read as U+FFFD.  Every score,
+a builtin's, an evaluator's or a cache line's, passes ``_valid_score``.
 
 Scores are cached in a JSON-lines file so reruns and restarts skip
 completed evaluations.  A cache entry is keyed by the candidate's
@@ -47,6 +48,21 @@ from .errors import ConfigError, EvaluatorError, FormatError
 DEFAULT_TIMEOUT = 600.0
 # The longest wait a poll takes: 2**31 - 1 milliseconds, in whole seconds.
 MAX_TIMEOUT = 2147483.0
+
+
+def _valid_score(value) -> float:
+    """``value`` as a score: a JSON number, not a bool, that is finite as a
+    float.  The one rule for a builtin's return, an evaluator's reply and a
+    cache line; json reads NaN, Infinity and 1e999 as numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise EvaluatorError(f"'score' is not a number: {value!r}")
+    try:
+        score = float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise EvaluatorError(f"score {value!r} is out of range") from None
+    if not math.isfinite(score):
+        raise EvaluatorError(f"non-finite score {score!r}")
+    return score
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +340,7 @@ class EvalCache:
     def _load(self) -> None:
         """Read the entries; a torn final line (a write cut short by a
         crash) is truncated away, corruption anywhere else is an error.  An
-        entry whose score is not a finite JSON number is corrupt."""
+        entry whose score ``_valid_score`` rejects is corrupt."""
         data = self.path.read_bytes()
         lines = data.split(b"\n")
         offset = 0
@@ -336,13 +352,8 @@ class EvalCache:
                         raise TypeError("not a JSON object")
                     if entry.get("v") == CACHE_VERSION:
                         slot = (entry["key"], entry["task_id"], entry["evaluator"])
-                        score = entry["score"]
-                        # json reads NaN, Infinity and 1e999 as numbers; isfinite
-                        # raises on a string and on an integer beyond the float range.
-                        if isinstance(score, bool) or not math.isfinite(score):
-                            raise ValueError(f"score is not a finite number: {score!r}")
-                        self._scores[slot] = float(score)
-            except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
+                        self._scores[slot] = _valid_score(entry["score"])
+            except (ValueError, KeyError, TypeError, RecursionError, EvaluatorError) as exc:
                 if number < len(lines):
                     raise FormatError(
                         f"{self.path}: corrupt cache entry on line {number}: {exc}"
@@ -450,12 +461,14 @@ class EvaluationBridge:
 
         try:
             start = time.monotonic()
-            if isinstance(task.evaluator, str):
-                score = self._run_external(cp, key, task)
-            else:
-                score = task.evaluator.score(cp)
-            if not math.isfinite(score):
-                raise EvaluatorError(f"task {task.task_id!r} returned non-finite score {score!r}")
+            try:
+                if isinstance(task.evaluator, str):
+                    value = self._run_external(cp, key, task)
+                else:
+                    value = task.evaluator.score(cp)
+                score = _valid_score(value)
+            except EvaluatorError as exc:  # the one place a scoring failure names its task
+                raise EvaluatorError(f"task {task.task_id!r}: {exc}") from exc
             elapsed = time.monotonic() - start
             with self._lock:
                 self.invocations += 1
@@ -560,7 +573,8 @@ class EvaluationBridge:
                 os.unlink(path)
             raise
 
-    def _run_external(self, cp: Checkpoint, key: str, task: EvalTask) -> float:
+    def _run_external(self, cp: Checkpoint, key: str, task: EvalTask):
+        """The ``score`` value of the evaluator's reply, not yet checked."""
         path = self._write_candidate(cp, key)
         try:
             argv = [token.replace("{checkpoint}", str(path)) for token in task.argv]
@@ -583,23 +597,28 @@ class EvaluationBridge:
                         with self._lock:
                             self._groups.discard(proc.pid)
             except subprocess.TimeoutExpired as exc:
-                raise EvaluatorError(
-                    f"task {task.task_id!r}: evaluator timed out after {task.timeout}s"
-                ) from exc
+                raise EvaluatorError(f"evaluator timed out after {task.timeout}s") from exc
             except OSError as exc:
-                raise EvaluatorError(
-                    f"task {task.task_id!r}: cannot run evaluator: {exc}"
-                ) from exc
+                raise EvaluatorError(f"cannot run evaluator: {exc}") from exc
             if proc.returncode != 0:
                 raise EvaluatorError(
-                    f"task {task.task_id!r}: evaluator exited {proc.returncode}; "
-                    f"stderr: {stderr.strip()[-2000:]}"
+                    f"evaluator exited {proc.returncode}; stderr: {stderr.strip()[-2000:]}"
                 )
-            return _parse_score(stdout, task.task_id, stderr)
         finally:
             if self.keep_dir is None:
                 with contextlib.suppress(OSError):
                     os.unlink(path)
+        text = stdout.strip()
+        try:
+            payload = json.loads(text)
+        except (ValueError, RecursionError) as exc:  # not JSON, an over-long integer, or too deep
+            raise EvaluatorError(
+                f"stdout is not a single JSON object ({exc}); stdout: {text[:500]!r}; "
+                f"stderr: {stderr.strip()[-500:]}"
+            ) from exc
+        if not isinstance(payload, dict) or "score" not in payload:
+            raise EvaluatorError(f"expected JSON object with a 'score' key, got {text[:200]!r}")
+        return payload["score"]
 
     def _kill_evaluators(self) -> None:
         """SIGKILL the process group of every running external evaluator."""
@@ -609,24 +628,3 @@ class EvaluationBridge:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(group, signal.SIGKILL)
 
-
-def _parse_score(stdout: str, task_id: str, stderr: str = "") -> float:
-    text = stdout.strip()
-    try:
-        payload = json.loads(text)
-    except (ValueError, RecursionError) as exc:  # not JSON, an over-long integer, or too deep
-        raise EvaluatorError(
-            f"task {task_id!r}: stdout is not a single JSON object "
-            f"({exc}); stdout: {text[:500]!r}; stderr: {stderr.strip()[-500:]}"
-        ) from exc
-    if not isinstance(payload, dict) or "score" not in payload:
-        raise EvaluatorError(
-            f"task {task_id!r}: expected JSON object with a 'score' key, got {text[:200]!r}"
-        )
-    score = payload["score"]
-    if isinstance(score, bool) or not isinstance(score, (int, float)):
-        raise EvaluatorError(f"task {task_id!r}: 'score' is not a number: {score!r}")
-    try:
-        return float(score)  # ``evaluate`` rejects a NaN or inf
-    except OverflowError:  # an integer beyond the float range
-        raise EvaluatorError(f"task {task_id!r}: score {score!r} is out of range") from None

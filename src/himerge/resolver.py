@@ -34,6 +34,7 @@ from .checkpoint import (
     Checkpoint,
     LayerPartition,
     atomic_open,
+    compile_layer_rule,
     partition_layers,
     save_checkpoint,
     validate_compat,
@@ -275,7 +276,8 @@ def iterate(
 
 @dataclass
 class HiMergeConfig:
-    """Model-wise (p, s) and evaluation task, each keyed by model id."""
+    """Model-wise (p, s) and evaluation task, each keyed by model id.  The
+    layer rule is checked here, so a bad one fails before any output."""
 
     params: dict[str, PruneScaleParams]
     tasks: dict[str, EvalTask]
@@ -290,6 +292,7 @@ class HiMergeConfig:
         for name in ("params", "tasks"):
             if set(getattr(self, name)) != {"A", "B"}:
                 raise ConfigError(f"{name} must be keyed by model ids A and B")
+        compile_layer_rule(self.layer_rule)
 
 
 @dataclass
@@ -316,8 +319,8 @@ def prepare(
     config: HiMergeConfig,
     bridge: EvaluationBridge,
 ) -> AnalysisContext:
-    """The pipeline up to the conflict analysis: compat check, deltas,
-    model-wise processing, layer partition and pre-merge.  Returns the
+    """The pipeline up to the conflict analysis: compat check, layer
+    partition, deltas, model-wise processing and pre-merge.  Returns the
     analysis context.
 
     Each model's delta is computed and model-wise processed before the next
@@ -334,6 +337,8 @@ def prepare(
     with _stage("compat"):
         for model in models.values():
             validate_compat(base, model)
+    with _stage("partition"):
+        partition = partition_layers(base, config.layer_rule)
     deltas = {}
     for m, model in models.items():
         with _stage("delta"):
@@ -343,8 +348,6 @@ def prepare(
         if out is not None:
             delta = save_delta(delta, out / f"delta_{m.lower()}_processed.safetensors")
         deltas[m] = delta
-    with _stage("partition"):
-        partition = partition_layers(base, config.layer_rule)
     with _stage("pre-merge"):
         theta_g = assemble_final(base, *deltas.values())
         if out is not None:

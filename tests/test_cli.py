@@ -1739,6 +1739,38 @@ def test_timeout_at_the_cap_runs_an_external_evaluator(workdir, capsys, script_e
     assert "0.5" in (workdir / "out" / "sweep.csv").read_text()
 
 
+def test_a_spec_timeout_overrides_the_flag_and_shares_the_templates_cache(
+    workdir, capsys, script_evaluator
+):
+    """``{"command": ..., "timeout": ...}`` runs the command with its own
+    timeout, whatever ``--timeout`` says, and scores into the same cache
+    lines as the bare template."""
+    paths = _one_layer_inputs(workdir)
+    slow = workdir / "slow"
+    cmd = script_evaluator(f"""
+        import os, time
+        time.sleep(2 if os.path.exists({str(slow)!r}) else 0)
+        print('{{"score": 0.5}}')
+        """)
+    argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
+            "--p-values", "1", "--s-values", "1", "--timeout", "600", "--out", str(workdir / "out")]
+    slow.touch()
+    assert main([*argv, "--eval-a", json.dumps({"command": cmd, "timeout": 0.5})]) == 0
+    capsys.readouterr()
+    with open(workdir / "out" / "sweep.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert row["error"] == "task 'A': evaluator timed out after 0.5s"
+    slow.unlink()
+    for spec, invocations in ((json.dumps({"command": cmd, "timeout": 5}), 1), (cmd, 0)):
+        assert main([*argv, "--eval-a", spec]) == 0
+        err = capsys.readouterr().err
+        assert _invocations(err) == invocations and "Traceback" not in err
+    assert "(cache hits: 1," in err
+    with open(workdir / "out" / "sweep.csv") as fh:
+        (row,) = csv.DictReader(fh)
+    assert (row["score"], row["error"]) == ("0.5", "")
+
+
 def test_analyze_reports_an_evaluator_failure_as_hi_does(workdir, capsys, script_evaluator):
     paths = _one_layer_inputs(workdir)
     cmd = script_evaluator("import sys; print('no score', file=sys.stderr); sys.exit(1)")
@@ -1764,6 +1796,74 @@ def test_a_missing_or_unknown_command_or_method_is_a_usage_error(workdir, capsys
     err = capsys.readouterr().err
     assert err.startswith("usage error: ") and "Traceback" not in err
     assert not out.exists()
+
+
+# (case, flags to change on a hi merge, config document, what the usage
+# error says).  A flag set to None is left out; a flag value that names an
+# input ("model_a") is that input's path.  The config "absent" is a path
+# that does not exist.
+USAGE_ERRORS = [
+    ("no --out", {"--out": None}, None, "missing required option(s): --out"),
+    ("--base is --model-a", {"--base": "model_a"}, None, "must be distinct"),
+    ("no --eval-b", {"--eval-b": None}, None, "missing evaluator for task B (--eval-b)"),
+    ("config absent", {}, "absent", "config file does not exist"),
+    ("config a list", {}, [], "config file must contain a JSON object"),
+    ("eval_a a number", {"--eval-a": None}, {"eval_a": 5},
+     "evaluator spec for A must be a command or object"),
+    ("unknown builtin", {"--eval-a": '{"builtin": "nope"}'}, None,
+     "unknown builtin evaluator 'nope' for task A"),
+    ("builtin keys missing", {"--eval-a": '{"builtin": "synthetic_linear", "seed": 1}'}, None,
+     "bad builtin evaluator spec for A: "),
+]
+
+
+@pytest.mark.parametrize("flags, doc, problem", [c[1:] for c in USAGE_ERRORS],
+                         ids=[c[0] for c in USAGE_ERRORS])
+def test_a_usage_error_names_its_cause_and_creates_nothing(workdir, capsys, flags, doc, problem):
+    paths = _one_layer_inputs(workdir)
+    spec = json.dumps(LINEAR)
+    argv = {"--base": paths["base"], "--model-a": paths["model_a"], "--model-b": paths["model_b"],
+            "--eval-a": spec, "--eval-b": spec, "--out": str(workdir / "out")}
+    for flag, value in flags.items():
+        argv[flag] = paths.get(value, value)
+    if doc is not None:
+        argv["--config"] = str(workdir / "cfg.json")
+        if doc != "absent":
+            (workdir / "cfg.json").write_text(json.dumps(doc))
+    words = [word for flag, value in argv.items() if value is not None for word in (flag, value)]
+    before = sorted(workdir.iterdir())
+    assert main(["merge", "--method", "hi", *words]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and problem in err and "Traceback" not in err
+    assert sorted(workdir.iterdir()) == before
+
+
+# (layer rule, what the usage error says); the last one compiles to one
+# group, which takes no part in the match on "model.layers.0.w".
+BAD_LAYER_RULES = [
+    ("(", "invalid layer rule '(': missing ), unterminated subpattern"),
+    ("a{99999999999}", "invalid layer rule 'a{99999999999}': the repetition number is too large"),
+    (r"layers\.(\d+)|model", f"matched {layer_name(0)!r} without its capture group"),
+]
+
+
+@pytest.mark.parametrize("verb", [["merge", "--method", "hi"], ["analyze"]], ids=["hi", "analyze"])
+@pytest.mark.parametrize("rule, problem", BAD_LAYER_RULES, ids=["syntax", "repeat", "no part"])
+def test_a_bad_layer_rule_is_a_usage_error(workdir, capsys, verb, rule, problem):
+    """A rule that does not compile to one capture group fails before
+    ``--out`` exists; one whose group takes no part in a match fails at
+    the partition, before any delta is written, naming the rule and the
+    tensor."""
+    paths = _one_layer_inputs(workdir)
+    out = workdir / "out"
+    argv = [*verb, *_hi_args(paths, json.dumps(LINEAR)), "--layer-rule", rule, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and problem in err and "Traceback" not in err
+    if "capture group" in problem:
+        assert not list(out.glob("*.safetensors"))
+    else:
+        assert not out.exists()
 
 
 # Records its pid as a file name in the directory argv[2], then sleeps.
@@ -2045,8 +2145,8 @@ def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(fuzz_
     documented exit code and prints no traceback.  Exit 0 means a sweep.csv
     whose every row holds a finite score, or instead the evaluator error
     that sweep records for that cell (a target that is absent or of another
-    length).  A grid the document does not set is one or two values on
-    the command line, and so is an evaluator."""
+    length), which names the task.  A grid the document does not set is
+    one or two values on the command line, and so is an evaluator."""
     doc, named = case
     extra = []
     if "eval_a" not in named:
@@ -2073,6 +2173,7 @@ def test_a_config_document_at_the_domain_edges_gets_a_documented_exit_code(fuzz_
             for row in rows:
                 assert (row["score"] == "") != (row["error"] == ""), row
                 assert row["error"] or math.isfinite(float(row["score"])), row
+                assert not row["error"] or row["error"].startswith("task 'A': "), row
 
 
 @pytest.mark.parametrize("where", ["config", "eval"])
@@ -2097,7 +2198,8 @@ def test_an_integer_too_long_to_convert_is_a_usage_error(workdir, capsys, fuzz_i
 @pytest.mark.parametrize("n_eval", [HUGE_N_EVAL, 2**60])
 def test_a_probe_matrix_numpy_refuses_is_an_evaluator_error(workdir, capsys, verb, n_eval):
     """A builtin whose probe matrix numpy refuses to shape fails its
-    evaluation: exit 3 for a hi merge, an error row in a sweep."""
+    evaluation: exit 3 for a hi merge, an error row in a sweep.  Either
+    message names the task."""
     paths = _one_layer_inputs(workdir)
     spec = json.dumps({**LINEAR, "n_eval": n_eval})
     out = workdir / "out"
@@ -2114,7 +2216,7 @@ def test_a_probe_matrix_numpy_refuses_is_an_evaluator_error(workdir, capsys, ver
         assert code == 0
         with open(out / "sweep.csv") as fh:
             (row,) = csv.DictReader(fh)
-        assert row["score"] == "" and row["error"].startswith(problem)
+        assert row["score"] == "" and row["error"].startswith(f"task 'A': {problem}")
     else:
         assert code == 3 and err.startswith("evaluator error: ") and problem in err
 

@@ -517,6 +517,31 @@ class TestBridgeBuiltin:
         monkeypatch.undo()
         assert bridge.evaluate(cps[0], task).value == 0.5 and bridge.invocations == 1
 
+    @pytest.mark.parametrize(
+        "outcome, error, message",
+        [
+            (math.nan, EvaluatorError, "task 'A': non-finite score nan"),
+            (True, EvaluatorError, "task 'A': 'score' is not a number: True"),
+            (EvaluatorError("target gone"), EvaluatorError, "task 'A': target gone"),
+            (TypeError("a bug"), TypeError, "a bug"),
+        ],
+        ids=["NaN", "bool", "evaluator error", "other error"],
+    )
+    def test_a_builtins_outcome_passes_the_score_rule(self, monkeypatch, outcome, error, message):
+        """A builtin's return passes the score rule, and its failure or an
+        EvaluatorError from the builtin names the task; an exception of
+        another kind is raised as it is."""
+
+        def score(spec, cp):
+            if isinstance(outcome, Exception):
+                raise outcome
+            return outcome
+
+        monkeypatch.setattr(ConstantTask, "score", score)
+        with pytest.raises(error) as info:
+            EvaluationBridge().evaluate(cp_with_target(np.ones(4)), EvalTask("A", ConstantTask()))
+        assert str(info.value) == message
+
     def test_cached_equals_fresh_for_builtin(self):
         task_spec = SyntheticLinearTask(seed=3, dim=DIM, n_eval=200, target="head.w")
         cp = cp_with_target(np.linspace(-2, 2, DIM))
