@@ -152,8 +152,7 @@ class TensorRecord:
 
     @property
     def size(self) -> int:
-        """The element count, under numpy's name: a delta tensor is an array
-        or a record, and both answer ``shape`` and ``size``."""
+        """The element count, under numpy's name."""
         return math.prod(self.shape)
 
     @property
@@ -576,10 +575,10 @@ def validate_compat(a: Checkpoint, b: Checkpoint) -> None:
 
 @dataclass
 class LayerPartition:
-    """Total assignment of tensor names to layer ids (PRE, 0..L-1, POST)."""
+    """Total assignment of tensor names to layer ids: PRE, the layer indices
+    the rule captured, and POST.  An index that holds no tensor is no layer."""
 
     assignment: dict[str, object]
-    num_layers: int
     _by_layer: dict[object, list[str]] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -595,16 +594,24 @@ class LayerPartition:
         return list(self._by_layer.get(layer, []))
 
     def transformer_layers(self) -> list[int]:
-        return list(range(self.num_layers))
+        return sorted(layer for layer in self._by_layer if layer not in (PRE, POST))
 
     def all_layers(self) -> list:
         layers: list = []
         if self._by_layer.get(PRE):
             layers.append(PRE)
-        layers.extend(range(self.num_layers))
+        layers.extend(self.transformer_layers())
         if self._by_layer.get(POST):
             layers.append(POST)
         return layers
+
+
+def _shown_rule(rule: str) -> str:
+    """The layer rule as an error shows it: a long one is cut to its first
+    200 characters and its length."""
+    if len(rule) <= 200:
+        return repr(rule)
+    return f"{rule[:200]!r}... ({len(rule)} characters)"
 
 
 def compile_layer_rule(rule: str) -> re.Pattern:
@@ -615,10 +622,11 @@ def compile_layer_rule(rule: str) -> re.Pattern:
     # re.error for bad syntax; OverflowError for a repeat count beyond its
     # range; RecursionError for groups nested too deeply to parse.
     except (re.error, OverflowError, RecursionError) as exc:
-        raise ConfigError(f"invalid layer rule {rule!r}: {exc}") from exc
+        raise ConfigError(f"invalid layer rule {_shown_rule(rule)}: {exc}") from exc
     if pattern.groups != 1:
         raise ConfigError(
-            f"layer rule {rule!r} must have exactly one capture group, has {pattern.groups}"
+            f"layer rule {_shown_rule(rule)} must have exactly one capture group, "
+            f"has {pattern.groups}"
         )
     return pattern
 
@@ -638,12 +646,14 @@ def partition_layers(cp: Checkpoint, rule: str = DEFAULT_LAYER_RULE) -> LayerPar
         if m is None:
             continue
         if m.group(1) is None:
-            raise ConfigError(f"layer rule {rule!r} matched {name!r} without its capture group")
+            raise ConfigError(
+                f"layer rule {_shown_rule(rule)} matched {name!r} without its capture group"
+            )
         try:
             captured[name] = int(m.group(1))
         except ValueError:
             raise ConfigError(
-                f"layer rule {rule!r} captured non-integer {m.group(1)!r} on {name!r}"
+                f"layer rule {_shown_rule(rule)} captured non-integer {m.group(1)!r} on {name!r}"
             ) from None
 
     first_match = next((i for i, n in enumerate(names) if n in captured), None)
@@ -655,5 +665,4 @@ def partition_layers(cp: Checkpoint, rule: str = DEFAULT_LAYER_RULE) -> LayerPar
             assignment[name] = PRE
         else:
             assignment[name] = POST
-    num_layers = 1 + max(captured.values()) if captured else 0
-    return LayerPartition(assignment=assignment, num_layers=num_layers)
+    return LayerPartition(assignment=assignment)

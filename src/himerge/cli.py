@@ -108,8 +108,9 @@ class RunConfig:
         missing = [n.replace("_", "-") for n in names if getattr(self, n) in (None, "")]
         if missing:
             raise ConfigError(f"missing required option(s): --{', --'.join(missing)}")
+        # Two spellings of one file (``./``, ``d/../d/``, a symlink) are one path.
         paths = [
-            getattr(self, n)
+            os.path.realpath(getattr(self, n))
             for n in ("base", "model_a", "model_b", "out")
             if getattr(self, n)
         ]

@@ -11,6 +11,7 @@ multiplies every entry by ``s``.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -30,45 +31,57 @@ from .checkpoint import (
 from .errors import CompatError, ConfigError
 
 
-@dataclass
-class DeltaVector:
-    """Per-tensor float32 parameter differences against a base checkpoint.
+class DeltaVector(Checkpoint):
+    """Per-tensor float32 parameter differences against a base checkpoint:
+    a checkpoint whose every record is f32, and whose metadata is what a
+    delta file holds (``kind=delta``, ``base_fingerprint``, ``provenance``).
 
-    Each tensor in ``deltas`` is a float32 array held in memory, or an f32
-    ``TensorRecord``: a ``FileRecord`` of a delta file is read from the file
-    on each use.  ``array`` gives either as an array.
+    A tensor held in memory is a record viewing its array (``_f32_record``);
+    one read from a delta file is its ``FileRecord``, read on each use.
     """
 
-    base_fingerprint: str
-    deltas: dict[str, np.ndarray | TensorRecord]
-    provenance: str = ""
-
-    def __post_init__(self):
-        self.deltas = {name: self.deltas[name] for name in sorted(self.deltas)}
+    def __init__(self, base_fingerprint: str, records, provenance: str = ""):
+        meta = {"kind": "delta", "base_fingerprint": base_fingerprint, "provenance": provenance}
+        super().__init__(records, meta)
 
     @property
-    def names(self) -> list[str]:
-        return list(self.deltas)
+    def base_fingerprint(self) -> str:
+        return self.metadata["base_fingerprint"]
+
+    @property
+    def provenance(self) -> str:
+        return self.metadata["provenance"]
+
+    @property
+    def deltas(self) -> types.MappingProxyType:
+        """Tensor name -> record, read-only (the bench's tracer reads it)."""
+        return types.MappingProxyType(self._records)
 
     @property
     def num_params(self) -> int:
-        return sum(entry.size for entry in self.deltas.values())
+        return sum(rec.size for rec in self)
 
     def array(self, name: str) -> np.ndarray:
-        """Tensor ``name`` as a float32 array: the held array itself, which
-        must not be changed, or a fresh one read from the record."""
-        entry = self.deltas[name]
-        return entry if isinstance(entry, np.ndarray) else entry.as_f32()
+        """Tensor ``name`` as a read-only float32 array: a view of the array
+        held in memory, or a fresh read from the file."""
+        rec = self.record(name)
+        return np.frombuffer(rec.data, "<f4").reshape(rec.shape)
 
     def replace(self, arrays: dict[str, np.ndarray]) -> "DeltaVector":
         """New DeltaVector with some tensors replaced by arrays (the others
         shared, in memory or in their file)."""
-        merged = dict(self.deltas)
+        merged = dict(self._records)
         for name, arr in arrays.items():
             if name not in merged:
                 raise CompatError(f"delta has no tensor named {name!r}")
-            merged[name] = np.asarray(arr, dtype=np.float32)
-        return DeltaVector(self.base_fingerprint, merged, self.provenance)
+            merged[name] = _f32_record(name, arr)
+        return DeltaVector(self.base_fingerprint, merged.values(), self.provenance)
+
+
+def _f32_record(name: str, arr: np.ndarray) -> TensorRecord:
+    """An f32 record viewing ``arr``'s bytes, with no copy for a contiguous
+    little-endian float32 array; the array must not change afterwards."""
+    return TensorRecord(name, "f32", np.shape(arr), array_bytes(np.ascontiguousarray(arr, "<f4")))
 
 
 @dataclass(frozen=True)
@@ -96,7 +109,7 @@ def compute_delta(model: Checkpoint, base: Checkpoint, provenance: str = "") -> 
     it is computed, by the rule ``encode_record`` applies to an f32 tensor:
     the first one with a NaN or inf is a CompatError naming it."""
     validate_compat(model, base)
-    deltas = {}
+    records = []
     with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
         for name in base.names:
             diff = model.as_f32(name)  # a fresh array, so it can take the difference in place
@@ -104,8 +117,8 @@ def compute_delta(model: Checkpoint, base: Checkpoint, provenance: str = "") -> 
             if not _encodes_finite("f32", diff):
                 raise CompatError(f"delta of {provenance or 'model'} against the base: "
                                   f"tensor {name!r} holds a NaN or inf delta")
-            deltas[name] = diff
-    return DeltaVector(fingerprint(base), deltas, provenance)
+            records.append(_f32_record(name, diff))
+    return DeltaVector(fingerprint(base), records, provenance)
 
 
 def prune_topp(
@@ -139,7 +152,7 @@ def prune_topp(
 
     wanted = None if layers is None else set(layers)
     scope = [n for n in delta.names if wanted is None or partition.layer_of(n) in wanted]
-    n = sum(delta.deltas[name].size for name in scope)
+    n = sum(delta.record(name).size for name in scope)
     k = _retain_count(p, n)
     if k >= n and s == 1.0:
         return delta
@@ -170,7 +183,7 @@ def prune_topp(
         out = np.multiply(flat, keep, dtype=np.uint32).view(np.float32)
         if s != 1.0:
             out *= np.float32(s)
-        kept[name] = out.reshape(delta.deltas[name].shape)
+        kept[name] = out.reshape(delta.record(name).shape)
     return delta.replace(kept)
 
 
@@ -271,21 +284,8 @@ def layer_arrays(
 
 
 def save_delta(delta: DeltaVector, path) -> DeltaVector:
-    """Write a delta file, one tensor at a time: an array is written
-    unencoded through a view of it, a record is read from its file.  Its
-    metadata holds ``kind=delta``, the provenance, and the base's
-    ``fingerprint`` under ``base_fingerprint``: the key of the base's lines
-    in the evaluation cache.  Returns the delta re-opened from the file: its
-    tensors are the file's records, read on each use."""
-    records = [
-        entry if isinstance(entry, TensorRecord) else
-        TensorRecord(name, "f32", entry.shape, array_bytes(np.ascontiguousarray(entry, "<f4")))
-        for name, entry in delta.deltas.items()
-    ]
-    meta = {
-        "kind": "delta",
-        "base_fingerprint": delta.base_fingerprint,
-        "provenance": delta.provenance,
-    }
-    saved = save_checkpoint(Checkpoint(records, meta), path)
-    return DeltaVector(delta.base_fingerprint, {rec.name: rec for rec in saved}, delta.provenance)
+    """Write a delta file, one tensor at a time, its metadata included: the
+    base's ``fingerprint`` is the key of the base's lines in the evaluation
+    cache.  Returns the delta re-opened from the file: its tensors are the
+    file's records, read on each use."""
+    return DeltaVector(delta.base_fingerprint, save_checkpoint(delta, path), delta.provenance)

@@ -405,13 +405,12 @@ def hi_merge(
 
 def _assemble(ctx: AnalysisContext, finals: dict[str, DeltaVector]) -> Checkpoint:
     """theta_F plus every final delta, sharing theta_G's record wherever no
-    final delta holds a new tensor (array or record) in place of its
-    processed one: theta_G is the same sum over the same tensors, so those
-    records are equal."""
+    final delta holds a new record in place of its processed one: theta_G
+    is the same sum over the same tensors, so those records are equal."""
     changed = [
         name
         for name in ctx.base.names
-        if any(finals[m].deltas[name] is not ctx.deltas[m].deltas[name] for m in finals)
+        if any(finals[m].record(name) is not ctx.deltas[m].record(name) for m in finals)
     ]
     return assemble_final(ctx.base, *finals.values(), like=ctx.theta_g, names=changed)
 

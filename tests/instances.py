@@ -8,6 +8,7 @@ place capability (and interference) exactly where a test needs it.
 import numpy as np
 
 from himerge import (
+    DeltaVector,
     EvalTask,
     EvaluationBridge,
     HiMergeConfig,
@@ -16,6 +17,7 @@ from himerge import (
     SyntheticLinearTask,
     hidden_optimum,
 )
+from himerge.delta import _f32_record
 from himerge.resolver import prepare
 
 from conftest import checkpoint_from_arrays
@@ -29,6 +31,12 @@ def layer_name(l: int) -> str:
 
 def _noise_base(rng, dim: int):
     return {layer_name(l): rng.standard_normal(dim).astype(np.float32) for l in range(N_LAYERS)}
+
+
+def delta_from_arrays(arrays, base_fingerprint="fp", provenance="") -> DeltaVector:
+    """A DeltaVector holding ``arrays`` (name -> float32 values) in memory."""
+    records = [_f32_record(name, arr) for name, arr in arrays.items()]
+    return DeltaVector(base_fingerprint, records, provenance)
 
 
 def make_context(

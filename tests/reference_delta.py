@@ -23,7 +23,7 @@ def prune_topp(delta, p, *, partition=None, layers=None):
     if not scope:
         return delta.replace({})
 
-    flats = [delta.deltas[name].reshape(-1) for name in scope]
+    flats = [delta.array(name).reshape(-1) for name in scope]
     joined = np.concatenate(flats) if len(flats) > 1 else flats[0].copy()
     k = retain_count(p, joined.size)
 
@@ -40,7 +40,7 @@ def prune_topp(delta, p, *, partition=None, layers=None):
     out = {}
     offset = 0
     for name in scope:
-        arr = delta.deltas[name]
+        arr = delta.array(name)
         out[name] = kept[offset : offset + arr.size].reshape(arr.shape)
         offset += arr.size
     return delta.replace(out)
@@ -50,4 +50,4 @@ def scale(delta, s, names=None):
     """Every entry of ``names`` (default: all) times float32(s), as new arrays."""
     factor = np.float32(s)
     names = delta.names if names is None else names
-    return delta.replace({name: delta.deltas[name] * factor for name in names})
+    return delta.replace({name: delta.array(name) * factor for name in names})

@@ -24,7 +24,7 @@ def apply_delta(base, deltas):
     for name in base.names:
         acc = base.as_f32(name).astype(np.float64)
         for dv in deltas:
-            acc += dv.deltas[name].astype(np.float64)
+            acc += dv.array(name).astype(np.float64)
         arrays[name] = acc.astype(np.float32)
     return _encode(arrays, base)
 
@@ -34,7 +34,7 @@ def delta_weighted_merge(base, deltas, weights):
     for name in base.names:
         acc = base.as_f32(name).astype(np.float64)
         for dv, weight in zip(deltas, weights):
-            acc += float(weight) * dv.deltas[name].astype(np.float64)
+            acc += float(weight) * dv.array(name).astype(np.float64)
         arrays[name] = acc.astype(np.float32)
     return _encode(arrays, base)
 

@@ -27,7 +27,7 @@ def _layer_names(delta, partition, layer):
 
 def _drop(delta, partition, layer):
     names = _layer_names(delta, partition, layer)
-    return delta.replace({n: np.zeros_like(delta.deltas[n]) for n in names})
+    return delta.replace({n: np.zeros_like(delta.array(n)) for n in names})
 
 
 def _reprune(delta, partition, layer, p, s):
@@ -61,7 +61,7 @@ def iterate(rows, reprofile, partition, delta_a, delta_b, policy, params_a, para
                 own_a, own_b = row.c["AA"], row.c["BB"]
                 loser = "B" if own_a >= own_b else "A"
                 names = _layer_names(deltas[loser], partition, row.layer)
-                if all(not deltas[loser].deltas[n].any() for n in names):
+                if all(not deltas[loser].array(n).any() for n in names):
                     note = f"layer delta of model {loser} is already zero"
                     action.update(kind="KEEP", case="SEVERE", note=note)
                 else:

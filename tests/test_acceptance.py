@@ -37,13 +37,14 @@ from himerge import (
 )
 from himerge.checkpoint import checkpoint_to_bytes
 from himerge.cli import main
-from himerge.delta import DeltaVector, _retain_count
+from himerge.delta import _retain_count
 from himerge.evaluation import SyntheticLinearTask
 
 from conftest import checkpoint_from_arrays, dyadic_random, random_checkpoint
 from instances import (
     N_LAYERS,
     conflict_instance,
+    delta_from_arrays,
     layer_name,
     make_context,
     specialists_instance,
@@ -78,8 +79,8 @@ def test_top_p_oracle_equivalence():
             values[rng.integers(0, n, size=max(1, n // 10))] = 0.0
         values = values.astype(np.float32)
         p = float(rng.choice([0.0, 0.1, 0.25, 1 / 3, 0.5, 0.9, 1.0, rng.uniform(0, 1)]))
-        delta = DeltaVector("fp", {"w": values})
-        ours = prune_topp(delta, p).deltas["w"]
+        delta = delta_from_arrays({"w": values})
+        ours = prune_topp(delta, p).array("w")
         expected = brute_force_topp(values, p)
         assert np.array_equal(ours, expected), (trial, n, p)
     elapsed = time.monotonic() - start

@@ -346,12 +346,12 @@ class TestPartition:
             "model.layers.1.q": 1,
             "model.embed": PRE,
         }
-        assert part.num_layers == 2
+        assert part.transformer_layers() == [0, 1]
 
     def test_no_matches(self):
         cp = checkpoint_from_arrays({"alpha": [1.0], "beta": [1.0]})
         part = partition_layers(cp)
-        assert part.num_layers == 0
+        assert part.transformer_layers() == []
         assert set(part.assignment.values()) <= {PRE, POST}
 
     def test_gap_in_indices(self):
@@ -359,8 +359,17 @@ class TestPartition:
             {"m.layers.0.w": [1.0], "m.layers.2.w": [1.0]}
         )
         part = partition_layers(cp)
-        assert part.num_layers == 3
+        assert part.transformer_layers() == [0, 2]
+        assert part.all_layers() == [0, 2]
         assert part.names_in(1) == []
+
+    def test_sparse_indices_are_the_only_layers(self):
+        cp = checkpoint_from_arrays(
+            {"m.embed": [1.0], "m.layers.0.w": [1.0], "m.layers.100000.w": [1.0]}
+        )
+        part = partition_layers(cp)
+        assert part.transformer_layers() == [0, 100000]
+        assert part.all_layers() == [PRE, 0, 100000]
 
     def test_pre_and_post_assignment(self):
         cp = checkpoint_from_arrays(

@@ -130,7 +130,7 @@ class TestDeltaCommand:
         assert main(["delta", "--base", base, "--model-a", model, "--out", str(out)]) == 0
         saved = load_checkpoint(out / "delta.safetensors")
         # apply_delta checks the base the file names.
-        delta = DeltaVector(saved.metadata["base_fingerprint"], {rec.name: rec for rec in saved})
+        delta = DeltaVector(saved.metadata["base_fingerprint"], saved)
         rebuilt = apply_delta(base_cp, [delta])
         for name in base_cp.names:
             assert np.array_equal(rebuilt.as_f32(name), model_cp.as_f32(name))
@@ -1864,6 +1864,68 @@ def test_a_bad_layer_rule_is_a_usage_error(workdir, capsys, verb, rule, problem)
         assert not list(out.glob("*.safetensors"))
     else:
         assert not out.exists()
+
+
+@pytest.mark.parametrize("rule", ["(" * 100_000 + ")" * 100_000, "a" * 300_000 + "(b)(c)"],
+                         ids=["nested deep", "two groups"])
+def test_a_long_bad_layer_rule_is_shown_by_its_head_and_length(workdir, capsys, rule):
+    paths = _one_layer_inputs(workdir)
+    out = workdir / "out"
+    argv = ["merge", "--method", "hi", *_hi_args(paths, json.dumps(LINEAR)),
+            "--layer-rule", rule, "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "layer rule" in err
+    assert len(err.encode()) < 400 and f"{rule[:200]!r}... ({len(rule)} characters)" in err
+    assert not out.exists()
+
+
+def _spelled_again(path: Path, how: str) -> str:
+    """Another spelling of the existing file ``path``."""
+    if how == "./":
+        return f"{path.parent}/./{path.name}"
+    if how == "d/../d/":
+        return f"{path.parent}/../{path.parent.name}/{path.name}"
+    link = path.with_name("link.safetensors")
+    link.symlink_to(path)
+    return str(link)
+
+
+@pytest.mark.parametrize("how", ["./", "d/../d/", "symlink"])
+def test_two_spellings_of_one_file_are_not_distinct_paths(workdir, capsys, how):
+    paths = _one_layer_inputs(workdir)
+    base = Path(paths["base"])
+    again = _spelled_again(base, how)
+    out = workdir / "out"
+    assert main(["delta", "--base", paths["base"], "--model-a", again, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "must be distinct" in err
+    assert not out.exists()
+    before = base.read_bytes()
+    argv = ["merge", "--method", "arithmetic", "--base", paths["base"],
+            "--model-a", paths["model_a"], "--model-b", paths["model_b"], "--out", again]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and "must be distinct" in err
+    assert base.read_bytes() == before
+
+
+def test_a_layer_index_that_holds_no_tensor_is_no_layer(workdir, capsys):
+    """Layers 0 and 100000 are two layers, not 100001: the profile has two rows."""
+    rng = np.random.default_rng(13)
+    names = [layer_name(0), layer_name(100_000)]
+    paths = {}
+    for which in ("base", "model_a", "model_b"):
+        cp = checkpoint_from_arrays({name: dyadic_random(rng, 4) for name in names})
+        paths[which] = write_cp(workdir / f"{which}.safetensors", cp)
+    out = workdir / "out"
+    argv = ["merge", "--method", "hi", *_hi_args(paths, '{"builtin": "constant"}'),
+            "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads((out / "profile.json").read_text())
+    assert [row["layer"] for row in doc["layers"]] == [0, 100_000]
+    with open(out / "profile.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 2
 
 
 # Records its pid as a file name in the directory argv[2], then sleeps.

@@ -10,7 +10,6 @@ import reference_merge as ref
 from himerge import (
     Checkpoint,
     CompatError,
-    DeltaVector,
     MergeWeights,
     apply_delta,
     assemble_final,
@@ -22,6 +21,7 @@ from himerge.analysis import shifted_checkpoint
 from himerge.checkpoint import checkpoint_to_bytes
 
 from conftest import record_from_array
+from instances import delta_from_arrays
 
 VALUES = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.25, 65504.0]),
@@ -68,7 +68,7 @@ def instances(draw, n_terms=st.integers(0, 3)):
 
 def deltas_for(base, terms):
     fp = fingerprint(base)
-    return [DeltaVector(fp, arrays, provenance=str(i)) for i, arrays in enumerate(terms)]
+    return [delta_from_arrays(arrays, fp, str(i)) for i, arrays in enumerate(terms)]
 
 
 def outcome(fn, *args):

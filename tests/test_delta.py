@@ -17,11 +17,12 @@ from himerge import (
     prune_topp,
     save_delta,
 )
-from himerge.checkpoint import fingerprint, partition_layers
+from himerge.checkpoint import Checkpoint, FileRecord, fingerprint, partition_layers
 from himerge.delta import _retain_count
 
 import reference_delta
 from conftest import checkpoint_from_arrays, dyadic_random, random_checkpoint
+from instances import delta_from_arrays
 
 
 def brute_force_topp(values: np.ndarray, p: float) -> np.ndarray:
@@ -38,7 +39,7 @@ def brute_force_topp(values: np.ndarray, p: float) -> np.ndarray:
 
 def delta_from_vector(values) -> DeltaVector:
     arr = np.asarray(values, dtype=np.float32)
-    return DeltaVector("fp", {"w": arr})
+    return delta_from_arrays({"w": arr})
 
 
 class TestRetainCount:
@@ -75,22 +76,22 @@ class TestPruneTopp:
     def test_p_one_is_identity(self):
         delta = delta_from_vector([3.0, -1.0, 2.0, 0.5])
         out = prune_topp(delta, 1.0)
-        assert np.array_equal(out.deltas["w"], delta.deltas["w"])
+        assert np.array_equal(out.array("w"), delta.array("w"))
 
     def test_p_zero_zeroes_scope(self):
         delta = delta_from_vector([3.0, -1.0])
         out = prune_topp(delta, 0.0)
-        assert not out.deltas["w"].any()
+        assert not out.array("w").any()
 
     def test_spec_example(self):
         delta = delta_from_vector([3.0, -1.0, 2.0, 0.5])
         out = prune_topp(delta, 0.5)
-        assert out.deltas["w"].tolist() == [3.0, 0.0, 2.0, 0.0]
+        assert out.array("w").tolist() == [3.0, 0.0, 2.0, 0.0]
 
     def test_tie_breaks_by_ascending_index(self):
         delta = delta_from_vector([1.0, -1.0, 1.0])
         out = prune_topp(delta, 1 / 3)
-        assert out.deltas["w"].tolist() == [1.0, 0.0, 0.0]
+        assert out.array("w").tolist() == [1.0, 0.0, 0.0]
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(42)
@@ -102,7 +103,7 @@ class TestPruneTopp:
                 values = np.round(values * 4) / 4
             p = float(rng.uniform(0, 1))
             delta = delta_from_vector(values)
-            ours = prune_topp(delta, p).deltas["w"]
+            ours = prune_topp(delta, p).array("w")
             assert np.array_equal(ours, brute_force_topp(values, p)), (trial, p)
 
     def test_layer_scope_leaves_rest_untouched(self):
@@ -114,21 +115,21 @@ class TestPruneTopp:
             }
         )
         part = partition_layers(cp)
-        delta = DeltaVector("fp", {n: cp.as_f32(n) for n in cp.names})
+        delta = delta_from_arrays({n: cp.as_f32(n) for n in cp.names})
         out = prune_topp(delta, 0.5, partition=part, layers={0})
-        assert out.deltas["m.layers.0.w"].tolist() == [3.0, 0.0, 2.0, 0.0]
-        assert out.deltas["m.layers.1.w"].tolist() == [10.0, -20.0]
-        assert out.deltas["m.embed"].tolist() == [7.0]
+        assert out.array("m.layers.0.w").tolist() == [3.0, 0.0, 2.0, 0.0]
+        assert out.array("m.layers.1.w").tolist() == [10.0, -20.0]
+        assert out.array("m.embed").tolist() == [7.0]
 
     def test_scope_spanning_layers_uses_shared_budget(self):
         cp = checkpoint_from_arrays(
             {"m.layers.0.w": [1.0, 5.0], "m.layers.1.w": [4.0, 0.5]}
         )
         part = partition_layers(cp)
-        delta = DeltaVector("fp", {n: cp.as_f32(n) for n in cp.names})
+        delta = delta_from_arrays({n: cp.as_f32(n) for n in cp.names})
         out = prune_topp(delta, 0.5, partition=part, layers={0, 1})
-        assert out.deltas["m.layers.0.w"].tolist() == [0.0, 5.0]
-        assert out.deltas["m.layers.1.w"].tolist() == [4.0, 0.0]
+        assert out.array("m.layers.0.w").tolist() == [0.0, 5.0]
+        assert out.array("m.layers.1.w").tolist() == [4.0, 0.0]
 
     def test_layer_scope_requires_partition(self):
         with pytest.raises(ConfigError):
@@ -147,11 +148,11 @@ class TestPruneTopp:
     @settings(max_examples=150, deadline=None)
     def test_properties(self, values, p):
         delta = delta_from_vector(values)
-        arr = delta.deltas["w"]
+        arr = delta.array("w")
         once = prune_topp(delta, p)
-        out = once.deltas["w"]
+        out = once.array("w")
         # Idempotence.
-        assert np.array_equal(prune_topp(once, p).deltas["w"], out)
+        assert np.array_equal(prune_topp(once, p).array("w"), out)
         # Sparsity bound and value preservation.
         k = _retain_count(p, arr.size)
         assert np.count_nonzero(out) <= k
@@ -171,8 +172,8 @@ class TestPruneTopp:
     def test_monotone_nesting(self, values, p1, p2):
         p1, p2 = min(p1, p2), max(p1, p2)
         delta = delta_from_vector(values)
-        small = prune_topp(delta, p1).deltas["w"]
-        large = prune_topp(delta, p2).deltas["w"]
+        small = prune_topp(delta, p1).array("w")
+        large = prune_topp(delta, p2).array("w")
         assert np.all((small != 0) <= (large != 0))
 
 
@@ -198,13 +199,13 @@ def scoped_prunes(draw, global_only=False):
         size = int(np.prod(shape, dtype=int))
         values = draw(st.lists(TIED_VALUES, min_size=size, max_size=size))
         arrays[name] = np.array(values, dtype=np.float32).reshape(shape)
-    delta = DeltaVector("fp", arrays)
-    partition = partition_layers(checkpoint_from_arrays(arrays))
+    delta = delta_from_arrays(arrays)
+    partition = partition_layers(delta)
     layers = None if global_only else draw(
         st.one_of(st.none(), st.sets(st.sampled_from(partition.all_layers())))
     )
     in_scope = [n for n in delta.names if layers is None or partition.layer_of(n) in layers]
-    n = sum(delta.deltas[name].size for name in in_scope)
+    n = sum(delta.array(name).size for name in in_scope)
     p = draw(
         st.one_of(
             st.sampled_from([0.0, 1.0]),
@@ -226,7 +227,7 @@ class TestAgainstReference:
         expected = reference_delta.prune_topp(delta, p, partition=partition, layers=layers)
         assert ours.names == expected.names
         for name in delta.names:
-            got, want = ours.deltas[name], expected.deltas[name]
+            got, want = ours.array(name), expected.array(name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
 
@@ -234,22 +235,22 @@ class TestAgainstReference:
     @settings(max_examples=300, deadline=None)
     def test_fused_prune_and_scale_byte_equal_to_prune_then_scale(self, case, s):
         delta, p, _, _ = case
-        before = {name: arr.tobytes() for name, arr in delta.deltas.items()}
+        before = {name: delta.array(name).tobytes() for name in delta.names}
         with np.errstate(invalid="ignore"):  # inf * 0 in both
             ours = model_wise_process(delta, PruneScaleParams(p, s))
             expected = reference_delta.scale(reference_delta.prune_topp(delta, p), s)
         assert ours.names == expected.names
         for name in delta.names:
-            got, want = ours.deltas[name], expected.deltas[name]
+            got, want = ours.array(name), expected.array(name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-            assert delta.deltas[name].tobytes() == before[name], name  # input untouched
+            assert delta.array(name).tobytes() == before[name], name  # input untouched
 
     @given(scoped_prunes(), st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1))
     @settings(max_examples=300, deadline=None)
     def test_prune_and_scale_byte_equal_to_prune_then_scale_of_the_scope(self, case, s):
         delta, p, partition, layers = case
-        before = {name: arr.tobytes() for name, arr in delta.deltas.items()}
+        before = {name: delta.array(name).tobytes() for name in delta.names}
         scope = [n for n in delta.names if layers is None or partition.layer_of(n) in layers]
         with np.errstate(invalid="ignore"):  # inf * 0 in both
             ours = prune_topp(delta, p, s, partition=partition, layers=layers)
@@ -257,33 +258,33 @@ class TestAgainstReference:
             expected = reference_delta.scale(pruned, s, names=scope)
         assert ours.names == expected.names
         for name in delta.names:
-            got, want = ours.deltas[name], expected.deltas[name]
+            got, want = ours.array(name), expected.array(name)
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-            assert delta.deltas[name].tobytes() == before[name], name  # input untouched
+            assert delta.array(name).tobytes() == before[name], name  # input untouched
             if name not in scope:
-                assert got is delta.deltas[name], name
-        n = sum(delta.deltas[name].size for name in scope)
+                assert ours.record(name) is delta.record(name), name
+        n = sum(delta.array(name).size for name in scope)
         if s == 1.0 and _retain_count(p, n) >= n:
             assert ours is delta
         else:
-            assert all(ours.deltas[name] is not delta.deltas[name] for name in scope)
+            assert all(ours.record(name) is not delta.record(name) for name in scope)
 
     @pytest.mark.parametrize("p, signs", [(0.5, [True, False, False, False]),
                                           (1.0, [True, False, True, False])])
     def test_zero_scale_in_a_layer_scope_gives_negative_zero_for_kept_negatives(self, p, signs):
-        delta = DeltaVector("fp", {
+        delta = delta_from_arrays({
             "m.layers.0.w": np.array([-3.0, 1.0, -0.5, 2.0], dtype=np.float32),
             "m.layers.1.w": np.array([-1.0], dtype=np.float32),
         })
-        partition = partition_layers(checkpoint_from_arrays(delta.deltas))
+        partition = partition_layers(delta)
         out = prune_topp(delta, p, 0.0, partition=partition, layers={0})
-        assert not out.deltas["m.layers.0.w"].any()
-        assert np.signbit(out.deltas["m.layers.0.w"]).tolist() == signs
-        assert out.deltas["m.layers.1.w"] is delta.deltas["m.layers.1.w"]
+        assert not out.array("m.layers.0.w").any()
+        assert np.signbit(out.array("m.layers.0.w")).tolist() == signs
+        assert out.record("m.layers.1.w") is delta.record("m.layers.1.w")
 
     def test_ties_fill_the_budget_in_flat_order_across_tensors(self):
-        delta = DeltaVector("fp", {
+        delta = delta_from_arrays({
             "a": np.array([1.0, 3.0], dtype=np.float32),
             "b": np.array(-1.0, dtype=np.float32),  # 0-d
             "c": np.array([], dtype=np.float32),
@@ -294,12 +295,12 @@ class TestAgainstReference:
                         (0.6, [[1.0, 3.0], -1.0, [], [0.0, 0.0]]),
                         (0.8, [[1.0, 3.0], -1.0, [], [1.0, 0.0]])]:
             out = prune_topp(delta, p)
-            assert [out.deltas[n].tolist() for n in "abcd"] == kept, p
-            assert out.deltas["b"].shape == () and out.deltas["c"].shape == (0,)
+            assert [out.array(n).tolist() for n in "abcd"] == kept, p
+            assert out.array("b").shape == () and out.array("c").shape == (0,)
 
     def test_zero_scale_gives_negative_zero_for_kept_negative_entries(self):
         delta = delta_from_vector([-3.0, 1.0, -0.5, 2.0])
-        out = model_wise_process(delta, PruneScaleParams(0.5, 0.0)).deltas["w"]
+        out = model_wise_process(delta, PruneScaleParams(0.5, 0.0)).array("w")
         assert not out.any()
         assert np.signbit(out).tolist() == [True, False, False, False]
 
@@ -307,8 +308,8 @@ class TestAgainstReference:
         delta = delta_from_vector([1.0, -2.0, 3.0, 4.0, 5.0])
         assert prune_topp(delta, 0.9) is delta  # ceil(0.9 * 5) = 5
         out = model_wise_process(delta, PruneScaleParams(0.9, 0.5))
-        assert out.deltas["w"].tolist() == [0.5, -1.0, 1.5, 2.0, 2.5]
-        assert delta.deltas["w"].tolist() == [1.0, -2.0, 3.0, 4.0, 5.0]
+        assert out.array("w").tolist() == [0.5, -1.0, 1.5, 2.0, 2.5]
+        assert delta.array("w").tolist() == [1.0, -2.0, 3.0, 4.0, 5.0]
 
     def test_large_quantised_vector(self):
         rng = np.random.default_rng(11)
@@ -317,8 +318,8 @@ class TestAgainstReference:
         delta = delta_from_vector(values)
         n = values.size
         for p in (0.0, 0.1, 0.5, 0.9, (n - 1) / n, 1.0):
-            ours = prune_topp(delta, p).deltas["w"]
-            assert ours.tobytes() == reference_delta.prune_topp(delta, p).deltas["w"].tobytes(), p
+            ours = prune_topp(delta, p).array("w")
+            assert ours.tobytes() == reference_delta.prune_topp(delta, p).array("w").tobytes(), p
 
 
 # Float32 bit patterns at the edges of Top_p's magnitude keys: +-0.0, the
@@ -339,7 +340,7 @@ def _edge(names) -> np.ndarray:
     return np.array([_edge(name) for name in names], dtype=np.float32)
 
 
-EDGE_DELTA = DeltaVector("fp", {
+EDGE_DELTA = delta_from_arrays({
     "m.embed": np.array(_edge("-max")),  # 0-d, outside every layer
     "m.layers.0.a": _edge(["+0", "sub_min", "-max", "inf", "-sub_max", "normal_min"]),
     "m.layers.0.b": np.zeros((0, 2), dtype=np.float32),
@@ -347,7 +348,7 @@ EDGE_DELTA = DeltaVector("fp", {
     "m.layers.0.d": _edge([["-inf", "normal_min", "-sub_max"], ["-max", "-0", "sub_min"]]),
     "m.layers.1.a": _edge(["normal_min", "-0", "inf", "sub_min"]),
 })
-EDGE_PARTITION = partition_layers(checkpoint_from_arrays(EDGE_DELTA.deltas))
+EDGE_PARTITION = partition_layers(EDGE_DELTA)
 
 
 def _edge_scope(layers) -> list[str]:
@@ -358,7 +359,7 @@ def _edge_cases():
     """(layers, k, s): k = 0, each k whose cut splits a tie, k = N - 1 and
     k = N, for the global scope and layer 0, each with s in {0, 0.5, 1}."""
     for layers in (None, {0}):
-        flat = np.concatenate([EDGE_DELTA.deltas[n].reshape(-1) for n in _edge_scope(layers)])
+        flat = np.concatenate([EDGE_DELTA.array(n).reshape(-1) for n in _edge_scope(layers)])
         mags = np.sort(np.abs(flat))[::-1]
         n = mags.size
         on_ties = [k for k in range(1, n) if mags[k - 1] == mags[k]]
@@ -379,7 +380,7 @@ def _p_for(k: int, n: int) -> float:
 @pytest.mark.parametrize("layers, k, s", list(_edge_cases()))
 def test_topp_at_the_bit_edges_is_byte_equal_to_the_reference(layers, k, s):
     scope = _edge_scope(layers)
-    n = sum(EDGE_DELTA.deltas[name].size for name in scope)
+    n = sum(EDGE_DELTA.array(name).size for name in scope)
     p = _p_for(k, n)
     with np.errstate(invalid="ignore"):  # inf * 0 in both
         ours = prune_topp(EDGE_DELTA, p, s, partition=EDGE_PARTITION, layers=layers)
@@ -387,22 +388,22 @@ def test_topp_at_the_bit_edges_is_byte_equal_to_the_reference(layers, k, s):
         expected = reference_delta.scale(pruned, s, names=scope)
     assert (ours is EDGE_DELTA) == (k == n and s == 1.0)
     for name in EDGE_DELTA.names:
-        got, want = ours.deltas[name], expected.deltas[name]
+        got, want = ours.array(name), expected.array(name)
         assert got.dtype == want.dtype and got.shape == want.shape, name
         assert got.tobytes() == want.tobytes(), name
         if name not in scope:
-            assert got is EDGE_DELTA.deltas[name], name
+            assert ours.record(name) is EDGE_DELTA.record(name), name
 
 
 class TestScaleAndProcess:
     def test_scale_identity_and_zero(self):
         delta = delta_from_vector([2.0, -4.0])
-        assert np.array_equal(prune_topp(delta, 1.0, 1.0).deltas["w"], delta.deltas["w"])
-        assert not prune_topp(delta, 1.0, 0.0).deltas["w"].any()
+        assert np.array_equal(prune_topp(delta, 1.0, 1.0).array("w"), delta.array("w"))
+        assert not prune_topp(delta, 1.0, 0.0).array("w").any()
 
     def test_scale_elementwise(self):
         delta = delta_from_vector([2.0, -4.0])
-        assert prune_topp(delta, 1.0, 0.5).deltas["w"].tolist() == [1.0, -2.0]
+        assert prune_topp(delta, 1.0, 0.5).array("w").tolist() == [1.0, -2.0]
 
     def test_scale_range_checked(self):
         with pytest.raises(ConfigError):
@@ -413,21 +414,21 @@ class TestScaleAndProcess:
     def test_model_wise_process_spec_example(self):
         delta = delta_from_vector([3.0, -1.0, 2.0, 0.5])
         out = model_wise_process(delta, PruneScaleParams(0.5, 0.5))
-        assert out.deltas["w"].tolist() == [1.5, 0.0, 1.0, 0.0]
+        assert out.array("w").tolist() == [1.5, 0.0, 1.0, 0.0]
 
     def test_p1_s1_identity(self):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal(100).astype(np.float32)
         out = model_wise_process(delta_from_vector(arr), PruneScaleParams(1.0, 1.0))
-        assert np.array_equal(out.deltas["w"], arr)
+        assert np.array_equal(out.array("w"), arr)
 
     def test_scale_then_prune_equals_prune_then_scale(self):
         rng = np.random.default_rng(1)
         arr = rng.standard_normal(200).astype(np.float32)
         delta = delta_from_vector(arr)
         for s in (0.25, 0.5, 1.0):
-            a = prune_topp(prune_topp(delta, 0.3), 1.0, s).deltas["w"]
-            b = prune_topp(prune_topp(delta, 1.0, s), 0.3).deltas["w"]
+            a = prune_topp(prune_topp(delta, 0.3), 1.0, s).array("w")
+            b = prune_topp(prune_topp(delta, 1.0, s), 0.3).array("w")
             assert np.array_equal(a, b)
 
 
@@ -451,13 +452,13 @@ class TestComputeApply:
         rng = np.random.default_rng(2)
         cp = random_checkpoint(rng)
         delta = compute_delta(cp, cp)
-        assert all(not arr.any() for arr in delta.deltas.values())
+        assert all(not delta.array(name).any() for name in delta.names)
 
     def test_direct_subtraction(self):
         base = checkpoint_from_arrays({"w": [1.0, 2.0]})
         model = checkpoint_from_arrays({"w": [1.5, 0.0]})
         delta = compute_delta(model, base)
-        assert delta.deltas["w"].tolist() == [0.5, -2.0]
+        assert delta.array("w").tolist() == [0.5, -2.0]
 
     def test_compat_failure_propagates(self):
         a = checkpoint_from_arrays({"w": [1.0]})
@@ -500,14 +501,14 @@ class TestComputeApply:
     def test_spec_addition_example(self):
         base = checkpoint_from_arrays({"w": [1.0, 1.0]})
         fp = fingerprint(base)
-        da = DeltaVector(fp, {"w": np.array([0.5, 0.0], dtype=np.float32)})
-        db = DeltaVector(fp, {"w": np.array([0.0, -1.0], dtype=np.float32)})
+        da = delta_from_arrays({"w": np.array([0.5, 0.0], dtype=np.float32)}, fp)
+        db = delta_from_arrays({"w": np.array([0.0, -1.0], dtype=np.float32)}, fp)
         out = apply_delta(base, [da, db])
         assert out.as_f32("w").tolist() == [1.5, 0.0]
 
     def test_fingerprint_mismatch(self):
         base = checkpoint_from_arrays({"w": [1.0]})
-        stray = DeltaVector("not-the-base", {"w": np.zeros(1, dtype=np.float32)})
+        stray = delta_from_arrays({"w": np.zeros(1, dtype=np.float32)}, "not-the-base")
         with pytest.raises(CompatError, match="was computed against"):
             apply_delta(base, [stray])
 
@@ -522,7 +523,7 @@ class TestComputeApply:
         scaled = prune_topp(delta, 1.0, s)
         out = apply_delta(base, [scaled])
         for name in base.names:
-            expected = base.as_f32(name) + scaled.deltas[name]
+            expected = base.as_f32(name) + scaled.array(name)
             got = out.as_f32(name)
             ulp = np.spacing(np.abs(expected).astype(np.float32))
             assert np.all(np.abs(got - expected) <= ulp)
@@ -538,8 +539,8 @@ def test_zero_extent_tensor_through_pipeline():
     delta = compute_delta(model, base)
     # N counts only real elements (2), so k = ceil(0.5 * 2) = 1.
     out = model_wise_process(delta, PruneScaleParams(0.5, 0.5))
-    assert out.deltas["m.layers.0.empty"].shape == (0, 4)
-    assert out.deltas["m.layers.0.w"].tolist() == [1.0, 0.0]
+    assert out.array("m.layers.0.empty").shape == (0, 4)
+    assert out.array("m.layers.0.w").tolist() == [1.0, 0.0]
     rebuilt = apply_delta(base, [out])
     assert rebuilt.record("m.layers.0.empty").shape == (0, 4)
 
@@ -560,4 +561,43 @@ def test_delta_file_roundtrip(tmp_path):
     assert loaded.names == delta.names
     for rec in loaded:
         assert rec.dtype == "f32"
-        assert rec.as_f32().tobytes() == delta.deltas[rec.name].tobytes()
+        assert rec.as_f32().tobytes() == delta.array(rec.name).tobytes()
+
+
+class TestRecords:
+    """A DeltaVector is a checkpoint of f32 records: one held in memory
+    views its array, one re-opened from a delta file reads it on each use."""
+
+    def test_array_is_a_read_only_view_of_the_held_array(self):
+        arr = np.array([[1.0, -2.0], [3.0, 0.5]], dtype=np.float32)
+        delta = delta_from_arrays({"w": arr})
+        assert isinstance(delta, Checkpoint) and delta.record("w").dtype == "f32"
+        view = delta.array("w")
+        assert np.shares_memory(view, arr) and not view.flags.writeable
+        assert view.shape == arr.shape and view.tobytes() == arr.tobytes()
+        copy = delta.as_f32("w")
+        assert not np.shares_memory(copy, arr) and copy.flags.writeable
+        assert copy.tobytes() == arr.tobytes()
+
+    def test_array_of_a_reopened_delta_is_a_fresh_read_on_each_call(self, tmp_path):
+        base = checkpoint_from_arrays({"w": [1.0, 2.0]})
+        model = checkpoint_from_arrays({"w": [1.5, 0.0]})
+        reopened = save_delta(compute_delta(model, base), tmp_path / "delta.safetensors")
+        assert isinstance(reopened.record("w"), FileRecord)
+        first, second = reopened.array("w"), reopened.array("w")
+        assert not np.shares_memory(first, second)
+        assert first.tolist() == second.tolist() == [0.5, -2.0]
+
+    def test_saved_metadata_is_the_delta_metadata(self, tmp_path):
+        base = checkpoint_from_arrays({"w": [1.0, 2.0]})
+        delta = compute_delta(checkpoint_from_arrays({"w": [0.0, 2.0]}), base, provenance="B")
+        reopened = save_delta(delta, tmp_path / "delta.safetensors")
+        assert dict(delta.metadata) == {
+            "kind": "delta", "base_fingerprint": fingerprint(base), "provenance": "B"
+        }
+        assert load_checkpoint(tmp_path / "delta.safetensors").metadata == delta.metadata
+        assert reopened.metadata == delta.metadata
+
+    def test_replace_rejects_an_unknown_name(self):
+        with pytest.raises(CompatError, match="no tensor named 'v'"):
+            delta_from_vector([1.0]).replace({"v": np.zeros(1, dtype=np.float32)})

@@ -31,6 +31,7 @@ from himerge.cli import main
 from himerge.resolver import prepare
 
 from conftest import checkpoint_from_arrays, traced_peak
+from instances import delta_from_arrays
 
 N_TENSORS = 16
 SHAPE = (256, 256)
@@ -69,7 +70,7 @@ def test_combine_encodes_each_tensor_as_soon_as_it_is_summed(n_terms, f32_tempor
 
 
 def test_save_delta_writes_views_of_the_float32_arrays(tmp_path):
-    delta = DeltaVector("fp", float32_arrays(2))
+    delta = delta_from_arrays(float32_arrays(2))
     path = tmp_path / "delta.safetensors"
     with traced_peak() as peak:
         save_delta(delta, path)
@@ -82,8 +83,8 @@ def test_save_delta_streams_a_delta_held_in_its_file(tmp_path):
     """A delta whose tensors are records of a delta file is written one
     tensor at a time, each read from that file: it is never materialized."""
     source = tmp_path / "held.safetensors"
-    save_delta(DeltaVector("fp", float32_arrays(2)), source)
-    held = DeltaVector("fp", {rec.name: rec for rec in load_checkpoint(source)})
+    save_delta(delta_from_arrays(float32_arrays(2)), source)
+    held = DeltaVector("fp", load_checkpoint(source))
     path = tmp_path / "delta.safetensors"
     with traced_peak() as peak:
         save_delta(held, path)

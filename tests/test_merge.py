@@ -13,6 +13,7 @@ from himerge import (
 from himerge.checkpoint import checkpoint_to_bytes, fingerprint
 
 from conftest import checkpoint_from_arrays, random_checkpoint
+from instances import delta_from_arrays
 
 
 class TestMergeWeights:
@@ -99,10 +100,8 @@ class TestDeltaWeighted:
     def test_cancellation(self):
         base = checkpoint_from_arrays({"w": [0.0]})
         fp = fingerprint(base)
-        from himerge import DeltaVector
-
-        da = DeltaVector(fp, {"w": np.array([1.0], dtype=np.float32)}, "A")
-        db = DeltaVector(fp, {"w": np.array([-1.0], dtype=np.float32)}, "B")
+        da = delta_from_arrays({"w": np.array([1.0], dtype=np.float32)}, fp, "A")
+        db = delta_from_arrays({"w": np.array([-1.0], dtype=np.float32)}, fp, "B")
         out = delta_weighted_merge(base, [da, db], MergeWeights({"A": 0.5, "B": 0.5}))
         assert out.as_f32("w")[0] == 0.0
 

@@ -14,7 +14,6 @@ from himerge import (
     ConfigError,
     ConflictCase,
     ConstantTask,
-    DeltaVector,
     EvalTask,
     EvaluationBridge,
     EvaluatorError,
@@ -46,7 +45,7 @@ from himerge.checkpoint import FileRecord, checkpoint_to_bytes
 
 import reference_resolver
 from conftest import backdate, checkpoint_from_arrays
-from instances import conflict_instance, make_context, single_signal_instance
+from instances import conflict_instance, delta_from_arrays, make_context, single_signal_instance
 
 
 def make_row(layer, gamma_a, gamma_b, c_aa=0.0, c_bb=0.0):
@@ -107,20 +106,20 @@ class TwoLayerFixture:
         self.base = checkpoint_from_arrays(arrays)
         self.partition = partition_layers(self.base)
         fp = fingerprint(self.base)
-        self.delta_a = DeltaVector(
-            fp,
+        self.delta_a = delta_from_arrays(
             {
                 "m.layers.0.w": np.array([3.0, -1.0, 2.0, 0.5], dtype=np.float32),
                 "m.layers.1.w": np.array([1.0, 1.0, 1.0, 1.0], dtype=np.float32),
             },
+            fp,
             "A",
         )
-        self.delta_b = DeltaVector(
-            fp,
+        self.delta_b = delta_from_arrays(
             {
                 "m.layers.0.w": np.array([-2.0, 4.0, 0.0, 1.0], dtype=np.float32),
                 "m.layers.1.w": np.array([2.0, 2.0, 2.0, 2.0], dtype=np.float32),
             },
+            fp,
             "B",
         )
         self.deltas = {"A": self.delta_a, "B": self.delta_b}
@@ -139,10 +138,10 @@ class TestResolveLayer:
         row = make_row(0, 0.3, 0.2, c_aa=0.5, c_bb=0.2)
         da, db, action = resolve(fx, row)
         assert action.kind == "DROP" and action.model == "B"
-        assert not db.deltas["m.layers.0.w"].any()
+        assert not db.array("m.layers.0.w").any()
         # Other layers and the other model untouched bitwise.
-        assert np.array_equal(db.deltas["m.layers.1.w"], fx.delta_b.deltas["m.layers.1.w"])
-        assert np.array_equal(da.deltas["m.layers.0.w"], fx.delta_a.deltas["m.layers.0.w"])
+        assert np.array_equal(db.array("m.layers.1.w"), fx.delta_b.array("m.layers.1.w"))
+        assert np.array_equal(da.array("m.layers.0.w"), fx.delta_a.array("m.layers.0.w"))
 
     def test_severe_tie_keeps_model_a(self):
         fx = TwoLayerFixture()
@@ -150,7 +149,7 @@ class TestResolveLayer:
         _, db, action = resolve(fx, row)
         assert action.model == "B"
         assert "tie" in action.note
-        assert not db.deltas["m.layers.0.w"].any()
+        assert not db.array("m.layers.0.w").any()
 
     def test_partial_reprunes_negative_gamma_model(self):
         fx = TwoLayerFixture()
@@ -158,9 +157,9 @@ class TestResolveLayer:
         da, db, action = resolve(fx, row)
         assert action.kind == "REPRUNE" and action.model == "A"
         assert action.p_layer == 0.5 and action.s_layer == 0.5
-        assert da.deltas["m.layers.0.w"].tolist() == [1.5, 0.0, 1.0, 0.0]
-        assert np.array_equal(da.deltas["m.layers.1.w"], fx.delta_a.deltas["m.layers.1.w"])
-        assert np.array_equal(db.deltas["m.layers.0.w"], fx.delta_b.deltas["m.layers.0.w"])
+        assert da.array("m.layers.0.w").tolist() == [1.5, 0.0, 1.0, 0.0]
+        assert np.array_equal(da.array("m.layers.1.w"), fx.delta_a.array("m.layers.1.w"))
+        assert np.array_equal(db.array("m.layers.0.w"), fx.delta_b.array("m.layers.0.w"))
 
     def test_mutual_keeps_everything_bitwise(self):
         fx = TwoLayerFixture()
@@ -168,8 +167,8 @@ class TestResolveLayer:
         da, db, action = resolve(fx, row)
         assert action.kind == "KEEP"
         for name in da.names:
-            assert np.array_equal(da.deltas[name], fx.delta_a.deltas[name])
-            assert np.array_equal(db.deltas[name], fx.delta_b.deltas[name])
+            assert np.array_equal(da.array(name), fx.delta_a.array(name))
+            assert np.array_equal(db.array(name), fx.delta_b.array(name))
 
     def test_partial_aggressor_at_its_halving_cap_is_kept(self):
         fx = TwoLayerFixture()
@@ -203,8 +202,8 @@ class TestResolveLayer:
         fx = TwoLayerFixture()
         row = make_row(0, -0.2, 0.4)
         da, _, action = resolve(fx, row)
-        before = fx.delta_a.deltas["m.layers.0.w"]
-        after = da.deltas["m.layers.0.w"]
+        before = fx.delta_a.array("m.layers.0.w")
+        after = da.array("m.layers.0.w")
         assert np.all((after != 0) <= (before != 0))
         assert np.abs(after).max() == pytest.approx(0.5 * np.abs(before).max())
 
@@ -230,7 +229,7 @@ class TestIterate:
         da, db, log = iterate(ctx, profile, IterationPolicy(), both(1, 1))
         assert log.actions == []
         for name in da.names:
-            assert np.array_equal(da.deltas[name], ctx.deltas["A"].deltas[name])
+            assert np.array_equal(da.array(name), ctx.deltas["A"].array(name))
 
     def test_descending_gamma_order(self):
         ctx, fx = self._ctx()
@@ -301,7 +300,7 @@ class TestIterate:
             ("KEEP", "SEVERE", None),
         ]
         assert log.actions[1].note == "layer delta of model B is already zero"
-        assert not db.deltas["m.layers.0.w"].any()
+        assert not db.array("m.layers.0.w").any()
 
     def test_a_pass_that_changes_no_delta_ends_the_run(self, monkeypatch):
         ctx, fx = self._ctx()
@@ -391,8 +390,8 @@ def random_context(seed, n_layers):
     base = checkpoint_from_arrays(arrays)
     fp = fingerprint(base)
     da, db = (
-        DeltaVector(fp, {n: rng.integers(-4, 5, a.shape).astype(np.float32) / 4
-                         for n, a in arrays.items()}, model)
+        delta_from_arrays({n: rng.integers(-4, 5, a.shape).astype(np.float32) / 4
+                           for n, a in arrays.items()}, fp, model)
         for model in ("A", "B")
     )
     task = EvalTask("A", ConstantTask())
@@ -448,8 +447,8 @@ class TestAgainstReference:
         for got, want in ((final_a, ref_a), (final_b, ref_b)):
             assert got.names == want.names
             for name in got.names:
-                assert got.deltas[name].dtype == np.float32
-                assert got.deltas[name].tobytes() == want.deltas[name].tobytes(), name
+                assert got.array(name).dtype == np.float32
+                assert got.array(name).tobytes() == want.array(name).tobytes(), name
 
 
     @given(
@@ -596,8 +595,8 @@ class TestHiMerge:
         for ctx in reprofiles:
             for rec in ctx.theta_g:
                 untouched = (
-                    ctx.deltas["A"].deltas[rec.name] is first.deltas["A"].deltas[rec.name]
-                    and ctx.deltas["B"].deltas[rec.name] is first.deltas["B"].deltas[rec.name]
+                    ctx.deltas["A"].record(rec.name) is first.deltas["A"].record(rec.name)
+                    and ctx.deltas["B"].record(rec.name) is first.deltas["B"].record(rec.name)
                 )
                 assert (rec is first.theta_g.record(rec.name)) == untouched, rec.name
                 shared.append(untouched)
@@ -688,10 +687,10 @@ class TestHiMerge:
     def test_partial_log_persisted_on_mid_run_failure(self, tmp_path, monkeypatch):
         fx = TwoLayerFixture()
         ma = checkpoint_from_arrays(
-            {n: fx.base.as_f32(n) + fx.delta_a.deltas[n] for n in fx.base.names}
+            {n: fx.base.as_f32(n) + fx.delta_a.array(n) for n in fx.base.names}
         )
         mb = checkpoint_from_arrays(
-            {n: fx.base.as_f32(n) + fx.delta_b.deltas[n] for n in fx.base.names}
+            {n: fx.base.as_f32(n) + fx.delta_b.array(n) for n in fx.base.names}
         )
         calls = {"n": 0}
         good_rows = [make_row(0, -0.2, 0.4), make_row(1, -0.1, 0.3)]
@@ -814,7 +813,7 @@ class TestFileBackedDeltas:
                 shared = {rec.name for rec in run.merged if rec is run.theta_g.record(rec.name)}
                 assert shared == untouched
             for delta in on_disk.deltas.values():
-                in_file = {n for n, entry in delta.deltas.items() if isinstance(entry, FileRecord)}
+                in_file = {rec.name for rec in delta if isinstance(rec, FileRecord)}
                 assert untouched <= in_file
 
     def test_theta_g_is_saved_once_at_pre_merge_and_read_from_its_file(
