@@ -140,8 +140,8 @@ class TensorRecord:
     nbytes: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", tuple(int(s) for s in self.shape))
-        if any(s < 0 for s in self.shape):
+        object.__setattr__(self, "shape", tuple(map(int, self.shape)))
+        if min(self.shape, default=0) < 0:
             raise FormatError(f"tensor {self.name!r}: negative shape extent {self.shape}")
         object.__setattr__(self, "nbytes", self.size * element_size(self.dtype))
         if self.nbytes != len(self.data):

@@ -108,13 +108,9 @@ class RunConfig:
         missing = [n.replace("_", "-") for n in names if getattr(self, n) in (None, "")]
         if missing:
             raise ConfigError(f"missing required option(s): --{', --'.join(missing)}")
-        # Two spellings of one file (``./``, ``d/../d/``, a symlink) are one path.
-        paths = [
-            os.path.realpath(getattr(self, n))
-            for n in ("base", "model_a", "model_b", "out")
-            if getattr(self, n)
-        ]
-        if len(set(paths)) != len(paths):
+        files = [_file_id(n, getattr(self, n)) for n in ("base", "model_a", "model_b", "out")
+                 if getattr(self, n)]
+        if len(set(files)) != len(files):
             raise ConfigError("base, model paths, and output path must be distinct")
 
     def checkpoint(self, name: str):
@@ -128,6 +124,20 @@ class RunConfig:
         if spec in (None, ""):
             raise ConfigError(f"missing evaluator for task {which.upper()} (--eval-{which})")
         return parse_eval_spec(spec, task_id=which.upper(), timeout=self.timeout)
+
+
+def _file_id(name: str, path: str):
+    """What names the file at option ``name``'s path: ``(st_dev, st_ino)``
+    for a path that exists, so two hard links are one file, and otherwise
+    ``os.path.realpath``, so two spellings of one path (``./``,
+    ``d/../d/``, a symlink) are one."""
+    if "\0" in path:  # which no file system call takes
+        raise ConfigError(f"--{name.replace('_', '-')} path holds a NUL character")
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
 
 
 def parse_eval_spec(spec, task_id: str, timeout: float) -> EvalTask:
@@ -369,6 +379,31 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return 0
 
 
+def sweep_candidates(base, model, p_values, s_values):
+    """(p, s, base + s * Top_p(model - base)) for each cell of the grid, in
+    row order.  A generator, so ``bridge.map`` builds each candidate on the
+    calling thread and keeps at most ``parallel`` of them alive.
+
+    What a row shares is built once per p: the raw delta, computed afresh
+    and dropped once pruned (the kept set depends on p alone), and the base
+    widened to float32.  Both are dropped before the next p's delta is
+    computed, so a row holds its Top_p, its widened base and the candidates
+    in flight.  A cell is one ``combine`` that starts from the fresh
+    ``s * Top_p`` and adds the widened base in float32, one tensor at a
+    time: IEEE addition commutes, so it has the bits of ``combine(base,
+    [s * Top_p])``.
+    """
+    for p in p_values:
+        delta = compute_delta(model, base, provenance="A")
+        top_p = model_wise_process(delta, PruneScaleParams(p, 1.0))
+        del delta
+        wide = {name: base.as_f32(name) for name in base.names}
+        for s in s_values:
+            factor = np.float32(s)
+            yield p, s, combine(lambda name: top_p.array(name) * factor, [wide.get], like=base)
+        del top_p, wide
+
+
 def cmd_sweep(cfg: RunConfig) -> int:
     cfg.require("base", "model_a", "out")
     base = cfg.checkpoint("base")
@@ -376,20 +411,6 @@ def cmd_sweep(cfg: RunConfig) -> int:
     task = cfg.task("a")
     with output_dir(cfg) as out:
         bridge = make_bridge(cfg, out)
-        delta = compute_delta(model, base, provenance="A")
-
-        def candidates():
-            # The kept set depends on p alone: prune once per p, then scale
-            # per cell inside combine, one tensor at a time.  A generator,
-            # so bridge.map builds each candidate on this thread and keeps
-            # at most ``parallel`` of them alive.  The last p's Top_p is
-            # dropped before the next p is pruned.
-            for p in cfg.p_values:
-                top_p = model_wise_process(delta, PruneScaleParams(p, 1.0))
-                for s in cfg.s_values:
-                    factor = np.float32(s)
-                    yield p, s, combine(base, [lambda name: top_p.array(name) * factor])
-                del top_p
 
         def score(cell):
             p, s, candidate = cell
@@ -398,7 +419,7 @@ def cmd_sweep(cfg: RunConfig) -> int:
             except EvaluatorError as exc:
                 return (p, s, "", str(exc))
 
-        rows = bridge.map(score, candidates())
+        rows = bridge.map(score, sweep_candidates(base, model, cfg.p_values, cfg.s_values))
         sweep_path = out / "sweep.csv"
         with atomic_open(sweep_path, newline="") as fh:
             writer = csv.writer(fh)

@@ -205,7 +205,7 @@ def _check_delta_compat(base: Checkpoint, deltas: list[DeltaVector]) -> None:
 
 
 def combine(
-    ref: Checkpoint | None,
+    ref,
     terms,
     weights=None,
     *,
@@ -215,11 +215,13 @@ def combine(
     """ref + sum of w_i * term_i, tensor by tensor, in ``like``'s dtypes.
 
     Each term is a function from tensor name to a float32 array, or to None
-    where the term does not touch that tensor.  Sums are accumulated in
-    float64 starting from ``ref`` itself (so a -0.0 in ``ref`` survives
-    zero terms), or from +0.0 when ``ref`` is None, and rounded once to
-    float32.  Only ``names`` (default: all of ``like``'s) are recomputed;
-    the other tensors are shared with ``like``, which defaults to ``ref``.
+    where the term does not touch that tensor.  ``ref`` is a checkpoint, a
+    function from tensor name to a fresh float32 array (then ``like`` is
+    required), or None.  Sums are accumulated in float64 starting from
+    ``ref`` itself (so a -0.0 in ``ref`` survives zero terms), or from +0.0
+    when ``ref`` is None, and rounded once to float32.  Only ``names``
+    (default: all of ``like``'s) are recomputed; the other tensors are
+    shared with ``like``, which defaults to ``ref``.
     Each sum is encoded as soon as it is done, so only one tensor's
     float32 temporaries are alive at a time.
 
@@ -231,6 +233,7 @@ def combine(
     exact in both.  Signed zeros and overflow to inf come out the same.
     """
     like = ref if like is None else like
+    ref = ref.as_f32 if isinstance(ref, Checkpoint) else ref
     weights = [1.0] * len(terms) if weights is None else [float(w) for w in weights]
     # like.record raises a FormatError on an unknown name.
     wanted = set(like.names) if names is None else {like.record(n).name for n in names}
@@ -244,14 +247,14 @@ def combine(
     return Checkpoint(records, {})
 
 
-def _sum(ref: Checkpoint | None, rec: TensorRecord, terms, weights) -> np.ndarray:
-    """One tensor of ``combine``, as a fresh float32 array; its temporaries
+def _sum(ref, rec: TensorRecord, terms, weights) -> np.ndarray:
+    """One tensor of ``combine``, as a fresh float32 array, from ``ref`` (a
+    function like a term's, or None) and the terms; its temporaries
     are freed on return.  A weight of -1 subtracts: the bits of adding the
     negated term."""
     # A fresh array, to take the sum in place; read before the terms for a lower peak RSS.
-    acc = np.zeros(rec.shape, dtype=np.float32) if ref is None else ref.as_f32(rec.name)
-    parts = [(term(rec.name), weight) for term, weight in zip(terms, weights)]
-    parts = [(arr, weight) for arr, weight in parts if arr is not None]
+    acc = np.zeros(rec.shape, dtype=np.float32) if ref is None else ref(rec.name)
+    parts = [(arr, w) for term, w in zip(terms, weights) if (arr := term(rec.name)) is not None]
     if len(parts) != 1 or parts[0][1] not in (1.0, -1.0):
         acc = acc.astype(np.float64)
     for arr, weight in parts:

@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import csv
 import errno
@@ -1147,9 +1148,12 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
     original_combine = himerge.cli.combine
 
     def recording(ref, terms, *args, **kwargs):
-        assert ref is not None and len(terms) == 1 and not args and not kwargs
+        # A cell is one combine: it starts from s * Top_p and adds the
+        # p's widened base, a single term, in the base's dtypes.
+        assert callable(ref) and len(terms) == 1 and not args and set(kwargs) == {"like"}
+        assert kwargs["like"].names == base_cp.names
         threads.append(threading.current_thread())
-        return original_combine(ref, terms)
+        return original_combine(ref, terms, like=kwargs["like"])
 
     monkeypatch.setattr(himerge.cli, "combine", recording)
     out = workdir / "out"
@@ -1163,7 +1167,7 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
         sys.setswitchinterval(interval)
     assert rc == 0
     # Each p is pruned once, and no cell prunes: a cell scales Top_p
-    # inside its one-term combine.
+    # inside its one combine.
     assert sorted(calls) == sorted(p_values)
     # Candidates are built on the calling thread; pool threads only evaluate.
     assert len(threads) == len(p_values) * len(s_values)
@@ -1173,6 +1177,71 @@ def test_sweep_prunes_once_per_p_and_matches_per_cell_reference(workdir, monkeyp
     # (every s = 0 cell gives the base) share one evaluation and one line.
     cache = sorted((out / "cache" / "eval_cache.jsonl").read_text().splitlines())
     assert cache == sorted((ref_dir / "eval_cache.jsonl").read_text().splitlines())
+
+
+@pytest.mark.parametrize("dtype", ["f32", "bf16"])
+def test_a_sweep_reads_each_base_tensor_twice_per_p(workdir, monkeypatch, dtype):
+    """Each p value reads every base tensor twice, once for its delta and
+    once to widen it; the base's fingerprint reads it once more.  No cell
+    reads the base."""
+    base_cp, model_cp, _, _, spec = _sweep_inputs(workdir)
+    base, model = (write_cp(workdir / f"{which}-{dtype}.safetensors",
+                            checkpoint_from_arrays({n: cp.as_f32(n) for n in cp.names}, dtype))
+                   for which, cp in (("base", base_cp), ("model", model_cp)))
+    data_start = 8 + int.from_bytes(Path(base).read_bytes()[:8], "little")  # past the header
+    reads = collections.Counter()  # tensor data offset -> reads
+    original = himerge.checkpoint._FileSource.read_into
+
+    def counting(source, buf, offset):
+        if str(source.path) == base and offset >= data_start:
+            reads[offset] += 1
+        return original(source, buf, offset)
+
+    monkeypatch.setattr(himerge.checkpoint._FileSource, "read_into", counting)
+    p_values, s_values = [0.1, 0.5, 1.0], [0.25, 0.5, 0.75, 1.0]
+    assert main(["sweep", "--base", base, "--model-a", model, "--eval-a", json.dumps(spec),
+                 "--p-values", ",".join(map(str, p_values)),
+                 "--s-values", ",".join(map(str, s_values)), "--out", str(workdir / "out")]) == 0
+    assert len(reads) == len(base_cp.names)
+    assert max(reads.values()) <= 2 * len(p_values) + 1
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_a_sweep_whose_delta_holds_an_inf_writes_nothing(workdir, monkeypatch, capsys, parallel):
+    """The first p value's delta is computed inside ``bridge.map``, as its
+    first candidate is taken; its CompatError ends the sweep there, with
+    no ``sweep.csv`` and no cache file."""
+    names = ["m.embed", layer_name(0)]
+    base = write_cp(workdir / "base.safetensors",
+                    checkpoint_from_arrays({names[0]: [0.0, -3e38], names[1]: [1.0, 2.0]}))
+    model = write_cp(workdir / "model.safetensors",
+                     checkpoint_from_arrays({names[0]: [0.0, 3e38], names[1]: [1.5, 2.0]}))
+    inside_map, deltas = [False], []
+    original_map, original_delta = EvaluationBridge.map, himerge.cli.compute_delta
+
+    def mapping(bridge, fn, items):
+        inside_map[0] = True
+        try:
+            return original_map(bridge, fn, items)
+        finally:
+            inside_map[0] = False
+
+    def computing(*args, **kwargs):
+        deltas.append(inside_map[0])
+        return original_delta(*args, **kwargs)
+
+    monkeypatch.setattr(EvaluationBridge, "map", mapping)
+    monkeypatch.setattr(himerge.cli, "compute_delta", computing)
+    out = workdir / "out"
+    assert main(["sweep", "--base", base, "--model-a", model, "--eval-a", '{"builtin": "constant"}',
+                 "--p-values", "0.5,1.0", "--s-values", "0.5,1.0", "--parallel", str(parallel),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"data error: delta of A against the base: tensor {names[0]!r} "
+                   "holds a NaN or inf delta\n")
+    assert deltas == [True]
+    assert not (out / "sweep.csv").exists()
+    assert not (out / "cache" / "eval_cache.jsonl").exists()
 
 
 def _invocations(err: str) -> int:
@@ -1814,6 +1883,8 @@ USAGE_ERRORS = [
      "unknown builtin evaluator 'nope' for task A"),
     ("builtin keys missing", {"--eval-a": '{"builtin": "synthetic_linear", "seed": 1}'}, None,
      "bad builtin evaluator spec for A: "),
+    ("NUL in a path", {"--base": None}, {"base": "base\0.safetensors"},
+     "--base path holds a NUL character"),
 ]
 
 
@@ -1887,11 +1958,14 @@ def _spelled_again(path: Path, how: str) -> str:
     if how == "d/../d/":
         return f"{path.parent}/../{path.parent.name}/{path.name}"
     link = path.with_name("link.safetensors")
-    link.symlink_to(path)
+    if how == "hard link":
+        os.link(path, link)
+    else:
+        link.symlink_to(path)
     return str(link)
 
 
-@pytest.mark.parametrize("how", ["./", "d/../d/", "symlink"])
+@pytest.mark.parametrize("how", ["./", "d/../d/", "symlink", "hard link"])
 def test_two_spellings_of_one_file_are_not_distinct_paths(workdir, capsys, how):
     paths = _one_layer_inputs(workdir)
     base = Path(paths["base"])

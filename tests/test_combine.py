@@ -3,7 +3,7 @@ against its own float64 loop in reference_merge.py, byte for byte."""
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference_merge as ref
@@ -19,6 +19,10 @@ from himerge import (
 )
 from himerge.analysis import shifted_checkpoint
 from himerge.checkpoint import checkpoint_to_bytes
+from himerge.cli import sweep_candidates
+from himerge.delta import combine, compute_delta
+
+import reference_delta
 
 from conftest import record_from_array
 from instances import delta_from_arrays
@@ -258,3 +262,64 @@ def test_single_term_sums_match_on_every_pair_of_edge_values(dtype, sign):
         assert checkpoint_to_bytes(apply_delta(base, deltas)) == checkpoint_to_bytes(
             ref.apply_delta(base, deltas)
         )
+
+
+def _one_tensor(values, dtype):
+    return Checkpoint([record_from_array("model.layers.0.w", values, dtype)])
+
+
+@st.composite
+def base_and_model(draw):
+    """A base and a model of the same layout."""
+    layout = draw(layouts())
+    return tuple(
+        Checkpoint([record_from_array(name, draw_array(draw, shape), dtype)
+                    for name, (shape, dtype) in layout.items()])
+        for _ in range(2)
+    )
+
+
+def reference_sweep(base, model, p_values, s_values):
+    """Each cell by the formula kept here: ``combine(base, [Top_p * f32(s)])``,
+    with the argsort Top_p of the whole delta."""
+    delta = compute_delta(model, base, provenance="A")
+    for p in p_values:
+        top_p = reference_delta.prune_topp(delta, p)
+        for s in s_values:
+            factor = np.float32(s)
+            yield p, s, combine(base, [lambda name: top_p.array(name) * factor])
+
+
+def sweep_outcomes(cells):
+    """(p, s, fingerprint) of each cell in row order, then the CompatError
+    that ended the grid, if one did."""
+    got = []
+    try:
+        for p, s, cp in cells:
+            got.append((p, s, fingerprint(cp)))
+    except CompatError as exc:
+        got.append(f"CompatError: {exc}")
+    return got
+
+
+GRID = st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+                min_size=1, max_size=3, unique=True)
+
+
+@SETTINGS
+@given(base_and_model(), GRID, GRID)
+# Signed zeros: +0.0 + -0.0 is +0.0 in either order.
+@example((_one_tensor([-0.0, 0.0, -0.0, 1.0], "f16"), _one_tensor([0.0, -0.0, -0.0, 1.0], "f16")),
+         [0.0, 0.5, 1.0], [0.0, 1.0])
+# Near each dtype's maximum: the cells stay finite, or the delta is an inf.
+@example((_one_tensor([-65504.0, 65504.0], "f16"), _one_tensor([65504.0, -65504.0], "f16")),
+         [0.0, 0.5, 1.0], [0.0, 0.5, 1.0])
+@example((_one_tensor([3.3e38, -1.0], "bf16"), _one_tensor([3.38e38, 1.0], "bf16")),
+         [0.5, 1.0], [0.5, 1.0])
+@example((_one_tensor([-3e38, 1.0], "bf16"), _one_tensor([3e38, 2.0], "bf16")), [1.0], [1.0])
+@example((_one_tensor([-3e38, 1.0], "f32"), _one_tensor([3e38, 2.0], "f32")), [0.0, 1.0], [0.0])
+def test_sweep_cells_match_one_combine_of_the_base_and_scaled_top_p(inst, p_values, s_values):
+    base, model = inst
+    assert sweep_outcomes(sweep_candidates(base, model, p_values, s_values)) == sweep_outcomes(
+        reference_sweep(base, model, p_values, s_values)
+    )

@@ -197,7 +197,7 @@ def test_bf16_decode_makes_one_array():
 
 
 def test_a_sweep_cell_scales_top_p_one_tensor_at_a_time(tmp_path):
-    """A sweep holds the delta and one Top_p, and builds each cell's
+    """A sweep holds one Top_p and the widened base, and builds each cell's
     candidate with the scaling inside its sum: the peak is those two and
     the candidate, three float32 models, plus a few tensors.  A whole
     scaled delta per cell would add a fourth model."""
@@ -208,3 +208,23 @@ def test_a_sweep_cell_scales_top_p_one_tensor_at_a_time(tmp_path):
     with traced_peak() as peak:
         assert main(argv) == 0
     assert peak[0] <= 3 * N_TENSORS * F32_TENSOR + 4 * F32_TENSOR + SLACK
+
+
+@pytest.mark.parametrize("dtype", ["f32", "bf16"])
+def test_a_sweep_drops_each_p_values_top_p_and_widened_base(tmp_path, dtype):
+    """Each p value computes its raw delta, prunes it and drops it, then
+    widens the base once; its Top_p and widened base are dropped before the
+    next p's delta is computed.  The peak is then a p's Top_p, its widened
+    base and a candidate in the base's dtype (or, lower, the raw delta and
+    Top_p's key buffer or kept arrays) plus a few tensors.  With bf16
+    inputs, keeping either of a p's Top_p or widened base into the next
+    p's prune overshoots this by half a model."""
+    base, model, _ = _three_models(tmp_path, dtype)
+    argv = ["sweep", "--base", str(base), "--model-a", str(model),
+            "--eval-a", '{"builtin": "constant"}', "--p-values", "0.1,0.5,1.0",
+            "--s-values", "0.5,1.0", "--out", str(tmp_path / "out")]
+    with traced_peak() as peak:
+        assert main(argv) == 0
+    wide = N_TENSORS * F32_TENSOR  # one float32 model
+    candidate = wide // 2 if dtype == "bf16" else wide
+    assert peak[0] <= 2 * wide + candidate + 4 * F32_TENSOR + SLACK
