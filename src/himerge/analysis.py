@@ -24,8 +24,9 @@ candidate of each source A, B and G, where the (A, G) and (B, G) pairs
 share G's two candidates.  Five are built and hashed once; the
 G-addition candidate is theta_G's layer, so it shares theta_G's records
 and their hashes (``_candidate``).  The rows are then a pure function of
-the score list.  A failed job is reported as the serial loop would
-report it: the first failure in job order, with the same message.
+the scores keyed by job (kind, capability, source, layer).  A failed job
+is reported as the serial loop would report it: the first failure in job
+order, with the same message.
 """
 
 from __future__ import annotations
@@ -92,10 +93,16 @@ def shifted_checkpoint(ref: Checkpoint, arrays_list, sign: float) -> Checkpoint:
     return combine(ref, terms, [sign] * len(terms), names=sorted(touched))
 
 
+def _reference(kind: str, source: str) -> str:
+    """The checkpoint an impact is measured against: a deletion's source
+    model, or the base F for an addition."""
+    return source if kind == "deletion" else "F"
+
+
 def _candidate(kind: str, source: str, ctx: AnalysisContext, layer_deltas) -> Checkpoint:
-    """The checkpoint an impact scores: for a deletion, the source model
-    minus its layer delta; for an addition, the base plus it.  G's layer
-    delta is every model's; ``layer_deltas`` is ``ctx.layer_deltas(layer)``.
+    """The checkpoint an impact scores: its reference minus the layer delta
+    for a deletion, plus it for an addition.  G's layer delta is every
+    model's; ``layer_deltas`` is ``ctx.layer_deltas(layer)``.
 
     G's addition candidate is theta_G's layer: the base with theta_G's
     records for the tensors the layer deltas touch.  Each such record is
@@ -104,10 +111,10 @@ def _candidate(kind: str, source: str, ctx: AnalysisContext, layer_deltas) -> Ch
     candidate has the same bytes, and none of them is computed or hashed
     again.  (An untouched tensor stays the base's: theta_G's may differ
     from it in the sign of a zero.)"""
-    ref_source, sign = (source, -1.0) if kind == "deletion" else ("F", +1.0)
     arrays = list(layer_deltas.values()) if source == "G" else [layer_deltas[source]]
     if (kind, source) != ("addition", "G"):
-        return shifted_checkpoint(ctx.reference(ref_source), arrays, sign)
+        sign = -1.0 if kind == "deletion" else +1.0
+        return shifted_checkpoint(ctx.reference(_reference(kind, source)), arrays, sign)
     touched = _touched(arrays)
     if not touched:
         return ctx.base
@@ -118,7 +125,7 @@ def _candidate(kind: str, source: str, ctx: AnalysisContext, layer_deltas) -> Ch
 def _score(ctx: AnalysisContext, job) -> float:
     """P_capability(checkpoint) of a job; a failed impact names the impact,
     a failed baseline (kind None) is raised as it is."""
-    kind, capability, source, layer, cp = job
+    (kind, capability, source, layer), cp = job
     try:
         return ctx.bridge.evaluate(cp, ctx.tasks[capability]).value
     except EvaluatorError as exc:
@@ -129,14 +136,20 @@ def _score(ctx: AnalysisContext, job) -> float:
         ) from exc
 
 
+def _impact_of(scores: dict, kind: str, capability: str, source: str, layer) -> float:
+    """An impact, read from the scores keyed by job: candidate minus reference."""
+    reference = (None, capability, _reference(kind, source), None)
+    return scores[kind, capability, source, layer] - scores[reference]
+
+
 def _impact(kind: str, capability: str, source: str, layer, ctx: AnalysisContext) -> float:
     """P(candidate) - P(its reference), each scored as a ``conflict_profile``
     job; the reference is a cache hit after its first score."""
-    ref_source = source if kind == "deletion" else "F"
+    ref_source = _reference(kind, source)
     candidate = _candidate(kind, source, ctx, ctx.layer_deltas(layer))
-    job = (kind, capability, source, layer, candidate)
-    reference = (None, capability, ref_source, None, ctx.reference(ref_source))
-    return _score(ctx, job) - _score(ctx, reference)
+    jobs = [((kind, capability, source, layer), candidate),
+            ((None, capability, ref_source, None), ctx.reference(ref_source))]
+    return _impact_of({job[0]: _score(ctx, job) for job in jobs}, kind, capability, source, layer)
 
 
 def deletion_impact(capability: str, source: str, layer, ctx: AnalysisContext) -> float:
@@ -208,15 +221,15 @@ def _baseline_keys(pairs) -> list[tuple[str, str]]:
 
 
 def _jobs(ctx: AnalysisContext, layers, pairs, keys):
-    """(kind, capability, source, layer, checkpoint) per evaluation, in
-    serial order: the baselines ``keys`` (kind None), then per layer and
-    pair the deletion and the addition candidate.  A generator, so each
-    candidate is built on the consuming thread when its first turn comes.
-    Pairs of one source share its layer candidates: the (A, G) and (B, G)
-    jobs score the same two G candidate objects.  Each model's layer delta
-    is read once per layer, before the layer's first candidate."""
+    """((kind, capability, source, layer), checkpoint) per evaluation, in
+    serial order: the baselines ``keys`` (kind and layer None), then per
+    layer and pair the deletion and the addition candidate.  A generator,
+    so each candidate is built on the consuming thread when its first turn
+    comes.  Pairs of one source share its layer candidates: the (A, G) and
+    (B, G) jobs score the same two G candidate objects.  Each model's layer
+    delta is read once per layer, before the layer's first candidate."""
     for capability, source in keys:
-        yield None, capability, source, None, ctx.reference(source)
+        yield (None, capability, source, None), ctx.reference(source)
     for layer in layers:
         layer_deltas = ctx.layer_deltas(layer)
         built: dict[tuple[str, str], Checkpoint] = {}
@@ -224,37 +237,17 @@ def _jobs(ctx: AnalysisContext, layers, pairs, keys):
             for kind in ("deletion", "addition"):
                 if (kind, source) not in built:
                     built[kind, source] = _candidate(kind, source, ctx, layer_deltas)
-                yield kind, capability, source, layer, built[kind, source]
+                yield (kind, capability, source, layer), built[kind, source]
 
 
-def _rows(baselines: dict, layers, pairs, scores) -> list[LayerConflictRow]:
-    """alpha/beta/c/gamma/Gamma per layer from the baselines and the
-    impacts' candidate scores, given in the order ``_jobs`` lists them."""
-    scores = iter(scores)
-    rows = []
-    for layer in layers:
-        alpha: dict[str, float] = {}
-        beta: dict[str, float] = {}
-        c: dict[str, float] = {}
-        for m1, m2 in pairs:
-            key = m1 + m2
-            alpha[key] = next(scores) - baselines[f"{m1}:{m2}"]
-            beta[key] = next(scores) - baselines[f"{m1}:F"]
-            c[key] = alpha[key] + beta[key]
-        gamma_a = c["AA"] - c["AG"]
-        gamma_b = c["BB"] - c["BG"]
-        rows.append(
-            LayerConflictRow(
-                layer=layer,
-                alpha=alpha,
-                beta=beta,
-                c=c,
-                gamma_a=gamma_a,
-                gamma_b=gamma_b,
-                Gamma=gamma_a + gamma_b,
-            )
-        )
-    return rows
+def _row(scores: dict, layer, pairs) -> LayerConflictRow:
+    """alpha/beta/c/gamma/Gamma of one layer from the scores keyed by job."""
+    alpha = {m1 + m2: _impact_of(scores, "deletion", m1, m2, layer) for m1, m2 in pairs}
+    beta = {m1 + m2: _impact_of(scores, "addition", m1, m2, layer) for m1, m2 in pairs}
+    c = {key: alpha[key] + beta[key] for key in alpha}
+    gamma_a = c["AA"] - c["AG"]
+    gamma_b = c["BB"] - c["BG"]
+    return LayerConflictRow(layer, alpha, beta, c, gamma_a, gamma_b, gamma_a + gamma_b)
 
 
 def conflict_profile(
@@ -279,7 +272,7 @@ def conflict_profile(
         [(m1, m2) for m1 in CAPABILITIES for m2 in SOURCES] if full_matrix else list(CORE_PAIRS)
     )
     keys = _baseline_keys(pairs)
-    scores = ctx.bridge.map(lambda job: _score(ctx, job), _jobs(ctx, layers, pairs, keys))
-    baselines = {f"{m}:{source}": score for (m, source), score in zip(keys, scores)}
-    rows = _rows(baselines, layers, pairs, scores[len(keys):])
-    return ConflictProfile(baselines=baselines, rows=rows)
+    jobs = _jobs(ctx, layers, pairs, keys)
+    scores = dict(ctx.bridge.map(lambda job: (job[0], _score(ctx, job)), jobs))
+    baselines = {f"{m}:{source}": scores[None, m, source, None] for m, source in keys}
+    return ConflictProfile(baselines, [_row(scores, layer, pairs) for layer in layers])

@@ -33,6 +33,7 @@ candidate scored many times is hashed once.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import errno
 import functools
@@ -53,9 +54,17 @@ import numpy as np
 
 from .errors import CompatError, ConfigError, FormatError
 
-# dtype tag (lowercase, in-memory) -> (wire tag, element size)
-_DTYPES = {"f32": ("F32", 4), "f16": ("F16", 2), "bf16": ("BF16", 2)}
-_WIRE_TO_DTYPE = {wire: name for name, (wire, _) in _DTYPES.items()}
+# dtype tag (lowercase, in-memory) -> its row: the wire tag, the element
+# size, the little-endian numpy element type (None for bf16, which numpy
+# lacks) and the least float32 magnitude that encodes to inf (the midpoint
+# above the largest finite value, which rounds up, to even), from its bits.
+_DType = collections.namedtuple("_DType", "wire size numpy inf_limit")
+_DTYPES = {
+    "f32": _DType("F32", 4, "<f4", np.uint32(0x7F800000).view(np.float32)),
+    "f16": _DType("F16", 2, "<f2", np.uint32(0x477FF000).view(np.float32)),
+    "bf16": _DType("BF16", 2, None, np.uint32(0x7F7F8000).view(np.float32)),
+}
+_WIRE_TO_DTYPE = {row.wire: name for name, row in _DTYPES.items()}
 
 # Pseudo-layer ids for tensors outside the indexed layer stack.
 PRE = "PRE"
@@ -64,10 +73,14 @@ POST = "POST"
 DEFAULT_LAYER_RULE = r"\.layers\.(\d+)\."
 
 
-def element_size(dtype: str) -> int:
+def _row(dtype: str) -> _DType:
     if dtype not in _DTYPES:
         raise FormatError(f"unsupported dtype tag {dtype!r}")
-    return _DTYPES[dtype][1]
+    return _DTYPES[dtype]
+
+
+def element_size(dtype: str) -> int:
+    return _row(dtype).size
 
 
 def _bf16_to_f32(buf) -> np.ndarray:
@@ -96,22 +109,8 @@ def array_bytes(arr: np.ndarray) -> memoryview:
 
 def decode_f32(dtype: str, data) -> np.ndarray:
     """Widen a raw little-endian element buffer to a fresh, flat float32 array."""
-    if dtype == "f32":
-        return np.frombuffer(data, dtype="<f4").astype(np.float32, copy=True)
-    if dtype == "f16":
-        return np.frombuffer(data, dtype="<f2").astype(np.float32)
-    if dtype == "bf16":
-        return _bf16_to_f32(data)
-    raise FormatError(f"unsupported dtype tag {dtype!r}")
-
-
-# dtype tag -> the least float32 magnitude that encodes to inf in that
-# dtype (the midpoint above its largest finite value, which rounds up, to
-# even), from its bit pattern.
-_ENCODES_TO_INF = {
-    dtype: np.uint32(bits).view(np.float32)
-    for dtype, bits in {"f32": 0x7F800000, "f16": 0x477FF000, "bf16": 0x7F7F8000}.items()
-}
+    element = _row(dtype).numpy
+    return _bf16_to_f32(data) if element is None else np.frombuffer(data, element).astype("f4")
 
 
 def _encodes_finite(dtype: str, arr: np.ndarray) -> bool:
@@ -119,7 +118,7 @@ def _encodes_finite(dtype: str, arr: np.ndarray) -> bool:
     ``dtype``: the one finiteness rule, for encoded records and computed
     deltas.  It checks the input, so no NaN can slip through a wrapped
     encoding.  A NaN fails both comparisons, and no temporary is made."""
-    limit = _ENCODES_TO_INF[dtype]
+    limit = _DTYPES[dtype].inf_limit
     return arr.size == 0 or bool(-limit < arr.min() and arr.max() < limit)
 
 
@@ -310,12 +309,8 @@ def encode_record(ref: TensorRecord, arr: np.ndarray) -> TensorRecord:
         raise CompatError(
             f"tensor {ref.name!r}: a value is NaN, inf or beyond the {ref.dtype} range"
         )
-    if ref.dtype == "f32":
-        data = flat.astype("<f4")  # a copy: the bytes must not alias arr
-    elif ref.dtype == "f16":
-        data = flat.astype("<f2")
-    else:
-        data = _f32_to_bf16(flat)
+    element = _DTYPES[ref.dtype].numpy
+    data = _f32_to_bf16(flat) if element is None else flat.astype(element)  # a copy, even for f32
     return TensorRecord(ref.name, ref.dtype, ref.shape, array_bytes(data))
 
 
@@ -342,7 +337,7 @@ def _layout_header(metadata: tuple, layout: tuple) -> bytes:
     for name, dtype, shape in layout:
         end = offset + math.prod(shape) * element_size(dtype)
         header[name] = {
-            "dtype": _DTYPES[dtype][0],
+            "dtype": _DTYPES[dtype].wire,
             "shape": list(shape),
             "data_offsets": [offset, end],
         }
@@ -639,30 +634,22 @@ def partition_layers(cp: Checkpoint, rule: str = DEFAULT_LAYER_RULE) -> LayerPar
     group takes no part is a ConfigError.
     """
     pattern = compile_layer_rule(rule)
-    names = cp.names
-    captured: dict[str, int] = {}
-    for name in names:
+    assignment: dict[str, object] = {}
+    outside = PRE  # a non-matching name's layer: PRE until the first match, POST after it
+    for name in cp.names:
         m = pattern.search(name)
         if m is None:
+            assignment[name] = outside
             continue
         if m.group(1) is None:
             raise ConfigError(
                 f"layer rule {_shown_rule(rule)} matched {name!r} without its capture group"
             )
         try:
-            captured[name] = int(m.group(1))
+            assignment[name] = int(m.group(1))
         except ValueError:
             raise ConfigError(
                 f"layer rule {_shown_rule(rule)} captured non-integer {m.group(1)!r} on {name!r}"
             ) from None
-
-    first_match = next((i for i, n in enumerate(names) if n in captured), None)
-    assignment: dict[str, object] = {}
-    for i, name in enumerate(names):
-        if name in captured:
-            assignment[name] = captured[name]
-        elif first_match is None or i < first_match:
-            assignment[name] = PRE
-        else:
-            assignment[name] = POST
+        outside = POST
     return LayerPartition(assignment=assignment)

@@ -33,9 +33,12 @@ class MergeWeights:
             raise ConfigError(f"weights must sum to 1 for averaging, got {total!r}")
 
     def ordered(self, model_ids: list[str]) -> list[float]:
-        missing = [m for m in model_ids if m not in self.weights]
-        if missing:
-            raise ConfigError(f"missing weights for models {missing}")
+        """The weights of ``model_ids``, in their order: a ConfigError unless
+        the ids are distinct and are exactly the weighted models."""
+        if len(set(model_ids)) != len(model_ids) or set(model_ids) != set(self.weights):
+            raise ConfigError(
+                f"merge weights are for models {sorted(self.weights)}, the merge has {model_ids}"
+            )
         return [self.weights[m] for m in model_ids]
 
 
@@ -45,9 +48,9 @@ def weighted_average_merge(
     """Elementwise sum of w_m * theta_m with the weights summing to 1."""
     if not models:
         raise ConfigError("nothing to merge")
-    w.require_convex()
     ids = list(models)
     weights = w.ordered(ids)
+    w.require_convex()
     first = models[ids[0]]
     for other_id in ids[1:]:
         validate_compat(first, models[other_id])

@@ -1,7 +1,8 @@
-"""Slow references for the codecs and the content hash in ``checkpoint``:
-the library's formulas before decoding and rounding were done in place,
-and the tree hash computed from the canonical container bytes alone.  The
-differential tests require bit-equal output from the library.
+"""Slow references for the codecs, the content hash and the layer
+partition in ``checkpoint``: the library's formulas before decoding and
+rounding were done in place, the tree hash computed from the canonical
+container bytes alone, and the partition in two passes.  The differential
+tests require bit-equal output from the library.
 
 ``encode`` has no range check: a value beyond the dtype's range becomes
 inf, and a NaN is rounded like any other bit pattern.  Tests build input
@@ -9,9 +10,12 @@ checkpoints with it, including ones that hold a NaN or inf on purpose."""
 
 import hashlib
 import json
+import re
 import struct
 
 import numpy as np
+
+from himerge import POST, PRE, ConfigError
 
 
 def bf16_to_f32(buf: bytes) -> np.ndarray:
@@ -50,3 +54,36 @@ def tree_hash(blob: bytes) -> str:
     for begin, end in slices:
         h.update(hashlib.sha256(blob[start + begin : start + end]).digest())
     return h.hexdigest()
+
+
+def partition(names, rule):
+    """The layer assignment of sorted ``names`` in two passes: first each
+    matching name's captured index, then each other name PRE if it sorts
+    before the first match (or nothing matches), else POST.  A match
+    without its capture, or a capture that is not an integer, is a
+    ConfigError naming the rule (by its repr: short rules only) and the
+    first such name."""
+    pattern = re.compile(rule)
+    captured = {}
+    for name in names:
+        m = pattern.search(name)
+        if m is None:
+            continue
+        if m.group(1) is None:
+            raise ConfigError(f"layer rule {rule!r} matched {name!r} without its capture group")
+        try:
+            captured[name] = int(m.group(1))
+        except ValueError:
+            raise ConfigError(
+                f"layer rule {rule!r} captured non-integer {m.group(1)!r} on {name!r}"
+            ) from None
+    first_match = next((i for i, n in enumerate(names) if n in captured), None)
+    assignment = {}
+    for i, name in enumerate(names):
+        if name in captured:
+            assignment[name] = captured[name]
+        elif first_match is None or i < first_match:
+            assignment[name] = PRE
+        else:
+            assignment[name] = POST
+    return assignment

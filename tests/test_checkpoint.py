@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import himerge.checkpoint as checkpoint_mod
 from himerge import (
+    DEFAULT_LAYER_RULE,
     PRE,
     POST,
     Checkpoint,
@@ -401,6 +402,52 @@ class TestPartition:
         cp = checkpoint_from_arrays({"m.layers.x.w": [1.0]})
         with pytest.raises(ConfigError, match="non-integer"):
             partition_layers(cp, r"\.layers\.(\w+)\.")
+
+
+# The default rule; one whose match may leave its group out ("model"); one
+# that captures words ("x" is no integer).
+PARTITION_RULES = [DEFAULT_LAYER_RULE, r"layers\.(\d+)\.|model", r"\.layers\.(\w+)\."]
+LAYER_NAMES = st.builds(
+    "{}.layers.{}.{}".format,
+    st.sampled_from(["a", "m", "z"]),
+    st.sampled_from(["0", "1", "2", "007", "100000", "x"]),  # sparse, padded, a word
+    st.sampled_from(["q", "w"]),
+)
+OTHER_NAMES = st.sampled_from(
+    ["a.embed", "b.norm", "m.head", "m.layers", "m.layers.3", "model.embed", "n.final", "z.out"]
+)
+
+
+def _partition_outcome(fn, *args):
+    """The assignment as (name, layer) pairs in order, or the ConfigError's message."""
+    try:
+        return list(fn(*args).items())
+    except ConfigError as exc:
+        return f"ConfigError: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(LAYER_NAMES, OTHER_NAMES), unique=True, max_size=8),
+       st.sampled_from(PARTITION_RULES))
+@example(["a.embed", "z.out"], DEFAULT_LAYER_RULE)  # no match
+@example(["a.layers.0.q", "b.norm", "z.out"], DEFAULT_LAYER_RULE)  # a match only at the start
+@example(["a.embed", "b.norm", "z.layers.5.w"], DEFAULT_LAYER_RULE)  # a match only at the end
+@example(["a.layers.1.q", "m.layers.100000.w", "z.out"], DEFAULT_LAYER_RULE)  # sparse indices
+@example(["a.layers.1.q", "model.embed"], PARTITION_RULES[1])  # a match without its capture
+@example(["a.layers.x.q", "z.layers.2.w"], PARTITION_RULES[2])  # a capture that is no integer
+def test_partition_matches_the_two_pass_reference(names, rule):
+    cp = checkpoint_from_arrays({name: [1.0] for name in names})
+    got = _partition_outcome(lambda: partition_layers(cp, rule).assignment)
+    want = _partition_outcome(reference_checkpoint.partition, cp.names, rule)
+    assert got == want
+    if isinstance(want, str):
+        event("a match without its capture" if "without" in want else "a non-integer capture")
+        return
+    matches = [i for i, (_, layer) in enumerate(want) if layer not in (PRE, POST)]
+    if not matches:
+        event("no match")
+    else:
+        event(f"matches from the start: {matches[0] == 0}, to the end: {matches[-1] == len(want) - 1}")
 
 
 def test_fingerprint_distinguishes_content():

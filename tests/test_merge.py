@@ -28,6 +28,30 @@ class TestMergeWeights:
         with pytest.raises(ConfigError, match="sum to 1"):
             MergeWeights({"A": 0.7, "B": 0.7}).require_convex()
 
+    def test_weights_name_exactly_the_merged_models(self):
+        a = checkpoint_from_arrays({"w": [1.0]})
+        b = checkpoint_from_arrays({"w": [3.0]})
+        three = MergeWeights({"A": 0.4, "B": 0.4, "C": 0.2})
+        assert three.ordered(["C", "A", "B"]) == [0.2, 0.4, 0.4]
+        mismatch = "merge weights are for models"
+        # A and B's weights sum to 0.8: that is no average (it gave 1.6).
+        with pytest.raises(ConfigError, match=mismatch):
+            weighted_average_merge({"A": a, "B": b}, three)
+        # The id mismatch is named before the weights' sum is checked.
+        with pytest.raises(ConfigError, match=mismatch):
+            weighted_average_merge({"A": a, "B": b}, MergeWeights({"A": 0.5}))
+        with pytest.raises(ConfigError, match=mismatch):
+            weighted_average_merge({"A": a}, MergeWeights({"A": 0.5, "B": 0.5}))
+        with pytest.raises(ConfigError, match=mismatch):
+            three.ordered(["A", "B", "C", "A"])
+
+    def test_two_deltas_of_one_model_are_refused(self):
+        base = checkpoint_from_arrays({"w": [0.0]})
+        da = compute_delta(checkpoint_from_arrays({"w": [1.0]}), base, provenance="A")
+        also_a = compute_delta(checkpoint_from_arrays({"w": [2.0]}), base, provenance="A")
+        with pytest.raises(ConfigError, match="merge weights are for models"):
+            delta_weighted_merge(base, [da, also_a], MergeWeights({"A": 0.5, "B": 0.5}))
+
 
 class TestWeightedAverage:
     def test_identical_models_fixed_point(self):
