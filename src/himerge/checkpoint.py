@@ -574,13 +574,13 @@ class LayerPartition:
     the rule captured, and POST.  An index that holds no tensor is no layer."""
 
     assignment: dict[str, object]
-    _by_layer: dict[object, list[str]] = field(default_factory=dict, repr=False)
+    # Each layer's names, sorted; derived from ``assignment``.
+    _by_layer: dict[object, list[str]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        by_layer: dict[object, list[str]] = {}
+        self._by_layer = {}
         for name in sorted(self.assignment):
-            by_layer.setdefault(self.assignment[name], []).append(name)
-        self._by_layer = by_layer
+            self._by_layer.setdefault(self.assignment[name], []).append(name)
 
     def layer_of(self, name: str):
         return self.assignment[name]
@@ -592,13 +592,9 @@ class LayerPartition:
         return sorted(layer for layer in self._by_layer if layer not in (PRE, POST))
 
     def all_layers(self) -> list:
-        layers: list = []
-        if self._by_layer.get(PRE):
-            layers.append(PRE)
-        layers.extend(self.transformer_layers())
-        if self._by_layer.get(POST):
-            layers.append(POST)
-        return layers
+        """PRE, the indices in order, then POST, each only if it holds a tensor."""
+        layers = (PRE, *self.transformer_layers(), POST)
+        return [layer for layer in layers if layer in self._by_layer]
 
 
 def _shown_rule(rule: str) -> str:

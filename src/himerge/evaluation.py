@@ -548,35 +548,37 @@ class EvaluationBridge:
 
     # -- external protocol ---------------------------------------------------
 
-    def _write_candidate(self, cp: Checkpoint, key: str) -> Path:
-        """The file an external evaluator reads the candidate from: a fresh
-        temp file, or its kept file in ``keep_dir``.  A kept file is written
-        once: whole, since ``os.replace`` put it there, and named by its
-        content hash, so a later evaluation reads it as it is."""
+    @contextlib.contextmanager
+    def _candidate_file(self, cp: Checkpoint, key: str):
+        """The file an external evaluator reads the candidate from, for the
+        block's life: its kept file in ``keep_dir``, or else a temp file,
+        removed when the block ends.  A kept file is written once: whole,
+        since ``os.replace`` put it there, and named by its content hash, so
+        a later evaluation reads it as it is.  A write that fails leaves no
+        temp file."""
         if self.keep_dir is None:
             target = (self.scratch_dir or Path(tempfile.gettempdir())) / f"cand-{key[:12]}"
         else:
             self.keep_dir.mkdir(parents=True, exist_ok=True)
             target = self.keep_dir / f"cand-{key}.safetensors"
-            if target.exists():
-                return target
-        fd, path = create_temp(target, mode=0o600)
+        temp = None
         try:
-            with os.fdopen(fd, "wb") as fh:
-                write_checkpoint(cp, fh)
-            if self.keep_dir is None:
-                return path
-            os.replace(path, target)  # whole, before the evaluator opens it
-            return target
-        except BaseException:
-            with contextlib.suppress(OSError):
-                os.unlink(path)
-            raise
+            if self.keep_dir is None or not target.exists():
+                fd, temp = create_temp(target, mode=0o600)
+                with os.fdopen(fd, "wb") as fh:
+                    write_checkpoint(cp, fh)
+                if self.keep_dir is not None:
+                    os.replace(temp, target)  # whole, before the evaluator opens it
+                    temp = None
+            yield target if temp is None else temp
+        finally:
+            if temp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(temp)
 
     def _run_external(self, cp: Checkpoint, key: str, task: EvalTask):
         """The ``score`` value of the evaluator's reply, not yet checked."""
-        path = self._write_candidate(cp, key)
-        try:
+        with self._candidate_file(cp, key) as path:
             argv = [token.replace("{checkpoint}", str(path)) for token in task.argv]
             # The evaluator leads its own process group, so a timeout also
             # kills any processes it started.
@@ -600,14 +602,10 @@ class EvaluationBridge:
                 raise EvaluatorError(f"evaluator timed out after {task.timeout}s") from exc
             except OSError as exc:
                 raise EvaluatorError(f"cannot run evaluator: {exc}") from exc
-            if proc.returncode != 0:
-                raise EvaluatorError(
-                    f"evaluator exited {proc.returncode}; stderr: {stderr.strip()[-2000:]}"
-                )
-        finally:
-            if self.keep_dir is None:
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
+        if proc.returncode != 0:
+            raise EvaluatorError(
+                f"evaluator exited {proc.returncode}; stderr: {stderr.strip()[-2000:]}"
+            )
         text = stdout.strip()
         try:
             payload = json.loads(text)

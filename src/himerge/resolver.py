@@ -25,7 +25,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from math import isfinite
+from math import isfinite, ldexp
 from pathlib import Path
 
 from .analysis import AnalysisContext, ConflictProfile, conflict_profile
@@ -162,43 +162,33 @@ def resolve_layer(
     """
     deltas = dict(deltas)
     case = classify_layer(row.gamma_a, row.gamma_b)
-    common = dict(
-        layer=layer,
-        case=case.value,
-        gamma_a=row.gamma_a,
-        gamma_b=row.gamma_b,
-        Gamma=row.Gamma,
-    )
+    kind, model, p_layer, s_layer, note = "KEEP", None, None, None, ""
     if case is ConflictCase.SEVERE:
         own_a, own_b = row.c["AA"], row.c["BB"]
         # Retain the larger own contribution; ties keep model A.
         loser = "B" if own_a >= own_b else "A"
         if not any(arr.any() for arr in layer_arrays(deltas[loser], partition, layer).values()):
             note = f"layer delta of model {loser} is already zero"
-            action = ResolutionAction(kind="KEEP", note=note, **common)
         else:
+            kind, model = "DROP", loser
             note = f"own contributions c_AA={own_a!r} c_BB={own_b!r}"
             if own_a == own_b:
                 note += " (tie: kept A)"
             deltas[loser] = drop_layer(deltas[loser], partition, layer)
-            action = ResolutionAction(kind="DROP", model=loser, note=note, **common)
     elif case is ConflictCase.PARTIAL:
         aggressor = "A" if row.gamma_a < 0 else "B"
         params = layer_params[aggressor]
         if isinstance(params, str):
-            action = ResolutionAction(kind="KEEP", note=params, **common)
+            note = params
         else:
-            p_layer, s_layer = params
+            kind, model, (p_layer, s_layer) = "REPRUNE", aggressor, params
             deltas[aggressor] = reprune_layer(deltas[aggressor], partition, layer, p_layer, s_layer)
-            action = ResolutionAction(
-                kind="REPRUNE", model=aggressor, p_layer=p_layer, s_layer=s_layer, **common
-            )
-    else:
-        note = ""
-        if (row.gamma_a == 0) != (row.gamma_b == 0) and max(row.gamma_a, row.gamma_b) > 0:
-            note = "boundary: one conflict is exactly zero; kept without action"
-        action = ResolutionAction(kind="KEEP", note=note, **common)
-    return deltas, action
+    elif (row.gamma_a == 0) != (row.gamma_b == 0) and max(row.gamma_a, row.gamma_b) > 0:
+        note = "boundary: one conflict is exactly zero; kept without action"
+    return deltas, ResolutionAction(
+        layer=layer, kind=kind, case=case.value, gamma_a=row.gamma_a, gamma_b=row.gamma_b,
+        Gamma=row.Gamma, model=model, p_layer=p_layer, s_layer=s_layer, note=note,
+    )
 
 
 def _above(rows, threshold: float) -> list:
@@ -253,7 +243,7 @@ def iterate(
                 layer_params[model_id] = (
                     f"halving cap ({policy.max_halvings}) reached for model {model_id}"
                     if visits >= policy.max_halvings
-                    else (model_params.p / 2**step, model_params.s / 2**step)
+                    else (ldexp(model_params.p, -step), ldexp(model_params.s, -step))
                 )
             deltas, action = resolve_layer(row.layer, row, deltas, ctx.partition, layer_params)
             if action.kind == "REPRUNE":

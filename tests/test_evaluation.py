@@ -782,6 +782,55 @@ class TestExternalProtocol:
         assert _TEMP_NAME.fullmatch(path.name)
         assert not list(scratch.iterdir())
 
+    @pytest.mark.parametrize(
+        "body, error",
+        [
+            ("""print('{"score": 1.0}')""", None),
+            ("import sys; sys.exit(1)", "exited 1"),
+            (None, "cannot run evaluator"),  # no such program
+            ("import time; time.sleep(60)", "timed out"),
+        ],
+        ids=["scores", "exits 1", "cannot start", "times out"],
+    )
+    def test_a_scratch_candidate_is_removed_on_every_exit(
+        self, script_evaluator, tmp_path, monkeypatch, body, error
+    ):
+        writes = []
+
+        def counting(cp, fh):
+            writes.append(cp)
+            return write_checkpoint(cp, fh)
+
+        monkeypatch.setattr(evaluation, "write_checkpoint", counting)
+        cmd = script_evaluator(body) if body else f"{tmp_path / 'missing'} {{checkpoint}}"
+        scratch = tmp_path / "scratch"
+        scratch.mkdir()
+        bridge = EvaluationBridge(scratch_dir=scratch)
+        task = EvalTask("A", cmd, timeout=0.5)
+        with pytest.raises(EvaluatorError, match=error) if error else contextlib.nullcontext():
+            bridge.evaluate(cp_with_target(np.ones(3)), task)
+        assert len(writes) == 1
+        assert not list(scratch.iterdir())
+
+    @pytest.mark.parametrize("kept", [True, False], ids=["kept", "scratch"])
+    def test_a_candidate_whose_write_fails_leaves_no_temp_file(
+        self, script_evaluator, tmp_path, monkeypatch, kept
+    ):
+        cmd, seen = self._seen_candidate(script_evaluator, tmp_path)
+
+        def failing(cp, fh):
+            fh.write(b"half a header")
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(evaluation, "write_checkpoint", failing)
+        where = tmp_path / "candidates"
+        where.mkdir()
+        bridge = EvaluationBridge(**{"keep_dir" if kept else "scratch_dir": where})
+        with pytest.raises(OSError, match="no space left"):
+            bridge.evaluate(cp_with_target(np.ones(3)), EvalTask("A", cmd))
+        assert not list(where.iterdir())
+        assert not seen.exists()  # the evaluator never ran
+
     def test_parallel_evaluate_many(self, script_evaluator):
         cmd = script_evaluator(
             """

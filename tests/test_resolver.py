@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -344,6 +345,21 @@ class TestIterate:
         _, _, log = iterate(ctx, profile, policy, both(1.0, 0.8))
         reprunes = [a for a in log.actions if a.kind == "REPRUNE"]
         assert [(a.p_layer, a.s_layer) for a in reprunes] == [(0.5, 0.4), (0.5, 0.4)]
+
+    def test_halving_past_the_float_exponent_range(self, monkeypatch):
+        # 2**1024 is no float: halving by dividing by it overflowed at the
+        # 1024th re-prune.  Past 2**-1074, the smallest float, (p, s) is 0.0.
+        ctx, fx = self._ctx()
+        ctx = dataclasses.replace(ctx, deltas=fx.deltas)
+        rows = [make_row(0, -0.2, 0.4)]
+        monkeypatch.setattr(resolver_mod, "conflict_profile", fixed_profile_factory(rows))
+        profile = fixed_profile_factory(rows)(ctx)
+        policy = IterationPolicy(max_passes=1100, max_halvings=1100)
+        _, _, log = iterate(ctx, profile, policy, both(1.0, 1.0))
+        assert [a.kind for a in log.actions] == ["REPRUNE"] * 1100
+        for k, action in enumerate(log.actions, start=1):
+            assert action.p_layer == action.s_layer == math.ldexp(1.0, -k)
+        assert log.actions[-1].p_layer == 0.0
 
 
 # Conflict values the stand-in profiler draws from: zeros, both signs and
