@@ -185,11 +185,14 @@ class _FileSource:
 
     def __init__(self, path: Path):
         self.path = path
-        self.fd = os.open(path, os.O_RDONLY)
+        # O_NONBLOCK: opening a FIFO would otherwise wait for a writer.
+        self.fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
         weakref.finalize(self, os.close, self.fd)
         st = os.fstat(self.fd)
         if stat.S_ISDIR(st.st_mode):  # os.open takes a directory; reading it would fail
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not stat.S_ISREG(st.st_mode):  # a FIFO, socket or device has no fixed size
+            raise OSError(errno.EINVAL, "not a regular file")
         self.size = st.st_size
         self._stamp = (st.st_size, st.st_mtime_ns)
 

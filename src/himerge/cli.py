@@ -104,20 +104,23 @@ class RunConfig:
             out_dir=out,
         )
 
-    def require(self, *names: str) -> None:
-        missing = [n.replace("_", "-") for n in names if getattr(self, n) in (None, "")]
+    def inputs(self, *names: str) -> list:
+        """The checkpoints at options ``names``, loaded in order, once those
+        options and ``--out`` are set and name distinct files."""
+        missing = [n.replace("_", "-") for n in (*names, "out") if getattr(self, n) in (None, "")]
         if missing:
             raise ConfigError(f"missing required option(s): --{', --'.join(missing)}")
         files = [_file_id(n, getattr(self, n)) for n in ("base", "model_a", "model_b", "out")
                  if getattr(self, n)]
         if len(set(files)) != len(files):
             raise ConfigError("base, model paths, and output path must be distinct")
-
-    def checkpoint(self, name: str):
-        path = Path(getattr(self, name))
-        if not path.exists():
-            raise ConfigError(f"--{name.replace('_', '-')} path does not exist: {path}")
-        return load_checkpoint(path)
+        loaded = []
+        for name in names:
+            path = Path(getattr(self, name))
+            if not path.exists():
+                raise ConfigError(f"--{name.replace('_', '-')} path does not exist: {path}")
+            loaded.append(load_checkpoint(path))
+        return loaded
 
     def task(self, which: str) -> EvalTask:
         spec = getattr(self, f"eval_{which}")
@@ -300,55 +303,52 @@ def output_dir(cfg: RunConfig):
                 os.unlink(lock)
 
 
-def make_bridge(cfg: RunConfig, out: Path) -> EvaluationBridge:
-    cache_dir = os.environ.get("HIMERGE_CACHE_DIR")
-    cache_dir = Path(cache_dir) if cache_dir else out / "cache"
-    return EvaluationBridge(
-        EvalCache(cache_dir / "eval_cache.jsonl"),
-        keep_dir=out / CANDIDATES_NAME if cfg.keep_candidates else None,
-        scratch_dir=out,
-        parallel=cfg.parallel,
-    )
-
-
-def _report_stats(bridge: EvaluationBridge) -> None:
-    print(
-        f"evaluator invocations: {bridge.invocations} "
-        f"(cache hits: {bridge.cache_hits}, "
-        f"distinct checkpoints: {bridge.distinct_checkpoints})",
-        file=sys.stderr,
-    )
+@contextlib.contextmanager
+def evaluation_run(cfg: RunConfig):
+    """``output_dir`` with an evaluation bridge whose cache is
+    ``<out>/cache``, or ``$HIMERGE_CACHE_DIR``: yields ``(out, bridge)``, and
+    reports the bridge's counts on stderr when the block ends normally."""
+    with output_dir(cfg) as out:
+        cache_dir = os.environ.get("HIMERGE_CACHE_DIR")
+        cache_dir = Path(cache_dir) if cache_dir else out / "cache"
+        bridge = EvaluationBridge(
+            EvalCache(cache_dir / "eval_cache.jsonl"),
+            keep_dir=out / CANDIDATES_NAME if cfg.keep_candidates else None,
+            scratch_dir=out,
+            parallel=cfg.parallel,
+        )
+        yield out, bridge
+        print(
+            f"evaluator invocations: {bridge.invocations} "
+            f"(cache hits: {bridge.cache_hits}, "
+            f"distinct checkpoints: {bridge.distinct_checkpoints})",
+            file=sys.stderr,
+        )
 
 
 # ---------------------------------------------------------------------------
-# Commands
+# Commands: each returns the path of its main output, which main prints.
 # ---------------------------------------------------------------------------
 
 
-def cmd_delta(cfg: RunConfig) -> int:
-    cfg.require("base", "model_a", "out")
-    base = cfg.checkpoint("base")
-    model = cfg.checkpoint("model_a")
+def cmd_delta(cfg: RunConfig) -> Path:
+    base, model = cfg.inputs("base", "model_a")
     with output_dir(cfg) as out:
         delta = compute_delta(model, base, provenance=str(cfg.model_a))
         save_delta(delta, out / "delta.safetensors")
-        print(out / "delta.safetensors")
-    return 0
+    return out / "delta.safetensors"
 
 
-def cmd_merge(cfg: RunConfig, method: str) -> int:
-    cfg.require(*(() if method == "soups" else ("base",)), "model_a", "model_b", "out")
-    base = None if method == "soups" else cfg.checkpoint("base")
-    a = cfg.checkpoint("model_a")
-    b = cfg.checkpoint("model_b")
+def cmd_merge(cfg: RunConfig, method: str) -> Path:
+    if method == "soups":
+        base, (a, b) = None, cfg.inputs("model_a", "model_b")
+    else:
+        base, a, b = cfg.inputs("base", "model_a", "model_b")
     if method == "hi":
         config = cfg.hi_config(Path(cfg.out))
-        with output_dir(cfg) as out:
-            bridge = make_bridge(cfg, out)
+        with evaluation_run(cfg) as (out, bridge):
             hi_merge(base, a, b, config, bridge=bridge)
-            _report_stats(bridge)
-            print(out / "merged.safetensors")
-        return 0
+        return out / "merged.safetensors"
 
     unset = 0.5 if method == "soups" else 1.0  # the weight of an unset --omega-*
     omega = {"A": cfg.omega_a, "B": cfg.omega_b}
@@ -360,23 +360,14 @@ def cmd_merge(cfg: RunConfig, method: str) -> int:
             deltas = [compute_delta(a, base, provenance="A"), compute_delta(b, base, provenance="B")]
             merged = delta_weighted_merge(base, deltas, w)
         save_checkpoint(merged, out / "merged.safetensors")
-        print(out / "merged.safetensors")
-    return 0
+    return out / "merged.safetensors"
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    cfg.require("base", "model_a", "model_b", "out")
-    base = cfg.checkpoint("base")
-    a = cfg.checkpoint("model_a")
-    b = cfg.checkpoint("model_b")
+def cmd_analyze(cfg: RunConfig) -> Path:
+    base, a, b = cfg.inputs("base", "model_a", "model_b")
     config = cfg.hi_config(None)  # no out_dir: the deltas stay in memory
-    with output_dir(cfg) as out:
-        bridge = make_bridge(cfg, out)
-        profile = analyze(prepare(base, a, b, config, bridge), config)
-        path = profile.write(out)
-        _report_stats(bridge)
-        print(path)
-    return 0
+    with evaluation_run(cfg) as (out, bridge):
+        return analyze(prepare(base, a, b, config, bridge), config).write(out)
 
 
 def sweep_candidates(base, model, p_values, s_values):
@@ -404,13 +395,10 @@ def sweep_candidates(base, model, p_values, s_values):
         del top_p, wide
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    cfg.require("base", "model_a", "out")
-    base = cfg.checkpoint("base")
-    model = cfg.checkpoint("model_a")
+def cmd_sweep(cfg: RunConfig) -> Path:
+    base, model = cfg.inputs("base", "model_a")
     task = cfg.task("a")
-    with output_dir(cfg) as out:
-        bridge = make_bridge(cfg, out)
+    with evaluation_run(cfg) as (out, bridge):
 
         def score(cell):
             p, s, candidate = cell
@@ -420,15 +408,12 @@ def cmd_sweep(cfg: RunConfig) -> int:
                 return (p, s, "", str(exc))
 
         rows = bridge.map(score, sweep_candidates(base, model, cfg.p_values, cfg.s_values))
-        sweep_path = out / "sweep.csv"
-        with atomic_open(sweep_path, newline="") as fh:
+        with atomic_open(out / "sweep.csv", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["p", "s", "score", "error"])
             for row in rows:
                 writer.writerow(row)
-        _report_stats(bridge)
-        print(sweep_path)
-    return 0
+    return out / "sweep.csv"
 
 
 # ---------------------------------------------------------------------------
@@ -487,12 +472,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         cfg = load_run_config(args)
         if args.command == "delta":
-            return cmd_delta(cfg)
-        if args.command == "merge":
-            return cmd_merge(cfg, args.method)
-        if args.command == "analyze":
-            return cmd_analyze(cfg)
-        return cmd_sweep(cfg)  # the parser accepts no other command
+            path = cmd_delta(cfg)
+        elif args.command == "merge":
+            path = cmd_merge(cfg, args.method)
+        elif args.command == "analyze":
+            path = cmd_analyze(cfg)
+        else:  # the parser accepts no other command
+            path = cmd_sweep(cfg)
+        print(path)
+        return 0
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

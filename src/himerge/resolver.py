@@ -67,9 +67,10 @@ def classify_layer(gamma_a: float, gamma_b: float) -> ConflictCase:
     """
     if not (isfinite(gamma_a) and isfinite(gamma_b)):
         raise EvaluatorError(f"non-finite conflict values ({gamma_a}, {gamma_b})")
-    if gamma_a > 0 and gamma_b > 0:
+    low, high = sorted((gamma_a, gamma_b))
+    if low > 0:
         return ConflictCase.SEVERE
-    if gamma_a * gamma_b < 0:
+    if low < 0 < high:  # compared, not multiplied: a product of tiny gammas is -0.0
         return ConflictCase.PARTIAL
     return ConflictCase.MUTUAL
 
@@ -183,7 +184,7 @@ def resolve_layer(
         else:
             kind, model, (p_layer, s_layer) = "REPRUNE", aggressor, params
             deltas[aggressor] = reprune_layer(deltas[aggressor], partition, layer, p_layer, s_layer)
-    elif (row.gamma_a == 0) != (row.gamma_b == 0) and max(row.gamma_a, row.gamma_b) > 0:
+    elif min(row.gamma_a, row.gamma_b) == 0 < max(row.gamma_a, row.gamma_b):
         note = "boundary: one conflict is exactly zero; kept without action"
     return deltas, ResolutionAction(
         layer=layer, kind=kind, case=case.value, gamma_a=row.gamma_a, gamma_b=row.gamma_b,

@@ -70,7 +70,7 @@ def iterate(rows, reprofile, partition, delta_a, delta_b, policy, params_a, para
                         note += " (tie: kept A)"
                     deltas[loser] = _drop(deltas[loser], partition, row.layer)
                     action.update(kind="DROP", case="SEVERE", model=loser, note=note)
-            elif ga * gb < 0:
+            elif min(ga, gb) < 0 < max(ga, gb):
                 model = "A" if ga < 0 else "B"
                 visits = halvings.get((row.layer, model), 0)
                 if visits + 1 > policy.max_halvings:

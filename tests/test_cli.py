@@ -2488,3 +2488,70 @@ def test_a_template_that_cannot_run_is_a_usage_error_before_out_exists(
     err = capsys.readouterr().err
     assert err.startswith("usage error: evaluator command for task 'A' ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+# Each run's verb, and its main output under --out, whose path is the one
+# line it prints on stdout.
+PRINTED = [
+    (["delta"], "delta.safetensors"),
+    (["merge", "--method", "soups"], "merged.safetensors"),
+    (["merge", "--method", "arithmetic"], "merged.safetensors"),
+    (["merge", "--method", "hi"], "merged.safetensors"),
+    (["analyze"], "profile.json"),
+    (["sweep"], "sweep.csv"),
+]
+EVALUATING = ("hi", "analyze", "sweep")  # the runs that report their evaluator invocations
+
+
+def _printing_args(workdir, eval_spec='{"builtin": "constant", "value": 0.5}'):
+    """Options any verb takes: all three inputs, both evaluators and a one-cell grid."""
+    paths = _one_layer_inputs(workdir)
+    return [*_hi_args(paths, eval_spec), "--p-values", "0.5", "--s-values", "1"]
+
+
+@pytest.mark.parametrize("verb, output", PRINTED, ids=[" ".join(v) for v, _ in PRINTED])
+def test_a_run_prints_the_path_of_its_main_output_and_nothing_else(workdir, capsys, verb, output):
+    out = workdir / "out"
+    assert main([*verb, *_printing_args(workdir), "--out", str(out)]) == 0
+    printed = capsys.readouterr()
+    assert printed.out == f"{out / output}\n"
+    assert (out / output).is_file()
+    if verb[-1] in EVALUATING:
+        assert printed.err.splitlines()[-1].startswith("evaluator invocations: ")
+
+
+@pytest.mark.parametrize("verb", [v for v, _ in PRINTED], ids=[" ".join(v) for v, _ in PRINTED])
+def test_a_failed_run_prints_nothing_on_stdout(workdir, capsys, script_evaluator, verb):
+    args = [*verb, *_printing_args(workdir)]
+    torn = workdir / "torn.safetensors"
+    torn.write_bytes(b"\x01")
+    runs = [
+        (1, args),  # no --out
+        (2, [*args, "--model-a", str(torn), "--out", str(workdir / "torn")]),
+    ]
+    if verb[-1] in ("hi", "analyze"):  # a sweep writes a cell's evaluator error in its row
+        failing = script_evaluator("import sys; sys.exit(1)")
+        runs.append((3, [*args, "--eval-a", failing, "--out", str(workdir / "failing")]))
+    for code, argv in runs:
+        assert main(argv) == code
+        assert capsys.readouterr().out == ""
+
+
+def test_a_fifo_input_is_a_data_error_not_a_wait_for_a_writer(workdir):
+    """Opening a FIFO for reading blocks until something opens it for
+    writing; a checkpoint input must be a regular file.  Run in a child
+    process, so a run that waits fails the test at its timeout."""
+    model = write_cp(workdir / "model.safetensors", checkpoint_from_arrays({"w": [1.0]}))
+    fifo = workdir / "base.safetensors"
+    os.mkfifo(fifo)
+    out = workdir / "out"
+    env = dict(os.environ, PYTHONPATH=str(Path(himerge.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "himerge.cli", "delta", "--base", str(fifo), "--model-a", model,
+         "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 2
+    assert run.stderr == f"data error: cannot read {fifo}: [Errno 22] not a regular file\n"
+    assert run.stdout == ""
+    assert not out.exists()

@@ -77,6 +77,11 @@ class TestClassify:
         assert classify_layer(0.0, 0.4) is ConflictCase.MUTUAL
         assert classify_layer(0.4, 0.0) is ConflictCase.MUTUAL
 
+    def test_opposite_gammas_whose_product_underflows_are_partial(self):
+        assert 1e-200 * -1e-200 == 0 and -3e-170 * 2e-160 == 0
+        assert classify_layer(1e-200, -1e-200) is ConflictCase.PARTIAL
+        assert classify_layer(-3e-170, 2e-160) is ConflictCase.PARTIAL
+
     def test_non_finite_rejected(self):
         with pytest.raises(EvaluatorError):
             classify_layer(float("nan"), 0.0)
@@ -84,16 +89,18 @@ class TestClassify:
             classify_layer(0.0, float("inf"))
 
     @given(
-        st.floats(allow_nan=False, allow_infinity=False, width=32),
-        st.floats(allow_nan=False, allow_infinity=False, width=32),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
     )
     @settings(max_examples=300, deadline=None)
     def test_total_partition(self, ga, gb):
         case = classify_layer(ga, gb)
+        severe = ga > 0 and gb > 0
+        opposite = (ga < 0 < gb) or (gb < 0 < ga)
         matches = [
-            case is ConflictCase.SEVERE and (ga > 0 and gb > 0),
-            case is ConflictCase.PARTIAL and (ga * gb < 0),
-            case is ConflictCase.MUTUAL and not (ga > 0 and gb > 0) and not (ga * gb < 0),
+            case is ConflictCase.SEVERE and severe,
+            case is ConflictCase.PARTIAL and opposite,
+            case is ConflictCase.MUTUAL and not severe and not opposite,
         ]
         assert sum(matches) == 1
 
@@ -161,6 +168,15 @@ class TestResolveLayer:
         assert da.array("m.layers.0.w").tolist() == [1.5, 0.0, 1.0, 0.0]
         assert np.array_equal(da.array("m.layers.1.w"), fx.delta_a.array("m.layers.1.w"))
         assert np.array_equal(db.array("m.layers.0.w"), fx.delta_b.array("m.layers.0.w"))
+
+    def test_partial_whose_gamma_product_underflows_reprunes(self):
+        fx = TwoLayerFixture()
+        row = make_row(0, -3e-170, 2e-160)
+        da, db, action = resolve(fx, row)
+        assert (action.kind, action.case, action.model) == ("REPRUNE", "PARTIAL", "A")
+        assert (action.p_layer, action.s_layer) == fx.params["A"]
+        assert da.array("m.layers.0.w").tolist() == [1.5, 0.0, 1.0, 0.0]
+        assert db is fx.delta_b
 
     def test_mutual_keeps_everything_bitwise(self):
         fx = TwoLayerFixture()
