@@ -180,19 +180,23 @@ class _FileSource:
 
     The descriptor is closed when the last record that uses it is gone:
     records can outlive their ``Checkpoint``.  Reads are ``os.preadv`` at
-    an offset, so pool threads may read at once.
+    an offset, so pool threads may read at once.  A path that cannot be
+    opened, or that is not a regular file, is a FormatError.
     """
 
     def __init__(self, path: Path):
         self.path = path
-        # O_NONBLOCK: opening a FIFO would otherwise wait for a writer.
-        self.fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
-        weakref.finalize(self, os.close, self.fd)
-        st = os.fstat(self.fd)
-        if stat.S_ISDIR(st.st_mode):  # os.open takes a directory; reading it would fail
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-        if not stat.S_ISREG(st.st_mode):  # a FIFO, socket or device has no fixed size
-            raise OSError(errno.EINVAL, "not a regular file")
+        try:
+            # O_NONBLOCK: opening a FIFO would otherwise wait for a writer.
+            self.fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+            weakref.finalize(self, os.close, self.fd)
+            st = os.fstat(self.fd)
+            if stat.S_ISDIR(st.st_mode):  # os.open takes a directory; reading it would fail
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+            if not stat.S_ISREG(st.st_mode):  # a FIFO, socket or device has no fixed size
+                raise OSError(errno.EINVAL, "not a regular file")
+        except OSError as exc:
+            raise FormatError(f"cannot read {path}: {exc}") from exc
         self.size = st.st_size
         self._stamp = (st.st_size, st.st_mtime_ns)
 
@@ -468,10 +472,7 @@ def load_checkpoint(path) -> Checkpoint:
     """Open a container file and check its header.  The file stays open, and
     each record reads its bytes from it on each use (``FileRecord``)."""
     path = Path(path)
-    try:
-        source = _FileSource(path)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
+    source = _FileSource(path)
     try:
         metadata, entries = _parse_container(source.read, source.size)
     except FormatError as exc:

@@ -306,13 +306,17 @@ def output_dir(cfg: RunConfig):
 @contextlib.contextmanager
 def evaluation_run(cfg: RunConfig):
     """``output_dir`` with an evaluation bridge whose cache is
-    ``<out>/cache``, or ``$HIMERGE_CACHE_DIR``: yields ``(out, bridge)``, and
+    ``<out>/cache``, under the run's lock: yields ``(out, bridge)``, and
     reports the bridge's counts on stderr when the block ends normally."""
+    cache = Path(cfg.out) / "cache" / "eval_cache.jsonl"
+    if os.environ.get("HIMERGE_CACHE_DIR"):
+        raise ConfigError(
+            f"HIMERGE_CACHE_DIR is not supported: the evaluation cache is {cache}; "
+            f"to reuse scores, copy an eval_cache.jsonl there before the run"
+        )
     with output_dir(cfg) as out:
-        cache_dir = os.environ.get("HIMERGE_CACHE_DIR")
-        cache_dir = Path(cache_dir) if cache_dir else out / "cache"
         bridge = EvaluationBridge(
-            EvalCache(cache_dir / "eval_cache.jsonl"),
+            EvalCache(cache),
             keep_dir=out / CANDIDATES_NAME if cfg.keep_candidates else None,
             scratch_dir=out,
             parallel=cfg.parallel,

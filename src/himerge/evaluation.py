@@ -42,7 +42,14 @@ from typing import ClassVar
 
 import numpy as np
 
-from .checkpoint import Checkpoint, TensorRecord, create_temp, fingerprint, write_checkpoint
+from .checkpoint import (
+    Checkpoint,
+    TensorRecord,
+    _FileSource,
+    create_temp,
+    fingerprint,
+    write_checkpoint,
+)
 from .errors import ConfigError, EvaluatorError, FormatError
 
 DEFAULT_TIMEOUT = 600.0
@@ -340,9 +347,11 @@ class EvalCache:
     def _load(self) -> None:
         """Read the entries; a torn final line (a write cut short by a
         crash) is truncated away, corruption anywhere else is an error.  An
-        entry whose score ``_valid_score`` rejects is corrupt."""
-        data = self.path.read_bytes()
-        lines = data.split(b"\n")
+        entry whose score ``_valid_score`` rejects is corrupt.  The file is
+        opened as a checkpoint input is (``_FileSource``), so a FIFO or any
+        other file that is not regular is a data error, not a wait."""
+        source = _FileSource(self.path)
+        lines = source.read(0, source.size).tobytes().split(b"\n")
         offset = 0
         for number, line in enumerate(lines, start=1):
             try:
@@ -358,8 +367,7 @@ class EvalCache:
                     raise FormatError(
                         f"{self.path}: corrupt cache entry on line {number}: {exc}"
                     ) from exc
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(offset)
+                os.truncate(self.path, offset)
                 return
             offset += len(line) + 1
         if lines[-1]:

@@ -369,9 +369,10 @@ def hi_merge(
     and of the merged model.  If an
     evaluator fails during resolution, the actions taken so far are written
     to ``resolution_log.partial.jsonl`` there; a later successful run
-    removes that file."""
+    removes that file.  Without ``bridge``, an external evaluator's
+    candidates are written there too (``scratch_dir``), not to ``$TMPDIR``."""
     if bridge is None:
-        bridge = EvaluationBridge()
+        bridge = EvaluationBridge(scratch_dir=config.out_dir)
     out = config.out_dir
     ctx = prepare(base, model_a, model_b, config, bridge)
     profile = analyze(ctx, config)

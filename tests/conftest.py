@@ -75,6 +75,13 @@ def random_checkpoint(rng, n_tensors=4, max_elems=32, dtype="f32", dyadic=True):
     return checkpoint_from_arrays(arrays, dtype=dtype)
 
 
+@pytest.fixture(autouse=True)
+def no_cache_dir_variable(monkeypatch):
+    """``HIMERGE_CACHE_DIR`` is a usage error for every evaluating verb, so
+    a value set in the shell that runs the tests is cleared for each test."""
+    monkeypatch.delenv("HIMERGE_CACHE_DIR", raising=False)
+
+
 @pytest.fixture
 def script_evaluator(tmp_path):
     """Factory for external evaluator scripts run via the current python."""

@@ -34,7 +34,6 @@ def inputs(tmp_path):
 def traced_spans(tmp_path, args) -> list[dict]:
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    env.pop("HIMERGE_CACHE_DIR", None)
     proc = subprocess.run(
         [sys.executable, str(TRACER), str(spans), *args, "--out", str(tmp_path / "out")],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import shlex
+import shutil
 import signal
 import socket
 import subprocess
@@ -282,7 +283,7 @@ class TestMergeCommand:
         assert rc == 3
 
     def test_failed_candidate_reported_alike_at_any_parallel(
-        self, workdir, script_evaluator, capsys, monkeypatch
+        self, workdir, script_evaluator, capsys
     ):
         # The evaluator logs the sha256 of every candidate it scores and
         # fails on the one named in a file.  The chosen candidate is scored
@@ -319,13 +320,11 @@ class TestMergeCommand:
             assert main([*args, "--out", str(workdir / out)]) == 0
             return log.read_text().splitlines()
 
-        # With a shared cache, the hi run scores only what analyze did not.
-        monkeypatch.setenv("HIMERGE_CACHE_DIR", str(workdir / "shared"))
-        scored(["analyze", *options], "analyze")
+        # In analyze's --out, the hi run scores only what analyze did not.
+        scored(["analyze", *options], "full")
         reprofiles = scored(hi, "full")
         assert len(reprofiles) > 3
         chosen.write_text(reprofiles[2])
-        monkeypatch.delenv("HIMERGE_CACHE_DIR")
         capsys.readouterr()
 
         def failed_run(parallel):
@@ -778,7 +777,10 @@ class TestConfigHandling:
         )
         assert rc == 1
 
-    def test_cache_dir_env_override(self, workdir, monkeypatch):
+    def test_cache_dir_env_override(self, workdir, monkeypatch, capsys):
+        """The cache lives under the run's lock, in ``<out>/cache``: a set
+        ``HIMERGE_CACHE_DIR`` is refused before ``--out`` is created, and
+        the error says where the cache is, so no run re-evaluates unawares."""
         base_cp, ma, mb, ta, tb = single_signal_instance(n_eval=200)
         cache_dir = workdir / "shared_cache"
         monkeypatch.setenv("HIMERGE_CACHE_DIR", str(cache_dir))
@@ -791,9 +793,12 @@ class TestConfigHandling:
         }
         cfg_path = workdir / "cfg.json"
         cfg_path.write_text(json.dumps(config))
-        assert main(["analyze", "--config", str(cfg_path)]) == 0
-        assert (cache_dir / "eval_cache.jsonl").exists()
-        assert not (workdir / "out" / "cache").exists()
+        assert main(["analyze", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert "HIMERGE_CACHE_DIR" in err and "Traceback" not in err
+        assert str(workdir / "out" / "cache" / "eval_cache.jsonl") in err
+        assert not cache_dir.exists()
+        assert not (workdir / "out").exists()
 
 
 BAD_CONFIG_DOCS = [
@@ -1278,11 +1283,14 @@ def test_parallel_sweep_evaluates_each_distinct_candidate_once(workdir, monkeypa
         sys.setswitchinterval(interval)
 
 
-def test_shared_cache_is_keyed_by_the_evaluator(workdir, monkeypatch, capsys):
+def test_shared_cache_is_keyed_by_the_evaluator(workdir, capsys):
+    """A cache copied into a new ``--out`` serves only its own evaluator."""
     paths = _one_layer_inputs(workdir)
-    monkeypatch.setenv("HIMERGE_CACHE_DIR", str(workdir / "shared"))
     for value in (0.25, 0.75):
         out = workdir / f"out-{value}"
+        if value == 0.75:
+            (out / "cache").mkdir(parents=True)
+            shutil.copy(workdir / "out-0.25" / "cache" / "eval_cache.jsonl", out / "cache")
         argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
                 "--eval-a", json.dumps({"builtin": "constant", "value": value}),
                 "--p-values", "0.5", "--s-values", "1", "--out", str(out)]
@@ -1374,11 +1382,10 @@ def _tree(out):
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-def test_every_delta_file_names_its_base_by_the_key_of_its_cache_lines(workdir, monkeypatch):
+def test_every_delta_file_names_its_base_by_the_key_of_its_cache_lines(workdir):
     """hi's processed and final deltas, and the delta verb's, record their
     base's fingerprint: the content hash that keys the base's (F's) lines in
     the evaluation cache, one per task."""
-    monkeypatch.delenv("HIMERGE_CACHE_DIR", raising=False)
     paths, argv = _hi_run(workdir, workdir / "hi")
     assert main(argv) == 0
     assert main(["delta", "--base", str(paths["base"]), "--model-a", str(paths["model_a"]),
@@ -2537,21 +2544,40 @@ def test_a_failed_run_prints_nothing_on_stdout(workdir, capsys, script_evaluator
         assert capsys.readouterr().out == ""
 
 
+def _cli_child(argv):
+    """The CLI run in a child process, so a run that waits fails the test
+    at the timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(himerge.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-m", "himerge.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=30)
+
+
 def test_a_fifo_input_is_a_data_error_not_a_wait_for_a_writer(workdir):
     """Opening a FIFO for reading blocks until something opens it for
-    writing; a checkpoint input must be a regular file.  Run in a child
-    process, so a run that waits fails the test at its timeout."""
+    writing; a checkpoint input must be a regular file."""
     model = write_cp(workdir / "model.safetensors", checkpoint_from_arrays({"w": [1.0]}))
     fifo = workdir / "base.safetensors"
     os.mkfifo(fifo)
     out = workdir / "out"
-    env = dict(os.environ, PYTHONPATH=str(Path(himerge.__file__).parents[1]))
-    run = subprocess.run(
-        [sys.executable, "-m", "himerge.cli", "delta", "--base", str(fifo), "--model-a", model,
-         "--out", str(out)],
-        env=env, capture_output=True, text=True, timeout=30,
-    )
+    run = _cli_child(["delta", "--base", str(fifo), "--model-a", model, "--out", str(out)])
     assert run.returncode == 2
     assert run.stderr == f"data error: cannot read {fifo}: [Errno 22] not a regular file\n"
     assert run.stdout == ""
     assert not out.exists()
+
+
+def test_a_fifo_cache_file_is_a_data_error_not_a_wait_for_a_writer(workdir):
+    """The evaluation cache is opened as a checkpoint input is: a FIFO at
+    its path is a data error, and the run scores nothing."""
+    paths = _one_layer_inputs(workdir)
+    out = workdir / "out"
+    (out / "cache").mkdir(parents=True)
+    fifo = out / "cache" / "eval_cache.jsonl"
+    os.mkfifo(fifo)
+    run = _cli_child(["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
+                      "--eval-a", '{"builtin": "constant"}', "--p-values", "0.5",
+                      "--s-values", "1", "--out", str(out)])
+    assert run.returncode == 2
+    assert run.stderr == f"data error: cannot read {fifo}: [Errno 22] not a regular file\n"
+    assert run.stdout == ""
+    assert sorted(path.name for path in out.rglob("*")) == ["cache", "eval_cache.jsonl"]

@@ -1010,3 +1010,71 @@ class TestCacheFile:
         cache = EvalCache(path)
         assert len(cache) == 1 and cache.get("f2", "A", "e1") is None
         assert path.read_text() == good
+
+
+@st.composite
+def cache_lines(draw, min_size=0):
+    """Valid cache lines, each ending in a newline: distinct keys, some in
+    an older format (no ``"v"``), which loading skips, and some written
+    without escaping non-ASCII text, so a cut may split a character."""
+    lines = []
+    for number in range(draw(st.integers(min_size, 6))):
+        entry = {"key": f"f{number}", "task_id": draw(st.sampled_from("AB")),
+                 "evaluator": draw(st.text(max_size=6)),
+                 "score": draw(st.floats(allow_nan=False, allow_infinity=False))}
+        if draw(st.booleans()):
+            entry["v"] = evaluation.CACHE_VERSION
+        lines.append(json.dumps(entry, ensure_ascii=draw(st.booleans())).encode() + b"\n")
+    return lines
+
+
+def _cache_at(tmp, data):
+    path = Path(tmp) / "cache.jsonl"
+    path.write_bytes(data)
+    return path
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_a_cache_cut_at_any_byte_keeps_the_lines_whose_json_it_holds(data):
+    """A crash may cut the file anywhere: a line whose whole JSON lies
+    before the cut is kept (a lost newline is written back), the rest of
+    the file is cut away."""
+    lines = data.draw(cache_lines())
+    cut = data.draw(st.integers(0, sum(map(len, lines))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _cache_at(tmp, b"".join(lines)[:cut])
+        cache = EvalCache(path)
+        kept, end = [], 0
+        for line in lines:
+            end += len(line)
+            if end - 1 > cut:
+                break
+            kept.append(line)
+        assert path.read_bytes() == b"".join(kept)
+    scores = {}
+    for line in kept:
+        entry = json.loads(line)
+        if entry.get("v") == evaluation.CACHE_VERSION:
+            scores[entry["key"], entry["task_id"], entry["evaluator"]] = entry["score"]
+    assert len(cache) == len(scores)
+    for line in lines:
+        entry = json.loads(line)
+        slot = (entry["key"], entry["task_id"], entry["evaluator"])
+        assert cache.get(*slot) == scores.get(slot)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_cut_line_that_a_newline_ends_is_an_error_naming_it(data):
+    """A cut line that a newline ends is not a torn append, which is a
+    prefix of one whole line: it is corrupt, the last one included."""
+    lines = data.draw(cache_lines(min_size=1))
+    torn = data.draw(st.integers(0, len(lines) - 1))
+    line = lines[torn]
+    lines[torn] = line[:data.draw(st.integers(1, len(line) - 2))] + b"\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _cache_at(tmp, b"".join(lines))
+        with pytest.raises(FormatError, match=f"corrupt cache entry on line {torn + 1}:"):
+            EvalCache(path)
+        assert path.read_bytes() == b"".join(lines)

@@ -149,7 +149,6 @@ def inputs(tmp_path_factory):
 @pytest.fixture
 def in_inputs(inputs, monkeypatch):
     monkeypatch.chdir(inputs)
-    monkeypatch.delenv("HIMERGE_CACHE_DIR", raising=False)
     return inputs
 
 

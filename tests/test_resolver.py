@@ -879,3 +879,24 @@ class TestFileBackedDeltas:
         for rec in result.theta_g:
             with pytest.raises(FormatError, match="theta_g.safetensors: the file changed"):
                 rec.data
+
+    def test_scratch_candidates_are_written_in_out_dir(self, tmp_path, script_evaluator):
+        """Without a bridge, ``hi_merge`` writes an external evaluator's
+        candidates in ``out_dir``, as the CLI does in ``--out``, not in
+        ``$TMPDIR``, where a killed run's candidate would stay."""
+        base, ma, mb, _, tb, _ = conflict_instance(seed=7, dim=48, n_eval=200)
+        log = tmp_path / "dirs.txt"
+        cmd = script_evaluator(
+            f"""
+            import os, sys
+            with open({str(log)!r}, "a") as fh:
+                fh.write(os.path.dirname(os.path.abspath(sys.argv[1])) + "\\n")
+            print('{{"score": 0.5}}')
+            """
+        )
+        out = tmp_path / "run"
+        config = HiMergeConfig(params=both(1.0, 0.5), tasks={"A": EvalTask("A", cmd), "B": tb},
+                               out_dir=out)
+        hi_merge(base, ma, mb, config)
+        assert set(log.read_text().splitlines()) == {str(out)}
+
