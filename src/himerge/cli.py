@@ -275,7 +275,7 @@ def _typed(value, kind, path: str):
 def output_dir(cfg: RunConfig):
     """Create the output directory and hold an exclusive ``flock`` on a lock
     file in it for the whole block.  Under the lock, the temp files that a
-    killed writer left in it, or in its candidates directory, are removed.
+    killed writer left in it, or in its cache or candidates directory, are removed.
 
     The kernel releases the lock when the run ends or dies, so a lock file
     that no run holds never blocks.  The lock file is unlinked while still
@@ -294,7 +294,7 @@ def output_dir(cfg: RunConfig):
         if not held:
             raise ConfigError(f"output directory {out} is locked by another run")
         try:
-            for directory in (out, out / CANDIDATES_NAME):
+            for directory in (out, out / "cache", out / CANDIDATES_NAME):
                 if directory.is_dir():
                     remove_stale_temps(directory)
             yield out
@@ -306,8 +306,9 @@ def output_dir(cfg: RunConfig):
 @contextlib.contextmanager
 def evaluation_run(cfg: RunConfig):
     """``output_dir`` with an evaluation bridge whose cache is
-    ``<out>/cache``, under the run's lock: yields ``(out, bridge)``, and
-    reports the bridge's counts on stderr when the block ends normally."""
+    ``<out>/cache``, under the run's lock: yields ``(out, bridge)``.  When
+    the block ends normally, it rewrites the cache in key order
+    (``EvalCache.compact``) and reports the bridge's counts on stderr."""
     cache = Path(cfg.out) / "cache" / "eval_cache.jsonl"
     if os.environ.get("HIMERGE_CACHE_DIR"):
         raise ConfigError(
@@ -322,6 +323,7 @@ def evaluation_run(cfg: RunConfig):
             parallel=cfg.parallel,
         )
         yield out, bridge
+        bridge.cache.compact()
         print(
             f"evaluator invocations: {bridge.invocations} "
             f"(cache hits: {bridge.cache_hits}, "

@@ -46,6 +46,7 @@ from .checkpoint import (
     Checkpoint,
     TensorRecord,
     _FileSource,
+    atomic_open,
     create_temp,
     fingerprint,
     write_checkpoint,
@@ -327,32 +328,36 @@ CACHE_VERSION = 2
 
 
 class EvalCache:
-    """(fingerprint, task id, evaluator identity) -> score map backed by an
-    append-only JSONL file.
+    """(fingerprint, task id, evaluator identity) -> score map backed by a
+    JSONL file of ``{"v": 2, "key", "task_id", "evaluator", "score"}`` lines.
 
-    Each line is ``{"v": 2, "key", "task_id", "evaluator", "score"}``.
-    Lines of an older format (no ``"v": 2``) hold keys computed another
-    way; they are skipped, so those candidates are evaluated again.
+    ``put`` appends each score as it lands, so a crash loses none.
+    ``compact``, run once an existing file is loaded, rewrites the file in
+    its canonical form: one line per entry, in key order.  Lines of an
+    older format (no ``"v": 2``) hold keys computed another way; they are
+    skipped, so those candidates are evaluated again, and then dropped.
 
     Not thread-safe: ``EvaluationBridge`` serializes every ``get`` and
-    ``put`` under its own lock.
+    ``put`` under its own lock.  A file has one writer at a time.
     """
 
     def __init__(self, path=None):
         self.path = Path(path) if path else None
         self._scores: dict[tuple[str, str, str], float] = {}
-        if self.path and self.path.exists():
-            self._load()
+        if self.path:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
+                self._load()
+                self.compact()
 
     def _load(self) -> None:
         """Read the entries; a torn final line (a write cut short by a
-        crash) is truncated away, corruption anywhere else is an error.  An
-        entry whose score ``_valid_score`` rejects is corrupt.  The file is
+        crash) is skipped, corruption anywhere else is an error.  An entry
+        whose score ``_valid_score`` rejects is corrupt.  The file is
         opened as a checkpoint input is (``_FileSource``), so a FIFO or any
         other file that is not regular is a data error, not a wait."""
         source = _FileSource(self.path)
         lines = source.read(0, source.size).tobytes().split(b"\n")
-        offset = 0
         for number, line in enumerate(lines, start=1):
             try:
                 if line.strip():
@@ -367,27 +372,26 @@ class EvalCache:
                     raise FormatError(
                         f"{self.path}: corrupt cache entry on line {number}: {exc}"
                     ) from exc
-                os.truncate(self.path, offset)
-                return
-            offset += len(line) + 1
-        if lines[-1]:
-            # A complete entry that lost only its newline.
-            with open(self.path, "ab") as fh:
-                fh.write(b"\n")
+
+    def compact(self) -> None:
+        """Rewrite the file whole (``atomic_open``) as one line per entry, in key order."""
+        with atomic_open(self.path) as fh:
+            fh.writelines(self._line(slot) for slot in sorted(self._scores))
+
+    def _line(self, slot: tuple[str, str, str]) -> str:
+        key, task_id, evaluator = slot
+        entry = {"v": CACHE_VERSION, "key": key, "task_id": task_id, "evaluator": evaluator}
+        return json.dumps({**entry, "score": self._scores[slot]}) + "\n"
 
     def get(self, key: str, task_id: str, evaluator: str):
         return self._scores.get((key, task_id, evaluator))
 
     def put(self, key: str, task_id: str, evaluator: str, score: float) -> None:
-        line = json.dumps(
-            {"v": CACHE_VERSION, "key": key, "task_id": task_id, "evaluator": evaluator,
-             "score": score}
-        )
-        self._scores[(key, task_id, evaluator)] = score
+        slot = (key, task_id, evaluator)
+        self._scores[slot] = score
         if self.path:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a") as fh:
-                fh.write(line + "\n")
+                fh.write(self._line(slot))
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -420,10 +424,11 @@ class EvaluationBridge:
     written where it ends: in ``keep_dir``, renamed whole to one
     ``cand-<key>.safetensors`` per candidate before the evaluator runs, or
     else in ``scratch_dir`` (default: ``tempfile``'s directory), removed
-    once scored.  A killed run's temp file is removed by
-    ``remove_stale_temps`` on that directory.  A kept candidate is written
-    once, however many tasks score it.  The process group of each running
-    evaluator is recorded, so ``map`` can kill them all on Ctrl-C."""
+    once scored; ``keep_dir`` is made when the bridge is.  A killed run's
+    temp file is removed by ``remove_stale_temps`` on that directory.  A
+    kept candidate is written once, however many tasks score it.  The
+    process group of each running evaluator is recorded, so ``map`` can
+    kill them all on Ctrl-C."""
 
     def __init__(
         self,
@@ -438,6 +443,8 @@ class EvaluationBridge:
         self.scratch_dir = Path(scratch_dir) if scratch_dir is not None else None
         if parallel < 1:
             raise ConfigError(f"parallel must be >= 1, got {parallel}")
+        if self.keep_dir is not None:
+            self.keep_dir.mkdir(parents=True, exist_ok=True)
         self.parallel = parallel
         self.invocations = 0
         self.cache_hits = 0
@@ -567,7 +574,6 @@ class EvaluationBridge:
         if self.keep_dir is None:
             target = (self.scratch_dir or Path(tempfile.gettempdir())) / f"cand-{key[:12]}"
         else:
-            self.keep_dir.mkdir(parents=True, exist_ok=True)
             target = self.keep_dir / f"cand-{key}.safetensors"
         temp = None
         try:

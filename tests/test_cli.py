@@ -901,8 +901,9 @@ class TestTornCache:
         assert "Traceback" not in err
         if torn:
             assert rc == 0
-            lines = cache.read_text().splitlines(True)
-            assert lines[0] == other and len(lines) == 2
+            # The torn line and the old-format one are dropped; the cell's entry is written.
+            (line,) = cache.read_text().splitlines()
+            assert json.loads(line)["v"] == 2
         else:
             assert rc == 2
             assert err.startswith("data error:") and "line 1" in err
@@ -1482,6 +1483,40 @@ def test_stale_temp_files_are_removed_and_other_files_kept(workdir):
     assert main(argv) == 0
     assert not any(path.exists() for path in stale)
     assert all(path.read_text() == "half a file" for path in kept)
+
+
+def test_a_cache_rewrite_cut_short_leaves_a_temp_file_the_next_run_removes(workdir):
+    paths = _one_layer_inputs(workdir)
+    out = workdir / "out"
+    stale = out / "cache" / ".eval_cache.jsonl.deadbeef.himerge-tmp"
+    stale.parent.mkdir(parents=True)
+    stale.write_text("half a cache")
+    argv = ["sweep", "--base", paths["base"], "--model-a", paths["model_a"],
+            "--eval-a", json.dumps(LINEAR), "--p-values", "0.5", "--s-values", "1", "--out", str(out)]
+    assert main(argv) == 0
+    assert [p.name for p in stale.parent.iterdir()] == ["eval_cache.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "blocked, flags", [("cache", []), ("candidates", ["--keep-candidates"])], ids=["cache", "candidates"]
+)
+def test_a_file_where_the_bridge_makes_a_directory_stops_the_run_before_any_work(
+    workdir, capsys, blocked, flags
+):
+    """The bridge makes <out>/cache, and <out>/candidates under
+    --keep-candidates, when it is built: a file in the way is an I/O error
+    before any delta is written or the evaluator runs."""
+    paths = _one_layer_inputs(workdir)
+    stub = _stub_evaluator(workdir, [(b'{"score": 0.5}', b"", 0)])
+    out = workdir / "out"
+    out.mkdir()
+    (out / blocked).write_text("in the way")
+    assert main(["merge", "--method", "hi", *_hi_args(paths, stub), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (workdir / "calls").exists()  # the stub counts its calls there
+    assert not list(out.rglob("*.safetensors"))
+    assert (out / blocked).read_text() == "in the way"
 
 
 # A stdlib-only evaluator (starting numpy would take most of the test's

@@ -485,10 +485,13 @@ class TestBridgeBuiltin:
         old = json.dumps({"fingerprint": fingerprint(cp), "task_id": "A", "score": 0.9})
         cache_path.write_text(old + "\n")
         bridge = EvaluationBridge(EvalCache(cache_path))
-        assert bridge.evaluate(cp, EvalTask("A", ConstantTask(0.25))).value == 0.25
+        assert cache_path.read_text() == ""  # the rewrite on load drops the old line
+        task = EvalTask("A", ConstantTask(0.25))
+        assert bridge.evaluate(cp, task).value == 0.25
         assert (bridge.invocations, bridge.cache_hits) == (1, 0)
-        lines = cache_path.read_text().splitlines()
-        assert lines[0] == old and json.loads(lines[1])["v"] == 2
+        (line,) = cache_path.read_text().splitlines()
+        assert json.loads(line) == {"v": 2, "key": fingerprint(cp), "task_id": "A",
+                                    "evaluator": task.identity, "score": 0.25}
 
     def test_concurrent_callers_share_one_evaluation(self, monkeypatch):
         runs = []
@@ -1038,25 +1041,33 @@ def _cache_at(tmp, data):
 @given(st.data())
 def test_a_cache_cut_at_any_byte_keeps_the_lines_whose_json_it_holds(data):
     """A crash may cut the file anywhere: a line whose whole JSON lies
-    before the cut is kept (a lost newline is written back), the rest of
-    the file is cut away."""
+    before the cut is kept, the rest of the file is dropped.  Loading
+    rewrites the file in its canonical form: one line per kept v2 entry,
+    in key order, which loading again leaves as it is."""
     lines = data.draw(cache_lines())
     cut = data.draw(st.integers(0, sum(map(len, lines))))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = _cache_at(tmp, b"".join(lines)[:cut])
-        cache = EvalCache(path)
-        kept, end = [], 0
-        for line in lines:
-            end += len(line)
-            if end - 1 > cut:
-                break
-            kept.append(line)
-        assert path.read_bytes() == b"".join(kept)
+    kept, end = [], 0
+    for line in lines:
+        end += len(line)
+        if end - 1 > cut:
+            break
+        kept.append(line)
     scores = {}
     for line in kept:
         entry = json.loads(line)
         if entry.get("v") == evaluation.CACHE_VERSION:
             scores[entry["key"], entry["task_id"], entry["evaluator"]] = entry["score"]
+    canonical = b"".join(
+        json.dumps({"v": evaluation.CACHE_VERSION, "key": key, "task_id": task_id,
+                    "evaluator": evaluator, "score": score}).encode() + b"\n"
+        for (key, task_id, evaluator), score in sorted(scores.items())
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _cache_at(tmp, b"".join(lines)[:cut])
+        cache = EvalCache(path)
+        assert path.read_bytes() == canonical
+        EvalCache(path)
+        assert path.read_bytes() == canonical
     assert len(cache) == len(scores)
     for line in lines:
         entry = json.loads(line)

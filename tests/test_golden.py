@@ -4,9 +4,9 @@ models, must write the same bytes as when ``golden.json`` was made.
 The other tests compare against slow references or run the same thing twice
 in one process; neither notices when outputs drift between versions.  This
 suite pins the sha256 of every file a run writes under ``--out`` and of its
-stderr, at ``--parallel`` 1 and 2.  The evaluation cache is pinned at
-``--parallel 1`` only: under ``--parallel 2`` its lines are written in
-completion order.  Scores come from the builtin evaluators.
+stderr, at ``--parallel`` 1 and 2, the evaluation cache included: a run
+rewrites it in key order when it ends, so the order in which threads finish
+does not show.  Scores come from the builtin evaluators.
 
 A change that alters an output on purpose regenerates the file with
 ``PYTHONPATH=src python tests/test_golden.py`` from the repository root,
@@ -18,9 +18,13 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
+import re
+import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +32,7 @@ import pytest
 
 from himerge import save_checkpoint
 from himerge.cli import main
-from himerge.evaluation import hidden_optimum
+from himerge.evaluation import SyntheticCompositeTask, hidden_optimum
 
 from conftest import checkpoint_from_arrays, dyadic_random
 
@@ -109,10 +113,9 @@ def _spec(task: str) -> str:
     })
 
 
-def run(name: str, parallel: int, out: str) -> dict[str, str]:
-    """Run one command on the inputs in the working directory, relative
-    paths only so that no absolute path reaches an output, and return the
-    sha256 of stderr and of every file it wrote under ``out``."""
+def command(name: str, parallel: int, out: str) -> list[str]:
+    """The argv of one command on the inputs in the working directory,
+    relative paths only so that no absolute path reaches an output."""
     argv = [*RUNS[name], "--base", "base.safetensors", "--model-a", "model_a.safetensors",
             "--model-b", "model_b.safetensors", "--eval-a", _spec("A"), "--eval-b", _spec("B"),
             "--parallel", str(parallel), "--out", out]
@@ -122,16 +125,25 @@ def run(name: str, parallel: int, out: str) -> dict[str, str]:
     if name == "delta":
         drop = argv.index("--eval-a")
         del argv[drop : drop + 4]
+    return argv
+
+
+def main_stderr(argv: list[str]) -> str:
+    """What ``main(argv)`` writes on stderr; the run must succeed."""
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
         code = main(argv)
     assert code == 0, stderr.getvalue()
-    digests = {"<stderr>": _sha(stderr.getvalue().encode("utf-8"))}
+    return stderr.getvalue()
+
+
+def run(name: str, parallel: int, out: str) -> dict[str, str]:
+    """Run one command and return the sha256 of stderr and of every file it
+    wrote under ``out``."""
+    digests = {"<stderr>": _sha(main_stderr(command(name, parallel, out)).encode("utf-8"))}
     for path in sorted(Path(out).rglob("*")):
         if path.is_file():
             digests[path.relative_to(out).as_posix()] = _sha(path.read_bytes())
-    if parallel > 1:
-        digests.pop(CACHE, None)
     return digests
 
 
@@ -156,8 +168,40 @@ def in_inputs(inputs, monkeypatch):
 @pytest.mark.parametrize("name", list(RUNS))
 def test_outputs_match_the_golden_digests(in_inputs, name, parallel):
     golden = json.loads(GOLDEN.read_text())[name]
-    expected = {path: digest for path, digest in golden.items() if parallel == 1 or path != CACHE}
-    assert run(name, parallel, f"{name}-{parallel}") == expected
+    assert run(name, parallel, f"{name}-{parallel}") == golden
+
+
+def test_a_sweep_cache_is_byte_identical_at_any_parallel(in_inputs, monkeypatch):
+    """Four threads, switched every microsecond, with every other score
+    held back 10 ms, finish their cells out of order, and every p = 0 cell
+    is the base, one candidate that several threads ask for at once.  The
+    cache and the counts come out as at ``--parallel 1``, and each distinct
+    candidate is evaluated once."""
+    calls = itertools.count()
+    score = SyntheticCompositeTask.score
+
+    def held_back(task, cp):
+        time.sleep(0.01 * (next(calls) % 2))
+        return score(task, cp)
+
+    monkeypatch.setattr(SyntheticCompositeTask, "score", held_back)
+    grid = ["--p-values", "0,0.5"]
+    serial = main_stderr([*command("sweep", 1, "serial"), *grid])
+    expected = Path("serial", CACHE).read_bytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for rerun in range(3):
+            out = f"parallel-{rerun}"
+            assert main_stderr([*command("sweep", 4, out), *grid]) == serial
+            assert Path(out, CACHE).read_bytes() == expected
+    finally:
+        sys.setswitchinterval(interval)
+    counts = re.fullmatch(
+        r"evaluator invocations: (\d+) \(cache hits: (\d+), distinct checkpoints: (\d+)\)\n", serial
+    )
+    invocations, hits, distinct = map(int, counts.groups())
+    assert invocations == distinct == 11 and hits == 9  # 10 cells at p = 0.5, and the base
 
 
 def test_a_single_hi_pass_drops_and_reprunes(in_inputs):
